@@ -199,10 +199,7 @@ func New(cfg Config) (*Manager, error) {
 func (m *Manager) bindBackend(class string, model *ptrnet.Model) error {
 	ecfg := m.ecfg
 	return m.cfg.Registry.Replace(solver.NewFunc(BackendName(class), func(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, error) {
-		if err := ctx.Err(); err != nil {
-			return sched.Schedule{}, err
-		}
-		return rl.Schedule(model, ecfg, g, numStages)
+		return rl.ScheduleCtx(ctx, model, ecfg, g, numStages)
 	}))
 }
 

@@ -1,187 +1,93 @@
 package ptrnet
 
 import (
+	"context"
 	"math"
-	"sort"
 )
 
-// InferBeam is forward-only beam-search decoding with the given width:
-// at each step every live beam expands to its `width` most probable next
-// nodes and the `width` highest log-probability partial sequences survive.
-// Width 1 reduces to greedy Infer. Beam search trades width× compute for
-// sequences of higher model likelihood — the third standard pointer-
-// network inference mode beside greedy and sampling (Bello et al.).
-func (m *Model) InferBeam(emb [][]float64, width int) []int {
-	n := len(emb)
-	if width < 2 {
-		return m.Infer(emb)
+// beamCand is one candidate extension in beam search: live position pos
+// of beam number beam, ranked by key (a probability within one beam, a
+// log-probability across beams).
+type beamCand struct {
+	key       float64
+	beam, pos int
+}
+
+// insertTop inserts c into top, which is sorted by descending key and
+// holds at most width entries; among equal keys the earlier insertion
+// ranks first.
+func insertTop(top []beamCand, c beamCand, width int) []beamCand {
+	if len(top) == width {
+		if !(c.key > top[width-1].key) {
+			return top
+		}
+		top = top[:width-1]
 	}
+	i := len(top)
+	top = append(top, c)
+	for ; i > 0 && top[i-1].key < c.key; i-- {
+		top[i] = top[i-1]
+	}
+	top[i] = c
+	return top
+}
+
+// extend makes st the child of parent that emits parent's live position k.
+func (st *decState) extend(parent *decState, k int, logp float64) {
+	v := parent.live[k]
+	st.h = append(st.h[:0], parent.h...)
+	st.c = append(st.c[:0], parent.c...)
+	st.live = append(append(st.live[:0], parent.live[:k]...), parent.live[k+1:]...)
+	st.seq = append(append(st.seq[:0], parent.seq...), v)
+	st.last, st.logp = v, logp
+}
+
+// Beam is beam-search decoding with the given width: at each step every
+// live beam expands to its `width` most probable next nodes and the
+// `width` highest log-probability partial sequences survive. Width 1
+// reduces to Greedy. Beam search trades width× compute for sequences of
+// higher model likelihood — the third standard pointer-network inference
+// mode beside greedy and sampling (Bello et al.). It checks ctx once per
+// step and returns its error if cancelled.
+func (e *Encoding) Beam(ctx context.Context, width int) ([]int, error) {
+	n := len(e.emb)
 	if width > n {
 		width = n
 	}
-	h := m.Cfg.Hidden
-	f := newFwd(m)
+	if width < 2 {
+		return e.Greedy(ctx)
+	}
+	// Two banks of states: the beams of this step and of the next.
+	banks := e.sized(2 * width)
+	cur, next := banks[:width], banks[width:]
+	e.start(&cur[0])
+	beams := 1
+	if cap(e.cands) < 2*width {
+		e.cands = make([]beamCand, 2*width)
+	}
+	local, global := e.cands[:0:width], e.cands[width:width:2*width]
 
-	// Shared encoder pass.
-	encH := make([]float64, h)
-	encC := make([]float64, h)
-	contexts := make([]float64, n*h)
-	for i := 0; i < n; i++ {
-		f.lstmStep(m.Enc, emb[i], encH, encC)
-		copy(contexts[i*h:(i+1)*h], encH)
-	}
-	w1g := f.matMulNM(contexts, n, m.Glimpse.W1)
-	w1p := f.matMulNM(contexts, n, m.Pointer.W1)
-
-	type beam struct {
-		decH, decC []float64
-		mask       []bool
-		seq        []int
-		logp       float64
-		d          []float64 // next decoder input
-	}
-	start := &beam{
-		decH: append([]float64(nil), encH...),
-		decC: append([]float64(nil), encC...),
-		mask: make([]bool, n),
-		d:    append([]float64(nil), m.Dec0.Data...),
-	}
-	for i := range start.mask {
-		start.mask[i] = true
-	}
-	beams := []*beam{start}
-
-	probs := make([]float64, n)
-	g := make([]float64, h)
-	type cand struct {
-		parent *beam
-		node   int
-		logp   float64
-	}
 	for step := 0; step < n; step++ {
-		cands := make([]cand, 0, len(beams)*width)
-		for _, b := range beams {
-			// Advance the decoder one step for this beam.
-			f.lstmStep(m.Dec, b.d, b.decH, b.decC)
-			f.attScores(m.Glimpse, w1g, b.decH, probs, n)
-			softmaxMasked(probs, b.mask)
-			for j := 0; j < h; j++ {
-				g[j] = 0
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		global = global[:0]
+		for b := 0; b < beams; b++ {
+			st := &cur[b]
+			local = local[:0]
+			for k, pv := range e.decodeStep(st) {
+				local = insertTop(local, beamCand{key: pv, beam: b, pos: k}, width)
 			}
-			for i := 0; i < n; i++ {
-				if probs[i] == 0 {
-					continue
-				}
-				row := contexts[i*h : (i+1)*h]
-				pv := probs[i]
-				for j := 0; j < h; j++ {
-					g[j] += pv * row[j]
-				}
-			}
-			f.attScores(m.Pointer, w1p, g, probs, n)
-			softmaxMasked(probs, b.mask)
-
-			// Top `width` expansions of this beam.
-			type nv struct {
-				node int
-				p    float64
-			}
-			local := make([]nv, 0, n)
-			for i := 0; i < n; i++ {
-				if b.mask[i] && probs[i] > 0 {
-					local = append(local, nv{i, probs[i]})
-				}
-			}
-			sort.Slice(local, func(a, c int) bool { return local[a].p > local[c].p })
-			if len(local) > width {
-				local = local[:width]
-			}
-			for _, l := range local {
-				cands = append(cands, cand{parent: b, node: l.node, logp: b.logp + math.Log(l.p)})
+			for _, c := range local {
+				c.key = st.logp + math.Log(c.key)
+				global = insertTop(global, c, width)
 			}
 		}
-		sort.Slice(cands, func(a, c int) bool { return cands[a].logp > cands[c].logp })
-		if len(cands) > width {
-			cands = cands[:width]
+		for i, c := range global {
+			next[i].extend(&cur[c.beam], c.pos, c.key)
 		}
-		next := make([]*beam, 0, len(cands))
-		for _, c := range cands {
-			nb := &beam{
-				decH: append([]float64(nil), c.parent.decH...),
-				decC: append([]float64(nil), c.parent.decC...),
-				mask: append([]bool(nil), c.parent.mask...),
-				seq:  append(append([]int(nil), c.parent.seq...), c.node),
-				logp: c.logp,
-				d:    append([]float64(nil), emb[c.node]...),
-			}
-			nb.mask[c.node] = false
-			next = append(next, nb)
-		}
-		beams = next
+		cur, next, beams = next, cur, len(global)
 	}
-	best := beams[0]
-	for _, b := range beams[1:] {
-		if b.logp > best.logp {
-			best = b
-		}
-	}
-	return best.seq
-}
-
-// ScoreSeq returns the forward-only log-probability of emitting seq — the
-// deployment-time counterpart of DecodeForced, without a tape.
-func (m *Model) ScoreSeq(emb [][]float64, seq []int) float64 {
-	n := len(emb)
-	h := m.Cfg.Hidden
-	f := newFwd(m)
-
-	encH := make([]float64, h)
-	encC := make([]float64, h)
-	contexts := make([]float64, n*h)
-	for i := 0; i < n; i++ {
-		f.lstmStep(m.Enc, emb[i], encH, encC)
-		copy(contexts[i*h:(i+1)*h], encH)
-	}
-	w1g := f.matMulNM(contexts, n, m.Glimpse.W1)
-	w1p := f.matMulNM(contexts, n, m.Pointer.W1)
-
-	decH := append([]float64(nil), encH...)
-	decC := append([]float64(nil), encC...)
-	mask := make([]bool, n)
-	for i := range mask {
-		mask[i] = true
-	}
-	d := append([]float64(nil), m.Dec0.Data...)
-	probs := make([]float64, n)
-	g := make([]float64, h)
-	logp := 0.0
-	for step := 0; step < n; step++ {
-		f.lstmStep(m.Dec, d, decH, decC)
-		f.attScores(m.Glimpse, w1g, decH, probs, n)
-		softmaxMasked(probs, mask)
-		for j := 0; j < h; j++ {
-			g[j] = 0
-		}
-		for i := 0; i < n; i++ {
-			if probs[i] == 0 {
-				continue
-			}
-			row := contexts[i*h : (i+1)*h]
-			pv := probs[i]
-			for j := 0; j < h; j++ {
-				g[j] += pv * row[j]
-			}
-		}
-		f.attScores(m.Pointer, w1p, g, probs, n)
-		softmaxMasked(probs, mask)
-		v := seq[step]
-		p := probs[v]
-		if p < 1e-300 {
-			p = 1e-300
-		}
-		logp += math.Log(p)
-		mask[v] = false
-		d = append(d[:0], emb[v]...)
-	}
-	return logp
+	// global is sorted, so the first beam is the most likely sequence.
+	return append([]int(nil), cur[0].seq...), nil
 }

@@ -5,9 +5,11 @@
 // at one unscheduled node per step, with visited nodes masked to −∞.
 //
 // Two execution paths are provided: Decode builds the computation on an
-// autodiff tape (training, REINFORCE log-probabilities) and Infer is an
-// allocation-lean forward-only pass (deployment; the path timed in the
-// paper's scheduling-runtime comparisons).
+// autodiff tape (training, REINFORCE log-probabilities); Encode and the
+// decodes it feeds (Infer, InferSample, InferBeam, ScoreSeq) are the
+// allocation-free forward-only path (deployment; the path timed in the
+// paper's scheduling-runtime comparisons). The two share no kernel, so the
+// tape path is the oracle the forward-only one is tested against.
 package ptrnet
 
 import (
@@ -192,220 +194,4 @@ func (m *Model) decode(t *ad.Tape, emb [][]float64, sample bool, rng *rand.Rand,
 		d = t.InputVec(emb[idx])
 	}
 	return DecodeResult{Seq: seq, LogProb: logp, AvgEntropy: entropy / float64(n)}
-}
-
-// GreedySeq is Decode with greedy selection on a throwaway tape, returning
-// only the permutation (used for the rollout baseline).
-func (m *Model) GreedySeq(emb [][]float64) []int {
-	return m.Infer(emb)
-}
-
-// Infer is the forward-only deployment path: identical math to greedy
-// Decode without tape bookkeeping. This is what the solve-time experiments
-// measure.
-func (m *Model) Infer(emb [][]float64) []int {
-	return m.infer(emb, nil)
-}
-
-// InferSample is forward-only stochastic decoding: nodes are drawn from
-// the pointer distribution instead of argmax. Used by best-of-K sampled
-// inference, where the tape-based Decode would be needlessly heavy.
-func (m *Model) InferSample(emb [][]float64, rng *rand.Rand) []int {
-	return m.infer(emb, rng)
-}
-
-func (m *Model) infer(emb [][]float64, rng *rand.Rand) []int {
-	n := len(emb)
-	h := m.Cfg.Hidden
-	f := newFwd(m)
-
-	// Encoder.
-	encH := make([]float64, h)
-	encC := make([]float64, h)
-	contexts := make([]float64, n*h)
-	for i := 0; i < n; i++ {
-		f.lstmStep(m.Enc, emb[i], encH, encC)
-		copy(contexts[i*h:(i+1)*h], encH)
-	}
-	// Precompute W1·E for both heads.
-	w1g := f.matMulNM(contexts, n, m.Glimpse.W1)
-	w1p := f.matMulNM(contexts, n, m.Pointer.W1)
-
-	decH := append([]float64(nil), encH...)
-	decC := append([]float64(nil), encC...)
-	mask := make([]bool, n)
-	for i := range mask {
-		mask[i] = true
-	}
-	d := append([]float64(nil), m.Dec0.Data...)
-
-	seq := make([]int, 0, n)
-	probs := make([]float64, n)
-	g := make([]float64, h)
-	for step := 0; step < n; step++ {
-		f.lstmStep(m.Dec, d, decH, decC)
-		// Glimpse.
-		f.attScores(m.Glimpse, w1g, decH, probs, n)
-		softmaxMasked(probs, mask)
-		for j := 0; j < h; j++ {
-			g[j] = 0
-		}
-		for i := 0; i < n; i++ {
-			if probs[i] == 0 {
-				continue
-			}
-			row := contexts[i*h : (i+1)*h]
-			pv := probs[i]
-			for j := 0; j < h; j++ {
-				g[j] += pv * row[j]
-			}
-		}
-		// Pointer.
-		f.attScores(m.Pointer, w1p, g, probs, n)
-		softmaxMasked(probs, mask)
-		best := -1
-		if rng != nil {
-			r := rng.Float64()
-			acc := 0.0
-			for i := 0; i < n; i++ {
-				if !mask[i] {
-					continue
-				}
-				acc += probs[i]
-				if r <= acc {
-					best = i
-					break
-				}
-			}
-		}
-		if best < 0 {
-			bestP := math.Inf(-1)
-			for i := 0; i < n; i++ {
-				if mask[i] && probs[i] > bestP {
-					bestP = probs[i]
-					best = i
-				}
-			}
-		}
-		seq = append(seq, best)
-		mask[best] = false
-		d = append(d[:0], emb[best]...)
-	}
-	return seq
-}
-
-// fwd holds scratch buffers for the forward-only path.
-type fwd struct {
-	hidden int
-	z      []float64 // 4h gate preactivations
-	q      []float64 // h query projection
-}
-
-func newFwd(m *Model) *fwd {
-	return &fwd{hidden: m.Cfg.Hidden, z: make([]float64, 4*m.Cfg.Hidden), q: make([]float64, m.Cfg.Hidden)}
-}
-
-// lstmStep advances (h, c) in place.
-func (f *fwd) lstmStep(cell *nn.LSTMCell, x, h, c []float64) {
-	hd := f.hidden
-	z := f.z
-	copy(z, cell.B.Data)
-	for k, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		row := cell.Wx.Data[k*4*hd : (k+1)*4*hd]
-		for j, wv := range row {
-			z[j] += xv * wv
-		}
-	}
-	for k, hv := range h {
-		if hv == 0 {
-			continue
-		}
-		row := cell.Wh.Data[k*4*hd : (k+1)*4*hd]
-		for j, wv := range row {
-			z[j] += hv * wv
-		}
-	}
-	for j := 0; j < hd; j++ {
-		i := sigmoid(z[j])
-		fg := sigmoid(z[hd+j])
-		gg := math.Tanh(z[2*hd+j])
-		o := sigmoid(z[3*hd+j])
-		c[j] = fg*c[j] + i*gg
-		h[j] = o * math.Tanh(c[j])
-	}
-}
-
-// matMulNM computes E (n×h) · W (h×h) into a fresh n×h buffer.
-func (f *fwd) matMulNM(e []float64, n int, w *tensor.Mat) []float64 {
-	h := f.hidden
-	out := make([]float64, n*h)
-	for i := 0; i < n; i++ {
-		er := e[i*h : (i+1)*h]
-		or := out[i*h : (i+1)*h]
-		for k, ev := range er {
-			if ev == 0 {
-				continue
-			}
-			wr := w.Data[k*h : (k+1)*h]
-			for j, wv := range wr {
-				or[j] += ev * wv
-			}
-		}
-	}
-	return out
-}
-
-// attScores fills scores[i] = vᵀ tanh(w1e_i + W2·q).
-func (f *fwd) attScores(att *nn.Attention, w1e, query, scores []float64, n int) {
-	h := f.hidden
-	q := f.q
-	for j := 0; j < h; j++ {
-		q[j] = 0
-	}
-	for k, qv := range query {
-		if qv == 0 {
-			continue
-		}
-		row := att.W2.Data[k*h : (k+1)*h]
-		for j, wv := range row {
-			q[j] += qv * wv
-		}
-	}
-	v := att.V.Data
-	for i := 0; i < n; i++ {
-		row := w1e[i*h : (i+1)*h]
-		var s float64
-		for j := 0; j < h; j++ {
-			s += v[j] * math.Tanh(row[j]+q[j])
-		}
-		scores[i] = s
-	}
-}
-
-func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
-
-// softmaxMasked normalizes scores in place over allowed entries, zeroing
-// the rest.
-func softmaxMasked(scores []float64, mask []bool) {
-	maxv := math.Inf(-1)
-	for i, s := range scores {
-		if mask[i] && s > maxv {
-			maxv = s
-		}
-	}
-	var sum float64
-	for i := range scores {
-		if mask[i] {
-			scores[i] = math.Exp(scores[i] - maxv)
-			sum += scores[i]
-		} else {
-			scores[i] = 0
-		}
-	}
-	for i := range scores {
-		scores[i] /= sum
-	}
 }

@@ -2,12 +2,16 @@ package ptrnet
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	ad "respect/internal/autodiff"
 	"respect/internal/embed"
+	"respect/internal/models"
 	"respect/internal/synth"
 )
 
@@ -52,17 +56,27 @@ func TestDecodeIsPermutation(t *testing.T) {
 	}
 }
 
+// TestInferMatchesGreedyDecode holds the forward-only kernel to the tape
+// path, which shares no code with it, from toy inputs up to zoo scale.
 func TestInferMatchesGreedyDecode(t *testing.T) {
 	m := testModel(4)
+	embs := map[string][][]float64{}
 	for _, n := range []int{5, 17, 30} {
-		emb := testEmb(t, n, int64(n))
-		tp := ad.NewTape()
-		dec := m.Decode(tp, emb, false, nil)
+		embs[fmt.Sprintf("synth-%d", n)] = testEmb(t, n, int64(n))
+	}
+	g, err := models.Load("ResNet50v2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	embs[g.Name] = embed.Graph(g, embed.Default())
+	for name, emb := range embs {
+		dec := m.Decode(ad.NewTape(), emb, false, nil)
 		inf := m.Infer(emb)
-		for i := range dec.Seq {
-			if dec.Seq[i] != inf[i] {
-				t.Fatalf("n=%d: decode %v != infer %v", n, dec.Seq, inf)
-			}
+		if !slices.Equal(dec.Seq, inf) {
+			t.Errorf("%s: decode %v != infer %v", name, dec.Seq, inf)
+		}
+		if d := m.ScoreSeq(emb, inf) - dec.LogProb.Data()[0]; math.Abs(d) > 1e-9 {
+			t.Errorf("%s: ScoreSeq off the tape log-probability by %g", name, d)
 		}
 	}
 }

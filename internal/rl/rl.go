@@ -8,6 +8,7 @@
 package rl
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -325,8 +326,32 @@ func (tr *Trainer) EvalGreedy(m *ptrnet.Model) float64 {
 // pointer decode, ρ, post-inference repair. This is the deployment path
 // used by all experiments.
 func Schedule(m *ptrnet.Model, ecfg embed.Config, g *graph.Graph, numStages int) (sched.Schedule, error) {
-	emb := embed.Graph(g, ecfg)
-	return deploySeq(g, m.Infer(emb), numStages)
+	return ScheduleCtx(context.Background(), m, ecfg, g, numStages)
+}
+
+// ScheduleCtx is Schedule under a context: decoding is quadratic in the
+// node count (over a second on the largest zoo models), so the decoder
+// checks ctx at every step and a cancelled call returns ctx's error.
+func ScheduleCtx(ctx context.Context, m *ptrnet.Model, ecfg embed.Config, g *graph.Graph, numStages int) (sched.Schedule, error) {
+	enc, err := encode(ctx, m, ecfg, g)
+	if err != nil {
+		return sched.Schedule{}, err
+	}
+	defer enc.Release()
+	seq, err := enc.Greedy(ctx)
+	if err != nil {
+		return sched.Schedule{}, err
+	}
+	return deploySeq(g, seq, numStages)
+}
+
+// encode embeds g and runs the encoder over it, once for however many
+// decodes follow, unless ctx is already done.
+func encode(ctx context.Context, m *ptrnet.Model, ecfg embed.Config, g *graph.Graph) (*ptrnet.Encoding, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return m.Encode(embed.Graph(g, ecfg)), nil
 }
 
 // deploySeq is the shared deployment pipeline: sequence-level dependency
@@ -347,18 +372,36 @@ func deploySeq(g *graph.Graph, seq []int, numStages int) (sched.Schedule, error)
 // ScheduleSampled is sampling-based inference (Bello et al.'s "sampling"
 // decoder): beside the greedy rollout it draws samples stochastic decodes
 // and keeps the schedule with the best deployed objective. Solve time
-// scales linearly in samples and stays orders of magnitude below exact
-// search.
+// scales linearly in samples: the graph is embedded and encoded once and
+// decoded samples+1 times.
 func ScheduleSampled(m *ptrnet.Model, ecfg embed.Config, g *graph.Graph, numStages, samples int, seed int64) (sched.Schedule, error) {
-	best, err := Schedule(m, ecfg, g, numStages)
+	return ScheduleSampledCtx(context.Background(), m, ecfg, g, numStages, samples, seed)
+}
+
+// ScheduleSampledCtx is ScheduleSampled under a context, checked at every
+// step of every decode.
+func ScheduleSampledCtx(ctx context.Context, m *ptrnet.Model, ecfg embed.Config, g *graph.Graph, numStages, samples int, seed int64) (sched.Schedule, error) {
+	enc, err := encode(ctx, m, ecfg, g)
+	if err != nil {
+		return sched.Schedule{}, err
+	}
+	defer enc.Release()
+	seq, err := enc.Greedy(ctx)
+	if err != nil {
+		return sched.Schedule{}, err
+	}
+	best, err := deploySeq(g, seq, numStages)
 	if err != nil {
 		return sched.Schedule{}, err
 	}
 	bestCost := best.Evaluate(g)
-	emb := embed.Graph(g, ecfg)
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < samples; i++ {
-		s, err := deploySeq(g, m.InferSample(emb, rng), numStages)
+		seq, err := enc.Sample(ctx, rng)
+		if err != nil {
+			return sched.Schedule{}, err
+		}
+		s, err := deploySeq(g, seq, numStages)
 		if err != nil {
 			return sched.Schedule{}, fmt.Errorf("rl: sampled sequence invalid: %w", err)
 		}
@@ -370,9 +413,21 @@ func ScheduleSampled(m *ptrnet.Model, ecfg embed.Config, g *graph.Graph, numStag
 }
 
 // ScheduleBeam is beam-search inference: the width most likely node
-// orders are decoded jointly and the best deployed objective wins (ties
-// to the highest-likelihood sequence via decode order).
+// orders are decoded jointly and the most likely one is deployed.
 func ScheduleBeam(m *ptrnet.Model, ecfg embed.Config, g *graph.Graph, numStages, width int) (sched.Schedule, error) {
-	emb := embed.Graph(g, ecfg)
-	return deploySeq(g, m.InferBeam(emb, width), numStages)
+	return ScheduleBeamCtx(context.Background(), m, ecfg, g, numStages, width)
+}
+
+// ScheduleBeamCtx is ScheduleBeam under a context, checked at every step.
+func ScheduleBeamCtx(ctx context.Context, m *ptrnet.Model, ecfg embed.Config, g *graph.Graph, numStages, width int) (sched.Schedule, error) {
+	enc, err := encode(ctx, m, ecfg, g)
+	if err != nil {
+		return sched.Schedule{}, err
+	}
+	defer enc.Release()
+	seq, err := enc.Beam(ctx, width)
+	if err != nil {
+		return sched.Schedule{}, err
+	}
+	return deploySeq(g, seq, numStages)
 }

@@ -18,8 +18,10 @@ import (
 	"testing"
 	"time"
 
+	"respect/internal/embed"
 	"respect/internal/graph"
 	"respect/internal/models"
+	"respect/internal/ptrnet"
 	"respect/internal/sched"
 	"respect/internal/serve"
 	"respect/internal/solver"
@@ -194,6 +196,32 @@ func TestBudgetExpiryReturnsTruncatedIncumbent(t *testing.T) {
 	decodeInto(t, data, &out2)
 	if out2.CacheHit {
 		t.Fatal("truncated incumbent was cached and served as a hit")
+	}
+}
+
+// TestPinnedRLPastBudgetIs504: a request pinned to the rl backend on a
+// graph whose decode outlasts the class budget (InceptionResNetv2 decodes
+// for hundreds of milliseconds) is a timeout like any other backend's,
+// not a 200 delivered a decode late.
+func TestPinnedRLPastBudgetIs504(t *testing.T) {
+	ecfg := embed.Default()
+	registerBackend(t, solver.RL(ptrnet.New(ptrnet.Config{InputDim: ecfg.Dim(), Hidden: 64, Seed: 1}), ecfg))
+	srv, ts := newTestServer(t, serve.Config{
+		WarmModels: []string{},
+		Classes: map[serve.Class]serve.ClassPolicy{
+			"brief": {Budget: 5 * time.Millisecond, Backends: []string{"heur"}, MaxConcurrent: 2, MaxQueue: 2},
+		},
+	})
+	resp, data := postJSON(t, ts.URL+"/v1/schedule",
+		serve.ScheduleRequest{Model: "InceptionResNetv2", Stages: 4, Class: "brief", Backends: []string{"rl"}})
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504: %s", resp.StatusCode, data)
+	}
+	if !strings.Contains(string(data), context.DeadlineExceeded.Error()) {
+		t.Fatalf("504 body does not name the deadline: %s", data)
+	}
+	if st := srv.Stats().Classes["brief"]; st.Admitted != 1 {
+		t.Fatalf("class stats %+v, want the one request admitted", st)
 	}
 }
 

@@ -15,19 +15,17 @@ import (
 // agent constructs them here and registers them (see Registry.Replace,
 // which keeps re-loading an agent idempotent).
 
-// rlGuard performs the shared pre-flight cancellation check; pointer
-// decoding runs in microseconds, so finer-grained ctx checks buy nothing.
-func rlGuard(ctx context.Context) error { return ctx.Err() }
+// Pointer decoding is quadratic in the node count (tens of milliseconds
+// on ResNet50, over a second on InceptionResNetv2), so every decode mode
+// checks ctx at each step and a cancelled backend returns ctx's error: a
+// portfolio race that has its winner is not held until the decode ends.
 
 // RL returns the greedy pointer-decode backend ("rl"): embedding, greedy
 // decode, ρ stage mapping, deployment repair — the paper's headline
 // inference path.
 func RL(m *ptrnet.Model, ecfg embed.Config) Scheduler {
 	return NewFunc("rl", func(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, error) {
-		if err := rlGuard(ctx); err != nil {
-			return sched.Schedule{}, err
-		}
-		return rl.Schedule(m, ecfg, g, numStages)
+		return rl.ScheduleCtx(ctx, m, ecfg, g, numStages)
 	})
 }
 
@@ -36,10 +34,7 @@ func RL(m *ptrnet.Model, ecfg embed.Config) Scheduler {
 // keeps the cheapest deployed schedule.
 func RLSampled(m *ptrnet.Model, ecfg embed.Config, samples int, seed int64) Scheduler {
 	return NewFunc("rl-sampled", func(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, error) {
-		if err := rlGuard(ctx); err != nil {
-			return sched.Schedule{}, err
-		}
-		return rl.ScheduleSampled(m, ecfg, g, numStages, samples, seed)
+		return rl.ScheduleSampledCtx(ctx, m, ecfg, g, numStages, samples, seed)
 	})
 }
 
@@ -47,10 +42,7 @@ func RLSampled(m *ptrnet.Model, ecfg embed.Config, samples int, seed int64) Sche
 // width.
 func RLBeam(m *ptrnet.Model, ecfg embed.Config, width int) Scheduler {
 	return NewFunc("rl-beam", func(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, error) {
-		if err := rlGuard(ctx); err != nil {
-			return sched.Schedule{}, err
-		}
-		return rl.ScheduleBeam(m, ecfg, g, numStages, width)
+		return rl.ScheduleBeamCtx(ctx, m, ecfg, g, numStages, width)
 	})
 }
 
