@@ -25,7 +25,6 @@ import (
 	"respect/internal/exact"
 	"respect/internal/ilp"
 	"respect/internal/models"
-	"respect/internal/perf"
 	"respect/internal/ptrnet"
 	"respect/internal/rl"
 	"respect/internal/sched"
@@ -235,23 +234,6 @@ func BenchmarkPostProcessRepair(b *testing.B) {
 		sched.PostProcess(g, raw)
 	}
 }
-
-// Allocation benchmarks for the tracked solver hot paths. Each mounts the
-// identical probe body that cmd/respect-perf's MeasureAllocs runs under
-// testing.Benchmark, so `go test -bench=Allocs` and the checked-in
-// BENCH_*.json trajectory can never disagree on methodology. The probes
-// call b.ReportAllocs() themselves.
-func benchAllocProbe(b *testing.B, name string) {
-	b.Helper()
-	if !perf.AllocProbe(name, b) {
-		b.Fatalf("unknown alloc probe %q (tracked: %v)", name, perf.AllocProbeNames())
-	}
-}
-
-func BenchmarkAllocsExactSolve(b *testing.B)       { benchAllocProbe(b, "exact.SolveCtx") }
-func BenchmarkAllocsHeurDPBudget(b *testing.B)     { benchAllocProbe(b, "heur.DPBudget") }
-func BenchmarkAllocsSchedEvaluate(b *testing.B)    { benchAllocProbe(b, "sched.Evaluate") }
-func BenchmarkAllocsGraphFingerprint(b *testing.B) { benchAllocProbe(b, "graph.Fingerprint") }
 
 func BenchmarkEmbedding(b *testing.B) {
 	g := models.MustLoad("InceptionResNetv2")

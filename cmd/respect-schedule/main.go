@@ -107,29 +107,22 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	switch {
-	case *portfolio != "" && len(graphs) == 1:
-		runPortfolio(ctx, *timeout, splitNames(*portfolio), graphs[0], *stages, *simulate, *dotPath)
-	case *portfolio != "":
-		members, err := solver.Resolve(splitNames(*portfolio)...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		runBatch(ctx, solver.PortfolioScheduler("portfolio("+*portfolio+")", solver.PortfolioOptions{}, members...), graphs, *stages, *jobs)
-	case len(graphs) == 1:
-		b := lookupBackend(name)
-		runSingle(ctx, *timeout, b, graphs[0], *stages, *simulate, *dotPath)
-	default:
-		runBatch(ctx, solver.NewCached(lookupBackend(name), 256), graphs, *stages, *jobs)
+	// Every solve shape goes through one engine: a single backend is a
+	// portfolio of one.
+	names := []string{name}
+	if *portfolio != "" {
+		names = splitNames(*portfolio)
 	}
-}
-
-func lookupBackend(name string) solver.Scheduler {
-	b, err := solver.Lookup(name)
+	members, err := solver.Resolve(names...)
 	if err != nil {
 		log.Fatal(err)
 	}
-	return b
+	e := solver.NewEngine(members, 256, solver.PortfolioOptions{})
+	if len(graphs) == 1 {
+		runSingle(ctx, *timeout, e, graphs[0], *stages, *simulate, *dotPath)
+	} else {
+		runBatch(ctx, e, graphs, *stages, *jobs)
+	}
 }
 
 // splitNames splits a comma-separated list, trimming whitespace around
@@ -209,68 +202,65 @@ func deadlineHit(ctx context.Context, budget, elapsed time.Duration) bool {
 	return ctx.Err() != nil || elapsed >= budget
 }
 
-func runSingle(ctx context.Context, budget time.Duration, b solver.Scheduler, g *graph.Graph, stages int, simulate bool, dotPath string) {
-	describe(g)
-	start := time.Now()
-	s, info, err := solver.ScheduleInfo(ctx, b, g, stages)
-	if err != nil {
-		log.Fatal(err)
-	}
-	label := b.Name()
-	switch {
-	case info.Truncated:
-		// Budget hit (deadline or state cap): the backend handed back an
-		// incumbent with no optimality proof.
-		label += " (budget hit; incumbent, not proven optimal)"
-	case info.OptimalityProven:
-		label += " (proven optimal peak)"
-	}
-	report(g, s, label, time.Since(start), simulate, dotPath)
-}
+// truncatedCaption marks a budget-cut incumbent wherever one is printed.
+const truncatedCaption = " (budget hit; incumbent, not proven optimal)"
 
-func runPortfolio(ctx context.Context, budget time.Duration, names []string, g *graph.Graph, stages int, simulate bool, dotPath string) {
+func runSingle(ctx context.Context, budget time.Duration, e *solver.Engine, g *graph.Graph, stages int, simulate bool, dotPath string) {
 	describe(g)
-	backends, err := solver.Resolve(names...)
-	if err != nil {
-		log.Fatal(err)
-	}
 	start := time.Now()
-	res, err := solver.Portfolio(ctx, backends, g, stages)
+	res, _, err := e.Run(ctx, g, stages)
 	if err != nil {
 		log.Fatal(err)
 	}
 	elapsed := time.Since(start)
 
-	var cells [][]string
-	for _, o := range res.Outcomes {
-		status := o.Cost.String()
-		if o.Err != nil {
-			status = "error: " + o.Err.Error()
+	label := res.Backend
+	if len(res.Outcomes) > 1 {
+		var cells [][]string
+		for _, o := range res.Outcomes {
+			status := o.Cost.String()
+			if o.Err != nil {
+				status = "error: " + o.Err.Error()
+			}
+			mark := ""
+			if o.Winner {
+				mark = "*"
+			}
+			cells = append(cells, []string{mark, o.Backend, status, o.Elapsed.Round(time.Microsecond).String()})
 		}
-		mark := ""
-		if o.Winner {
-			mark = "*"
-		}
-		cells = append(cells, []string{mark, o.Backend, status, o.Elapsed.Round(time.Microsecond).String()})
+		fmt.Print(bench.RenderTable([]string{"", "backend", "outcome", "solve time"}, cells))
+		fmt.Println()
+		label = "portfolio winner " + res.Backend
 	}
-	fmt.Print(bench.RenderTable([]string{"", "backend", "outcome", "solve time"}, cells))
-	fmt.Println()
-	label := "portfolio winner " + res.Backend
-	if deadlineHit(ctx, budget, elapsed) {
+	optimal := false
+	for _, o := range res.Outcomes {
+		optimal = optimal || o.Winner && o.Info.OptimalityProven
+	}
+	switch {
+	case res.Truncated:
+		// Budget hit (deadline or state cap): the winner handed back an
+		// incumbent with no optimality proof.
+		label += truncatedCaption
+	case optimal:
+		label += " (proven optimal peak)"
+	case len(res.Outcomes) > 1 && deadlineHit(ctx, budget, elapsed):
 		label += " (deadline hit; anytime members returned incumbents)"
 	}
 	report(g, res.Schedule, label, elapsed, simulate, dotPath)
 }
 
-func runBatch(ctx context.Context, b solver.Scheduler, graphs []*graph.Graph, stages, jobs int) {
+func runBatch(ctx context.Context, e *solver.Engine, graphs []*graph.Graph, stages, jobs int) {
 	start := time.Now()
-	results, err := solver.Batch(ctx, b, graphs, stages, jobs)
+	results, err := solver.Batch(ctx, e, graphs, stages, jobs)
 	elapsed := time.Since(start)
 	var cells [][]string
 	for _, r := range results {
 		outcome := r.Cost.String()
-		if r.Err != nil {
+		switch {
+		case r.Err != nil:
 			outcome = "error: " + r.Err.Error()
+		case r.Truncated:
+			outcome += truncatedCaption
 		}
 		cached := ""
 		if r.CacheHit {

@@ -6,8 +6,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"respect/internal/solver"
 )
 
 func TestBackendsRegistry(t *testing.T) {
@@ -149,6 +152,42 @@ func TestCustomBackendRegistration(t *testing.T) {
 	}
 	if err := res.Schedule.Validate(g); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScheduleWithRejectsInvalidSchedules: a registered backend that
+// hands back an out-of-range assignment is an error on both facade paths,
+// and nothing it returned is cached — every call solves again.
+func TestScheduleWithRejectsInvalidSchedules(t *testing.T) {
+	var calls atomic.Int64
+	bad := NewBackend("invalid-stage-backend", func(ctx context.Context, g *Graph, numStages int) (Schedule, error) {
+		calls.Add(1)
+		s := ScheduleCompiler(g, numStages)
+		s.Stage[0] = numStages // one past the last stage
+		return s, nil
+	})
+	if err := solver.Replace(bad); err != nil {
+		t.Fatal(err)
+	}
+	g, _ := LoadModel("MobileNet")
+	ctx := context.Background()
+	for i := 0; i < 2; i++ {
+		if s, err := ScheduleWith(ctx, bad.Name(), g, 4); err == nil {
+			t.Fatalf("call %d: invalid schedule %v returned without an error", i, s.Stage[:4])
+		}
+	}
+	results, err := ScheduleBatch(ctx, []*Graph{g}, 4, bad.Name(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results[0].Err == nil {
+		t.Fatal("batch item carries an invalid schedule without an error")
+	}
+	if calls.Load() != 3 {
+		t.Fatalf("backend solved %d times over 3 calls: an invalid schedule was served from cache", calls.Load())
+	}
+	if e, err := scheduleCaches.For(bad.Name()); err != nil || e.Contains(g, 4) {
+		t.Fatalf("invalid schedule cached (err=%v)", err)
 	}
 }
 

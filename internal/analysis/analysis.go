@@ -76,7 +76,7 @@ func Passes() []*Pass {
 		},
 		{
 			Name: "nosleeptest",
-			Doc:  "no time.Sleep in _test.go files or the perf harness; poll with a deadline or inject a clock",
+			Doc:  "no time.Sleep in _test.go files; poll with a deadline or inject a clock",
 			Run:  nosleeptestRun,
 		},
 		{

@@ -156,7 +156,6 @@ func TestAtomicfieldFixtures(t *testing.T) {
 
 func TestNosleeptestFixtures(t *testing.T) {
 	runFixture(t, "nosleeptest", "nosleeptest/app")
-	runFixture(t, "nosleeptest", "nosleeptest/perf")
 }
 
 func TestPoolpairFixtures(t *testing.T) {

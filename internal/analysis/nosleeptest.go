@@ -4,27 +4,17 @@ import (
 	"go/ast"
 )
 
-// nosleeptestExtraPkgs are non-test packages held to the no-sleep rule
-// anyway (by final import-path segment): the perf harness is
-// measurement code whose sleeps would be timing slack in every
-// benchmark that embeds it.
-var nosleeptestExtraPkgs = map[string]bool{"perf": true}
-
 // nosleeptestRun bans time.Sleep from test code. PR 8 deflaked every
 // sleep-based assertion in the tree (injectable clocks, gated
 // backends, channel-proven states); this pass pins that work forever:
 // a test that sleeps is either wasting wall-clock or encoding a timing
-// assumption that will flake under -race on a loaded CI runner.
-// Besides _test.go files, the rule covers all of internal/perf — the
-// benchmark harness runs inside timed regions where a sleep is
-// measurement error. Poll intervals inside deadline-bounded wait loops
-// are the one legitimate use; they carry a //lint:ignore with a
-// reason.
+// assumption that will flake under -race on a loaded CI runner. Poll
+// intervals inside deadline-bounded wait loops are the one legitimate
+// use; they carry a //lint:ignore with a reason.
 func nosleeptestRun(u *Unit) []Diagnostic {
-	wholePkg := nosleeptestExtraPkgs[lastSegment(u.Path)]
 	var diags []Diagnostic
 	for _, f := range u.Files {
-		if !wholePkg && !isTestFile(u, f) {
+		if !isTestFile(u, f) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {

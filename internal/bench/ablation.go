@@ -8,7 +8,6 @@ import (
 	"respect/internal/embed"
 	"respect/internal/exact"
 	"respect/internal/models"
-	"respect/internal/perf"
 	"respect/internal/rl"
 	"respect/internal/sched"
 	"respect/internal/solver"
@@ -190,15 +189,11 @@ func BackendStudy(ctx context.Context, model string, ns int, backends []string, 
 		if perBackend > 0 {
 			bctx, cancel = context.WithTimeout(ctx, perBackend)
 		}
-		// Timing goes through the perf harness primitive so the study
-		// column and the BENCH_*.json trajectory share one methodology
-		// (single-shot here because anytime backends are budget-bound).
-		var s sched.Schedule
-		el, err := perf.TimeOnce(func() error {
-			var serr error
-			s, serr = b.Schedule(bctx, g, ns)
-			return serr
-		})
+		// One cold call, no warm-up: anytime backends are budget-bound, so
+		// a warm-up would double the run.
+		start := time.Now()
+		s, err := b.Schedule(bctx, g, ns)
+		el := time.Since(start)
 		cancel()
 		if err != nil {
 			return nil, fmt.Errorf("bench: backend %q: %w", b.Name(), err)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"respect/internal/models"
-	"respect/internal/perf"
 	"respect/internal/solver"
 )
 
@@ -45,12 +44,9 @@ func PortfolioStudy(ctx context.Context, names []string, stages []int, backendNa
 		}
 		for _, ns := range stages {
 			ictx, cancel := context.WithTimeout(ctx, perInstance)
-			var res solver.PortfolioResult
-			elapsed, err := perf.TimeOnce(func() error {
-				var perr error
-				res, perr = solver.Portfolio(ictx, backends, g, ns)
-				return perr
-			})
+			start := time.Now()
+			res, err := solver.Portfolio(ictx, backends, g, ns)
+			elapsed := time.Since(start)
 			cancel()
 			if err != nil {
 				return nil, err

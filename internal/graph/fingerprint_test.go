@@ -41,3 +41,13 @@ func TestFingerprintSensitivity(t *testing.T) {
 		t.Fatal("added edge not reflected")
 	}
 }
+
+// TestFingerprintAllocFree: Build computes the fingerprint once, so the
+// per-request reads on the serving path (cache keys, popularity taps, hit
+// attribution) allocate nothing.
+func TestFingerprintAllocFree(t *testing.T) {
+	g := randomDAG(1)
+	if allocs := testing.AllocsPerRun(100, func() { g.Fingerprint() }); allocs != 0 {
+		t.Fatalf("Fingerprint on a built graph allocates %v times per call, want 0", allocs)
+	}
+}

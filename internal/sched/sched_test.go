@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"respect/internal/graph"
+	"respect/internal/models"
 )
 
 func chain(t testing.TB, n int) *graph.Graph {
@@ -88,6 +89,17 @@ func TestEvaluate(t *testing.T) {
 	// Crossing producers: a (edge a->c) and b (edge b->d): 5 + 10.
 	if c.CrossBytes != 15 {
 		t.Errorf("CrossBytes = %d, want 15", c.CrossBytes)
+	}
+}
+
+// TestEvaluateAllocFree: every race member, cache fill and batch item
+// prices its schedule, so Evaluate stays off the heap even on the zoo's
+// largest pipelines.
+func TestEvaluateAllocFree(t *testing.T) {
+	g := models.MustLoad("ResNet152")
+	s := dpSegment(g, g.TopoView(), 6)
+	if allocs := testing.AllocsPerRun(100, func() { s.Evaluate(g) }); allocs != 0 {
+		t.Fatalf("Evaluate on ResNet152/6 stages allocates %v times per call, want 0", allocs)
 	}
 }
 

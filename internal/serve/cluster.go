@@ -415,7 +415,7 @@ func (s *Server) forwardBatchGroup(ctx context.Context, target string, graphs []
 // here, and any group whose proxy failed is re-solved locally (the
 // fallback guarantee: an admitted batch never loses items to peer
 // failures). Items return in input order.
-func (s *Server) runClusteredBatch(ctx context.Context, cache solver.Scheduler, graphs []*graph.Graph, numStages int, class Class, backend string, jobs int, groups map[string][]int) []BatchItemJSON {
+func (s *Server) runClusteredBatch(ctx context.Context, engine *solver.Engine, graphs []*graph.Graph, numStages int, class Class, backend string, jobs int, groups map[string][]int) []BatchItemJSON {
 	items := make([]BatchItemJSON, len(graphs))
 	remote := make(map[int]bool)
 	for _, idx := range groups {
@@ -459,18 +459,18 @@ func (s *Server) runClusteredBatch(ctx context.Context, cache solver.Scheduler, 
 			local = append(local, i)
 		}
 	}
-	s.solveBatchLocal(ctx, cache, graphs, local, numStages, jobs, items)
+	s.solveBatchLocal(ctx, engine, graphs, local, numStages, jobs, items)
 	wg.Wait()
 	if len(fallback) > 0 {
 		sort.Ints(fallback)
-		s.solveBatchLocal(ctx, cache, graphs, fallback, numStages, jobs, items)
+		s.solveBatchLocal(ctx, engine, graphs, fallback, numStages, jobs, items)
 	}
 	return items
 }
 
 // solveBatchLocal solves the given graph indices through the local batch
-// cache and writes their items (in input positions) into items.
-func (s *Server) solveBatchLocal(ctx context.Context, cache solver.Scheduler, graphs []*graph.Graph, idx []int, numStages, jobs int, items []BatchItemJSON) {
+// engine and writes their items (in input positions) into items.
+func (s *Server) solveBatchLocal(ctx context.Context, engine *solver.Engine, graphs []*graph.Graph, idx []int, numStages, jobs int, items []BatchItemJSON) {
 	if len(idx) == 0 {
 		return
 	}
@@ -478,7 +478,7 @@ func (s *Server) solveBatchLocal(ctx context.Context, cache solver.Scheduler, gr
 	for k, i := range idx {
 		subset[k] = graphs[i]
 	}
-	results, _ := solver.Batch(ctx, cache, subset, numStages, jobs)
+	results, _ := solver.Batch(ctx, engine, subset, numStages, jobs)
 	for k, res := range results {
 		items[idx[k]] = batchItemJSON(idx[k], res)
 	}

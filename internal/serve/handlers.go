@@ -312,6 +312,17 @@ func writeRejected(w http.ResponseWriter, st *classState, err error) {
 	writeError(w, http.StatusTooManyRequests, "%s", err.Error())
 }
 
+// reject answers an admission failure: the request is observed under its
+// rejection cause and refused with 429.
+func (s *Server) reject(w http.ResponseWriter, class Class, st *classState, arrival time.Time, err error) {
+	outcome := outcomeRejectedCapacity
+	if errors.Is(err, errQueueTimeout) {
+		outcome = outcomeRejectedTimeout
+	}
+	s.observeRequest(class, outcome, arrival)
+	writeRejected(w, st, err)
+}
+
 // decodeBody decodes a size-capped JSON request body into v.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
@@ -455,48 +466,13 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Admission: wait at most one class budget for a slot, then solve
-	// under a fresh budget. The solve context is also bound to the client
-	// connection, so abandoned requests cancel their backends. The wait is
-	// measured once and feeds both the queue-wait histogram and the trace.
-	admStart := time.Now()
-	admCtx, admCancel := context.WithTimeout(r.Context(), st.policy.Budget)
-	release, err := st.adm.acquire(admCtx)
-	admCancel()
-	queueWait := time.Since(admStart)
-	s.queueSeconds.With(string(class)).Observe(queueWait.Seconds())
-	if err != nil {
-		outcome := outcomeRejectedCapacity
-		if errors.Is(err, errQueueTimeout) {
-			outcome = outcomeRejectedTimeout
-		}
-		s.observeRequest(class, outcome, arrival)
-		writeRejected(w, st, err)
+	// The solve context is bound to the client connection, so abandoned
+	// requests cancel their backends.
+	out, err := s.run(r.Context(), class, st, g, numStages, override)
+	if errors.Is(err, errOverCapacity) || errors.Is(err, errQueueTimeout) {
+		s.reject(w, class, st, arrival, err)
 		return
 	}
-	defer release()
-
-	ctx, cancel := context.WithTimeout(r.Context(), st.policy.Budget)
-	defer cancel()
-	solveStart := time.Now()
-	var (
-		res solver.PortfolioResult
-		hit bool
-	)
-	cacheConsult := "miss"
-	if override != nil {
-		cacheConsult = "bypass" // ad-hoc portfolios skip the class memo
-		pres, perr := solver.PortfolioOpt(ctx, override, g, numStages,
-			solver.PortfolioOptions{Patience: st.policy.Patience})
-		s.ins.ObserveOutcomes(string(class), pres.Outcomes)
-		res, err = pres, perr
-	} else {
-		res, hit, err = st.engine.Run(ctx, g, numStages)
-		if hit {
-			cacheConsult = "hit"
-		}
-	}
-	solve := time.Since(solveStart)
 	if err != nil {
 		// A budget/disconnect cut with no schedule at all is a timeout,
 		// not a client error: retrying (with a calmer class) can succeed.
@@ -508,12 +484,12 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, "no backend produced a schedule: %v", err)
 		return
 	}
-	specHit := false
-	if hit && st.spec != nil {
-		specHit = st.spec.AttributeHit(g.Fingerprint(), numStages)
-	}
-	if override == nil {
-		s.recordSolve(class, g, numStages, res, solve, hit)
+	// Requests that overrode the portfolio are never recorded for the
+	// learning loop: their winner is not the class portfolio's judgment,
+	// and recording the online agent's own output would make the loop
+	// imitate itself.
+	if override == nil && s.onlineMgr != nil {
+		s.onlineMgr.Record(out.sample)
 	}
 	total := s.observeRequest(class, outcomeOK, arrival)
 	resp := ScheduleResponse{
@@ -521,17 +497,24 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		Nodes:          g.NumNodes(),
 		Stages:         numStages,
 		Class:          string(class),
-		Backend:        res.Backend,
-		Stage:          res.Schedule.Stage,
-		Cost:           costJSON(res.Cost),
-		Truncated:      res.Truncated,
-		CacheHit:       hit,
-		SpeculativeHit: specHit,
-		ElapsedMS:      durMS(solve),
-		Outcomes:       outcomesJSON(res.Outcomes),
+		Backend:        out.res.Backend,
+		Stage:          out.res.Schedule.Stage,
+		Cost:           costJSON(out.res.Cost),
+		Truncated:      out.res.Truncated,
+		CacheHit:       out.hit,
+		SpeculativeHit: out.specHit,
+		ElapsedMS:      durMS(out.solve),
+		Outcomes:       outcomesJSON(out.res.Outcomes),
 	}
 	if req.Trace {
-		resp.Trace = traceJSON(queueWait, solve, total, cacheConsult, hit, res.Outcomes)
+		cacheConsult := "miss"
+		switch {
+		case override != nil:
+			cacheConsult = "bypass" // ad-hoc portfolios skip the class memo
+		case out.hit:
+			cacheConsult = "hit"
+		}
+		resp.Trace = traceJSON(out.queueWait, out.solve, total, cacheConsult, out.hit, out.res.Outcomes)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -594,7 +577,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if backendName == "" {
 		backendName = "heur"
 	}
-	cache, err := s.batchCache(backendName)
+	engine, err := s.batchCaches.For(backendName)
 	if err != nil {
 		s.observeRequest(class, outcomeInvalid, arrival)
 		writeError(w, http.StatusBadRequest, "%s", err.Error())
@@ -610,18 +593,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	// One admission slot covers the whole batch; the class budget bounds
 	// the end-to-end run.
-	admStart := time.Now()
-	admCtx, admCancel := context.WithTimeout(r.Context(), st.policy.Budget)
-	release, err := st.adm.acquire(admCtx)
-	admCancel()
-	s.queueSeconds.With(string(class)).Observe(time.Since(admStart).Seconds())
+	release, _, err := s.admit(r.Context(), class, st)
 	if err != nil {
-		outcome := outcomeRejectedCapacity
-		if errors.Is(err, errQueueTimeout) {
-			outcome = outcomeRejectedTimeout
-		}
-		s.observeRequest(class, outcome, arrival)
-		writeRejected(w, st, err)
+		s.reject(w, class, st, arrival, err)
 		return
 	}
 	defer release()
@@ -636,11 +610,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var items []BatchItemJSON
 	if s.cluster != nil && !isForwarded(r) {
 		if groups := s.batchForwardGroups(graphs); len(groups) > 0 {
-			items = s.runClusteredBatch(ctx, cache, graphs, numStages, class, backendName, jobs, groups)
+			items = s.runClusteredBatch(ctx, engine, graphs, numStages, class, backendName, jobs, groups)
 		}
 	}
 	if items == nil {
-		results, _ := solver.Batch(ctx, cache, graphs, numStages, jobs)
+		results, _ := solver.Batch(ctx, engine, graphs, numStages, jobs)
 		items = make([]BatchItemJSON, len(results))
 		for i, res := range results {
 			items[i] = batchItemJSON(i, res)

@@ -6,11 +6,9 @@ import (
 	"sync"
 	"time"
 
-	"respect/internal/graph"
 	"respect/internal/online"
 	"respect/internal/ptrnet"
 	"respect/internal/rt"
-	"respect/internal/sched"
 	"respect/internal/solver"
 )
 
@@ -139,59 +137,27 @@ func (s *Server) runOnline(ctx context.Context) (stop func()) {
 	}
 }
 
-// recordSolve taps one successful one-shot solve into the replay buffer.
-// Requests that overrode the portfolio are never recorded: their winner
-// is not the class portfolio's judgment, and recording the online
-// agent's own output would make the loop imitate itself.
-func (s *Server) recordSolve(class Class, g *graph.Graph, numStages int, res solver.PortfolioResult, latency time.Duration, hit bool) {
-	if s.onlineMgr == nil {
-		return
-	}
-	s.onlineMgr.Record(online.Sample{
-		Class:    string(class),
-		Graph:    g,
-		Stages:   numStages,
-		Backend:  res.Backend,
-		Schedule: res.Schedule,
-		Cost:     res.Cost,
-		Latency:  latency,
-		CacheHit: hit,
-	})
-}
-
-// rtSolve is one periodic job's solve result parked between the
-// executor (which knows the schedule) and the dispatcher's OnComplete
-// (which knows the deadline outcome).
-type rtSolve struct {
-	class    Class
-	graph    *graph.Graph
-	stages   int
-	backend  string
-	schedule sched.Schedule
-	cost     sched.Cost
-	latency  time.Duration
-	cacheHit bool
-}
-
-// rtSolves parks per-job solve results keyed by release sequence; the
-// zero value is ready to use.
+// rtSolves parks periodic jobs' samples, keyed by release sequence,
+// between the executor (which knows the schedule) and the dispatcher's
+// OnComplete (which knows the deadline outcome); the zero value is ready
+// to use.
 type rtSolves struct {
 	mu sync.Mutex
-	m  map[uint64]rtSolve
+	m  map[uint64]online.Sample
 }
 
-// put parks one job's solve result.
-func (r *rtSolves) put(seq uint64, v rtSolve) {
+// put parks one job's sample.
+func (r *rtSolves) put(seq uint64, v online.Sample) {
 	r.mu.Lock()
 	if r.m == nil {
-		r.m = make(map[uint64]rtSolve)
+		r.m = make(map[uint64]online.Sample)
 	}
 	r.m[seq] = v
 	r.mu.Unlock()
 }
 
-// take removes and returns the parked result for seq, if any.
-func (r *rtSolves) take(seq uint64) (rtSolve, bool) {
+// take removes and returns the parked sample for seq, if any.
+func (r *rtSolves) take(seq uint64) (online.Sample, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	v, ok := r.m[seq]
@@ -201,9 +167,9 @@ func (r *rtSolves) take(seq uint64) (rtSolve, bool) {
 	return v, ok
 }
 
-// recordRTOutcome joins a completed periodic job with its parked solve
-// and records the sample with its deadline outcome. Dropped jobs never
-// solved, so they have nothing parked and record nothing.
+// recordRTOutcome joins a completed periodic job with its parked sample
+// and records it with its deadline outcome. Dropped jobs never solved, so
+// they have nothing parked and record nothing.
 func (s *Server) recordRTOutcome(res rt.JobResult) {
 	if s.onlineMgr == nil {
 		return
@@ -212,16 +178,6 @@ func (s *Server) recordRTOutcome(res rt.JobResult) {
 	if !ok {
 		return
 	}
-	s.onlineMgr.Record(online.Sample{
-		Class:        string(v.class),
-		Graph:        v.graph,
-		Stages:       v.stages,
-		Backend:      v.backend,
-		Schedule:     v.schedule,
-		Cost:         v.cost,
-		Latency:      v.latency,
-		CacheHit:     v.cacheHit,
-		Periodic:     true,
-		DeadlineMiss: res.Missed,
-	})
+	v.Periodic, v.DeadlineMiss = true, res.Missed
+	s.onlineMgr.Record(v)
 }

@@ -108,36 +108,17 @@ func (s *Server) runRT(ctx context.Context) (stop func(), err error) {
 	return s.rtDisp.Start(ctx)
 }
 
-// runRTJob executes one released periodic job: acquire the stream class's
-// admission slot (so periodic work obeys the same concurrency limits as
-// one-shot traffic), then race the class portfolio under the class
-// budget. Cache hits make steady-state periodic jobs nearly free.
+// runRTJob executes one released periodic job through the same admitted
+// solve path as one-shot traffic, so periodic work obeys the class's
+// concurrency limits and feeds the same series. Cache hits make
+// steady-state periodic jobs nearly free.
 func (s *Server) runRTJob(ctx context.Context, j rt.Job) error {
 	p := j.Stream.Payload.(*rtPayload)
-	admCtx, admCancel := context.WithTimeout(ctx, p.st.policy.Budget)
-	release, err := p.st.adm.acquire(admCtx)
-	admCancel()
-	if err != nil {
-		return err
-	}
-	defer release()
-	runCtx, cancel := context.WithTimeout(ctx, p.st.policy.Budget)
-	defer cancel()
-	solveStart := time.Now()
-	res, hit, err := p.st.engine.Run(runCtx, p.g, p.stages)
+	out, err := s.run(ctx, p.class, p.st, p.g, p.stages, nil)
 	if err == nil && s.onlineMgr != nil {
-		// Park the solve; the dispatcher's OnComplete joins it with the
-		// deadline outcome and records the replay sample.
-		s.rtSolves.put(j.Seq, rtSolve{
-			class:    p.class,
-			graph:    p.g,
-			stages:   p.stages,
-			backend:  res.Backend,
-			schedule: res.Schedule,
-			cost:     res.Cost,
-			latency:  time.Since(solveStart),
-			cacheHit: hit,
-		})
+		// Park the sample; the dispatcher's OnComplete joins it with the
+		// deadline outcome and records it.
+		s.rtSolves.put(j.Seq, out.sample)
 	}
 	return err
 }

@@ -204,7 +204,7 @@ func TestPeriodicMissMetricsReconcileAndShutdown(t *testing.T) {
 	if stats.RT == nil || len(stats.RT.Streams) != 1 {
 		t.Fatalf("rt block missing after shutdown: %s", statsData)
 	}
-	cam := stats.RT.Streams[0]
+	cam, rtc := stats.RT.Streams[0], stats.Classes["rtc"]
 	series, page := scrapeMetrics(t, ts.URL)
 
 	checks := []struct {
@@ -216,6 +216,13 @@ func TestPeriodicMissMetricsReconcileAndShutdown(t *testing.T) {
 		{`respect_rt_queued_jobs`, float64(stats.RT.Queued)},
 		// Every completion and drop observes the tardiness histogram.
 		{`respect_rt_tardiness_seconds_count`, float64(cam.Completions + cam.Drops)},
+		// A periodic job's admission is observed like any other: one
+		// queue-wait observation per admission decision.
+		{`respect_admission_wait_seconds_count{class="rtc"}`,
+			float64(rtc.Admitted + rtc.RejectedCapacity + rtc.RejectedQueueTimeout)},
+	}
+	if rtc.Admitted < 2 {
+		t.Errorf("class stats %+v, want at least the two completed jobs admitted", rtc)
 	}
 	for _, c := range checks {
 		if got := metricValue(t, series, page, c.series); got != c.want {

@@ -1,0 +1,82 @@
+package serve
+
+import (
+	"context"
+	"time"
+
+	"respect/internal/graph"
+	"respect/internal/online"
+	"respect/internal/solver"
+)
+
+// admit waits for one of the class's admission slots, for at most one
+// class budget. It is the only caller of acquire, so every admission
+// decision — one-shot, batch or periodic — has its wait measured once and
+// observed once on the queue-wait histogram. On success the caller must
+// call release exactly once when its work finishes.
+func (s *Server) admit(ctx context.Context, class Class, st *classState) (release func(), wait time.Duration, err error) {
+	start := time.Now()
+	admCtx, cancel := context.WithTimeout(ctx, st.policy.Budget)
+	release, err = st.adm.acquire(admCtx)
+	cancel()
+	wait = time.Since(start)
+	s.queueSeconds.With(string(class)).Observe(wait.Seconds())
+	return release, wait, err
+}
+
+// ran is what one admitted solve measured.
+type ran struct {
+	res solver.PortfolioResult
+	// hit reports the class memo served the result; specHit that the
+	// entry was one the speculative warmer stored ahead of demand.
+	hit, specHit bool
+	// queueWait is the admission wait, solve the window from admission to
+	// the result (memo lookup plus the race when it missed).
+	queueWait, solve time.Duration
+	// sample is this solve as the learning loop records it.
+	sample online.Sample
+}
+
+// run is the admitted solve path every caller shares, so what a solve
+// observes depends on its result and never on who asked: admit, then
+// solve under a fresh class budget through the class engine — or, when
+// the request overrode the portfolio, through an ad-hoc race that
+// bypasses the memo — then attribute a speculative hit. An admission
+// failure comes back as errOverCapacity or errQueueTimeout.
+func (s *Server) run(ctx context.Context, class Class, st *classState, g *graph.Graph, numStages int, override []solver.Scheduler) (ran, error) {
+	release, wait, err := s.admit(ctx, class, st)
+	out := ran{queueWait: wait}
+	if err != nil {
+		return out, err
+	}
+	defer release()
+
+	ctx, cancel := context.WithTimeout(ctx, st.policy.Budget)
+	defer cancel()
+	start := time.Now()
+	if override != nil {
+		out.res, err = solver.PortfolioOpt(ctx, override, g, numStages,
+			solver.PortfolioOptions{Patience: st.policy.Patience})
+		s.ins.ObserveOutcomes(string(class), out.res.Outcomes)
+	} else {
+		out.res, out.hit, err = st.engine.Run(ctx, g, numStages)
+	}
+	out.solve = time.Since(start)
+	if err != nil {
+		return out, err
+	}
+	if out.hit && st.spec != nil {
+		out.specHit = st.spec.AttributeHit(g.Fingerprint(), numStages)
+	}
+	out.sample = online.Sample{
+		Class:    string(class),
+		Graph:    g,
+		Stages:   numStages,
+		Backend:  out.res.Backend,
+		Schedule: out.res.Schedule,
+		Cost:     out.res.Cost,
+		Latency:  out.solve,
+		CacheHit: out.hit,
+	}
+	return out, nil
+}

@@ -184,12 +184,12 @@ type Config struct {
 const maxStages = 64
 
 // classState is one request class's runtime: its policy, admission
-// controller, memoizing portfolio engine and (when enabled for a
-// warm-marked class) its speculative warmer.
+// controller, memoizing engine and (when enabled for a warm-marked class)
+// its speculative warmer.
 type classState struct {
 	policy ClassPolicy
 	adm    *admission
-	engine *solver.CachedPortfolio
+	engine *solver.Engine
 	spec   *speculate.Speculator // nil unless speculation is on for this class
 }
 
@@ -324,7 +324,7 @@ func New(cfg Config) (*Server, error) {
 		s.classes[class] = &classState{
 			policy: policy,
 			adm:    newAdmission(policy.MaxConcurrent, policy.MaxQueue),
-			engine: solver.NewCachedPortfolio(backends, cfg.CacheSize, solver.PortfolioOptions{Patience: policy.Patience}),
+			engine: solver.NewEngine(backends, cfg.CacheSize, solver.PortfolioOptions{Patience: policy.Patience}),
 		}
 	}
 	s.initMetrics()
@@ -440,13 +440,6 @@ func (s *Server) class(name string, fallback Class) (Class, *classState, error) 
 		return c, nil, fmt.Errorf("unknown class %q (have %v)", name, have)
 	}
 	return c, st, nil
-}
-
-// batchCache returns the server-owned fingerprint cache wrapping one named
-// backend; the set's handles are dynamic, so agent re-registration takes
-// effect without invalidating unrelated backends.
-func (s *Server) batchCache(name string) (*solver.Cached, error) {
-	return s.batchCaches.For(name)
 }
 
 // WarmUp pre-schedules the configured zoo models (Config.WarmModels; the

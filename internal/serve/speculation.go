@@ -37,12 +37,12 @@ type SpeculationConfig struct {
 	TopK int
 }
 
-// engineTarget adapts one class's memoized portfolio engine to the
+// engineTarget adapts one class's memoizing engine to the
 // speculate.Target interface. Warm reports stored=false for truncated or
 // failed races — the engine itself never caches those, so Contains after
 // Run is the honest answer.
 type engineTarget struct {
-	eng *solver.CachedPortfolio
+	eng *solver.Engine
 }
 
 // Contains implements speculate.Target.

@@ -23,8 +23,8 @@ type BatchResult struct {
 	Err error
 	// Elapsed is the instance's solve wall time.
 	Elapsed time.Duration
-	// CacheHit reports that the schedule came from a Cached wrapper's
-	// fingerprint cache rather than a fresh solve.
+	// CacheHit reports that the schedule came from the engine's memo
+	// rather than a fresh solve.
 	CacheHit bool
 	// Deduped reports that this graph was a within-batch duplicate (same
 	// structural fingerprint as an earlier graph) and its schedule was
@@ -36,13 +36,13 @@ type BatchResult struct {
 	Truncated bool
 }
 
-// Batch schedules every graph on numStages stages with backend b through a
+// Batch schedules every graph on numStages stages through engine e with a
 // bounded pool of jobs workers (clamped to [1, len(graphs)]). The i-th
 // result always corresponds to graphs[i] — deterministic ordering for any
 // jobs value. Per-graph failures are recorded in their BatchResult; the
 // only call-level error is caller-context cancellation, in which case
 // unstarted instances carry ctx's error.
-func Batch(ctx context.Context, b Scheduler, graphs []*graph.Graph, numStages, jobs int) ([]BatchResult, error) {
+func Batch(ctx context.Context, e *Engine, graphs []*graph.Graph, numStages, jobs int) ([]BatchResult, error) {
 	results := make([]BatchResult, len(graphs))
 	if len(graphs) == 0 {
 		return results, ctx.Err()
@@ -54,31 +54,19 @@ func Batch(ctx context.Context, b Scheduler, graphs []*graph.Graph, numStages, j
 		jobs = len(graphs)
 	}
 
-	hitter, _ := b.(interface {
-		ScheduleTracked(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, bool, Info, error)
-	})
-
 	// Within-batch fingerprint dedup: replay batches routinely repeat
-	// graphs, and hashing is ~10⁴× cheaper than a solve. Only safe when
-	// the backend is cache-wrapped (hitter != nil) — a Cached backend
-	// already promises fingerprint-equal graphs the same schedule, so
-	// copying the representative's result cannot change semantics. Bare
-	// stochastic backends keep solving every instance.
+	// graphs, and hashing is ~10⁴× cheaper than a solve. An engine already
+	// promises fingerprint-equal graphs the same result, so copying the
+	// representative's cannot change semantics.
 	dupOf := map[int]int{} // duplicate index -> representative index
 	feedList := make([]int, 0, len(graphs))
-	if hitter != nil && len(graphs) > 1 {
-		rep := make(map[uint64]int, len(graphs))
-		for i, g := range graphs {
-			fp := g.Fingerprint()
-			if r, ok := rep[fp]; ok {
-				dupOf[i] = r
-			} else {
-				rep[fp] = i
-				feedList = append(feedList, i)
-			}
-		}
-	} else {
-		for i := range graphs {
+	rep := make(map[uint64]int, len(graphs))
+	for i, g := range graphs {
+		fp := g.Fingerprint()
+		if r, ok := rep[fp]; ok {
+			dupOf[i] = r
+		} else {
+			rep[fp] = i
 			feedList = append(feedList, i)
 		}
 	}
@@ -90,24 +78,12 @@ func Batch(ctx context.Context, b Scheduler, graphs []*graph.Graph, numStages, j
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				r := &results[i]
-				r.Index = i
-				r.Graph = graphs[i]
 				start := time.Now()
-				var info Info
-				if hitter != nil {
-					r.Schedule, r.CacheHit, info, r.Err = hitter.ScheduleTracked(ctx, graphs[i], numStages)
-				} else {
-					r.Schedule, info, r.Err = ScheduleInfo(ctx, b, graphs[i], numStages)
-				}
-				r.Truncated = info.Truncated
-				r.Elapsed = time.Since(start)
-				if r.Err == nil {
-					if verr := r.Schedule.Validate(graphs[i]); verr != nil {
-						r.Err = verr
-					} else {
-						r.Cost = r.Schedule.Evaluate(graphs[i])
-					}
+				res, hit, err := e.Run(ctx, graphs[i], numStages)
+				results[i] = BatchResult{
+					Index: i, Graph: graphs[i],
+					Schedule: res.Schedule, Cost: res.Cost, Err: err,
+					Elapsed: time.Since(start), CacheHit: hit, Truncated: res.Truncated,
 				}
 			}
 		}()
@@ -134,22 +110,16 @@ feed:
 	// once the workers drain. Each fill counts as a cache hit — the
 	// dedup is an optimization over querying the cache, not a semantic
 	// change, so Stats must not depend on it.
-	recorder, _ := b.(interface{ RecordExternalHit() })
 	for j, i := range dupOf {
-		r := &results[j]
 		src := results[i]
-		r.Index = j
-		r.Graph = graphs[j]
-		r.Err = src.Err
-		r.Deduped = true
+		r := &results[j]
+		*r = BatchResult{Index: j, Graph: graphs[j], Err: src.Err, Deduped: true}
 		if src.Err == nil {
 			r.Schedule = src.Schedule.Clone()
 			r.Cost = src.Cost
 			r.CacheHit = true
 			r.Truncated = src.Truncated
-			if recorder != nil {
-				recorder.RecordExternalHit()
-			}
+			e.lru.recordHit()
 		}
 	}
 	return results, ctx.Err()

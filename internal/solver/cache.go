@@ -2,13 +2,7 @@ package solver
 
 import (
 	"container/list"
-	"context"
-	"runtime"
 	"sync"
-	"time"
-
-	"respect/internal/graph"
-	"respect/internal/sched"
 )
 
 // cacheKey identifies one scheduling instance: the graph's structural
@@ -18,10 +12,9 @@ type cacheKey struct {
 	numStages int
 }
 
-// lru is a concurrency-safe fixed-capacity LRU table keyed by cacheKey,
-// shared by the single-backend schedule cache (Cached) and the portfolio
-// result cache (CachedPortfolio). Values are opaque; callers own copy
-// semantics.
+// lru is a concurrency-safe fixed-capacity LRU table of race results keyed
+// by cacheKey: the memo behind every Engine. It hands out what it was
+// given; the Engine owns copy semantics.
 type lru struct {
 	cap int
 
@@ -41,13 +34,13 @@ type lru struct {
 
 type lruEntry struct {
 	key cacheKey
-	val any
+	val PortfolioResult
 }
 
 // defaultCacheCap replaces non-positive cache capacities. Every LRU
-// construction path (NewCached, NewCachedPortfolio, NewCacheSet) funnels
-// through this guard, so a zero or negative configured size can never
-// build a pathological always-evicting cache.
+// construction path (NewEngine, NewCacheSet) funnels through this guard,
+// so a zero or negative configured size can never build a pathological
+// always-evicting cache.
 const defaultCacheCap = 256
 
 // normCacheCap normalizes a configured cache capacity.
@@ -118,7 +111,7 @@ func (l *lru) victim() *list.Element {
 }
 
 // get returns the cached value for key, counting a hit or a miss.
-func (l *lru) get(key cacheKey) (any, bool) {
+func (l *lru) get(key cacheKey) (PortfolioResult, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if el, ok := l.entries[key]; ok {
@@ -127,7 +120,7 @@ func (l *lru) get(key cacheKey) (any, bool) {
 		return el.Value.(*lruEntry).val, true
 	}
 	l.misses++
-	return nil, false
+	return PortfolioResult{}, false
 }
 
 // contains reports whether key is cached without touching recency or stats.
@@ -140,7 +133,7 @@ func (l *lru) contains(key cacheKey) bool {
 
 // put inserts or refreshes key, evicting the least recently used entries
 // beyond capacity.
-func (l *lru) put(key cacheKey, val any) {
+func (l *lru) put(key cacheKey, val PortfolioResult) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if el, ok := l.entries[key]; ok {
@@ -187,189 +180,9 @@ func (l *lru) len() int {
 	return l.order.Len()
 }
 
-// Cached wraps a Scheduler with an LRU schedule cache keyed by graph
-// fingerprint (topology + per-node parameters) and stage count: repeated
-// requests for structurally identical graphs — multi-model serving,
-// synthetic sweeps, benchmark reruns — return in O(1) without re-running
-// the backend. Safe for concurrent use; hits return defensive copies so
-// callers can never corrupt a cached schedule.
-type Cached struct {
-	inner Scheduler
-	lru   *lru
-
-	ins     *Instruments
-	insName string
-}
-
-// NewCached wraps inner with a cache of at most capacity schedules
-// (capacity < 1 defaults to 256).
-func NewCached(inner Scheduler, capacity int) *Cached {
-	return &Cached{inner: inner, lru: newLRU(capacity)}
-}
-
-// Instrument attaches the cache's hit/miss/eviction counters and the
-// backend's fresh-solve latency histogram to ins under the given engine
-// name. Call once, before the cache serves traffic.
-func (c *Cached) Instrument(ins *Instruments, name string) {
-	ins.instrumentLRU(name, c.lru)
-	c.ins, c.insName = ins, name
-}
-
-// Name implements Scheduler: a Cached backend is transparent, carrying its
-// inner backend's name.
-func (c *Cached) Name() string { return c.inner.Name() }
-
-// RecordExternalHit counts a fingerprint-cache hit that was satisfied
-// without querying the cache: Batch's within-batch dedup copies a
-// representative's schedule instead of re-looking it up, and records the
-// duplicate here so Stats and the cache-ops metrics stay truthful about
-// how many requests were served without a fresh solve.
-func (c *Cached) RecordExternalHit() { c.lru.recordHit() }
-
-// Schedule implements Scheduler.
-func (c *Cached) Schedule(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, error) {
-	s, _, _, err := c.ScheduleTracked(ctx, g, numStages)
-	return s, err
-}
-
-// ScheduleTracked is Schedule plus cache telemetry: hit reports whether the
-// schedule came from the cache, and info carries the backend's honesty
-// metadata (truncation / optimality) for fresh solves. Cache hits report a
-// zero Info — only full-effort results are ever stored.
-func (c *Cached) ScheduleTracked(ctx context.Context, g *graph.Graph, numStages int) (s sched.Schedule, hit bool, info Info, err error) {
-	key := cacheKey{fp: g.Fingerprint(), numStages: numStages}
-	if v, ok := c.lru.get(key); ok {
-		return v.(sched.Schedule).Clone(), true, Info{}, nil
-	}
-
-	// Solve outside the lock: a slow backend must not serialize unrelated
-	// cache traffic. Concurrent misses on one key may race the solve; the
-	// last finisher's (equivalent) schedule wins.
-	start := time.Now()
-	s, info, err = ScheduleInfo(ctx, c.inner, g, numStages)
-	c.ins.ObserveSolve(c.insName, c.inner.Name(), time.Since(start))
-	if err != nil {
-		return sched.Schedule{}, false, info, err
-	}
-	if info.Truncated || ctx.Err() != nil {
-		// A budget-cut incumbent is only as good as this call's deadline;
-		// caching it would poison every later caller with a looser budget.
-		return s, false, info, nil
-	}
-	c.lru.put(key, s.Clone())
-	return s, false, info, nil
-}
-
-// Contains reports whether a full-effort schedule for (g, numStages) is
-// cached, without counting toward hit/miss statistics.
-func (c *Cached) Contains(g *graph.Graph, numStages int) bool {
-	return c.lru.contains(cacheKey{fp: g.Fingerprint(), numStages: numStages})
-}
-
-// Warm populates the cache for every graph through a bounded pool of jobs
-// workers (jobs < 1 defaults to GOMAXPROCS) and returns how many instances
-// are cached afterwards. Warming is best-effort: graphs whose solve was
-// truncated by ctx are skipped rather than stored, failures don't stop the
-// remaining warms, and the first backend error is returned at the end.
-func (c *Cached) Warm(ctx context.Context, graphs []*graph.Graph, numStages, jobs int) (stored int, err error) {
-	return warm(ctx, graphs, jobs,
-		func(ctx context.Context, g *graph.Graph) error {
-			_, _, _, err := c.ScheduleTracked(ctx, g, numStages)
-			return err
-		},
-		func(g *graph.Graph) bool { return c.Contains(g, numStages) })
-}
-
-// warm fans solve out over graphs with a bounded worker pool, then counts
-// the distinct instances that ended up cached — duplicate graphs in the
-// warm set and LRU evictions by later warms must not inflate the count.
-// Used by both Cached.Warm and CachedPortfolio.Warm.
-func warm(ctx context.Context, graphs []*graph.Graph, jobs int, solve func(ctx context.Context, g *graph.Graph) error, contains func(g *graph.Graph) bool) (int, error) {
-	if jobs < 1 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if jobs > len(graphs) {
-		jobs = len(graphs)
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	work := make(chan *graph.Graph)
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for g := range work {
-				if err := solve(ctx, g); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-feed:
-	for _, g := range graphs {
-		select {
-		case work <- g:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(work)
-	wg.Wait()
-
-	stored := 0
-	seen := make(map[uint64]bool, len(graphs))
-	for _, g := range graphs {
-		if fp := g.Fingerprint(); !seen[fp] {
-			seen[fp] = true
-			if contains(g) {
-				stored++
-			}
-		}
-	}
-	return stored, firstErr
-}
-
-// OnEvict registers fn to be called with the evicted instance's graph
-// fingerprint and stage count on every LRU eviction. The hook runs under
-// the cache lock: keep it cheap and never call back into this cache from
-// it. Multiple hooks run in registration order; this is the signal source
-// for speculative re-admission of evicted hot entries.
-func (c *Cached) OnEvict(fn func(fp uint64, numStages int)) {
-	c.lru.addEvictHook(func(k cacheKey) { fn(k.fp, k.numStages) })
-}
-
-// SetEvictionScorer makes eviction popularity-aware: when over capacity
-// the cache evicts the lowest-scoring of its least recently used entries
-// instead of strictly the oldest, so hot-but-aged schedules survive cold
-// churn. score runs under the cache lock — it must be cheap and must not
-// call back into this cache. A nil score restores plain LRU order.
-func (c *Cached) SetEvictionScorer(score func(fp uint64, numStages int) float64) {
-	if score == nil {
-		c.lru.setVictimScorer(nil)
-		return
-	}
-	c.lru.setVictimScorer(func(k cacheKey) float64 { return score(k.fp, k.numStages) })
-}
-
-// Stats returns cumulative cache hits and misses.
-func (c *Cached) Stats() (hits, misses uint64) { return c.lru.stats() }
-
-// Evictions returns the cumulative number of LRU evictions.
-func (c *Cached) Evictions() uint64 { return c.lru.evicted() }
-
-// Len returns the number of cached schedules.
-func (c *Cached) Len() int { return c.lru.len() }
-
-// CacheSet lazily maintains one fingerprint-keyed Cached per backend name,
-// resolved dynamically from a registry — the shared engine behind the
-// public ScheduleWith/ScheduleBatch cache and the serving layer's batch
+// CacheSet lazily maintains one Engine of one per backend name, resolved
+// dynamically from a registry — the memo behind the public
+// ScheduleWith/ScheduleBatch cache and the serving layer's batch
 // endpoint. Replacing a backend registration (agent reload) takes effect
 // immediately without invalidating unrelated backends' caches.
 type CacheSet struct {
@@ -377,7 +190,7 @@ type CacheSet struct {
 	cap int
 
 	mu     sync.Mutex
-	m      map[string]*Cached
+	m      map[string]*Engine
 	ins    *Instruments
 	prefix string
 }
@@ -386,11 +199,11 @@ type CacheSet struct {
 // capacity (capacity < 1 defaults to 256 — normalized here as well as in
 // the LRU itself, so the set never records a pathological capacity).
 func NewCacheSet(r *Registry, capacity int) *CacheSet {
-	return &CacheSet{r: r, cap: normCacheCap(capacity), m: make(map[string]*Cached)}
+	return &CacheSet{r: r, cap: normCacheCap(capacity), m: make(map[string]*Engine)}
 }
 
-// Instrument wires every cache in the set — current and future — into
-// ins; each backend's cache is named prefix+backendName (e.g. "batch/"
+// Instrument wires every engine in the set — current and future — into
+// ins; each backend's engine is named prefix+backendName (e.g. "batch/"
 // yields "batch/heur"). Call once, before the set serves traffic.
 func (cs *CacheSet) Instrument(ins *Instruments, prefix string) {
 	cs.mu.Lock()
@@ -401,9 +214,9 @@ func (cs *CacheSet) Instrument(ins *Instruments, prefix string) {
 	}
 }
 
-// For returns the cache wrapping the named backend, creating it on first
+// For returns the engine over the named backend, creating it on first
 // use; unknown names error eagerly.
-func (cs *CacheSet) For(name string) (*Cached, error) {
+func (cs *CacheSet) For(name string) (*Engine, error) {
 	if _, err := cs.r.Lookup(name); err != nil {
 		return nil, err
 	}
@@ -412,7 +225,7 @@ func (cs *CacheSet) For(name string) (*Cached, error) {
 	if c, ok := cs.m[name]; ok {
 		return c, nil
 	}
-	c := NewCached(Dynamic(cs.r, name), cs.cap)
+	c := NewEngine([]Scheduler{Dynamic(cs.r, name)}, cs.cap, PortfolioOptions{})
 	if cs.ins != nil {
 		c.Instrument(cs.ins, cs.prefix+name)
 	}
@@ -436,5 +249,5 @@ func (cs *CacheSet) Stats(name string) (hits, misses uint64) {
 func (cs *CacheSet) Reset() {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	cs.m = make(map[string]*Cached)
+	cs.m = make(map[string]*Engine)
 }

@@ -20,22 +20,21 @@ func trivialSolve(ctx context.Context, g *graph.Graph, numStages int) (sched.Sch
 	return sched.Schedule{NumStages: numStages, Stage: stage}, nil
 }
 
-// fill schedules n distinct graphs through c, returning them in order.
-func fillCached(t *testing.T, c *Cached, n, stages int) []uint64 {
+// fillCached schedules n distinct graphs through c, returning their
+// fingerprints in order.
+func fillCached(t *testing.T, c *Engine, n, stages int) []uint64 {
 	t.Helper()
 	fps := make([]uint64, n)
 	for i := 0; i < n; i++ {
 		g := chain(int64(100+i), 200, 300)
 		fps[i] = g.Fingerprint()
-		if _, err := c.Schedule(context.Background(), g, stages); err != nil {
-			t.Fatal(err)
-		}
+		runSchedule(t, c, g, stages)
 	}
 	return fps
 }
 
 func TestCachedOnEvictReportsKeys(t *testing.T) {
-	c := NewCached(NewFunc("t", trivialSolve), 2)
+	c := engineOf(NewFunc("t", trivialSolve), 2)
 	var evicted []uint64
 	var stagesSeen []int
 	c.OnEvict(func(fp uint64, numStages int) {
@@ -55,7 +54,7 @@ func TestCachedOnEvictReportsKeys(t *testing.T) {
 }
 
 func TestCachedMultipleEvictHooksRunInOrder(t *testing.T) {
-	c := NewCached(NewFunc("t", trivialSolve), 1)
+	c := engineOf(NewFunc("t", trivialSolve), 1)
 	var order []string
 	c.OnEvict(func(uint64, int) { order = append(order, "a") })
 	c.OnEvict(func(uint64, int) { order = append(order, "b") })
@@ -68,18 +67,21 @@ func TestCachedMultipleEvictHooksRunInOrder(t *testing.T) {
 // TestCachedPopularityAwareEviction: with a scorer installed, cold
 // entries are evicted ahead of a hot-but-older one.
 func TestCachedPopularityAwareEviction(t *testing.T) {
-	c := NewCached(NewFunc("t", trivialSolve), 3)
+	c := engineOf(NewFunc("t", trivialSolve), 3)
 	hot := chain(111, 222, 333)
 	score := map[uint64]float64{hot.Fingerprint(): 100}
 	c.SetEvictionScorer(func(fp uint64, numStages int) float64 { return score[fp] })
 
 	// Schedule hot first: under plain LRU it would be the first victim.
-	if _, err := c.Schedule(context.Background(), hot, 2); err != nil {
-		t.Fatal(err)
-	}
-	fillCached(t, c, 3, 2) // three cold graphs push the cache over capacity
+	var evicted []uint64
+	c.OnEvict(func(fp uint64, numStages int) { evicted = append(evicted, fp) })
+	runSchedule(t, c, hot, 2)
+	cold := fillCached(t, c, 3, 2) // three cold graphs push the cache over capacity
 	if !c.Contains(hot, 2) {
 		t.Fatal("hot entry evicted despite popularity-aware ordering")
+	}
+	if len(evicted) != 1 || evicted[0] != cold[0] {
+		t.Fatalf("evicted = %v, want the oldest cold entry %v", evicted, cold[0])
 	}
 
 	// With the scorer removed, plain LRU order resumes and the hot entry
@@ -96,7 +98,7 @@ func TestCachedPopularityAwareEviction(t *testing.T) {
 // key still lands in the cache (displacing the lowest-scoring resident),
 // otherwise put is a silent no-op and the key re-solves forever.
 func TestCachedScorerNeverEvictsFreshInsert(t *testing.T) {
-	c := NewCached(NewFunc("t", trivialSolve), 2)
+	c := engineOf(NewFunc("t", trivialSolve), 2)
 	score := map[uint64]float64{}
 	c.SetEvictionScorer(func(fp uint64, numStages int) float64 { return score[fp] })
 
@@ -104,44 +106,14 @@ func TestCachedScorerNeverEvictsFreshInsert(t *testing.T) {
 	score[resident1.Fingerprint()] = 50
 	score[resident2.Fingerprint()] = 100
 	for _, g := range []*graph.Graph{resident1, resident2} {
-		if _, err := c.Schedule(context.Background(), g, 2); err != nil {
-			t.Fatal(err)
-		}
+		runSchedule(t, c, g, 2)
 	}
 	newcomer := chain(10, 20, 30) // score 0: lowest in the whole cache
-	if _, err := c.Schedule(context.Background(), newcomer, 2); err != nil {
-		t.Fatal(err)
-	}
+	runSchedule(t, c, newcomer, 2)
 	if !c.Contains(newcomer, 2) {
 		t.Fatal("fresh insert evicted itself under the scorer")
 	}
 	if !c.Contains(resident2, 2) || c.Contains(resident1, 2) {
 		t.Fatal("scorer did not evict the lowest-scoring resident")
-	}
-}
-
-func TestCachedPortfolioOnEvictAndScorer(t *testing.T) {
-	p := NewCachedPortfolio([]Scheduler{NewFunc("t", trivialSolve)}, 2, PortfolioOptions{})
-	hot := chain(111, 222, 333)
-	score := map[uint64]float64{hot.Fingerprint(): 100}
-	p.SetEvictionScorer(func(fp uint64, numStages int) float64 { return score[fp] })
-	var evicted []uint64
-	p.OnEvict(func(fp uint64, numStages int) { evicted = append(evicted, fp) })
-
-	if _, _, err := p.Run(context.Background(), hot, 2); err != nil {
-		t.Fatal(err)
-	}
-	cold1, cold2 := chain(10, 20, 30), chain(11, 21, 31)
-	if _, _, err := p.Run(context.Background(), cold1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := p.Run(context.Background(), cold2, 2); err != nil {
-		t.Fatal(err)
-	}
-	if !p.Contains(hot, 2) {
-		t.Fatal("hot memo evicted despite popularity-aware ordering")
-	}
-	if len(evicted) != 1 || evicted[0] != cold1.Fingerprint() {
-		t.Fatalf("evicted = %v, want the cold memo %v", evicted, cold1.Fingerprint())
 	}
 }

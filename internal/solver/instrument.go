@@ -1,18 +1,14 @@
 package solver
 
-import (
-	"time"
-
-	"respect/internal/metrics"
-)
+import "respect/internal/metrics"
 
 // Instruments bundles the solver-layer metric families registered on one
 // metrics.Registry: per-backend schedule-solve latency histograms,
 // portfolio win/loss/truncation counters, and schedule-cache
 // hit/miss/eviction counters. One Instruments is shared by every engine
 // wired to the same registry (the serving layer creates one per Server);
-// engines attach to it with Cached.Instrument, CachedPortfolio.Instrument
-// and CacheSet.Instrument before serving traffic.
+// engines attach to it with Engine.Instrument and CacheSet.Instrument
+// before serving traffic.
 //
 // Cache hit/miss counters are function-backed on the LRU's own counters
 // and evictions are counted through the LRU's eviction hook, so the
@@ -69,15 +65,6 @@ func (ins *Instruments) ObserveOutcomes(engine string, outs []Outcome) {
 			ins.truncations.With(engine, o.Backend).Inc()
 		}
 	}
-}
-
-// ObserveSolve records one single-backend solve (the batch/cached path,
-// where there is no race and so no win/loss bookkeeping).
-func (ins *Instruments) ObserveSolve(engine, backend string, elapsed time.Duration) {
-	if ins == nil {
-		return
-	}
-	ins.scheduleSeconds.With(engine, backend).Observe(elapsed.Seconds())
 }
 
 // instrumentLRU wires one LRU's counters into the cacheOps family under

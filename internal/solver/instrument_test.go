@@ -34,14 +34,14 @@ func expositionOf(t *testing.T, reg *metrics.Registry) string {
 	return b.String()
 }
 
-func TestInstrumentedCachedPortfolio(t *testing.T) {
+func TestInstrumentedEngine(t *testing.T) {
 	reg := metrics.NewRegistry()
 	ins := NewInstruments(reg, nil)
 	backends, err := Resolve("heur", "compiler")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewCachedPortfolio(backends, 8, PortfolioOptions{})
+	p := NewEngine(backends, 8, PortfolioOptions{})
 	p.Instrument(ins, "interactive")
 
 	g := chainGraph(t, "ins", 6)
@@ -90,14 +90,12 @@ func TestEvictionHookCountsEvictions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCached(heur, 1)
+	c := engineOf(heur, 1)
 	c.Instrument(ins, "tiny")
 
 	g1, g2 := chainGraph(t, "ev-a", 4), chainGraph(t, "ev-b", 5)
 	for _, g := range []*graph.Graph{g1, g2} {
-		if _, err := c.Schedule(context.Background(), g, 2); err != nil {
-			t.Fatal(err)
-		}
+		runSchedule(t, c, g, 2)
 	}
 	if c.Len() != 1 {
 		t.Fatalf("capacity-1 cache holds %d entries", c.Len())
@@ -123,13 +121,11 @@ func TestCacheSetZeroCapacityRegression(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := chainGraph(t, "zerocap", 5)
-		if _, err := c.Schedule(context.Background(), g, 2); err != nil {
-			t.Fatal(err)
-		}
+		runSchedule(t, c, g, 2)
 		if c.Len() != 1 {
 			t.Fatalf("capacity %d: schedule not retained (len=%d): capacity guard lost", capacity, c.Len())
 		}
-		if _, hit, _, err := c.ScheduleTracked(context.Background(), g, 2); err != nil || !hit {
+		if _, hit, err := c.Run(context.Background(), g, 2); err != nil || !hit {
 			t.Fatalf("capacity %d: repeat lookup hit=%v err=%v, want a cache hit", capacity, hit, err)
 		}
 		if ev := c.Evictions(); ev != 0 {
@@ -137,12 +133,12 @@ func TestCacheSetZeroCapacityRegression(t *testing.T) {
 		}
 	}
 
-	// The same guard must hold for the portfolio memo cache.
+	// The same guard must hold for an engine built directly.
 	backends, err := Resolve("heur")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewCachedPortfolio(backends, 0, PortfolioOptions{})
+	p := NewEngine(backends, 0, PortfolioOptions{})
 	g := chainGraph(t, "zerocap-p", 6)
 	if _, _, err := p.Run(context.Background(), g, 2); err != nil {
 		t.Fatal(err)

@@ -72,54 +72,34 @@ func Portfolio(ctx context.Context, backends []Scheduler, g *graph.Graph, numSta
 	return PortfolioOpt(ctx, backends, g, numStages, PortfolioOptions{})
 }
 
-// PortfolioOpt is Portfolio with explicit options.
+// solve runs one race member and validates and prices what it returns.
+func solve(ctx context.Context, b Scheduler, g *graph.Graph, numStages int) Outcome {
+	start := time.Now()
+	s, info, err := ScheduleInfo(ctx, b, g, numStages)
+	out := Outcome{Backend: b.Name(), Elapsed: time.Since(start), Err: err, Info: info}
+	if err == nil {
+		if verr := s.Validate(g); verr != nil {
+			out.Err = fmt.Errorf("solver: backend %q returned an invalid schedule: %w", b.Name(), verr)
+		} else {
+			out.Schedule = s
+			out.Cost = s.Evaluate(g)
+		}
+	}
+	return out
+}
+
+// PortfolioOpt is Portfolio with explicit options. A race of one runs on
+// the caller's goroutine under the caller's context: there is nobody to
+// cancel and no patience to wait out.
 func PortfolioOpt(ctx context.Context, backends []Scheduler, g *graph.Graph, numStages int, opts PortfolioOptions) (PortfolioResult, error) {
 	if len(backends) == 0 {
 		return PortfolioResult{}, errors.New("solver: portfolio needs at least one backend")
 	}
-	raceCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type indexed struct {
-		i   int
-		out Outcome
-	}
-	results := make(chan indexed, len(backends))
-	raceStart := time.Now()
-	for i, b := range backends {
-		go func(i int, b Scheduler) {
-			start := time.Now()
-			s, info, err := ScheduleInfo(raceCtx, b, g, numStages)
-			out := Outcome{Backend: b.Name(), Started: start.Sub(raceStart), Elapsed: time.Since(start), Err: err, Info: info}
-			if err == nil {
-				if verr := s.Validate(g); verr != nil {
-					out.Err = fmt.Errorf("solver: backend %q returned an invalid schedule: %w", b.Name(), verr)
-				} else {
-					out.Schedule = s
-					out.Cost = s.Evaluate(g)
-				}
-			}
-			results <- indexed{i, out}
-		}(i, b)
-	}
-
 	res := PortfolioResult{Outcomes: make([]Outcome, len(backends))}
-	var patience <-chan time.Time
-	for done := 0; done < len(backends); {
-		select {
-		case r := <-results:
-			done++
-			res.Outcomes[r.i] = r.out
-			if r.out.Err == nil && patience == nil && opts.Patience > 0 {
-				patience = time.After(opts.Patience)
-			}
-		case <-patience:
-			// The stragglers lost; reclaim their goroutines. Anytime
-			// backends return incumbents, others return ctx.Canceled —
-			// either way every goroutine reports in and we keep draining.
-			cancel()
-			patience = nil
-		}
+	if len(backends) == 1 {
+		res.Outcomes[0] = solve(ctx, backends[0], g, numStages)
+	} else {
+		race(ctx, backends, g, numStages, opts, res.Outcomes)
 	}
 
 	best := -1
@@ -146,6 +126,47 @@ func PortfolioOpt(ctx context.Context, backends []Scheduler, g *graph.Graph, num
 	return res, nil
 }
 
+// race runs every backend in its own goroutine against a shared derived
+// context and fills outs in input order; it returns once all have
+// reported in.
+func race(ctx context.Context, backends []Scheduler, g *graph.Graph, numStages int, opts PortfolioOptions, outs []Outcome) {
+	raceCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+
+	type indexed struct {
+		i   int
+		out Outcome
+	}
+	results := make(chan indexed, len(backends))
+	raceStart := time.Now()
+	for i, b := range backends {
+		go func(i int, b Scheduler) {
+			started := time.Since(raceStart)
+			out := solve(raceCtx, b, g, numStages)
+			out.Started = started
+			results <- indexed{i, out}
+		}(i, b)
+	}
+
+	var patience <-chan time.Time
+	for done := 0; done < len(backends); {
+		select {
+		case r := <-results:
+			done++
+			outs[r.i] = r.out
+			if r.out.Err == nil && patience == nil && opts.Patience > 0 {
+				patience = time.After(opts.Patience)
+			}
+		case <-patience:
+			// The stragglers lost; reclaim their goroutines. Anytime
+			// backends return incumbents, others return ctx.Canceled —
+			// either way every goroutine reports in and we keep draining.
+			cancel()
+			patience = nil
+		}
+	}
+}
+
 func firstErr(outs []Outcome) error {
 	for _, o := range outs {
 		if o.Err != nil {
@@ -153,138 +174,4 @@ func firstErr(outs []Outcome) error {
 		}
 	}
 	return errors.New("no error recorded")
-}
-
-// CachedPortfolio memoizes portfolio races by graph fingerprint and stage
-// count, preserving per-backend telemetry. A hit returns the stored race
-// result in O(1) (with a defensively copied schedule); a miss races the
-// backends and stores the result unless it was budget-truncated — a cut
-// incumbent is only as good as the call's deadline and must not shadow a
-// later full-effort race. This is the serving layer's per-request-class
-// engine: one CachedPortfolio per class, warmed from the model zoo.
-type CachedPortfolio struct {
-	backends []Scheduler
-	opts     PortfolioOptions
-	lru      *lru
-
-	ins    *Instruments
-	engine string
-}
-
-// NewCachedPortfolio builds a cached race over backends with at most
-// capacity memoized results (capacity < 1 defaults to 256).
-func NewCachedPortfolio(backends []Scheduler, capacity int, opts PortfolioOptions) *CachedPortfolio {
-	return &CachedPortfolio{backends: backends, lru: newLRU(capacity), opts: opts}
-}
-
-// Instrument attaches the memo cache's hit/miss/eviction counters and
-// per-backend race telemetry (latency, win/loss/truncation) to ins under
-// the given engine name — the serving layer passes the request class.
-// Call once, before the engine serves traffic.
-func (p *CachedPortfolio) Instrument(ins *Instruments, engine string) {
-	ins.instrumentLRU(engine, p.lru)
-	p.ins, p.engine = ins, engine
-}
-
-// Backends returns the raced backend names, in race order.
-func (p *CachedPortfolio) Backends() []string {
-	names := make([]string, len(p.backends))
-	for i, b := range p.backends {
-		names[i] = b.Name()
-	}
-	return names
-}
-
-// Run races the portfolio on (g, numStages), serving memoized results when
-// available. hit reports a cache hit; on a hit the Outcomes telemetry
-// (elapsed times, per-backend costs) is that of the original race and the
-// result is shared — callers must treat Outcomes as read-only.
-func (p *CachedPortfolio) Run(ctx context.Context, g *graph.Graph, numStages int) (res PortfolioResult, hit bool, err error) {
-	key := cacheKey{fp: g.Fingerprint(), numStages: numStages}
-	if v, ok := p.lru.get(key); ok {
-		res = v.(PortfolioResult)
-		res.Schedule = res.Schedule.Clone()
-		return res, true, nil
-	}
-	res, err = PortfolioOpt(ctx, p.backends, g, numStages, p.opts)
-	p.ins.ObserveOutcomes(p.engine, res.Outcomes)
-	if err != nil {
-		return res, false, err
-	}
-	if res.Truncated {
-		// A budget-cut incumbent must not shadow a later full-effort race.
-		// A full-effort winner IS stored even when slower members were cut:
-		// the memoized result means "best found within one race budget".
-		return res, false, nil
-	}
-	stored := res
-	stored.Schedule = res.Schedule.Clone()
-	// Drop every per-outcome schedule: telemetry (cost, elapsed, error)
-	// stays, the winner's assignment lives in stored.Schedule, and nothing
-	// in the cache aliases a schedule the miss caller may mutate.
-	stored.Outcomes = append([]Outcome(nil), res.Outcomes...)
-	for i := range stored.Outcomes {
-		stored.Outcomes[i].Schedule = sched.Schedule{}
-	}
-	p.lru.put(key, stored)
-	return res, false, nil
-}
-
-// Contains reports whether a full-effort race for (g, numStages) is
-// memoized, without counting toward hit/miss statistics.
-func (p *CachedPortfolio) Contains(g *graph.Graph, numStages int) bool {
-	return p.lru.contains(cacheKey{fp: g.Fingerprint(), numStages: numStages})
-}
-
-// Warm races the portfolio over every graph through a bounded worker pool
-// (jobs < 1 defaults to GOMAXPROCS), returning how many instances are
-// memoized afterwards. Best-effort, like Cached.Warm: truncated races are
-// skipped and the first error is reported after all warms ran.
-func (p *CachedPortfolio) Warm(ctx context.Context, graphs []*graph.Graph, numStages, jobs int) (stored int, err error) {
-	return warm(ctx, graphs, jobs,
-		func(ctx context.Context, g *graph.Graph) error {
-			_, _, err := p.Run(ctx, g, numStages)
-			return err
-		},
-		func(g *graph.Graph) bool { return p.Contains(g, numStages) })
-}
-
-// OnEvict registers fn to be called with the evicted instance's graph
-// fingerprint and stage count on every memo eviction; the same contract
-// as Cached.OnEvict (runs under the cache lock, keep it cheap, no
-// re-entry).
-func (p *CachedPortfolio) OnEvict(fn func(fp uint64, numStages int)) {
-	p.lru.addEvictHook(func(k cacheKey) { fn(k.fp, k.numStages) })
-}
-
-// SetEvictionScorer makes memo eviction popularity-aware; the same
-// contract as Cached.SetEvictionScorer.
-func (p *CachedPortfolio) SetEvictionScorer(score func(fp uint64, numStages int) float64) {
-	if score == nil {
-		p.lru.setVictimScorer(nil)
-		return
-	}
-	p.lru.setVictimScorer(func(k cacheKey) float64 { return score(k.fp, k.numStages) })
-}
-
-// Stats returns cumulative cache hits and misses.
-func (p *CachedPortfolio) Stats() (hits, misses uint64) { return p.lru.stats() }
-
-// Evictions returns the cumulative number of LRU evictions.
-func (p *CachedPortfolio) Evictions() uint64 { return p.lru.evicted() }
-
-// Len returns the number of memoized races.
-func (p *CachedPortfolio) Len() int { return p.lru.len() }
-
-// PortfolioScheduler wraps a fixed backend set as a Scheduler, so a
-// portfolio composes with the Batch engine and the schedule cache like any
-// single backend.
-func PortfolioScheduler(name string, opts PortfolioOptions, backends ...Scheduler) Scheduler {
-	return NewFunc(name, func(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, error) {
-		res, err := PortfolioOpt(ctx, backends, g, numStages, opts)
-		if err != nil {
-			return sched.Schedule{}, err
-		}
-		return res.Schedule, nil
-	})
 }

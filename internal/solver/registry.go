@@ -94,7 +94,7 @@ func (r *Registry) Names() []string {
 // Dynamic returns a Scheduler that resolves name from r at every call, so
 // replacing the registration (e.g. re-binding a freshly loaded RL agent)
 // takes effect immediately. Metadata from Info-aware backends is
-// forwarded, which lets a Cached wrapper around the dynamic handle refuse
+// forwarded, which lets an Engine over the dynamic handle refuse
 // truncated incumbents.
 func Dynamic(r *Registry, name string) InfoScheduler { return dynamicScheduler{r: r, name: name} }
 

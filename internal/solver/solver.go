@@ -4,8 +4,9 @@
 // classic heuristics, compiler emulation), a named registry to enumerate
 // and resolve them, and concurrent engines built on top — Portfolio races
 // backends under one deadline and returns the cheapest deployable
-// schedule; Batch schedules many graphs through a bounded worker pool;
-// Cached memoizes schedules by graph fingerprint.
+// schedule; Engine memoizes races by graph fingerprint (a single backend
+// is an engine of one); Batch schedules many graphs through an Engine
+// with a bounded worker pool.
 //
 // Every Scheduler returns deployment-ready schedules (pipeline-monotone
 // and hardware-repaired via sched.PostProcess), so costs are directly
@@ -48,21 +49,24 @@ type Info struct {
 }
 
 // InfoScheduler is implemented by backends that report Info alongside the
-// schedule. The schedule cache refuses to store truncated incumbents, and
-// the CLI uses Info to caption results honestly.
+// schedule. An Engine refuses to store truncated incumbents, and the CLI
+// uses Info to caption results honestly.
 type InfoScheduler interface {
 	Scheduler
 	ScheduleInfo(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, Info, error)
 }
 
-// ScheduleInfo runs b, forwarding metadata when b provides it; plain
-// backends report a zero Info (full-effort, no optimality claim).
+// ScheduleInfo runs b, forwarding metadata when b provides it. A plain
+// backend makes no optimality claim and cannot say whether the deadline
+// cut its search short, so a schedule it hands back after ctx is done is
+// reported as truncated: this is the one rule that keeps results computed
+// under a dead context out of every Engine.
 func ScheduleInfo(ctx context.Context, b Scheduler, g *graph.Graph, numStages int) (sched.Schedule, Info, error) {
 	if is, ok := b.(InfoScheduler); ok {
 		return is.ScheduleInfo(ctx, g, numStages)
 	}
 	s, err := b.Schedule(ctx, g, numStages)
-	return s, Info{}, err
+	return s, Info{Truncated: err == nil && ctx.Err() != nil}, err
 }
 
 // Func adapts a plain function to the Scheduler interface.

@@ -45,6 +45,21 @@ func fixed(name string, s sched.Schedule) Scheduler {
 	})
 }
 
+// engineOf is an engine of one over b.
+func engineOf(b Scheduler, capacity int) *Engine {
+	return NewEngine([]Scheduler{b}, capacity, PortfolioOptions{})
+}
+
+// runSchedule runs e and returns the schedule alone.
+func runSchedule(t *testing.T, e *Engine, g *graph.Graph, numStages int) sched.Schedule {
+	t.Helper()
+	res, _, err := e.Run(context.Background(), g, numStages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Schedule
+}
+
 // blocker blocks until its context is cancelled, then reports the ctx
 // error; it records that it observed cancellation.
 type blocker struct {
@@ -258,7 +273,7 @@ func TestBatchPreservesOrder(t *testing.T) {
 		graphs[i] = randomDAG(int64(i), 6+i)
 	}
 	for _, jobs := range []int{1, 4, 32} {
-		results, err := Batch(context.Background(), heurB, graphs, 3, jobs)
+		results, err := Batch(context.Background(), engineOf(heurB, 64), graphs, 3, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,8 +293,8 @@ func TestBatchPreservesOrder(t *testing.T) {
 		}
 	}
 	// Identical results regardless of parallelism.
-	seq, _ := Batch(context.Background(), heurB, graphs, 3, 1)
-	par, _ := Batch(context.Background(), heurB, graphs, 3, 8)
+	seq, _ := Batch(context.Background(), engineOf(heurB, 64), graphs, 3, 1)
+	par, _ := Batch(context.Background(), engineOf(heurB, 64), graphs, 3, 8)
 	for i := range seq {
 		if seq[i].Cost != par[i].Cost {
 			t.Fatalf("item %d: cost differs across jobs (%v vs %v)", i, seq[i].Cost, par[i].Cost)
@@ -300,7 +315,7 @@ func TestBatchCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	results, err := Batch(ctx, slow, graphs, 2, 2)
+	results, err := Batch(ctx, engineOf(slow, 8), graphs, 2, 2)
 	if err == nil {
 		t.Fatal("want ctx error")
 	}
@@ -324,17 +339,11 @@ func TestCachedHitReturnsIdenticalSchedule(t *testing.T) {
 		}
 		return s.Schedule(ctx, g, numStages)
 	})
-	c := NewCached(inner, 8)
+	c := engineOf(inner, 8)
 	g := randomDAG(3, 15)
 
-	s1, err := c.Schedule(context.Background(), g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := c.Schedule(context.Background(), g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1 := runSchedule(t, c, g, 4)
+	s2 := runSchedule(t, c, g, 4)
 	if calls != 1 {
 		t.Fatalf("inner called %d times, want 1", calls)
 	}
@@ -348,14 +357,12 @@ func TestCachedHitReturnsIdenticalSchedule(t *testing.T) {
 	}
 	// Mutating the returned schedule must not poison the cache.
 	s2.Stage[0] = s2.NumStages - 1
-	s3, _ := c.Schedule(context.Background(), g, 4)
+	s3 := runSchedule(t, c, g, 4)
 	if s3.Stage[0] != s1.Stage[0] {
 		t.Fatal("cache entry was mutated through a returned schedule")
 	}
 	// A different stage count is a different key.
-	if _, err := c.Schedule(context.Background(), g, 5); err != nil {
-		t.Fatal(err)
-	}
+	runSchedule(t, c, g, 5)
 	if calls != 2 {
 		t.Fatalf("inner called %d times after new stage count, want 2", calls)
 	}
@@ -379,11 +386,11 @@ func (tr *truncating) ScheduleInfo(ctx context.Context, g *graph.Graph, numStage
 
 func TestCachedRefusesTruncatedIncumbents(t *testing.T) {
 	inner := &truncating{}
-	c := NewCached(inner, 8)
+	c := engineOf(inner, 8)
 	g := chain(5, 5)
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		if _, hit, _, err := c.ScheduleTracked(ctx, g, 2); err != nil || hit {
+		if _, hit, err := c.Run(ctx, g, 2); err != nil || hit {
 			t.Fatalf("call %d: hit=%v err=%v; truncated incumbents must never be cached", i, hit, err)
 		}
 	}
@@ -393,13 +400,13 @@ func TestCachedRefusesTruncatedIncumbents(t *testing.T) {
 	// A result computed under an already-expired context must not be
 	// cached either, even when the backend reports no truncation.
 	heurB, _ := Lookup("heur")
-	c2 := NewCached(NewFunc("expired", func(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, error) {
+	c2 := engineOf(NewFunc("expired", func(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, error) {
 		return heurB.Schedule(context.Background(), g, numStages)
 	}), 8)
 	expired, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, _, err := c2.ScheduleTracked(expired, g, 2); err != nil {
-		t.Fatal(err)
+	if res, _, err := c2.Run(expired, g, 2); err != nil || !res.Truncated {
+		t.Fatalf("err=%v truncated=%v; a schedule handed back under a dead context is a flagged incumbent", err, res.Truncated)
 	}
 	if c2.Len() != 0 {
 		t.Fatal("result solved under a cancelled context was cached")
@@ -433,21 +440,16 @@ func TestExactBackendReportsInfo(t *testing.T) {
 
 func TestCachedEviction(t *testing.T) {
 	heurB, _ := Lookup("heur")
-	c := NewCached(heurB, 2)
+	c := engineOf(heurB, 2)
 	g1, g2, g3 := randomDAG(11, 8), randomDAG(12, 9), randomDAG(13, 10)
-	ctx := context.Background()
 	for _, g := range []*graph.Graph{g1, g2, g3} {
-		if _, err := c.Schedule(ctx, g, 3); err != nil {
-			t.Fatal(err)
-		}
+		runSchedule(t, c, g, 3)
 	}
 	if c.Len() != 2 {
 		t.Fatalf("cache len = %d, want 2", c.Len())
 	}
 	// g1 is the LRU victim: scheduling it again must miss.
-	if _, err := c.Schedule(ctx, g1, 3); err != nil {
-		t.Fatal(err)
-	}
+	runSchedule(t, c, g1, 3)
 	if hits, misses := c.Stats(); hits != 0 || misses != 4 {
 		t.Fatalf("stats = %d/%d, want 0 hits 4 misses", hits, misses)
 	}
@@ -455,7 +457,7 @@ func TestCachedEviction(t *testing.T) {
 
 func TestBatchReportsCacheHits(t *testing.T) {
 	heurB, _ := Lookup("heur")
-	c := NewCached(heurB, 8)
+	c := engineOf(heurB, 8)
 	g := randomDAG(21, 12)
 	graphs := []*graph.Graph{g, g, g, g}
 	results, err := Batch(context.Background(), c, graphs, 4, 1)
@@ -472,36 +474,9 @@ func TestBatchReportsCacheHits(t *testing.T) {
 	}
 }
 
-func TestPortfolioSchedulerComposesWithBatch(t *testing.T) {
-	backends, err := Resolve("heur", "compiler", "hu")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := PortfolioScheduler("mini-portfolio", PortfolioOptions{}, backends...)
-	graphs := []*graph.Graph{randomDAG(31, 10), randomDAG(32, 14), randomDAG(33, 18)}
-	results, err := Batch(context.Background(), p, graphs, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("item %d: %v", i, r.Err)
-		}
-		// The portfolio can never be worse than the compiler baseline.
-		comp, _ := Lookup("compiler")
-		s, err := comp.Schedule(context.Background(), graphs[i], 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Evaluate(graphs[i]).Less(r.Cost) {
-			t.Fatalf("item %d: portfolio worse than compiler member", i)
-		}
-	}
-}
-
 func TestBatchDedupsDuplicateFingerprints(t *testing.T) {
 	heurB, _ := Lookup("heur")
-	c := NewCached(heurB, 8)
+	c := engineOf(heurB, 8)
 	a, b := randomDAG(41, 14), randomDAG(42, 14)
 	graphs := []*graph.Graph{a, b, a, a, b}
 	results, err := Batch(context.Background(), c, graphs, 4, 2)
@@ -542,22 +517,5 @@ func TestBatchDedupsDuplicateFingerprints(t *testing.T) {
 	results[2].Schedule.Stage[0] = -99
 	if results[0].Schedule.Stage[0] == -99 {
 		t.Fatal("duplicate schedule aliases representative storage")
-	}
-}
-
-func TestBatchNoDedupForUncachedBackend(t *testing.T) {
-	heurB, _ := Lookup("heur")
-	g := randomDAG(43, 12)
-	results, err := Batch(context.Background(), heurB, []*graph.Graph{g, g, g}, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("item %d: %v", i, r.Err)
-		}
-		if r.Deduped || r.CacheHit {
-			t.Fatalf("bare backend item %d should solve fresh: Deduped=%v CacheHit=%v", i, r.Deduped, r.CacheHit)
-		}
 	}
 }

@@ -327,31 +327,28 @@ func SchedulePortfolio(ctx context.Context, g *Graph, numStages int, backendName
 // repeated graphs (multi-model serving, sweeps) hit an O(1) cache, with
 // per-item hits reported in BatchResult.CacheHit.
 func ScheduleBatch(ctx context.Context, graphs []*Graph, numStages int, backendName string, jobs int) ([]BatchResult, error) {
-	b, err := cachedBackend(backendName)
+	e, err := scheduleCaches.For(backendName)
 	if err != nil {
 		return nil, err
 	}
-	return solver.Batch(ctx, b, graphs, numStages, jobs)
+	return solver.Batch(ctx, e, graphs, numStages, jobs)
 }
 
 // ScheduleWith runs one named backend on one graph, through the same
 // schedule cache as ScheduleBatch.
 func ScheduleWith(ctx context.Context, backendName string, g *Graph, numStages int) (Schedule, error) {
-	b, err := cachedBackend(backendName)
+	e, err := scheduleCaches.For(backendName)
 	if err != nil {
 		return Schedule{}, err
 	}
-	return b.Schedule(ctx, g, numStages)
+	res, _, err := e.Run(ctx, g, numStages)
+	return res.Schedule, err
 }
 
 // scheduleCaches holds one fingerprint-keyed LRU per backend name. The
 // inner scheduler is resolved from the registry at call time, so replacing
 // a backend (agent reload) takes effect immediately.
 var scheduleCaches = solver.NewCacheSet(solver.Default(), 256)
-
-func cachedBackend(name string) (*solver.Cached, error) {
-	return scheduleCaches.For(name)
-}
 
 // ScheduleCacheStats reports cumulative schedule-cache hits and misses for
 // one backend name.
