@@ -103,7 +103,7 @@ func DecodeGossip(r io.Reader, maxStages int) (*GossipMessage, error) {
 		if e.Score > maxGossipScore {
 			e.Score = maxGossipScore
 		}
-		g, err := graph.ReadJSON(bytes.NewReader(e.Graph))
+		g, _, err := graph.ParseJSON(e.Graph)
 		if err != nil || g.NumNodes() == 0 {
 			continue // unparseable or empty graphs cannot warm anything
 		}

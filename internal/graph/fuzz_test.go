@@ -5,6 +5,8 @@ package graph_test
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 
 	"respect/internal/graph"
@@ -55,9 +57,33 @@ func structurallyEqual(a, b *graph.Graph) bool {
 	return true
 }
 
+// checkRoundTrip holds an accepted graph to the encoder: its WriteJSON
+// output decodes, and encodes again to the same bytes. That is the whole
+// contract. WriteJSON sorts the edge list, so a graph decoded from an
+// unsorted document comes back with successors in another order, and
+// the fingerprint, which hashes them in order, is that of the sorted
+// document from then on.
+func checkRoundTrip(t *testing.T, g *graph.Graph) {
+	t.Helper()
+	var first, second bytes.Buffer
+	if err := g.WriteJSON(&first); err != nil {
+		t.Fatalf("accepted graph failed to encode: %v", err)
+	}
+	back, err := graph.ReadJSON(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatalf("round trip rejected: %v\nencoded: %s", err, first.Bytes())
+	}
+	if err := back.WriteJSON(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("round trip changed the graph:\nfirst:  %s\nsecond: %s", first.Bytes(), second.Bytes())
+	}
+}
+
 // FuzzReadJSON feeds arbitrary bytes to the graph decoder: it must never
 // panic, and every graph it accepts must survive an encode/decode round
-// trip with its structure (and therefore fingerprint) intact.
+// trip (see checkRoundTrip).
 func FuzzReadJSON(f *testing.F) {
 	for _, seed := range zooSeeds(f) {
 		f.Add(seed)
@@ -71,21 +97,87 @@ func FuzzReadJSON(f *testing.F) {
 		if err != nil {
 			return // rejected inputs just must not crash
 		}
-		var buf bytes.Buffer
-		if err := g.WriteJSON(&buf); err != nil {
-			t.Fatalf("accepted graph failed to encode: %v", err)
-		}
-		g2, err := graph.ReadJSON(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("round trip rejected: %v\nencoded: %s", err, buf.Bytes())
-		}
-		if !structurallyEqual(g, g2) {
-			t.Fatal("round trip changed the graph structure")
-		}
-		if g.Fingerprint() != g2.Fingerprint() {
-			t.Fatal("round trip changed the fingerprint")
-		}
+		checkRoundTrip(t, g)
 	})
+}
+
+// sameGraph compares two built graphs in full through the public API:
+// name, every node attribute including names, successor and predecessor
+// order, and fingerprint.
+func sameGraph(a, b *graph.Graph) error {
+	if a.Name != b.Name || a.NumNodes() != b.NumNodes() {
+		return fmt.Errorf("name/size %q/%d vs %q/%d", a.Name, a.NumNodes(), b.Name, b.NumNodes())
+	}
+	for v := 0; v < a.NumNodes(); v++ {
+		if a.Node(v) != b.Node(v) {
+			return fmt.Errorf("node %d: %+v vs %+v", v, a.Node(v), b.Node(v))
+		}
+		if !slices.Equal(a.Succ(v), b.Succ(v)) || !slices.Equal(a.Pred(v), b.Pred(v)) {
+			return fmt.Errorf("node %d adjacency: succ %v/%v pred %v/%v", v, a.Succ(v), b.Succ(v), a.Pred(v), b.Pred(v))
+		}
+	}
+	if a.Fingerprint() != b.Fingerprint() {
+		return fmt.Errorf("fingerprint %x vs %x", a.Fingerprint(), b.Fingerprint())
+	}
+	return nil
+}
+
+// checkAgainstOracle holds ParseJSON to the encoding/json decoder it
+// replaced on one input: whatever ParseJSON accepts, the oracle accepts
+// given the same bytes, as the same graph; and the accepted graph
+// round-trips through WriteJSON.
+func checkAgainstOracle(t *testing.T, data []byte) {
+	t.Helper()
+	g, n, err := graph.ParseJSON(data)
+	if err != nil {
+		return // ParseJSON may be stricter (TestParseJSONTightenings); it must not panic
+	}
+	if n < 0 || n > len(data) {
+		t.Fatalf("consumed %d of %d bytes", n, len(data))
+	}
+	want, err := graph.OracleReadJSON(bytes.NewReader(data[:n]))
+	if err != nil {
+		t.Fatalf("ParseJSON accepted what the oracle rejects (%v): %q", err, data[:n])
+	}
+	if err := sameGraph(g, want); err != nil {
+		t.Fatalf("ParseJSON and the oracle disagree: %v\ninput: %q", err, data[:n])
+	}
+	checkRoundTrip(t, g)
+}
+
+// differentialSeeds are documents on the edges of the wire format: each
+// is decoded the same by both decoders or refused by ParseJSON.
+var differentialSeeds = []string{
+	`{"name":"g","nodes":[{"name":"a","kind":"conv","param_bytes":3}],"edges":[]}`,
+	`{"edges":[[0,1],[0,2],[1,2]],"nodes":[{"name":"a"},{"name":"b"},{"name":"c"}],"name":"edges first"}`,
+	`{"name":"esc\u0061pe \ud83d\ude00 \"q\"","nodes":[{"name":"caf\u00e9","kind":"dwconv"},{"n\u0061me":"x","kind":"nonsense"}]}`,
+	"{\"name\":\"bad utf8 \xff\",\"nodes\":[{\"name\":\"\xc3\"}]}",
+	`{"name":null,"nodes":[null,{"name":null,"kind":null,"param_bytes":null,"macs":-0}],"edges":null}`,
+	`{"nodes":[{"name":"a","name":"b","macs":1,"macs":2,"extra":{"deep":[1,2,{"x":null}]}}],"unknown":[[]]}`,
+	`{"nodes":[{"param_bytes":9223372036854775807,"out_bytes":-9223372036854775808},{}],"edges":[[1,0]]}`,
+	`{"nodes":[{"param_bytes":9223372036854775808}]}`,
+	`{"nodes":[{"param_bytes":1.0}]}`,
+	`{"nodes":[{"param_bytes":"1"}]}`,
+	`{"nodes":[{},{}],"edges":[[0,1],[0,1]]}`,
+	`{"nodes":[{},{},{}],"edges":[[1,2],[0,2],[0,1]]}`,
+	`{"nodes":[{},{}],"edges":[[0,1,2]]}`,
+	`{"nodes":[{},{}],"edges":[[0]]}`,
+	`{"nodes":[{},{}],"edges":[[0,null]]}`,
+	`{"Nodes":[{}],"NAME":"folded"}`,
+	`{"nodes":[{}],"nodes":[{},{}]}`,
+	` null `, `{}`, `[]`, `{"nodes":{}}`, `{"nodes":[[]]}`, `{"nodes":[{}]} trailing`, `{"nodes":[{}],}`,
+}
+
+// FuzzParseJSONDifferential fuzzes the hand-written decoder against the
+// one it replaced (see checkAgainstOracle).
+func FuzzParseJSONDifferential(f *testing.F) {
+	for _, seed := range zooSeeds(f) {
+		f.Add(seed)
+	}
+	for _, seed := range differentialSeeds {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(checkAgainstOracle)
 }
 
 // fuzzBuild deterministically derives a small DAG from raw bytes: node

@@ -137,13 +137,14 @@ func (g *Graph) Build() error {
 		return nil
 	}
 	n := len(g.nodes)
+	// seenFrom[w] == v+1 marks w as already listed among v's successors.
+	seenFrom := make([]int, n)
 	for v := 0; v < n; v++ {
-		seen := make(map[int]bool, len(g.succ[v]))
 		for _, w := range g.succ[v] {
-			if seen[w] {
+			if seenFrom[w] == v+1 {
 				return fmt.Errorf("graph %q: duplicate edge (%d,%d)", g.Name, v, w)
 			}
-			seen[w] = true
+			seenFrom[w] = v + 1
 		}
 	}
 	topo, err := g.topoSort()

@@ -3,6 +3,7 @@ package models
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"respect/internal/graph"
 )
@@ -25,6 +26,20 @@ var generators = map[string]func() (*graph.Graph, error){
 	// Extension models beyond the paper's evaluation set.
 	"VGG16":     vgg16,
 	"MobileNet": mobileNetV1,
+}
+
+// zoo is what Load serves: generators, each memoized. A model's graph is
+// a property of the model, so its generator runs once, on the first Load
+// of the name (concurrent first loads wait for that one build), and
+// every later Load is a lookup.
+var zoo = memoize(generators)
+
+func memoize(gens map[string]func() (*graph.Graph, error)) map[string]func() (*graph.Graph, error) {
+	memo := make(map[string]func() (*graph.Graph, error), len(gens))
+	for name, gen := range gens {
+		memo[name] = sync.OnceValues(gen)
+	}
+	return memo
 }
 
 // TableI holds the paper's Table I statistics for the ten inference-runtime
@@ -73,8 +88,9 @@ func Figure5Names() []string {
 	}
 }
 
-// LoadMany constructs several zoo graphs, failing on the first unknown
-// name. Callers that need the whole zoo pass Names() expanded.
+// LoadMany loads several zoo graphs, failing on the first unknown name.
+// Callers that need the whole zoo pass Names() expanded. The graphs are
+// shared and read-only, as Load's are.
 func LoadMany(names ...string) ([]*graph.Graph, error) {
 	out := make([]*graph.Graph, len(names))
 	for i, name := range names {
@@ -87,13 +103,16 @@ func LoadMany(names ...string) ([]*graph.Graph, error) {
 	return out, nil
 }
 
-// Load constructs the named model's computational graph.
+// Load returns the named model's computational graph. The graph is
+// shared, read-only: every Load of a name returns the same built
+// *graph.Graph, so a caller must not assign its Name, and must Clone it
+// to change anything else (AddNode and AddEdge panic on it).
 func Load(name string) (*graph.Graph, error) {
-	gen, ok := generators[name]
+	load, ok := zoo[name]
 	if !ok {
 		return nil, fmt.Errorf("models: unknown model %q (have %v)", name, Names())
 	}
-	return gen()
+	return load()
 }
 
 // MustLoad is Load that panics on error; generators are covered by tests.

@@ -1,6 +1,8 @@
 package models
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"respect/internal/graph"
@@ -151,5 +153,54 @@ func TestConvOut(t *testing.T) {
 		if got := convOut(c.in, c.k, c.s, c.same); got != c.want {
 			t.Errorf("convOut(%d,%d,%d,%v) = %d, want %d", c.in, c.k, c.s, c.same, got, c.want)
 		}
+	}
+}
+
+// TestConcurrentFirstLoadsBuildOnce: Load is a lookup of one shared graph
+// per name, built once even when the first loads race.
+func TestConcurrentFirstLoadsBuildOnce(t *testing.T) {
+	var builds atomic.Int64
+	counted := make(map[string]func() (*graph.Graph, error), len(generators))
+	for name, gen := range generators {
+		counted[name] = func() (*graph.Graph, error) {
+			builds.Add(1)
+			return gen()
+		}
+	}
+	saved := zoo
+	zoo = memoize(counted) // a memo nothing has loaded from yet
+	defer func() { zoo = saved }()
+
+	const loaders = 8
+	names := Names()
+	got := make([][]*graph.Graph, loaders)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = make([]*graph.Graph, len(names))
+			for j, name := range names {
+				g, err := Load(name)
+				if err != nil {
+					t.Error(err)
+				}
+				got[i][j] = g
+			}
+		}()
+	}
+	wg.Wait()
+	for i := 1; i < loaders; i++ {
+		for j, name := range names {
+			if got[i][j] != got[0][j] {
+				t.Fatalf("%s: concurrent first loads returned two graphs", name)
+			}
+		}
+	}
+	if n := builds.Load(); n != int64(len(names)) {
+		t.Fatalf("%d generator runs for %d models", n, len(names))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { MustLoad("ResNet50") }); allocs != 0 {
+		t.Fatalf("a repeated Load allocates %.0f times; it should be a lookup", allocs)
 	}
 }

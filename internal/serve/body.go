@@ -1,0 +1,231 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"sync"
+
+	"respect/internal/graph"
+	"respect/internal/jsonscan"
+)
+
+// defaultMaxBodyBytes bounds request bodies when Config.MaxBodyBytes is
+// unset; the largest zoo graph serializes to well under a megabyte, so
+// 16 MiB leaves ample headroom for batches.
+const defaultMaxBodyBytes = 16 << 20
+
+// maxPooledBodyBytes is the largest body buffer kept for reuse. The
+// largest zoo document is 119 KB; a buffer that one large batch grew
+// past this is left to the collector instead of pinning its peak size.
+const maxPooledBodyBytes = 1 << 20
+
+// bodyPool recycles the buffers request bodies are read into: an inline
+// graph is 13-119 KB, and allocating that per request was a tenth of the
+// server's CPU in collection alone.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readBody reads the size-capped request body into a pooled buffer,
+// sized up front from Content-Length. It is the one request-body reader:
+// the POST handlers decode the bytes in place and release the buffer
+// when they return. An oversized body fails with *http.MaxBytesError.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	// The header is the client's claim, so it sizes the buffer only up to
+	// what the pool would keep; a larger body grows it as it arrives.
+	if n := min(r.ContentLength, s.cfg.MaxBodyBytes, maxPooledBodyBytes); n > 0 {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)); err != nil {
+		releaseBody(buf)
+		return nil, err
+	}
+	return buf, nil
+}
+
+// releaseBody returns a buffer from readBody to the pool.
+func releaseBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBodyBytes {
+		bodyPool.Put(buf)
+	}
+}
+
+// inlineGraph is a request's inline graph document, decoded where it sat
+// in the body. A document ParseJSON refused keeps its error for the
+// handler to report once the class is known, as a 400 observed under it.
+type inlineGraph struct {
+	g   *graph.Graph
+	err error
+}
+
+// scan decodes the graph document under the cursor.
+func (in *inlineGraph) scan(s *jsonscan.Scanner) error {
+	g, n, err := graph.ParseJSON(s.Data[s.Pos:])
+	if err != nil {
+		// The walk goes on, so the rest of the body is still held to
+		// account; a document too broken to step over fails the decode.
+		in.err = err
+		return s.Skip()
+	}
+	in.g = g
+	s.Pos += n
+	return nil
+}
+
+// walkEnvelope visits the top-level members of a request body in one
+// pass: member is called with the cursor on each value and must consume
+// it. Anything but whitespace after the closing brace is an error.
+func walkEnvelope(body []byte, member func(s *jsonscan.Scanner, name []byte) error) error {
+	s := jsonscan.Scanner{Data: body}
+	if !s.Null() { // encoding/json decoded a null body as the zero request
+		if err := s.Open('{'); err != nil {
+			return err
+		}
+		for first := true; ; first = false {
+			name, ok, err := s.Member(first)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				break
+			}
+			if err := member(&s, name); err != nil {
+				return err
+			}
+		}
+	}
+	if !s.AtEnd() {
+		return fmt.Errorf("json: offset %d: data after the request object", s.Pos)
+	}
+	return nil
+}
+
+// scalar decodes the small value under the cursor into dst with
+// encoding/json, from that value's own bytes.
+func scalar(s *jsonscan.Scanner, name []byte, dst any) error {
+	start := s.Pos
+	if err := s.Skip(); err != nil {
+		return err
+	}
+	if err := json.Unmarshal(s.Data[start:s.Pos], dst); err != nil {
+		return fmt.Errorf("%s: %w", name, err)
+	}
+	return nil
+}
+
+func unknownField(name []byte) error { return fmt.Errorf("json: unknown field %q", name) }
+
+var errDuplicateGraph = errors.New("json: duplicate graph member")
+
+// decodeSchedule decodes a POST /v1/schedule body: ScheduleRequest's
+// scalar members, and the graph member into in instead of req.Graph. in
+// is nil when the body has no graph member.
+func decodeSchedule(body []byte) (req ScheduleRequest, in *inlineGraph, err error) {
+	err = walkEnvelope(body, func(s *jsonscan.Scanner, name []byte) error {
+		switch string(name) {
+		case "model":
+			return scalar(s, name, &req.Model)
+		case "graph":
+			if in != nil {
+				return errDuplicateGraph
+			}
+			in = new(inlineGraph)
+			return in.scan(s)
+		case "stages":
+			return scalar(s, name, &req.Stages)
+		case "class":
+			return scalar(s, name, &req.Class)
+		case "backends":
+			return scalar(s, name, &req.Backends)
+		case "trace":
+			return scalar(s, name, &req.Trace)
+		}
+		return unknownField(name)
+	})
+	return req, in, err
+}
+
+// decodeBatch decodes a POST /v1/batch body: BatchRequest's scalar
+// members, and the graphs member into one inlineGraph per element. After
+// the first document that fails, the rest are stepped over undecoded:
+// the handler reports errors in order and stops at that one.
+func decodeBatch(body []byte) (req BatchRequest, graphs []inlineGraph, err error) {
+	seen := false
+	err = walkEnvelope(body, func(s *jsonscan.Scanner, name []byte) error {
+		switch string(name) {
+		case "models":
+			return scalar(s, name, &req.Models)
+		case "graphs":
+			if seen {
+				return errDuplicateGraph
+			}
+			if seen = true; s.Null() {
+				return nil
+			}
+			if err := s.Open('['); err != nil {
+				return err
+			}
+			failed := false
+			for first := true; ; first = false {
+				ok, err := s.Element(first)
+				if !ok {
+					return err
+				}
+				var in inlineGraph
+				if failed {
+					err = s.Skip()
+				} else {
+					err = in.scan(s)
+					failed = in.err != nil
+				}
+				if err != nil {
+					return err
+				}
+				graphs = append(graphs, in)
+			}
+		case "stages":
+			return scalar(s, name, &req.Stages)
+		case "class":
+			return scalar(s, name, &req.Class)
+		case "backend":
+			return scalar(s, name, &req.Backend)
+		case "jobs":
+			return scalar(s, name, &req.Jobs)
+		}
+		return unknownField(name)
+	})
+	return req, graphs, err
+}
+
+// decodePeriodic decodes a POST /v1/periodic body, as decodeSchedule.
+func decodePeriodic(body []byte) (req PeriodicRequest, in *inlineGraph, err error) {
+	err = walkEnvelope(body, func(s *jsonscan.Scanner, name []byte) error {
+		switch string(name) {
+		case "name":
+			return scalar(s, name, &req.Name)
+		case "model":
+			return scalar(s, name, &req.Model)
+		case "graph":
+			if in != nil {
+				return errDuplicateGraph
+			}
+			in = new(inlineGraph)
+			return in.scan(s)
+		case "stages":
+			return scalar(s, name, &req.Stages)
+		case "class":
+			return scalar(s, name, &req.Class)
+		case "period_ms":
+			return scalar(s, name, &req.PeriodMS)
+		case "deadline_ms":
+			return scalar(s, name, &req.DeadlineMS)
+		case "cost_ms":
+			return scalar(s, name, &req.CostMS)
+		}
+		return unknownField(name)
+	})
+	return req, in, err
+}

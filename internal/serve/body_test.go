@@ -1,0 +1,274 @@
+// Tests of the request-body path: the envelope walker's contract against
+// the encoding/json decode it replaced (what is kept, what is stricter),
+// trailing bytes, and the forwarding hop that relays the bytes it read.
+package serve_test
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"respect/internal/models"
+	"respect/internal/serve"
+)
+
+const tinyGraph = `{"name":"t","nodes":[{"name":"a","param_bytes":10},{"name":"b","param_bytes":10}],"edges":[[0,1]]}`
+
+// TestEnvelopeContract pins, per request body, what the single-pass
+// decoder keeps from encoding/json with DisallowUnknownFields and the
+// closed list of places where it is stricter.
+func TestEnvelopeContract(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{WarmModels: []string{}, RT: serve.RTConfig{Enabled: true}})
+	cases := []struct {
+		name, path, body string
+		want             int
+		wantErr          string // substring of the error body
+	}{
+		// Kept on purpose.
+		{"members in any order, any spacing", "/v1/schedule", " {\n\"stages\" : 2 ,\t\"graph\":" + tinyGraph + ", \"class\":\"batch\" }\n", 200, ""},
+		{"unknown members inside the graph are ignored", "/v1/schedule", `{"graph":{"version":3,"nodes":[{"name":"a","dtype":"int8"}],"meta":{"x":[1]}},"stages":1}`, 200, ""},
+		{"null graph is a graph with no nodes", "/v1/schedule", `{"graph":null}`, 400, "graph has no nodes"},
+		{"model together with graph", "/v1/schedule", `{"model":"VGG16","graph":` + tinyGraph + `}`, 400, "not both"},
+		{"model together with a null graph", "/v1/schedule", `{"model":"VGG16","graph":null}`, 400, "not both"},
+		{"null scalars are absent scalars", "/v1/schedule", `{"model":"VGG16","stages":null,"class":null,"backends":null,"trace":null}`, 200, ""},
+		{"last repeated scalar wins", "/v1/schedule", `{"model":"NoSuchNet","model":"VGG16"}`, 200, ""},
+		{"escaped member name", "/v1/schedule", `{"m\u006fdel":"VGG16"}`, 200, ""},
+		{"null body is the empty request", "/v1/schedule", `null`, 400, "one of model or graph is required"},
+		{"unknown envelope member", "/v1/schedule", `{"model":"VGG16","priority":9}`, 400, "unknown field"},
+		{"scalar of the wrong type", "/v1/schedule", `{"model":"VGG16","stages":"4"}`, 400, "stages"},
+		{"class error comes before the graph's", "/v1/schedule", `{"graph":{"nodes":[{}],"edges":[[0,0]]},"class":"platinum"}`, 400, "unknown class"},
+		{"graph error after the envelope is walked", "/v1/schedule", `{"graph":{"nodes":[{}],"edges":[[0,0]]},"class":"batch"}`, 400, "self edge"},
+		{"batch graphs decode in place", "/v1/batch", `{"graphs":[` + tinyGraph + `,` + tinyGraph + `],"models":["VGG16"],"stages":2}`, 200, ""},
+		{"batch names the first bad graph", "/v1/batch", `{"graphs":[` + tinyGraph + `,{"nodes":[{}],"edges":[[0,7]]},{"nodes":7}],"stages":1}`, 400, "graphs[1]"},
+		{"batch null graph element", "/v1/batch", `{"graphs":[null]}`, 400, "graphs[0]: graph has no nodes"},
+		{"batch null graphs member", "/v1/batch", `{"graphs":null,"models":["VGG16"]}`, 200, ""},
+		{"periodic inline graph", "/v1/periodic", `{"name":"s1","graph":` + tinyGraph + `,"stages":2,"period_ms":1000,"cost_ms":1}`, 201, ""},
+		// Stricter than encoding/json: the same list graph.ParseJSON has.
+		{"member name in another case", "/v1/schedule", `{"Model":"VGG16"}`, 400, "unknown field"},
+		{"second graph member", "/v1/schedule", `{"graph":` + tinyGraph + `,"graph":` + tinyGraph + `}`, 400, "duplicate"},
+		{"second graphs member", "/v1/batch", `{"graphs":[` + tinyGraph + `],"graphs":[]}`, 400, "duplicate"},
+		// The bug fixed with the walker: json.Decoder stopped at the brace.
+		{"bytes after the object (schedule)", "/v1/schedule", `{"model":"VGG16"} trailing-garbage`, 400, "after the request object"},
+		{"bytes after the object (batch)", "/v1/batch", `{"models":["VGG16"]}{}`, 400, "after the request object"},
+		{"bytes after the object (periodic)", "/v1/periodic", `{"name":"s2","model":"VGG16","period_ms":1000,"cost_ms":1}]`, 400, "after the request object"},
+		{"whitespace after the object", "/v1/schedule", "{\"model\":\"VGG16\"} \r\n\t", 200, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, data := postJSON(t, ts.URL+tc.path, tc.body)
+			if resp.StatusCode != tc.want {
+				t.Fatalf("status %d, want %d (%s)", resp.StatusCode, tc.want, data)
+			}
+			if tc.want >= 400 {
+				var e serve.ErrorResponse
+				decodeInto(t, data, &e)
+				if !strings.Contains(e.Error, tc.wantErr) {
+					t.Fatalf("error %q does not mention %q", e.Error, tc.wantErr)
+				}
+			}
+		})
+	}
+}
+
+// recordingOwner is a stand-in home shard: it records each /v1/schedule
+// body it is sent and counts the connections opened to it. With gate set,
+// a request waits until gate requests are in flight, so a round of that
+// many forwards needs that many connections at once.
+type recordingOwner struct {
+	ts    *httptest.Server
+	conns atomic.Int64
+	gate  int
+
+	mu      sync.Mutex
+	bodies  [][]byte
+	waiting int
+	release chan struct{}
+}
+
+func newRecordingOwner(t *testing.T, gate int) *recordingOwner {
+	o := &recordingOwner{gate: gate, release: make(chan struct{})}
+	o.ts = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		o.mu.Lock()
+		o.bodies = append(o.bodies, body)
+		release := o.release
+		if o.waiting++; o.waiting == o.gate {
+			o.waiting, o.release = 0, make(chan struct{})
+			close(release)
+		}
+		o.mu.Unlock()
+		if o.gate > 0 {
+			<-release
+		}
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"graph":"from-the-owner"}`)
+	}))
+	o.ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			o.conns.Add(1)
+		}
+	}
+	o.ts.Start()
+	t.Cleanup(o.ts.Close)
+	return o
+}
+
+// newForwarderTo returns a replica whose only peer is owner, with the
+// zoo models (of the candidates) whose key the peer owns. The ring hashes
+// the advertise URLs and the owner's port is random, so the replica tries
+// advertise names until the peer owns at least one candidate.
+func newForwarderTo(t *testing.T, owner string, candidates []string) (*httptest.Server, []string) {
+	t.Helper()
+	for try := 0; try < 64; try++ {
+		self := fmt.Sprintf("http://forwarder-%d.test:80", try)
+		srv, err := serve.New(serve.Config{
+			WarmModels: []string{},
+			Cluster:    serve.ClusterConfig{Advertise: self, Peers: []string{self, owner}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var owned []string
+		for _, name := range candidates {
+			if _, mine := srv.Cluster().Owner(models.MustLoad(name).Fingerprint()); !mine {
+				owned = append(owned, name)
+			}
+		}
+		if len(owned) > 0 {
+			ts := httptest.NewServer(srv)
+			t.Cleanup(ts.Close)
+			return ts, owned
+		}
+	}
+	t.Fatal("no advertise name gave the peer one of the candidate models")
+	return nil, nil
+}
+
+// TestRelayForwardsTheBytesItRead: the owner receives, byte for byte,
+// the body the forwarder received, whatever its spacing or member order,
+// and the client receives the owner's answer.
+func TestRelayForwardsTheBytesItRead(t *testing.T) {
+	owner := newRecordingOwner(t, 0)
+	fwd, owned := newForwarderTo(t, owner.ts.URL, models.Names())
+
+	g := models.MustLoad(owned[0])
+	var doc bytes.Buffer
+	if err := g.WriteJSON(&doc); err != nil {
+		t.Fatal(err)
+	}
+	sent := [][]byte{
+		[]byte("{ \"stages\":4,\n\t\"model\" : \"" + owned[0] + "\" }\n\n"),
+		[]byte("{\"class\":\"interactive\",\r\n \"graph\": " + doc.String() + " , \"stages\": 5}"),
+	}
+	for _, body := range sent {
+		resp, err := http.Post(fwd.URL+"/v1/schedule", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != 200 || resp.Header.Get(serve.ForwardedToHeader) != owner.ts.URL || !bytes.Contains(data, []byte("from-the-owner")) {
+			t.Fatalf("not relayed: %d %q %s", resp.StatusCode, resp.Header.Get(serve.ForwardedToHeader), data)
+		}
+	}
+	owner.mu.Lock()
+	defer owner.mu.Unlock()
+	if len(owner.bodies) != len(sent) {
+		t.Fatalf("owner saw %d requests, want %d", len(owner.bodies), len(sent))
+	}
+	for i := range sent {
+		if !bytes.Equal(owner.bodies[i], sent[i]) {
+			t.Errorf("request %d reached the owner changed:\n got %q\nwant %q", i, owner.bodies[i], sent[i])
+		}
+	}
+}
+
+// TestByNameForwardBuildsNoGraph: routing a by-name request needs the
+// model's fingerprint, which is a field of the shared zoo graph. The
+// whole hop — client, forwarder, stand-in owner — must allocate far less
+// than one build of the model would (216-343 KB for these five).
+func TestByNameForwardBuildsNoGraph(t *testing.T) {
+	owner := newRecordingOwner(t, 0)
+	fwd, owned := newForwarderTo(t, owner.ts.URL,
+		[]string{"InceptionResNetv2", "DenseNet201", "DenseNet169", "ResNet152v2", "ResNet152"})
+	body := []byte(`{"model":"` + owned[0] + `","stages":4}`)
+	post := func() {
+		resp, err := http.Post(fwd.URL+"/v1/schedule", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.Header.Get(serve.ForwardedToHeader) == "" {
+			t.Fatalf("%s was not forwarded (status %d)", owned[0], resp.StatusCode)
+		}
+	}
+	post() // connections, pools and the graph itself exist after this one
+	shared := models.MustLoad(owned[0])
+
+	const requests = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < requests; i++ {
+		post()
+	}
+	runtime.ReadMemStats(&after)
+	if perReq := (after.TotalAlloc - before.TotalAlloc) / requests; perReq > 100<<10 {
+		t.Fatalf("a forwarded by-name request allocates %d KB; building %s is 216 KB or more", perReq>>10, owned[0])
+	}
+	if models.MustLoad(owned[0]) != shared {
+		t.Fatalf("%s was rebuilt", owned[0])
+	}
+}
+
+// TestForwardingReusesConnections: forwards run before admission, so
+// more than the default transport's two idle connections per host are in
+// flight to one peer at once; the surplus must go back to the idle pool,
+// not be closed and re-dialed on the next burst.
+func TestForwardingReusesConnections(t *testing.T) {
+	const concurrent, rounds = 16, 10
+	owner := newRecordingOwner(t, concurrent)
+	fwd, owned := newForwarderTo(t, owner.ts.URL, models.Names())
+	body := []byte(`{"model":"` + owned[0] + `"}`)
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: concurrent}}
+	defer client.CloseIdleConnections()
+
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for i := 0; i < concurrent; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := client.Post(fwd.URL+"/v1/schedule", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.Header.Get(serve.ForwardedToHeader) == "" {
+					t.Errorf("request was not forwarded (status %d)", resp.StatusCode)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if n := owner.conns.Load(); n > concurrent {
+		t.Fatalf("%d rounds of %d concurrent forwards opened %d connections to the owner, want at most %d",
+			rounds, concurrent, n, concurrent)
+	}
+}

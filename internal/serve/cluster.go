@@ -49,9 +49,10 @@ type ClusterConfig struct {
 	// popularity gossip exchange.
 	DisableGossip bool
 	// Client overrides the HTTP client used for probing, forwarding and
-	// gossip; tests inject partition-aware transports here. The default
-	// client has a 2s timeout for probes/gossip (forwards run under the
-	// request's own context deadline).
+	// gossip; tests inject partition-aware transports here. By default
+	// probes and gossip use a client with a 2s timeout, and forwards (which
+	// run under the request's own context deadline) a transport that keeps
+	// as many idle connections per peer as a peer admits requests at once.
 	Client *http.Client
 }
 
@@ -173,7 +174,20 @@ func (s *Server) initCluster() error {
 	}
 	client := cc.Client
 	if client == nil {
-		client = http.DefaultClient
+		// Forwarding happens before admission, so the number of forwards
+		// in flight to one peer is not bounded here; what the peer admits
+		// at once is, by the sum of its class limits. Keeping that many
+		// connections idle per peer means a burst re-dials nothing.
+		// http.DefaultTransport keeps two.
+		slots := 0
+		for _, st := range s.classes {
+			slots += st.policy.MaxConcurrent
+		}
+		client = &http.Client{Transport: &http.Transport{
+			Proxy:               http.ProxyFromEnvironment,
+			MaxIdleConnsPerHost: slots,
+			IdleConnTimeout:     90 * time.Second,
+		}}
 	}
 	s.cluster = &clusterState{node: node, client: client}
 
@@ -300,18 +314,14 @@ func isForwarded(r *http.Request) bool {
 	return r.Header.Get(ForwardedFromHeader) != ""
 }
 
-// relaySchedule proxies a schedule request to its home shard and relays
-// the response verbatim (status, Retry-After, body) annotated with
-// ForwardedToHeader. It returns false — and counts a forward error — when
-// the proxy attempt itself failed (transport error or a 5xx from the
-// owner), in which case the caller solves locally; owner-issued 4xx/429
-// are real answers and are relayed, not retried.
-func (s *Server) relaySchedule(w http.ResponseWriter, r *http.Request, target string, req *ScheduleRequest, class Class, budget time.Duration, arrival time.Time) bool {
-	body, err := json.Marshal(req)
-	if err != nil {
-		s.cluster.forwardErrors.Add(1)
-		return false
-	}
+// relaySchedule proxies a schedule request to its home shard, sending on
+// the body bytes exactly as they arrived, and relays the response
+// verbatim (status, Retry-After, body) annotated with ForwardedToHeader.
+// It returns false — and counts a forward error — when the proxy attempt
+// itself failed (transport error or a 5xx from the owner), in which case
+// the caller solves locally; owner-issued 4xx/429 are real answers and
+// are relayed, not retried.
+func (s *Server) relaySchedule(w http.ResponseWriter, r *http.Request, target string, body []byte, class Class, budget time.Duration, arrival time.Time) bool {
 	// The owner itself spends up to one budget queueing plus one solving,
 	// so the proxy deadline is twice the class budget.
 	ctx, cancel := context.WithTimeout(r.Context(), 2*budget)

@@ -70,6 +70,10 @@ func FuzzScheduleRequest(f *testing.F) {
 	f.Add([]byte(strings.Repeat("[", 64)))
 	f.Add([]byte(`{"graph":{"name":"g","nodes":[{"name":"a"},{"name":"b"}],"edges":[[0,1],[1,0]]}}`))
 	f.Add([]byte(`{"graph":{"nodes":[{"name":"a"},{"name":"b"}],"edges":[[]]}}`))
+	// Regression: json.Decoder stopped at the closing brace, so anything
+	// after it was accepted.
+	f.Add([]byte(`{"model":"VGG16"} trailing-garbage`))
+	f.Add([]byte(`{"graph":null,"graph":` + tiny + `,"Model":"x"}`))
 	fuzzPost(f, "/v1/schedule")
 }
 
@@ -87,5 +91,7 @@ func FuzzBatchRequest(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(strings.Repeat("{", 64)))
+	f.Add([]byte(`{"models":["VGG16"]} trailing-garbage`))
+	f.Add([]byte(`{"graphs":[` + tiny + `,{"nodes":7},null],"graphs":null}`))
 	fuzzPost(f, "/v1/batch")
 }

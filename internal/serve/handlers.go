@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -17,11 +16,6 @@ import (
 	"respect/internal/sched"
 	"respect/internal/solver"
 )
-
-// defaultMaxBodyBytes bounds request bodies when Config.MaxBodyBytes is
-// unset; the largest zoo graph serializes to well under a megabyte, so
-// 16 MiB leaves ample headroom for batches.
-const defaultMaxBodyBytes = 16 << 20
 
 // Request outcome labels on the respect_request_duration_seconds
 // histogram. Every request that resolved to a class is observed exactly
@@ -323,16 +317,9 @@ func (s *Server) reject(w http.ResponseWriter, class Class, st *classState, arri
 	writeRejected(w, st, err)
 }
 
-// decodeBody decodes a size-capped JSON request body into v.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
-
-// writeDecodeError maps a body-decode failure to its status: an oversized
-// body (http.MaxBytesReader tripped) is 413 Request Entity Too Large,
-// anything else is a plain 400.
+// writeDecodeError maps a body read or decode failure to its status: an
+// oversized body (http.MaxBytesReader tripped) is 413 Request Entity Too
+// Large, anything else is a plain 400.
 func writeDecodeError(w http.ResponseWriter, err error) {
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
@@ -343,11 +330,13 @@ func writeDecodeError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, "decode request: %v", err)
 }
 
-// resolveGraph materializes a request's graph: a zoo model by name (404
-// when unknown) or an inline graph document (400 when malformed).
-func resolveGraph(model string, raw json.RawMessage) (*graph.Graph, int, error) {
+// resolveGraph picks a request's graph: a zoo model by name, which is a
+// lookup of the shared graph (404 when unknown), or the inline document
+// the body decoder already built (400 when it was malformed or empty).
+// in is nil when the request carried no inline graph.
+func resolveGraph(model string, in *inlineGraph) (*graph.Graph, int, error) {
 	switch {
-	case model != "" && len(raw) > 0:
+	case model != "" && in != nil:
 		return nil, http.StatusBadRequest, errors.New("set model or graph, not both")
 	case model != "":
 		g, err := models.Load(model)
@@ -355,15 +344,14 @@ func resolveGraph(model string, raw json.RawMessage) (*graph.Graph, int, error) 
 			return nil, http.StatusNotFound, err
 		}
 		return g, 0, nil
-	case len(raw) > 0:
-		g, err := graph.ReadJSON(bytes.NewReader(raw))
-		if err != nil {
-			return nil, http.StatusBadRequest, err
+	case in != nil:
+		if in.err != nil {
+			return nil, http.StatusBadRequest, in.err
 		}
-		if g.NumNodes() == 0 {
+		if in.g.NumNodes() == 0 {
 			return nil, http.StatusBadRequest, errors.New("graph has no nodes")
 		}
-		return g, 0, nil
+		return in.g, 0, nil
 	default:
 		return nil, http.StatusBadRequest, errors.New("one of model or graph is required")
 	}
@@ -406,8 +394,21 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var req ScheduleRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	body, err := s.readBody(w, r)
+	if err != nil {
+		writeDecodeError(w, err)
+		return
+	}
+	// A body that went out on a forwarding hop is not pooled again: the
+	// transport may still be reading it after the round trip returns.
+	forwarded := false
+	defer func() {
+		if !forwarded {
+			releaseBody(body)
+		}
+	}()
+	req, inline, err := decodeSchedule(body.Bytes())
+	if err != nil {
 		writeDecodeError(w, err)
 		return
 	}
@@ -422,7 +423,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%s", err.Error())
 		return
 	}
-	g, code, err := resolveGraph(req.Model, req.Graph)
+	g, code, err := resolveGraph(req.Model, inline)
 	if err != nil {
 		s.observeRequest(class, outcomeInvalid, arrival)
 		writeError(w, code, "%s", err.Error())
@@ -456,7 +457,8 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	if s.cluster != nil && override == nil && !isForwarded(r) {
 		if _, self := s.cluster.node.Owner(g.Fingerprint()); !self {
 			if target, ok := s.cluster.node.ForwardTarget(g.Fingerprint()); ok {
-				if s.relaySchedule(w, r, target, &req, class, st.policy.Budget, arrival) {
+				forwarded = true
+				if s.relaySchedule(w, r, target, body.Bytes(), class, st.policy.Budget, arrival) {
 					return
 				}
 				// Relay failed; fall through to the local solve.
@@ -525,8 +527,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var req BatchRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	body, err := s.readBody(w, r)
+	if err != nil {
+		writeDecodeError(w, err)
+		return
+	}
+	req, inline, err := decodeBatch(body.Bytes())
+	releaseBody(body) // the decoded graphs keep no reference to it
+	if err != nil {
 		writeDecodeError(w, err)
 		return
 	}
@@ -541,12 +549,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%s", err.Error())
 		return
 	}
-	if len(req.Models)+len(req.Graphs) == 0 {
+	if len(req.Models)+len(inline) == 0 {
 		s.observeRequest(class, outcomeInvalid, arrival)
 		writeError(w, http.StatusBadRequest, "empty batch: set models and/or graphs")
 		return
 	}
-	graphs := make([]*graph.Graph, 0, len(req.Models)+len(req.Graphs))
+	graphs := make([]*graph.Graph, 0, len(req.Models)+len(inline))
 	for _, name := range req.Models {
 		g, code, err := resolveGraph(name, nil)
 		if err == nil {
@@ -560,8 +568,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		graphs = append(graphs, g)
 	}
-	for i, raw := range req.Graphs {
-		g, code, err := resolveGraph("", raw)
+	for i := range inline {
+		g, code, err := resolveGraph("", &inline[i])
 		if err == nil {
 			err = validateStagesForGraph(numStages, g)
 			code = http.StatusBadRequest

@@ -178,8 +178,14 @@ func (s *Server) handlePeriodic(w http.ResponseWriter, r *http.Request) {
 // schedulability rejection (including duplicates) is 409 Conflict — the
 // request is well-formed, the current stream set just cannot absorb it.
 func (s *Server) handlePeriodicRegister(w http.ResponseWriter, r *http.Request) {
-	var req PeriodicRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	body, err := s.readBody(w, r)
+	if err != nil {
+		writeDecodeError(w, err)
+		return
+	}
+	req, inline, err := decodePeriodic(body.Bytes())
+	releaseBody(body) // the decoded graph keeps no reference to it
+	if err != nil {
 		writeDecodeError(w, err)
 		return
 	}
@@ -193,7 +199,7 @@ func (s *Server) handlePeriodicRegister(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusBadRequest, "%s", err.Error())
 		return
 	}
-	g, code, err := resolveGraph(req.Model, req.Graph)
+	g, code, err := resolveGraph(req.Model, inline)
 	if err != nil {
 		writeError(w, code, "%s", err.Error())
 		return

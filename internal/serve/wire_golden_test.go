@@ -131,7 +131,7 @@ func wireScript(t *testing.T) []wireRecord {
 
 	steps := []struct {
 		name, path string
-		body       any // nil: GET
+		body       any // nil: GET; a string goes out as it is
 	}{
 		{"schedule by name (miss)", "/v1/schedule", serve.ScheduleRequest{Model: "ResNet50", Stages: 4}},
 		{"schedule by name (hit)", "/v1/schedule", serve.ScheduleRequest{Model: "ResNet50", Stages: 4}},
@@ -145,6 +145,9 @@ func wireScript(t *testing.T) []wireRecord {
 		{"batch unknown backend", "/v1/batch", serve.BatchRequest{Models: []string{"ResNet50"}, Backend: "no-such-backend"}},
 		{"backends", "/v1/backends", nil},
 		{"stats", "/v1/stats", nil},
+		// After stats, whose request count would move, and before metrics,
+		// so the recording of every older exchange stays byte-identical.
+		{"schedule trailing bytes", "/v1/schedule", `{"model":"VGG16"} trailing-garbage`},
 		{"metrics", "/metrics", nil},
 	}
 	records := make([]wireRecord, 0, len(steps))

@@ -64,8 +64,10 @@ type (
 // NewGraph returns an empty graph to build with AddNode/AddEdge/Build.
 func NewGraph(name string) *Graph { return graph.New(name) }
 
-// LoadModel constructs one of the twelve evaluated ImageNet computational
-// graphs by name (e.g. "ResNet152", "InceptionResNetv2").
+// LoadModel returns one of the twelve evaluated ImageNet computational
+// graphs by name (e.g. "ResNet152", "InceptionResNetv2"). The graph is
+// shared, read-only: every call for a name returns the same built graph,
+// so Clone it before changing it.
 func LoadModel(name string) (*Graph, error) { return models.Load(name) }
 
 // ModelNames lists the available model-zoo entries.
