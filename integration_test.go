@@ -98,19 +98,31 @@ func TestFullDeploymentFlow(t *testing.T) {
 	}
 }
 
-// TestSchedulerQualityOrdering checks the expected dominance chain on a
-// real model: exact <= DP heuristic <= greedy compiler (peak memory), with
-// RESPECT never below the proven optimum.
+// TestSchedulerQualityOrdering checks the dominance the service reports
+// on a real model, deployed cost against deployed cost: the exact schedule
+// is deployable as it stands, and neither the DP heuristic nor the greedy
+// compiler partition deploys below its proven optimum.
 func TestSchedulerQualityOrdering(t *testing.T) {
 	g := models.MustLoad("ResNet101")
 	for _, ns := range []int{4, 5, 6} {
-		_, opt, proven := ScheduleExact(g, ns, 0)
+		ex, opt, proven := ScheduleExact(g, ns, 0)
 		if !proven {
 			t.Fatalf("exact truncated at %d stages", ns)
 		}
-		comp := ScheduleCompiler(g, ns).Evaluate(g)
-		if comp.PeakParamBytes < opt.PeakParamBytes {
-			t.Fatalf("%d stages: compiler %v beats optimum %v", ns, comp, opt)
+		if err := ex.Validate(g); err != nil || !ex.SameStageChildrenOK(g) {
+			t.Fatalf("%d stages: the exact schedule is not deployable (Validate: %v)", ns, err)
+		}
+		if got := PostProcess(g, ex).Evaluate(g); got != opt {
+			t.Fatalf("%d stages: the deployment repair moved the optimum %v to %v", ns, opt, got)
+		}
+		for _, backend := range []string{"heur", "compiler"} {
+			s, err := ScheduleWith(context.Background(), backend, g, ns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Evaluate(g); got.PeakParamBytes < opt.PeakParamBytes {
+				t.Fatalf("%d stages: %s deploys at %v, below the proven optimum %v", ns, backend, got, opt)
+			}
 		}
 	}
 }

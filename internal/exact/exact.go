@@ -15,8 +15,19 @@
 // The objective is the paper's Figure 5 metric: peak per-stage parameter
 // memory. When the search completes within its budget (Result.Optimal),
 // the returned peak is provably minimal. Cross-stage traffic is reported
-// and used to order equal-peak choices inside the seed, but is not
-// exhaustively optimized.
+// and used to order equal-peak choices inside the seed, but is exhaustively
+// optimized only under Options.TieBreakCross.
+//
+// The search runs in one of two spaces. Unconstrained, it ranges over all
+// monotone schedules of the graph: the paper's ILP objective, a lower bound
+// no deployed schedule can beat, and the label the RL teacher trains on.
+// Under Options.ChildrenRule it ranges over the schedules the Edge TPU can
+// run, where all children of a node share a stage. Those are exactly the
+// monotone schedules of the graph's sibling-class quotient DAG
+// (sched.Condense): a deployable schedule is constant on sibling classes,
+// and monotonicity forces equality around class-level cycles, so nothing is
+// lost and nothing is added by solving the quotient, a much smaller graph,
+// as an ordinary instance and expanding its stages back.
 package exact
 
 import (
@@ -46,10 +57,14 @@ type Options struct {
 	// off when only the optimal peak is needed (Figure 5 ground truth,
 	// RL training labels).
 	TieBreakCross bool
-	// ChildrenRule restricts the search to schedules satisfying the Edge
-	// TPU hardware constraint that all children of a node share a stage —
-	// the deployable-optimal baseline. Without it the optimum is a lower
-	// bound that post-processed schedules may be unable to reach.
+	// ChildrenRule searches the deployable schedules, those satisfying the
+	// Edge TPU hardware constraint that all children of a node share a stage,
+	// by solving the graph's sibling-class quotient (see the package comment);
+	// Optimal then proves no deployable schedule has a lower peak. This is
+	// what the serving backends and the public facade solve. Without it the
+	// optimum is a lower bound that post-processed schedules may be unable to
+	// reach: the mode of the RL teacher's labels and of the paper's Figure 3
+	// and Figure 5 reference columns.
 	ChildrenRule bool
 }
 
@@ -66,7 +81,8 @@ type Result struct {
 	// Cost is Schedule's objective value.
 	Cost sched.Cost
 	// Optimal reports whether the search space was exhausted, proving
-	// Cost.PeakParamBytes minimal.
+	// Cost.PeakParamBytes minimal over the space searched: all monotone
+	// schedules, or under Options.ChildrenRule the deployable ones.
 	Optimal bool
 	// States counts explored search states (for scalability reporting).
 	States int64
@@ -77,9 +93,8 @@ type Result struct {
 // scratch is the solver's pooled arena: every per-solve buffer, bit set
 // and memo table lives here and is recycled across solves instead of
 // re-allocated per SolveCtx. All bit sets inside one scratch share a
-// single capacity (capN) so word-wise operations between them are always
-// aligned; a solve of a larger graph grows the arena, a smaller one
-// reslices it.
+// single capacity (capN), at least the instance's node count; a solve of a
+// larger instance grows the arena, a smaller one reslices it.
 type scratch struct {
 	capN int // bit-set capacity every set in this arena was built with
 
@@ -92,8 +107,6 @@ type scratch struct {
 	undo   []int // shared exclusion-undo stack across recursion levels
 	ideal  *bitset.Set
 	excl   []*bitset.Set // per-stage current-segment exclusions
-	closed []*bitset.Set // per-stage snapshots of ideal (children rule)
-	sib    []*bitset.Set // per-node sibling-group masks (children rule)
 	memo   map[string]int64
 	pareto map[string][][2]int64
 	keyBuf []byte
@@ -107,16 +120,13 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // peak footprint forever.
 const memoRetainLimit = 1 << 18
 
-// acquireScratch returns a reset arena sized for (n, numStages); the
-// children flag additionally prepares per-node sibling masks.
-func acquireScratch(n, numStages int, children bool) *scratch {
+// acquireScratch returns a reset arena sized for (n, numStages).
+func acquireScratch(n, numStages int) *scratch {
 	sc := scratchPool.Get().(*scratch)
 	if sc.capN < n || sc.ideal == nil {
 		sc.capN = n
 		sc.ideal = bitset.New(n)
 		sc.excl = sc.excl[:0]
-		sc.closed = sc.closed[:0]
-		sc.sib = sc.sib[:0]
 	}
 	growInt64(&sc.param, n)
 	growInt64(&sc.out, n)
@@ -131,17 +141,6 @@ func acquireScratch(n, numStages int, children bool) *scratch {
 	}
 	for k := 0; k < numStages; k++ {
 		sc.excl[k].Reset()
-	}
-	if children {
-		for len(sc.closed) < numStages {
-			sc.closed = append(sc.closed, bitset.New(sc.capN))
-		}
-		// closed[k>0] is overwritten by CopyFrom before use; only the
-		// stage-0 snapshot (always the empty ideal) needs a reset here.
-		sc.closed[0].Reset()
-		for len(sc.sib) < n {
-			sc.sib = append(sc.sib, bitset.New(sc.capN))
-		}
 	}
 	if sc.memo == nil {
 		sc.memo = make(map[string]int64)
@@ -191,6 +190,8 @@ func growInt(buf *[]int, n int) {
 }
 
 type solver struct {
+	// g is the instance the search ranges over: the caller's graph, or its
+	// sibling-class quotient under the children rule.
 	g         *graph.Graph
 	numStages int
 	opts      Options
@@ -200,13 +201,15 @@ type solver struct {
 	total int64
 
 	tieBreak bool
-	children bool // enforce the children-same-stage hardware rule
+	// edgeOut, set when g is a quotient, prices its edges for the tie-break:
+	// edgeOut[a][j] is the activation bytes that cross when g.Succ(a)[j]
+	// runs in a later stage than a.
+	edgeOut [][]int64
 
 	best      sched.Schedule
 	bestPeak  int64
-	bestCost  sched.Cost
+	bestCross int64 // maintained under tieBreak only
 	states    int64
-	start     time.Time
 	deadline  time.Time
 	truncated bool
 }
@@ -220,79 +223,112 @@ func Solve(g *graph.Graph, numStages int, opts Options) Result {
 // SolveCtx is Solve under a context. Cancellation or an expired context
 // deadline truncates the search (Result.Optimal false) and the best
 // incumbent found so far — at minimum the DP seed — is returned, so a
-// cancelled solve still yields a valid schedule.
+// cancelled solve still yields a valid schedule (a deployable one under
+// Options.ChildrenRule).
 func SolveCtx(ctx context.Context, g *graph.Graph, numStages int, opts Options) Result {
+	start := time.Now()
 	if numStages < 1 {
 		numStages = 1
 	}
-	n := g.NumNodes()
-	sc := acquireScratch(n, numStages, opts.ChildrenRule)
-	defer releaseScratch(sc)
-	s := &solver{
-		g: g, numStages: numStages, opts: opts, ctx: ctx,
-		sc:       sc,
-		tieBreak: opts.TieBreakCross,
-		children: opts.ChildrenRule,
-		start:    time.Now(),
-	}
+	s := &solver{g: g, numStages: numStages, opts: opts, ctx: ctx, tieBreak: opts.TieBreakCross}
 	if opts.Timeout > 0 {
-		s.deadline = s.start.Add(opts.Timeout)
+		s.deadline = start.Add(opts.Timeout)
 	}
 	if d, ok := ctx.Deadline(); ok && (s.deadline.IsZero() || d.Before(s.deadline)) {
 		s.deadline = d
 	}
+	// expand maps a schedule of the instance to one of the caller's graph.
+	expand := func(sch sched.Schedule) sched.Schedule { return sch }
+	if opts.ChildrenRule {
+		q := sched.Condense(g)
+		s.g, s.edgeOut = quotientInstance(g, q, s.tieBreak)
+		expand = q.Expand
+	}
+
+	// Incumbent: exact DP over the instance's deterministic topological
+	// order, priced on the caller's graph. For single-stage problems this
+	// is already optimal.
+	s.best = heur.DPBudget(s.g, numStages)
+	seedCost := expand(s.best).Evaluate(g)
+	s.bestPeak, s.bestCross = seedCost.PeakParamBytes, seedCost.CrossBytes
+	switch {
+	case numStages == 1 || s.g.NumNodes() == 0:
+	case ctx.Err() != nil:
+		// Cancelled before the search started: hand back the DP seed as a
+		// truncated incumbent without exploring anything.
+		s.truncated = true
+	default:
+		s.search()
+	}
+
+	best := expand(s.best)
+	return Result{
+		Schedule: best,
+		Cost:     best.Evaluate(g),
+		Optimal:  !s.truncated,
+		States:   s.states,
+		Elapsed:  time.Since(start),
+	}
+}
+
+// quotientInstance materialises q, the sibling-class quotient of g, as a
+// graph the search can range over: node c weighs class c's parameters and
+// the edges are the quotient's. With cross set it also prices those edges
+// for the tie-break. In a deployable schedule all children of v sit in one
+// class, so v's tensor crosses iff that class runs in a later stage than
+// v's own: edge (A, B) carries Σ OutBytes over the members of A whose
+// children lie in B.
+func quotientInstance(g *graph.Graph, q sched.Quotient, cross bool) (*graph.Graph, [][]int64) {
+	nc := q.NumClasses()
+	qg := graph.New(g.Name)
+	for c := 0; c < nc; c++ {
+		qg.AddNode(graph.Node{ParamBytes: q.ParamBytes[c]})
+	}
+	for a := 0; a < nc; a++ {
+		for _, b := range q.Succ(a) {
+			qg.AddEdge(a, b)
+		}
+	}
+	qg.MustBuild() // acyclic and duplicate-free by construction
+	if !cross {
+		return qg, nil
+	}
+	flat := make([]int64, qg.NumEdges())
+	edgeOut := make([][]int64, nc)
+	for a := 0; a < nc; a++ {
+		deg := len(q.Succ(a))
+		edgeOut[a], flat = flat[:deg], flat[deg:]
+	}
+	for v := 0; v < g.NumNodes(); v++ {
+		if len(g.Succ(v)) == 0 {
+			continue
+		}
+		a, b := q.ClassOf[v], q.ClassOf[g.Succ(v)[0]]
+		for j, c := range q.Succ(a) {
+			if c == b {
+				edgeOut[a][j] += g.Node(v).OutBytes
+			}
+		}
+	}
+	return qg, edgeOut
+}
+
+// search runs the branch and bound over s.g from the empty ideal.
+func (s *solver) search() {
+	n := s.g.NumNodes()
+	sc := acquireScratch(n, s.numStages)
+	defer releaseScratch(sc)
+	s.sc = sc
 	for v := 0; v < n; v++ {
-		sc.param[v] = g.Node(v).ParamBytes
-		sc.out[v] = g.Node(v).OutBytes
+		sc.param[v] = s.g.Node(v).ParamBytes
+		sc.out[v] = s.g.Node(v).OutBytes
 		s.total += sc.param[v]
-		sc.indeg[v] = len(g.Pred(v))
+		sc.indeg[v] = len(s.g.Pred(v))
 		if sc.indeg[v] == 0 {
 			sc.ready = append(sc.ready, v)
 		}
 	}
-	if s.children {
-		// Sibling-group masks: sib[v] = ∪_{p∈Pred(v)} Succ(p). The mask may
-		// contain v itself; the word-wise checks below never test v's own
-		// bit in a context where it matters (v is unplaced during
-		// siblingsCompatible, and v ∈ ideal during segmentClosable).
-		for v := 0; v < n; v++ {
-			sc.sib[v].Reset()
-			for _, p := range g.Pred(v) {
-				for _, w := range g.Succ(p) {
-					sc.sib[v].Set(w)
-				}
-			}
-		}
-	}
-
-	// Incumbent: exact DP over the deterministic topological order
-	// (hardware-repaired when the children rule is active). For
-	// single-stage problems this is already optimal.
-	seed := heur.DPBudget(g, numStages)
-	if s.children {
-		seed = sched.PostProcess(g, seed)
-	}
-	s.best = seed.Clone()
-	s.bestCost = seed.Evaluate(g)
-	s.bestPeak = s.bestCost.PeakParamBytes
-	if numStages == 1 || n == 0 {
-		return Result{Schedule: s.best, Cost: s.bestCost, Optimal: true, Elapsed: time.Since(s.start)}
-	}
-	if ctx.Err() != nil {
-		// Cancelled before the search started: hand back the DP seed as a
-		// truncated incumbent without exploring anything.
-		s.truncated = true
-	} else {
-		s.extend(0, 0, 0, 0, 0, 0)
-	}
-
-	return Result{
-		Schedule: s.best,
-		Cost:     s.bestCost,
-		Optimal:  !s.truncated,
-		States:   s.states,
-		Elapsed:  time.Since(s.start),
-	}
+	s.extend(0, 0, 0, 0, 0, 0)
 }
 
 func (s *solver) budgetExceeded() bool {
@@ -353,14 +389,6 @@ func (s *solver) extend(k int, peak, segMem, placed int64, segStart int, cross i
 		if excl.Has(v) {
 			continue
 		}
-		if s.children && sc.sib[v].Intersects(sc.closed[k]) {
-			// A sibling of v is already pinned to an earlier stage; v can
-			// never join stage k (nor any other), so bar it from this
-			// segment.
-			excl.Set(v)
-			sc.undo = append(sc.undo, v)
-			continue
-		}
 		segNew := segMem + sc.param[v]
 		prunedByPeak := segNew > s.bestPeak
 		if !s.tieBreak && segNew == s.bestPeak {
@@ -417,16 +445,6 @@ func (s *solver) extend(k int, peak, segMem, placed int64, segStart int, cross i
 // next stage, or materializes the final-stage leaf.
 func (s *solver) closeStage(k int, peak, segMem, placed int64, segStart int, cross int64) {
 	sc := s.sc
-	if s.children {
-		// Closing the segment must leave no sibling group split between this
-		// stage and unplaced nodes: every placed node's whole sibling group
-		// must already be inside the ideal.
-		for _, v := range sc.placed[segStart:] {
-			if !sc.sib[v].SubsetOf(sc.ideal) {
-				return
-			}
-		}
-	}
 	newPeak := peak
 	if segMem > newPeak {
 		newPeak = segMem
@@ -437,13 +455,19 @@ func (s *solver) closeStage(k int, peak, segMem, placed int64, segStart int, cro
 	newCross := cross
 	if s.tieBreak {
 		// Producers in this segment whose consumers lie beyond the ideal
-		// ship their output tensor over USB (counted once per producer).
+		// ship their output tensor over USB: once per producer on a plain
+		// graph, once per outgoing edge on a quotient, whose edges each stand
+		// for different producers.
 		for _, v := range sc.placed[segStart:] {
-			for _, w := range s.g.Succ(v) {
-				if !sc.ideal.Has(w) {
+			for j, w := range s.g.Succ(v) {
+				if sc.ideal.Has(w) {
+					continue
+				}
+				if s.edgeOut == nil {
 					newCross += sc.out[v]
 					break
 				}
+				newCross += s.edgeOut[v][j]
 			}
 		}
 	}
@@ -456,7 +480,7 @@ func (s *solver) closeStage(k int, peak, segMem, placed int64, segStart int, cro
 		}
 	}
 	if s.tieBreak {
-		if lb > s.bestPeak || (lb == s.bestPeak && newCross >= s.bestCost.CrossBytes) {
+		if lb > s.bestPeak || (lb == s.bestPeak && newCross >= s.bestCross) {
 			return
 		}
 	} else if lb >= s.bestPeak {
@@ -466,13 +490,15 @@ func (s *solver) closeStage(k int, peak, segMem, placed int64, segStart int, cro
 	if stagesLeft == 1 {
 		// Final stage takes the whole remainder; this is a leaf. The last
 		// stage adds no crossings: successors of unplaced nodes are
-		// unplaced (ideals are downward closed), hence co-located.
+		// unplaced (ideals are downward closed), hence co-located. So
+		// (finalPeak, newCross) is the leaf's cost, and a leaf that gets past
+		// the bound is a strictly better incumbent.
 		finalPeak := newPeak
 		if remaining > finalPeak {
 			finalPeak = remaining
 		}
 		if s.tieBreak {
-			if finalPeak > s.bestPeak || (finalPeak == s.bestPeak && newCross >= s.bestCost.CrossBytes) {
+			if finalPeak > s.bestPeak || (finalPeak == s.bestPeak && newCross >= s.bestCross) {
 				return
 			}
 		} else if finalPeak >= s.bestPeak {
@@ -486,12 +512,7 @@ func (s *solver) closeStage(k int, peak, segMem, placed int64, segStart int, cro
 				leaf.Stage[v] = s.numStages - 1
 			}
 		}
-		cost := leaf.Evaluate(s.g)
-		if !s.tieBreak || cost.Less(s.bestCost) {
-			s.bestCost = cost
-			s.bestPeak = cost.PeakParamBytes
-			s.best = leaf
-		}
+		s.best, s.bestPeak, s.bestCross = leaf, finalPeak, newCross
 		return
 	}
 
@@ -526,9 +547,6 @@ func (s *solver) closeStage(k int, peak, segMem, placed int64, segStart int, cro
 	}
 
 	sc.excl[k+1].Reset()
-	if s.children {
-		sc.closed[k+1].CopyFrom(sc.ideal)
-	}
 	s.extend(k+1, newPeak, 0, placed, len(sc.placed), newCross)
 }
 

@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -12,7 +13,11 @@ import (
 	"respect/internal/sched"
 )
 
-func randomDAG(seed int64, maxN int) *graph.Graph {
+func randomDAG(seed int64, maxN int) *graph.Graph { return randomDAGDeg(seed, maxN, 2) }
+
+// randomDAGDeg draws a DAG of 2..maxN nodes whose nodes have 1..maxIn
+// parents each; a higher maxIn means larger sibling groups.
+func randomDAGDeg(seed int64, maxN, maxIn int) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
 	n := 2 + rng.Intn(maxN-1)
 	g := graph.New("rand")
@@ -20,7 +25,7 @@ func randomDAG(seed int64, maxN int) *graph.Graph {
 		g.AddNode(graph.Node{ParamBytes: int64(rng.Intn(100)), OutBytes: 1 + int64(rng.Intn(50))})
 	}
 	for v := 1; v < n; v++ {
-		for _, u := range rng.Perm(v)[:1+rng.Intn(minInt(v, 2))] {
+		for _, u := range rng.Perm(v)[:1+rng.Intn(minInt(v, maxIn))] {
 			g.AddEdge(u, v)
 		}
 	}
@@ -235,15 +240,16 @@ func TestTieBreakCrossNeverWorse(t *testing.T) {
 	}
 }
 
-// bruteForceChildrenRule enumerates monotone schedules satisfying the
-// children-same-stage rule (reference for the ChildrenRule solver mode).
-func bruteForceChildrenRule(g *graph.Graph, numStages int) (sched.Schedule, sched.Cost, bool) {
+// bruteForceChildrenRule enumerates the monotone schedules satisfying the
+// children-same-stage rule and returns the lexicographic (peak, cross)
+// optimum among them: the reference for both ChildrenRule modes. The
+// all-in-one-stage schedule is always deployable, so one always exists.
+func bruteForceChildrenRule(g *graph.Graph, numStages int) (sched.Schedule, sched.Cost) {
 	n := g.NumNodes()
 	topo := g.Topo()
 	stage := make([]int, n)
 	best := sched.NewSchedule(n, numStages)
 	bestCost := sched.Cost{PeakParamBytes: 1 << 62, CrossBytes: 1 << 62}
-	found := false
 	var rec func(i int)
 	rec = func(i int) {
 		if i == n {
@@ -254,7 +260,6 @@ func bruteForceChildrenRule(g *graph.Graph, numStages int) (sched.Schedule, sche
 			if cost := s.Evaluate(g); cost.Less(bestCost) {
 				bestCost = cost
 				copy(best.Stage, stage)
-				found = true
 			}
 			return
 		}
@@ -271,34 +276,139 @@ func bruteForceChildrenRule(g *graph.Graph, numStages int) (sched.Schedule, sche
 		}
 	}
 	rec(0)
-	return best, bestCost, found
+	return best, bestCost
 }
 
+// checkDeployable asserts what every ChildrenRule result owes its caller,
+// truncated or not: a valid deployable schedule priced on the graph it was
+// asked about.
+func checkDeployable(t *testing.T, g *graph.Graph, res Result) {
+	t.Helper()
+	if err := res.Schedule.Validate(g); err != nil {
+		t.Fatalf("%s: invalid schedule: %v", g.Name, err)
+	}
+	if !res.Schedule.SameStageChildrenOK(g) {
+		t.Fatalf("%s: children rule violated: %v", g.Name, res.Schedule.Stage)
+	}
+	if got := res.Schedule.Evaluate(g); got != res.Cost {
+		t.Fatalf("%s: reported cost %+v, re-evaluated %+v", g.Name, res.Cost, got)
+	}
+}
+
+// TestChildrenRuleMatchesBruteForce is the quotient solver's differential:
+// on random DAGs small enough to enumerate, ChildrenRule finds the
+// deployable peak optimum and ChildrenRule+TieBreakCross the lexicographic
+// (peak, cross) one. The seeds are fresh on every run; CI repeats it.
 func TestChildrenRuleMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
-		g := randomDAG(seed, 9)
-		for _, ns := range []int{2, 3} {
-			_, want, ok := bruteForceChildrenRule(g, ns)
-			if !ok {
-				continue
-			}
+		// In-degrees up to 1 (trees, whose sibling classes fan out to several
+		// child classes: the case the per-edge cross weights exist for)
+		// through 4 (a few large classes closed over class-level cycles).
+		g := randomDAGDeg(seed, 12, 1+int(uint64(seed)%4))
+		for _, ns := range []int{2, 3, 4} {
+			_, want := bruteForceChildrenRule(g, ns)
 			res := Solve(g, ns, Options{ChildrenRule: true})
-			if !res.Optimal {
-				return false
-			}
-			if !res.Schedule.SameStageChildrenOK(g) {
-				t.Logf("seed %d: children rule violated", seed)
+			lex := Solve(g, ns, Options{ChildrenRule: true, TieBreakCross: true})
+			checkDeployable(t, g, res)
+			checkDeployable(t, g, lex)
+			if !res.Optimal || !lex.Optimal {
+				t.Logf("seed %d ns %d: truncated without a budget", seed, ns)
 				return false
 			}
 			if res.Cost.PeakParamBytes != want.PeakParamBytes {
-				t.Logf("seed %d ns %d: solver %v != brute %v", seed, ns, res.Cost, want)
+				t.Logf("seed %d ns %d: solver %+v != brute %+v", seed, ns, res.Cost, want)
+				return false
+			}
+			if lex.Cost != want {
+				t.Logf("seed %d ns %d: tie-break %+v != brute %+v", seed, ns, lex.Cost, want)
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChildrenRuleQuotientShapes covers the quotients at the edges of the
+// reduction: nothing to merge, everything merged, fewer classes than
+// stages.
+func TestChildrenRuleQuotientShapes(t *testing.T) {
+	both := []Options{{ChildrenRule: true}, {ChildrenRule: true, TieBreakCross: true}}
+
+	// One node is one class: every stage count puts everything in one stage.
+	one := graph.New("one")
+	one.AddNode(graph.Node{ParamBytes: 7, OutBytes: 3})
+	one.MustBuild()
+	// r -> {a, b, c} with a -> b -> c: the siblings are also a chain, so
+	// everything below r is one class and there are two classes in all.
+	two := graph.New("two")
+	r := two.AddNode(graph.Node{ParamBytes: 5, OutBytes: 11})
+	a := two.AddNode(graph.Node{ParamBytes: 10, OutBytes: 1})
+	b := two.AddNode(graph.Node{ParamBytes: 20, OutBytes: 1})
+	c := two.AddNode(graph.Node{ParamBytes: 30, OutBytes: 1})
+	for _, e := range [][2]int{{r, a}, {r, b}, {r, c}, {a, b}, {b, c}} {
+		two.AddEdge(e[0], e[1])
+	}
+	two.MustBuild()
+	for _, opts := range both {
+		for ns := 1; ns <= 5; ns++ {
+			res := Solve(one, ns, opts)
+			checkDeployable(t, one, res)
+			if !res.Optimal || res.Cost != (sched.Cost{PeakParamBytes: 7}) {
+				t.Fatalf("one class, %d stages: %+v optimal=%v", ns, res.Cost, res.Optimal)
+			}
+			// More stages than classes: the extra stages stay empty.
+			res = Solve(two, ns, opts)
+			checkDeployable(t, two, res)
+			want := sched.Cost{PeakParamBytes: 60, CrossBytes: 11}
+			if ns == 1 {
+				want = sched.Cost{PeakParamBytes: 65}
+			}
+			if !res.Optimal || res.Cost != want {
+				t.Fatalf("two classes, %d stages: %+v optimal=%v, want %+v", ns, res.Cost, res.Optimal, want)
+			}
+		}
+	}
+
+	// Without edges there are no siblings: the quotient is the graph and
+	// the deployable optimum is the monotone one.
+	edgeless := graph.New("edgeless")
+	for _, p := range []int64{40, 10, 30, 20, 25} {
+		edgeless.AddNode(graph.Node{ParamBytes: p, OutBytes: 9})
+	}
+	edgeless.MustBuild()
+	for _, opts := range both {
+		for _, ns := range []int{2, 3, 7} {
+			res := Solve(edgeless, ns, opts)
+			checkDeployable(t, edgeless, res)
+			if free := BruteForce(edgeless, ns); !res.Optimal || res.Cost != free.Cost {
+				t.Fatalf("edgeless, %d stages: %+v optimal=%v, monotone optimum %+v", ns, res.Cost, res.Optimal, free.Cost)
+			}
+		}
+	}
+}
+
+// TestChildrenRuleTruncatedIsDeployable: a solve that never got to search
+// (cancelled beforehand, or out of states at once) still hands back a
+// deployable incumbent and does not call it optimal.
+func TestChildrenRuleTruncatedIsDeployable(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, name := range []string{"ResNet50", "Inception_v3"} {
+		g := models.MustLoad(name)
+		for _, tb := range []bool{false, true} {
+			for _, res := range []Result{
+				SolveCtx(cancelled, g, 4, Options{ChildrenRule: true, TieBreakCross: tb}),
+				Solve(g, 4, Options{ChildrenRule: true, TieBreakCross: tb, MaxStates: 1}),
+			} {
+				checkDeployable(t, g, res)
+				if res.Optimal {
+					t.Fatalf("%s: a solve cut at %d states claims optimality", name, res.States)
+				}
+			}
+		}
 	}
 }
 

@@ -437,6 +437,158 @@ func ScheduleToSequence(g *graph.Graph, s Schedule) []int {
 	return seq
 }
 
+// Quotient is a graph's sibling-class quotient: the DAG over the node
+// classes that the Edge TPU's children-same-stage rule forces to share a
+// pipeline stage. The rule induces must-be-equal classes over nodes
+// (children of a common parent, closed transitively); monotonicity between
+// classes may then force further equalities, which appear as cycles in the
+// class-level constraint graph and are merged too. What is left is acyclic.
+//
+// A schedule is deployable (Validate and SameStageChildrenOK) exactly when
+// it is constant on classes and monotone along the quotient's edges, so the
+// monotone stage assignments of the quotient, expanded, ARE the deployable
+// schedules of the graph. PostProcess repairs into that space and the exact
+// family searches it.
+type Quotient struct {
+	// ClassOf maps each node to its class. Classes are numbered in a
+	// topological order of the quotient: every edge runs from a lower class
+	// to a higher one.
+	ClassOf []int
+	// ParamBytes is the summed parameter footprint of each class.
+	ParamBytes []int64
+
+	// The successors of class c, each listed once, are
+	// succ[start[c]:start[c+1]].
+	start []int
+	succ  []int
+}
+
+// NumClasses returns the number of classes.
+func (q Quotient) NumClasses() int { return len(q.ParamBytes) }
+
+// Succ returns the successor classes of c. The returned slice must not be
+// modified.
+func (q Quotient) Succ(c int) []int { return q.succ[q.start[c]:q.start[c+1]] }
+
+// Expand maps a stage assignment of the classes to the schedule of the
+// underlying graph that puts every node in its class's stage.
+func (q Quotient) Expand(s Schedule) Schedule {
+	out := NewSchedule(len(q.ClassOf), s.NumStages)
+	for v, c := range q.ClassOf {
+		out.Stage[v] = s.Stage[c]
+	}
+	return out
+}
+
+// Condense computes the sibling-class quotient of g: union-find over every
+// node's successor group, then SCC condensation of the class-level
+// constraint graph.
+func Condense(g *graph.Graph) Quotient {
+	n := g.NumNodes()
+
+	// Sibling classes. The smaller root wins every union, so a class's root
+	// is its first node and one ascending pass both flattens the forest and
+	// numbers the classes.
+	parent := make([]int, n)
+	for v := range parent {
+		parent[v] = v
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for v := 0; v < n; v++ {
+		succ := g.Succ(v)
+		for i := 1; i < len(succ); i++ {
+			if a, b := find(succ[0]), find(succ[i]); a < b {
+				parent[b] = a
+			} else {
+				parent[a] = b
+			}
+		}
+	}
+	classOf := make([]int, n)
+	nc := 0
+	for v := 0; v < n; v++ {
+		if r := find(v); r == v {
+			classOf[v] = nc
+			nc++
+		} else {
+			classOf[v] = classOf[r]
+		}
+	}
+
+	// All children of a node share a class, so a node contributes at most
+	// one class-level edge: its class to its children's.
+	edge := func(u int) (a, b int, ok bool) {
+		succ := g.Succ(u)
+		if len(succ) == 0 {
+			return 0, 0, false
+		}
+		a, b = classOf[u], classOf[succ[0]]
+		return a, b, a != b
+	}
+	groupEdges := func(nc int) (start, succ []int) {
+		start = make([]int, nc+1)
+		for u := 0; u < n; u++ {
+			if a, _, ok := edge(u); ok {
+				start[a+1]++
+			}
+		}
+		for c := 0; c < nc; c++ {
+			start[c+1] += start[c]
+		}
+		succ = make([]int, start[nc])
+		// Filling advances start[a] to the end of a's range, which is where
+		// a+1's begins: shift back afterwards.
+		for u := 0; u < n; u++ {
+			if a, b, ok := edge(u); ok {
+				succ[start[a]] = b
+				start[a]++
+			}
+		}
+		copy(start[1:], start[:nc])
+		start[0] = 0
+		return start, succ
+	}
+
+	// SCC condensation merges classes forced equal by A<=B<=A chains.
+	// Tarjan numbers components in reverse topological order; flipping the
+	// index makes the class numbering topological.
+	comp, ncomp := tarjanSCC(groupEdges(nc))
+	for v := range classOf {
+		classOf[v] = ncomp - 1 - comp[classOf[v]]
+	}
+	nc = ncomp
+
+	// The quotient's edges, duplicates dropped in place: stamp[b] == a+1
+	// marks b as already listed under a.
+	start, succ := groupEdges(nc)
+	stamp := make([]int, nc)
+	w := 0
+	for a := 0; a < nc; a++ {
+		lo, hi := start[a], start[a+1]
+		start[a] = w
+		for _, b := range succ[lo:hi] {
+			if stamp[b] != a+1 {
+				stamp[b] = a + 1
+				succ[w] = b
+				w++
+			}
+		}
+	}
+	start[nc] = w
+
+	param := make([]int64, nc)
+	for v, c := range classOf {
+		param[c] += g.Node(v).ParamBytes
+	}
+	return Quotient{ClassOf: classOf, ParamBytes: param, start: start, succ: succ[:w]}
+}
+
 // PostProcess is the paper's deterministic post-inference repair, made
 // provably terminating. Two hardware rules are enforced with minimal
 // change to the predicted stages:
@@ -446,74 +598,20 @@ func ScheduleToSequence(g *graph.Graph, s Schedule) []int {
 //  2. all children of any node must share a pipeline stage, unified onto
 //     "the earliest predicted stage" among them.
 //
-// Rule 2 induces must-be-equal classes over nodes (children of a common
-// parent, closed transitively via union-find). Monotonicity constraints
-// between classes may then force further equalities — those appear as
-// cycles in the class-level constraint graph and are merged by SCC
-// condensation. The resulting class DAG is assigned stages in topological
-// order: each class takes max(its earliest predicted stage, stages of all
-// predecessor classes). The output always satisfies Validate and
-// SameStageChildrenOK.
+// Both rules live in the graph's sibling-class quotient (see Condense):
+// each class takes max(its earliest predicted stage, stages of all
+// predecessor classes), in the quotient's topological order. The output
+// always satisfies Validate and SameStageChildrenOK, and a schedule that
+// already does is returned unchanged.
 func PostProcess(g *graph.Graph, s Schedule) Schedule {
-	n := g.NumNodes()
-	uf := newUnionFind(n)
-	for v := 0; v < n; v++ {
-		succ := g.Succ(v)
-		for i := 1; i < len(succ); i++ {
-			uf.union(succ[0], succ[i])
-		}
-	}
+	q := Condense(g)
 
-	// Class-level constraint edges from node-level edges.
-	classOf := make([]int, n)
-	classes := map[int]int{} // root -> dense class index
-	for v := 0; v < n; v++ {
-		r := uf.find(v)
-		if _, ok := classes[r]; !ok {
-			classes[r] = len(classes)
-		}
-		classOf[v] = classes[r]
+	// Earliest predicted stage per class (the paper's rule 2).
+	stage := make([]int, q.NumClasses())
+	for c := range stage {
+		stage[c] = s.NumStages // sentinel: min over members below
 	}
-	nc := len(classes)
-	adj := make([][]int, nc)
-	for u := 0; u < n; u++ {
-		for _, v := range g.Succ(u) {
-			cu, cv := classOf[u], classOf[v]
-			if cu != cv {
-				adj[cu] = append(adj[cu], cv)
-			}
-		}
-	}
-
-	// SCC condensation merges classes forced equal by A<=B<=A chains.
-	comp := tarjanSCC(adj)
-	ncc := 0
-	for _, c := range comp {
-		if c+1 > ncc {
-			ncc = c + 1
-		}
-	}
-	cadj := make([][]int, ncc)
-	indeg := make([]int, ncc)
-	seen := map[[2]int]bool{}
-	for u := 0; u < nc; u++ {
-		for _, v := range adj[u] {
-			a, b := comp[u], comp[v]
-			if a != b && !seen[[2]int{a, b}] {
-				seen[[2]int{a, b}] = true
-				cadj[a] = append(cadj[a], b)
-				indeg[b]++
-			}
-		}
-	}
-
-	// Earliest predicted stage per condensed class (the paper's rule 2).
-	floor := make([]int, ncc)
-	for i := range floor {
-		floor[i] = s.NumStages // sentinel: min over members below
-	}
-	for v := 0; v < n; v++ {
-		c := comp[classOf[v]]
+	for v, c := range q.ClassOf {
 		st := s.Stage[v]
 		if st < 0 {
 			st = 0
@@ -521,129 +619,66 @@ func PostProcess(g *graph.Graph, s Schedule) Schedule {
 		if st >= s.NumStages {
 			st = s.NumStages - 1
 		}
-		if st < floor[c] {
-			floor[c] = st
+		if st < stage[c] {
+			stage[c] = st
 		}
 	}
-
-	// Kahn order over condensed classes; push forward past predecessors.
-	stage := make([]int, ncc)
-	queue := make([]int, 0, ncc)
-	for c := 0; c < ncc; c++ {
-		if indeg[c] == 0 {
-			queue = append(queue, c)
-			stage[c] = floor[c]
-		}
-	}
-	for len(queue) > 0 {
-		c := queue[0]
-		queue = queue[1:]
-		for _, d := range cadj[c] {
-			if stage[c] > floor[d] {
-				floor[d] = stage[c]
-			}
-			indeg[d]--
-			if indeg[d] == 0 {
-				stage[d] = floor[d]
-				queue = append(queue, d)
+	// Classes are numbered topologically: one ascending sweep pushes every
+	// class forward past its predecessors.
+	for c := range stage {
+		for _, d := range q.Succ(c) {
+			if stage[c] > stage[d] {
+				stage[d] = stage[c]
 			}
 		}
 	}
-
-	out := NewSchedule(n, s.NumStages)
-	for v := 0; v < n; v++ {
-		out.Stage[v] = stage[comp[classOf[v]]]
-	}
-	return out
+	return q.Expand(Schedule{NumStages: s.NumStages, Stage: stage})
 }
 
-type unionFind struct {
-	parent []int
-	rank   []int
-}
-
-func newUnionFind(n int) *unionFind {
-	uf := &unionFind{parent: make([]int, n), rank: make([]int, n)}
-	for i := range uf.parent {
-		uf.parent[i] = i
+// tarjanSCC returns the strongly-connected-component index of each vertex
+// of the graph whose vertex v has successors adj[start[v]:start[v+1]], and
+// the number of components. Indices are a reverse topological order of the
+// condensation. Iterative to stay safe on deep graphs.
+func tarjanSCC(start, adj []int) (comp []int, ncomp int) {
+	n := len(start) - 1
+	// index is the DFS discovery number plus one (zero: unvisited), next the
+	// cursor into each vertex's successors. A visited vertex without a
+	// component yet is exactly one that is still on the stack.
+	const none = -1
+	work := make([]int, 5*n)
+	index, low, next := work[:n], work[n:2*n], work[2*n:3*n]
+	stack, call := work[3*n:3*n:4*n], work[4*n:4*n:5*n]
+	comp = make([]int, n)
+	for i := range comp {
+		comp[i] = none
 	}
-	return uf
-}
-
-func (uf *unionFind) find(x int) int {
-	for uf.parent[x] != x {
-		uf.parent[x] = uf.parent[uf.parent[x]]
-		x = uf.parent[x]
-	}
-	return x
-}
-
-func (uf *unionFind) union(a, b int) {
-	ra, rb := uf.find(a), uf.find(b)
-	if ra == rb {
-		return
-	}
-	if uf.rank[ra] < uf.rank[rb] {
-		ra, rb = rb, ra
-	}
-	uf.parent[rb] = ra
-	if uf.rank[ra] == uf.rank[rb] {
-		uf.rank[ra]++
-	}
-}
-
-// tarjanSCC returns, for each vertex, its strongly-connected-component
-// index; indices are a reverse topological order of the condensation, so
-// callers re-derive edges rather than relying on index order. Iterative to
-// stay safe on deep graphs.
-func tarjanSCC(adj [][]int) []int {
-	n := len(adj)
-	const unvisited = -1
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	comp := make([]int, n)
-	for i := range index {
-		index[i] = unvisited
-		comp[i] = unvisited
-	}
-	var stack []int
-	next := 0
-	ncomp := 0
-
-	type frame struct{ v, ei int }
+	visited := 0
 	for root := 0; root < n; root++ {
-		if index[root] != unvisited {
+		if index[root] != 0 {
 			continue
 		}
-		call := []frame{{root, 0}}
-		index[root] = next
-		low[root] = next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
+		call = append(call, root)
 		for len(call) > 0 {
-			f := &call[len(call)-1]
-			if f.ei < len(adj[f.v]) {
-				w := adj[f.v][f.ei]
-				f.ei++
-				if index[w] == unvisited {
-					index[w] = next
-					low[w] = next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					call = append(call, frame{w, 0})
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
+			v := call[len(call)-1]
+			if index[v] == 0 {
+				visited++
+				index[v], low[v] = visited, visited
+				next[v] = start[v]
+				stack = append(stack, v)
+			}
+			if next[v] < start[v+1] {
+				w := adj[next[v]]
+				next[v]++
+				if index[w] == 0 {
+					call = append(call, w)
+				} else if comp[w] == none && index[w] < low[v] {
+					low[v] = index[w]
 				}
 				continue
 			}
-			v := f.v
 			call = call[:len(call)-1]
 			if len(call) > 0 {
-				p := call[len(call)-1].v
-				if low[v] < low[p] {
+				if p := call[len(call)-1]; low[v] < low[p] {
 					low[p] = low[v]
 				}
 			}
@@ -651,7 +686,6 @@ func tarjanSCC(adj [][]int) []int {
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
-					onStack[w] = false
 					comp[w] = ncomp
 					if w == v {
 						break
@@ -661,7 +695,7 @@ func tarjanSCC(adj [][]int) []int {
 			}
 		}
 	}
-	return comp
+	return comp, ncomp
 }
 
 // OneHot returns the |V| x n one-hot stage matrix flattened row-major; the

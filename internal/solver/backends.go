@@ -33,9 +33,10 @@ func heuristic(name string, fn func(g *graph.Graph, numStages int) sched.Schedul
 	})
 }
 
-// exactBackend is the branch-and-bound exact family; it reports Info so
-// truncated incumbents are never mistaken for (or cached as) proven
-// optima.
+// exactBackend is the branch-and-bound exact family. It searches the
+// deployable schedules directly (exact.Options.ChildrenRule), so what it
+// returns needs no repair, and it reports Info so truncated incumbents are
+// never mistaken for (or cached as) proven optima.
 type exactBackend struct {
 	name string
 	opts exact.Options
@@ -50,20 +51,23 @@ func (b exactBackend) Schedule(ctx context.Context, g *graph.Graph, numStages in
 
 func (b exactBackend) ScheduleInfo(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, Info, error) {
 	res := exact.SolveCtx(ctx, g, numStages, b.opts)
-	return deployed(g, res.Schedule), Info{Truncated: !res.Optimal, OptimalityProven: res.Optimal}, nil
+	return res.Schedule, Info{Truncated: !res.Optimal, OptimalityProven: res.Optimal}, nil
 }
 
-// Exact returns the branch-and-bound exact backend. It is an anytime
-// solver: on context expiry it returns its incumbent (never an error), so
-// it always contributes a valid schedule to a portfolio.
+// Exact returns the branch-and-bound exact backend: the minimum peak
+// parameter memory over the deployable schedules, proven when the search
+// completes (Info.OptimalityProven). It is an anytime solver: on context
+// expiry it returns its incumbent (never an error), so it always
+// contributes a valid schedule to a portfolio.
 func Exact() Scheduler {
-	return exactBackend{name: "exact", opts: exact.Options{MaxStates: exactMaxStates}}
+	return exactBackend{name: "exact", opts: exact.Options{MaxStates: exactMaxStates, ChildrenRule: true}}
 }
 
 // ExactILPGrade returns the exact backend with the cross-traffic tie-break
-// (the paper's joint memory- and communication-aware formulation).
+// (the paper's joint memory- and communication-aware formulation): the
+// lexicographic (peak, cross) optimum over the deployable schedules.
 func ExactILPGrade() Scheduler {
-	return exactBackend{name: "exact-ilp-grade", opts: exact.Options{MaxStates: exactMaxStates, TieBreakCross: true}}
+	return exactBackend{name: "exact-ilp-grade", opts: exact.Options{MaxStates: exactMaxStates, ChildrenRule: true, TieBreakCross: true}}
 }
 
 // ilpBackend is the generic MILP backend (the CPLEX stand-in). Unlike the
@@ -83,7 +87,12 @@ func (ilpBackend) ScheduleInfo(ctx context.Context, g *graph.Graph, numStages in
 	if err != nil {
 		return sched.Schedule{}, Info{Truncated: true}, err
 	}
-	return deployed(g, res.Schedule), Info{Truncated: !res.Optimal, OptimalityProven: res.Optimal}, nil
+	// The MILP's optimum is over all monotone schedules, a lower bound on
+	// the deployable ones: the repaired schedule is proven optimal only
+	// when the repair did not cost it that peak.
+	s := deployed(g, res.Schedule)
+	proven := res.Optimal && s.Evaluate(g).PeakParamBytes == res.Cost.PeakParamBytes
+	return s, Info{Truncated: !res.Optimal, OptimalityProven: proven}, nil
 }
 
 // ILP returns the generic MILP backend.

@@ -73,17 +73,24 @@ func Portfolio(ctx context.Context, backends []Scheduler, g *graph.Graph, numSta
 }
 
 // solve runs one race member and validates and prices what it returns.
+// This is the one place the package's promise is checked: a schedule that
+// is not pipeline-monotone or not deployable on the hardware (a backend
+// that forgot the repair) becomes that backend's error, so it loses the
+// race and is never served or stored on a cost no deployable schedule has.
 func solve(ctx context.Context, b Scheduler, g *graph.Graph, numStages int) Outcome {
 	start := time.Now()
 	s, info, err := ScheduleInfo(ctx, b, g, numStages)
 	out := Outcome{Backend: b.Name(), Elapsed: time.Since(start), Err: err, Info: info}
-	if err == nil {
-		if verr := s.Validate(g); verr != nil {
-			out.Err = fmt.Errorf("solver: backend %q returned an invalid schedule: %w", b.Name(), verr)
-		} else {
-			out.Schedule = s
-			out.Cost = s.Evaluate(g)
-		}
+	if err != nil {
+		return out
+	}
+	if verr := s.Validate(g); verr != nil {
+		out.Err = fmt.Errorf("solver: backend %q returned an invalid schedule: %w", b.Name(), verr)
+	} else if !s.SameStageChildrenOK(g) {
+		out.Err = fmt.Errorf("solver: backend %q returned a schedule that is not deployable: children of one node are split across stages", b.Name())
+	} else {
+		out.Schedule = s
+		out.Cost = s.Evaluate(g)
 	}
 	return out
 }

@@ -8,12 +8,14 @@
 // is an engine of one); Batch schedules many graphs through an Engine
 // with a bounded worker pool.
 //
-// Every Scheduler returns deployment-ready schedules (pipeline-monotone
-// and hardware-repaired via sched.PostProcess), so costs are directly
-// comparable across backends and a Portfolio winner can be deployed
-// without further processing. Backends honor context cancellation: when
-// the deadline expires mid-search, anytime backends (exact, ilp, anneal)
-// return their incumbent rather than blocking.
+// Every Scheduler returns deployment-ready schedules (pipeline-monotone,
+// with all children of a node in one stage: repaired into that space by
+// sched.PostProcess, or, the exact family, searched for inside it), so
+// costs are directly comparable across backends and a Portfolio winner can
+// be deployed without further processing. The race checks this promise on
+// every member and fails the one that breaks it. Backends honor context
+// cancellation: when the deadline expires mid-search, anytime backends
+// (exact, ilp, anneal) return their incumbent rather than blocking.
 package solver
 
 import (
@@ -43,8 +45,11 @@ type Info struct {
 	// Truncated reports the search ran out of budget (deadline,
 	// cancellation, or state cap) and returned an incumbent.
 	Truncated bool
-	// OptimalityProven reports the result is provably optimal (the exact
-	// family with an exhausted search space).
+	// OptimalityProven reports the result is provably optimal among the
+	// schedules this service can return: the search space was exhausted
+	// and no deployable schedule has a lower peak. The exact family proves
+	// it over the deployable schedules themselves; ilp proves the
+	// unconstrained optimum and claims it only when the repair kept it.
 	OptimalityProven bool
 }
 

@@ -161,7 +161,10 @@ func LoadAgent(path string) (*Agent, error) {
 }
 
 // ScheduleExact computes the provably optimal (peak parameter memory)
-// schedule with the branch-and-bound exact solver. optimal reports whether
+// deployable schedule with the branch-and-bound exact solver: the optimum
+// is over the schedules the Edge TPU can run (pipeline-monotone, all
+// children of a node in one stage), so the result needs no PostProcess and
+// no backend's deployed schedule has a lower peak. optimal reports whether
 // the search completed within timeout. It is a thin wrapper over
 // ScheduleExactCtx with a timeout-derived context.
 func ScheduleExact(g *Graph, numStages int, timeout time.Duration) (s Schedule, cost Cost, optimal bool) {
@@ -176,9 +179,11 @@ func ScheduleExact(g *Graph, numStages int, timeout time.Duration) (s Schedule, 
 
 // ScheduleExactCtx is the exact solver under a context: cancellation or an
 // expired deadline truncates the search and returns the best incumbent
-// (optimal false), so the caller always gets a valid schedule.
+// (optimal false), so the caller always gets a valid deployable schedule.
+// With optimal true, cost.PeakParamBytes is proven minimal over the
+// deployable schedules of g.
 func ScheduleExactCtx(ctx context.Context, g *Graph, numStages int) (s Schedule, cost Cost, optimal bool) {
-	res := exact.SolveCtx(ctx, g, numStages, exact.Options{MaxStates: 200_000_000})
+	res := exact.SolveCtx(ctx, g, numStages, exact.Options{MaxStates: 200_000_000, ChildrenRule: true})
 	return res.Schedule, res.Cost, res.Optimal
 }
 

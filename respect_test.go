@@ -1,6 +1,7 @@
 package respect
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 	"time"
@@ -67,21 +68,43 @@ func TestAgentSaveLoad(t *testing.T) {
 	}
 }
 
+// TestExactVsCompilerFacade: ScheduleExact's optimum is over the deployable
+// schedules, the space every backend's deployed schedule lives in, so it is
+// itself deployable and neither the compiler's partition nor the DP
+// heuristic's can beat it. (On ResNet50 at 4 stages heur deploys 10 % below
+// the repaired optimum of all monotone schedules, which is what this
+// returned before.)
 func TestExactVsCompilerFacade(t *testing.T) {
-	g, _ := LoadModel("Xception")
-	ex, cost, optimal := ScheduleExact(g, 4, 30*time.Second)
-	if !optimal {
-		t.Fatal("exact truncated on Xception/4")
-	}
-	if err := ex.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-	comp := ScheduleCompiler(g, 4)
-	if err := comp.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-	if comp.Evaluate(g).PeakParamBytes < cost.PeakParamBytes {
-		t.Fatal("compiler heuristic beat the proven optimum")
+	for _, name := range []string{"Xception", "ResNet50"} {
+		g, _ := LoadModel(name)
+		ex, cost, optimal := ScheduleExact(g, 4, 30*time.Second)
+		if !optimal {
+			t.Fatalf("exact truncated on %s/4", name)
+		}
+		if err := ex.Validate(g); err != nil {
+			t.Fatal(err)
+		}
+		if !ex.SameStageChildrenOK(g) {
+			t.Fatalf("%s: the exact schedule is not deployable", name)
+		}
+		if got := ex.Evaluate(g); got != cost {
+			t.Fatalf("%s: reported cost %v, schedule evaluates to %v", name, cost, got)
+		}
+		if dep := PostProcess(g, ex); dep.Evaluate(g) != cost {
+			t.Fatalf("%s: the deployment repair moved the exact schedule: %v -> %v", name, cost, dep.Evaluate(g))
+		}
+		for _, backend := range []string{"compiler", "heur"} {
+			s, err := ScheduleWith(context.Background(), backend, g, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Validate(g); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Evaluate(g); got.PeakParamBytes < cost.PeakParamBytes {
+				t.Fatalf("%s: %s deploys at %v, below the proven optimum %v", name, backend, got, cost)
+			}
+		}
 	}
 }
 
