@@ -42,7 +42,6 @@ func main() {
 		graphPath  = flag.String("graph", "", "path to a graph JSON (alternative to -model)")
 		stages     = flag.Int("stages", 4, "pipeline stages")
 		backend    = flag.String("backend", "", "scheduler backend (see -list-backends)")
-		scheduler  = flag.String("scheduler", "", "deprecated alias for -backend")
 		portfolio  = flag.String("portfolio", "", "comma-separated backends to race; the cheapest schedule wins")
 		jobs       = flag.Int("jobs", 1, "parallel workers when scheduling several graphs")
 		agentPath  = flag.String("agent", "", "trained agent weights (enables the rl backends)")
@@ -84,24 +83,8 @@ func main() {
 	}
 
 	name := *backend
-	if name == "" {
-		name = *scheduler
-	}
 	if name == "" && *portfolio == "" {
 		name = "exact"
-	}
-	// Back-compat: "-scheduler rl -beam N" / "-samples K" historically
-	// selected the beam/sampled decoder; map an explicit flag to the
-	// matching rl backend.
-	if name == "rl" {
-		explicit := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		switch {
-		case explicit["beam"]:
-			name = "rl-beam"
-		case explicit["samples"]:
-			name = "rl-sampled"
-		}
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)

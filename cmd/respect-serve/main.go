@@ -95,8 +95,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		cacheSize   = fs.Int("cache", 512, "per-class schedule cache capacity")
 		warm        = fs.String("warm", "zoo", `warm-up set: "zoo" (every model), "none", or comma-separated zoo names`)
 		agentPath   = fs.String("agent", "", "trained agent weights; registers the rl backends before serving")
-		samples     = fs.Int("samples", 16, "stochastic decodes for the rl-sampled backend")
-		beam        = fs.Int("beam", 8, "beam width for the rl-beam backend")
 		interBudget = fs.Duration("interactive-budget", di.Budget, "interactive class latency budget")
 		batchBudget = fs.Duration("batch-budget", db.Budget, "batch class latency budget")
 		beBudget    = fs.Duration("best-effort-budget", de.Budget, "best-effort class latency budget")
@@ -139,12 +137,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return err
 		}
 		agent = m
-		ecfg := embed.Default()
-		for _, b := range []solver.Scheduler{
-			solver.RL(m, ecfg),
-			solver.RLSampled(m, ecfg, *samples, 1),
-			solver.RLBeam(m, ecfg, *beam),
-		} {
+		for _, b := range solver.AgentBackends(m, embed.Default()) {
 			if err := solver.Replace(b); err != nil {
 				return err
 			}

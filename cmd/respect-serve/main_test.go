@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
 	"regexp"
 	"strings"
 	"sync"
@@ -644,6 +645,47 @@ func TestRunOnlineFlag(t *testing.T) {
 	} {
 		if !strings.Contains(string(page), want) {
 			t.Fatalf("exposition missing %q:\n%s", want, page)
+		}
+	}
+}
+
+// TestDocsFlagTable holds the flags table of docs/operations.md to the
+// FlagSet run builds, both ways: every flag has a row and every row is a
+// flag. It is the flags half of the root package's TestDocsOptionTables.
+func TestDocsFlagTable(t *testing.T) {
+	var usage strings.Builder
+	if err := run(context.Background(), []string{"-h"}, &usage); err != nil {
+		t.Fatal(err)
+	}
+	flags := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^  (-[a-z-]+)`).FindAllStringSubmatch(usage.String(), -1) {
+		flags[m[1]] = true
+	}
+	if len(flags) == 0 {
+		t.Fatalf("no flags in the -h output:\n%s", usage.String())
+	}
+
+	raw, err := os.ReadFile("../../docs/operations.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(raw), "## respect-serve flags")
+	if !ok {
+		t.Fatal("docs/operations.md has no respect-serve flags section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	rows := map[string]bool{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `(-[a-z-]+)` \\|").FindAllStringSubmatch(section, -1) {
+		rows[m[1]] = true
+	}
+	for f := range flags {
+		if !rows[f] {
+			t.Errorf("docs/operations.md: the flags table has no %s row", f)
+		}
+	}
+	for r := range rows {
+		if !flags[r] {
+			t.Errorf("docs/operations.md: the flags table documents %s, which is not a flag", r)
 		}
 	}
 }

@@ -4,7 +4,10 @@
 //     file or directory that exists;
 //   - every exported identifier in the serving-stack packages
 //     (internal/serve, internal/solver, internal/speculate) must carry a
-//     doc comment, so `go doc` is complete where operators look first.
+//     doc comment, so `go doc` is complete where operators look first;
+//   - the config tables of docs/operations.md are the fields of the
+//     serve config structs, both ways (the flags table is held to the
+//     FlagSet the same way by cmd/respect-serve's TestDocsFlagTable).
 package respect_test
 
 import (
@@ -15,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -86,15 +90,16 @@ var docCheckedPackages = []string{
 	"internal/speculate",
 }
 
+// notTestFile is the parser.ParseDir filter of both go/ast walks below.
+func notTestFile(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+
 // TestDocsExportedDocComments enforces doc comments on every exported
 // top-level identifier (functions, methods on exported receivers, types,
 // consts, vars) in the doc-checked packages.
 func TestDocsExportedDocComments(t *testing.T) {
 	for _, dir := range docCheckedPackages {
 		fset := token.NewFileSet()
-		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
-			return !strings.HasSuffix(fi.Name(), "_test.go")
-		}, parser.ParseComments)
+		pkgs, err := parser.ParseDir(fset, dir, notTestFile, parser.ParseComments)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,6 +164,93 @@ func exportedReceiver(fn *ast.FuncDecl) bool {
 			return tt.IsExported()
 		default:
 			return true
+		}
+	}
+}
+
+// docTables maps each serve config struct to the text in
+// docs/operations.md that introduces its field table.
+var docTables = map[string]string{
+	"Config":            "## serve.Config",
+	"ClassPolicy":       "`ClassPolicy` per class",
+	"SpeculationConfig": "`serve.SpeculationConfig`",
+	"OnlineConfig":      "`serve.OnlineConfig`",
+	"RTConfig":          "`serve.RTConfig`",
+	"ClusterConfig":     "`serve.ClusterConfig`",
+}
+
+// tableRowRE captures the first cell of a Markdown table row when it is
+// a code span: the documented name.
+var tableRowRE = regexp.MustCompile("^\\| `([^`]+)` \\|")
+
+// firstTableNames returns the first-column names of the first Markdown
+// table after marker in doc.
+func firstTableNames(t *testing.T, doc, marker string) []string {
+	t.Helper()
+	_, rest, ok := strings.Cut(doc, marker)
+	if !ok {
+		t.Fatalf("docs/operations.md has no %q", marker)
+	}
+	var names []string
+	inTable := false
+	for _, line := range strings.Split(rest, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if inTable {
+				break
+			}
+			continue
+		}
+		inTable = true
+		if m := tableRowRE.FindStringSubmatch(line); m != nil {
+			names = append(names, m[1])
+		}
+	}
+	return names
+}
+
+// TestDocsOptionTables holds the config tables of docs/operations.md to
+// the code: every exported field of a serve config struct has a row in its
+// table and every row names a field that exists.
+func TestDocsOptionTables(t *testing.T) {
+	raw, err := os.ReadFile("docs/operations.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := parser.ParseDir(token.NewFileSet(), "internal/serve", notTestFile, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := map[string][]string{}
+	for _, file := range pkgs["serve"].Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || docTables[ts.Name.Name] == "" {
+				return true
+			}
+			for _, f := range ts.Type.(*ast.StructType).Fields.List {
+				for _, name := range f.Names {
+					if name.IsExported() {
+						fields[ts.Name.Name] = append(fields[ts.Name.Name], name.Name)
+					}
+				}
+			}
+			return false
+		})
+	}
+	for typ, marker := range docTables {
+		rows := firstTableNames(t, string(raw), marker)
+		if len(fields[typ]) == 0 {
+			t.Errorf("serve.%s not found in internal/serve", typ)
+		}
+		for _, f := range fields[typ] {
+			if !slices.Contains(rows, f) {
+				t.Errorf("docs/operations.md: the serve.%s table has no %s row", typ, f)
+			}
+		}
+		for _, r := range rows {
+			if !slices.Contains(fields[typ], r) {
+				t.Errorf("docs/operations.md: the serve.%s table documents %s, which is not a field", typ, r)
+			}
 		}
 	}
 }

@@ -104,9 +104,6 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("%s: no module line", gomod)
 }
 
-// Root returns the module root directory the Loader resolves against.
-func (l *Loader) Root() string { return l.root }
-
 // dirFor maps an import path to a directory the Loader owns, or
 // reports that the path belongs to the standard library.
 func (l *Loader) dirFor(path string) (string, bool) {

@@ -37,9 +37,6 @@ type Tape struct {
 // NewTape returns an empty tape.
 func NewTape() *Tape { return &Tape{} }
 
-// NumOps returns the number of recorded operations.
-func (t *Tape) NumOps() int { return len(t.nodes) }
-
 func (t *Tape) push(out *tensor.Mat, backward func()) Value {
 	out.EnsureGrad()
 	t.nodes = append(t.nodes, node{out: out, backward: backward})
@@ -56,9 +53,6 @@ func (v Value) Shape() (int, int) {
 
 // Data exposes the forward values (do not mutate).
 func (v Value) Data() []float64 { return v.mat().Data }
-
-// Grad exposes the accumulated gradient after Backward.
-func (v Value) Grad() []float64 { return v.mat().Grad }
 
 // Param registers a persistent parameter matrix on the tape. The tape
 // shares the matrix's Data and Grad buffers, so Backward accumulates into
@@ -172,20 +166,6 @@ func Mul(a, b Value) Value {
 		for i := range out.Grad {
 			am.Grad[i] += out.Grad[i] * bm.Data[i]
 			bm.Grad[i] += out.Grad[i] * am.Data[i]
-		}
-	})
-}
-
-// Scale returns s·a for a constant s.
-func Scale(a Value, s float64) Value {
-	am := a.mat()
-	out := tensor.New(am.Rows, am.Cols)
-	for i := range out.Data {
-		out.Data[i] = am.Data[i] * s
-	}
-	return a.t.push(out, func() {
-		for i := range out.Grad {
-			am.Grad[i] += out.Grad[i] * s
 		}
 	})
 }
@@ -373,37 +353,6 @@ func Sum(a Value) Value {
 	return a.t.push(out, func() {
 		for i := range am.Grad {
 			am.Grad[i] += out.Grad[0]
-		}
-	})
-}
-
-// Concat concatenates row vectors horizontally (all 1×*).
-func Concat(vs ...Value) Value {
-	if len(vs) == 0 {
-		panic("autodiff: Concat of nothing")
-	}
-	t := vs[0].t
-	total := 0
-	for _, v := range vs {
-		if v.mat().Rows != 1 {
-			panic("autodiff: Concat of non-row values")
-		}
-		total += v.mat().Cols
-	}
-	out := tensor.New(1, total)
-	off := 0
-	offs := make([]int, len(vs))
-	for i, v := range vs {
-		offs[i] = off
-		copy(out.Data[off:], v.mat().Data)
-		off += v.mat().Cols
-	}
-	return t.push(out, func() {
-		for i, v := range vs {
-			m := v.mat()
-			for j := 0; j < m.Cols; j++ {
-				m.Grad[j] += out.Grad[offs[i]+j]
-			}
 		}
 	})
 }

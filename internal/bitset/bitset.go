@@ -3,25 +3,15 @@
 // and hashably.
 package bitset
 
-import (
-	"math/bits"
-	"strconv"
-	"strings"
-)
-
 // Set is a bit set over [0, n) backed by 64-bit words.
 type Set struct {
-	n     int
 	words []uint64
 }
 
 // New returns an empty set with capacity n.
 func New(n int) *Set {
-	return &Set{n: n, words: make([]uint64, (n+63)/64)}
+	return &Set{words: make([]uint64, (n+63)/64)}
 }
-
-// Cap returns the capacity n the set was created with.
-func (s *Set) Cap() int { return s.n }
 
 // Set sets bit i.
 func (s *Set) Set(i int) {
@@ -38,27 +28,6 @@ func (s *Set) Has(i int) bool {
 	return s.words[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
-// Count returns the number of set bits.
-func (s *Set) Count() int {
-	c := 0
-	for _, w := range s.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// Clone returns a deep copy.
-func (s *Set) Clone() *Set {
-	c := &Set{n: s.n, words: make([]uint64, len(s.words))}
-	copy(c.words, s.words)
-	return c
-}
-
-// CopyFrom overwrites s with o (capacities must match).
-func (s *Set) CopyFrom(o *Set) {
-	copy(s.words, o.words)
-}
-
 // Reset clears all bits.
 func (s *Set) Reset() {
 	for i := range s.words {
@@ -66,132 +35,9 @@ func (s *Set) Reset() {
 	}
 }
 
-// Equal reports whether the two sets have identical contents.
-func (s *Set) Equal(o *Set) bool {
-	if s.n != o.n {
-		return false
-	}
-	for i, w := range s.words {
-		if w != o.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// SubsetOf reports whether s ⊆ o.
-func (s *Set) SubsetOf(o *Set) bool {
-	for i, w := range s.words {
-		if w&^o.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Union sets s = s ∪ o.
-func (s *Set) Union(o *Set) {
-	for i := range s.words {
-		s.words[i] |= o.words[i]
-	}
-}
-
-// Diff sets s = s \ o.
-func (s *Set) Diff(o *Set) {
-	for i := range s.words {
-		s.words[i] &^= o.words[i]
-	}
-}
-
-// Intersect sets s = s ∩ o.
-func (s *Set) Intersect(o *Set) {
-	for i := range s.words {
-		s.words[i] &= o.words[i]
-	}
-}
-
-// Intersects reports whether s ∩ o is non-empty without materializing the
-// intersection — the word-wise test the exact solver's children-rule inner
-// loop runs per candidate node.
-func (s *Set) Intersects(o *Set) bool {
-	for i, w := range s.words {
-		if w&o.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// NextSet returns the smallest set bit >= i, or -1 when no such bit
-// exists. It scans whole words, so iterating a sparse set costs
-// O(words + bits) rather than O(capacity).
-func (s *Set) NextSet(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= s.n {
-		return -1
-	}
-	wi := i >> 6
-	w := s.words[wi] >> (uint(i) & 63)
-	if w != 0 {
-		return i + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(s.words); wi++ {
-		if s.words[wi] != 0 {
-			return wi<<6 + bits.TrailingZeros64(s.words[wi])
-		}
-	}
-	return -1
-}
-
-// IntersectsRange reports whether s has any set bit in [lo, hi).
-func (s *Set) IntersectsRange(lo, hi int) bool {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > s.n {
-		hi = s.n
-	}
-	if lo >= hi {
-		return false
-	}
-	next := s.NextSet(lo)
-	return next >= 0 && next < hi
-}
-
-// ForEach calls f for every set bit in ascending order.
-func (s *Set) ForEach(f func(i int)) {
-	for wi, w := range s.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			f(wi<<6 + b)
-			w &^= 1 << uint(b)
-		}
-	}
-}
-
-// Elems returns the set bits in ascending order.
-func (s *Set) Elems() []int {
-	out := make([]int, 0, s.Count())
-	s.ForEach(func(i int) { out = append(out, i) })
-	return out
-}
-
-// Key returns a string usable as a map key identifying the set contents.
-func (s *Set) Key() string {
-	var b strings.Builder
-	b.Grow(len(s.words) * 17)
-	for _, w := range s.words {
-		b.WriteString(strconv.FormatUint(w, 16))
-		b.WriteByte(':')
-	}
-	return b.String()
-}
-
 // AppendKey appends a compact binary encoding of the set contents to dst
-// and returns the extended slice. Unlike Key it allocates nothing when dst
-// has capacity, so map probes of the form m[string(buf)] stay on the
+// and returns the extended slice. It allocates nothing when dst has
+// capacity, so map probes of the form m[string(buf)] stay on the
 // compiler's no-copy fast path — the exact solver's memoization lookups
 // run through this.
 func (s *Set) AppendKey(dst []byte) []byte {
@@ -201,20 +47,4 @@ func (s *Set) AppendKey(dst []byte) []byte {
 			byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56))
 	}
 	return dst
-}
-
-// String renders the set like "{1, 4, 7}".
-func (s *Set) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	first := true
-	s.ForEach(func(i int) {
-		if !first {
-			b.WriteString(", ")
-		}
-		first = false
-		b.WriteString(strconv.Itoa(i))
-	})
-	b.WriteByte('}')
-	return b.String()
 }

@@ -72,53 +72,45 @@ type Config struct {
 	// Peers lists every replica's advertise URL. Self is filtered out,
 	// duplicates are dropped; the empty list is a single-node fleet.
 	Peers []string
-	// VirtualNodes is the number of ring points per member (default 64).
-	VirtualNodes int
 	// SuspectAfter is the consecutive probe failures after which a peer
 	// is suspect — still an owner, but not forwarded to (default 1).
 	SuspectAfter int
 	// DeadAfter is the consecutive probe failures after which a peer is
 	// dead and leaves the ring (default 3). Must be >= SuspectAfter.
 	DeadAfter int
-	// ProbeInterval paces the background heartbeat loop (default 500ms).
-	ProbeInterval time.Duration
-	// GossipInterval paces the background gossip loop (default 2s).
-	GossipInterval time.Duration
-	// GossipTopK bounds the entries pushed per gossip round (default 16).
-	GossipTopK int
-	// MaxStages bounds the stage count accepted in gossip entries
-	// (default 64, matching the serving layer's request validation).
-	MaxStages int
 	// Client issues heartbeat and gossip requests. The default client
 	// has a 2s timeout. Tests inject partition-aware transports here.
 	Client *http.Client
-	// HeartbeatPath is the peer endpoint probed for liveness
-	// (default /v1/cluster/heartbeat).
-	HeartbeatPath string
-	// GossipPath is the peer endpoint gossip is POSTed to
-	// (default /v1/cluster/gossip).
-	GossipPath string
 	// Source, when set, supplies outbound gossip entries.
 	Source GossipSource
 	// Sink, when set, receives inbound gossip entries.
 	Sink GossipSink
-	// Now is an injectable clock for deterministic tests (default
-	// time.Now); it feeds uptime reporting only.
-	Now func() time.Time
 	// Logf, when set, receives membership-transition and gossip log lines.
 	Logf func(format string, args ...any)
 }
 
 // Config defaults, applied by New for unset fields.
 const (
-	defaultVirtualNodes   = 64
-	defaultSuspectAfter   = 1
-	defaultDeadAfter      = 3
-	defaultProbeInterval  = 500 * time.Millisecond
-	defaultGossipInterval = 2 * time.Second
-	defaultGossipTopK     = 16
-	defaultMaxStages      = 64
-	defaultClientTimeout  = 2 * time.Second
+	defaultSuspectAfter  = 1
+	defaultDeadAfter     = 3
+	defaultClientTimeout = 2 * time.Second
+)
+
+// The fleet's fixed geometry and pacing. The ring points and the peer
+// endpoints must be the same on every replica for owners to agree, so they
+// were never per-replica settings; the cadences have one value in use.
+const (
+	// virtualNodes is the number of ring points per member.
+	virtualNodes = 64
+	// probeInterval and gossipInterval pace Run's background loops.
+	probeInterval  = 500 * time.Millisecond
+	gossipInterval = 2 * time.Second
+	// gossipTopK bounds the entries pushed per gossip round.
+	gossipTopK = 16
+	// HeartbeatPath and GossipPath are the peer endpoints a Node probes and
+	// POSTs gossip to; the serving layer mounts its handlers on them.
+	HeartbeatPath = "/v1/cluster/heartbeat"
+	GossipPath    = "/v1/cluster/gossip"
 )
 
 // peer is the mutable per-peer health state, guarded by Node.mu.
@@ -160,9 +152,6 @@ func New(cfg Config) (*Node, error) {
 	if err := checkURL(cfg.Self); err != nil {
 		return nil, fmt.Errorf("cluster: self %q: %w", cfg.Self, err)
 	}
-	if cfg.VirtualNodes < 1 {
-		cfg.VirtualNodes = defaultVirtualNodes
-	}
 	if cfg.SuspectAfter < 1 {
 		cfg.SuspectAfter = defaultSuspectAfter
 	}
@@ -171,27 +160,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	if cfg.DeadAfter < cfg.SuspectAfter {
 		return nil, fmt.Errorf("cluster: DeadAfter %d < SuspectAfter %d", cfg.DeadAfter, cfg.SuspectAfter)
-	}
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = defaultProbeInterval
-	}
-	if cfg.GossipInterval <= 0 {
-		cfg.GossipInterval = defaultGossipInterval
-	}
-	if cfg.GossipTopK < 1 {
-		cfg.GossipTopK = defaultGossipTopK
-	}
-	if cfg.MaxStages < 1 {
-		cfg.MaxStages = defaultMaxStages
-	}
-	if cfg.HeartbeatPath == "" {
-		cfg.HeartbeatPath = "/v1/cluster/heartbeat"
-	}
-	if cfg.GossipPath == "" {
-		cfg.GossipPath = "/v1/cluster/gossip"
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
 	}
 	client := cfg.Client
 	if client == nil {
@@ -216,7 +184,7 @@ func New(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:    cfg,
 		client: client,
-		start:  cfg.Now(),
+		start:  time.Now(),
 		peers:  peers,
 	}
 	n.rebuildRingLocked()
@@ -252,7 +220,7 @@ func (n *Node) rebuildRingLocked() {
 			members = append(members, p.url)
 		}
 	}
-	n.ring = newRing(members, n.cfg.VirtualNodes)
+	n.ring = newRing(members)
 }
 
 // Owner returns the advertise URL of the fingerprint's home shard under
@@ -287,9 +255,9 @@ func (n *Node) ForwardTarget(fp uint64) (string, bool) {
 // cancelled. The chaos harness skips Run and calls ProbeOnce/GossipOnce
 // directly for deterministic scheduling.
 func (n *Node) Run(ctx context.Context) {
-	probe := time.NewTicker(n.cfg.ProbeInterval)
+	probe := time.NewTicker(probeInterval)
 	defer probe.Stop()
-	gossip := time.NewTicker(n.cfg.GossipInterval)
+	gossip := time.NewTicker(gossipInterval)
 	defer gossip.Stop()
 	for {
 		select {

@@ -15,7 +15,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"respect/internal/graph"
 )
@@ -43,8 +42,8 @@ func testGraph(i int) *graph.Graph {
 
 func TestRingAgreementAndBalance(t *testing.T) {
 	members := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r1 := newRing(members, 64)
-	r2 := newRing([]string{members[2], members[0], members[1]}, 64)
+	r1 := newRing(members)
+	r2 := newRing([]string{members[2], members[0], members[1]})
 
 	rng := rand.New(rand.NewSource(42))
 	owned := map[string]int{}
@@ -74,7 +73,7 @@ func TestRingBalanceSimilarURLs(t *testing.T) {
 		"http://127.0.0.1:18082",
 		"http://127.0.0.1:18083",
 	}
-	r := newRing(members, 64)
+	r := newRing(members)
 	rng := rand.New(rand.NewSource(1))
 	owned := map[string]int{}
 	const keys = 10000
@@ -92,8 +91,8 @@ func TestRingBalanceSimilarURLs(t *testing.T) {
 
 func TestRingMinimalDisruption(t *testing.T) {
 	all := []string{"http://a:1", "http://b:1", "http://c:1"}
-	full := newRing(all, 64)
-	without := newRing(all[:2], 64) // c removed
+	full := newRing(all)
+	without := newRing(all[:2]) // c removed
 
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 2000; i++ {
@@ -106,7 +105,7 @@ func TestRingMinimalDisruption(t *testing.T) {
 }
 
 func TestRingEmpty(t *testing.T) {
-	if got := newRing(nil, 64).owner(123); got != "" {
+	if got := newRing(nil).owner(123); got != "" {
 		t.Fatalf("empty ring owner = %q, want empty", got)
 	}
 }
@@ -349,7 +348,7 @@ func TestGossipRoundTrip(t *testing.T) {
 	if err := EncodeGossip(&buf, "http://a:1", entries); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := DecodeGossip(&buf, 64)
+	msg, err := DecodeGossip(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +383,7 @@ func TestDecodeGossipValidation(t *testing.T) {
 		`{"from":"http://a:1","entries":` + bigEntriesJSON(graphJSON, maxGossipEntries+1) + `}`,
 	}
 	for _, raw := range structural {
-		if _, err := DecodeGossip(strings.NewReader(raw), 64); err == nil {
+		if _, err := DecodeGossip(strings.NewReader(raw)); err == nil {
 			t.Errorf("DecodeGossip accepted %.60q", raw)
 		}
 	}
@@ -395,11 +394,13 @@ func TestDecodeGossipValidation(t *testing.T) {
 		`{"stages":65,"score":1,"graph":` + graphJSON + `}`, // stages > max
 		`{"stages":4,"score":-1,"graph":` + graphJSON + `}`, // score <= 0
 		`{"stages":4,"score":1,"graph":{"bad":true}}`,       // unparseable graph
+		// a graph Build refuses: negative weight
+		`{"stages":1,"score":1,"graph":{"nodes":[{"name":"a","param_bytes":-5}]}}`,
 	}
 	raw := `{"from":"http://a:1","entries":[` +
 		strings.Join(dropped, ",") +
 		`,{"stages":4,"score":2,"graph":` + graphJSON + `}]}`
-	msg, err := DecodeGossip(strings.NewReader(raw), 64)
+	msg, err := DecodeGossip(strings.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +410,7 @@ func TestDecodeGossipValidation(t *testing.T) {
 
 	// Absurd scores clamp instead of poisoning downstream trackers.
 	raw = `{"from":"http://a:1","entries":[{"stages":4,"score":1e300,"graph":` + graphJSON + `}]}`
-	msg, err = DecodeGossip(strings.NewReader(raw), 64)
+	msg, err = DecodeGossip(strings.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +471,7 @@ func TestGossipOnceDeliversToAlivePeersOnly(t *testing.T) {
 			json.NewEncoder(w).Encode(node.Heartbeat())
 		})
 		mux.HandleFunc("/v1/cluster/gossip", func(w http.ResponseWriter, r *http.Request) {
-			msg, err := DecodeGossip(r.Body, 64)
+			msg, err := DecodeGossip(r.Body)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
@@ -527,7 +528,6 @@ func TestHeartbeatMessage(t *testing.T) {
 	n, err := New(Config{
 		Self:  "http://a:1",
 		Peers: []string{"http://b:1"},
-		Now:   func() time.Time { return time.Unix(100, 0) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -535,6 +535,9 @@ func TestHeartbeatMessage(t *testing.T) {
 	hb := n.Heartbeat()
 	if hb.From != "http://a:1" || hb.Peers["http://b:1"] != "alive" {
 		t.Fatalf("heartbeat %+v", hb)
+	}
+	if later := n.Heartbeat(); hb.UptimeSeconds < 0 || later.UptimeSeconds < hb.UptimeSeconds {
+		t.Fatalf("uptime went %v then %v: want non-negative and non-decreasing", hb.UptimeSeconds, later.UptimeSeconds)
 	}
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(hb); err != nil {

@@ -68,7 +68,7 @@ func FuzzDecodeGossip(f *testing.F) {
 	f.Add([]byte(strings.Repeat("[", 64)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := DecodeGossip(bytes.NewReader(data), 64)
+		msg, err := DecodeGossip(bytes.NewReader(data))
 		if err != nil {
 			return
 		}

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 
 	"respect/internal/graph"
+	"respect/internal/sched"
 )
 
 // maxGossipEntries bounds the entries accepted in one gossip message.
@@ -71,13 +72,10 @@ func EncodeGossip(w io.Writer, from string, entries []HotEntry) error {
 // DecodeGossip parses and validates a gossip message. Structural problems
 // (malformed JSON, missing From, too many entries) are errors; individual
 // entries that fail validation — unparseable graph, stage count outside
-// [1, maxStages], non-finite or non-positive score — are dropped so
+// [1, sched.MaxStages], non-finite or non-positive score — are dropped so
 // version skew in entry contents cannot take down the whole exchange.
 // Scores are clamped to a sane ceiling.
-func DecodeGossip(r io.Reader, maxStages int) (*GossipMessage, error) {
-	if maxStages < 1 {
-		maxStages = defaultMaxStages
-	}
+func DecodeGossip(r io.Reader) (*GossipMessage, error) {
 	var raw gossipMessageJSON
 	dec := json.NewDecoder(io.LimitReader(r, maxWireBytes))
 	if err := dec.Decode(&raw); err != nil {
@@ -94,7 +92,7 @@ func DecodeGossip(r io.Reader, maxStages int) (*GossipMessage, error) {
 	}
 	msg := &GossipMessage{From: raw.From}
 	for _, e := range raw.Entries {
-		if e.Stages < 1 || e.Stages > maxStages {
+		if e.Stages < 1 || e.Stages > sched.MaxStages {
 			continue
 		}
 		if math.IsNaN(e.Score) || math.IsInf(e.Score, 0) || e.Score <= 0 {
@@ -124,7 +122,7 @@ func (n *Node) GossipOnce(ctx context.Context) int {
 	if n.cfg.Source == nil {
 		return 0
 	}
-	entries := n.cfg.Source.HotEntries(n.cfg.GossipTopK)
+	entries := n.cfg.Source.HotEntries(gossipTopK)
 	kept := entries[:0]
 	for _, e := range entries {
 		if e.Graph != nil && e.Score > 0 {
@@ -169,7 +167,7 @@ func (n *Node) GossipOnce(ctx context.Context) int {
 
 // gossipTo POSTs one encoded gossip message to a peer.
 func (n *Node) gossipTo(ctx context.Context, target string, body []byte) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target+n.cfg.GossipPath, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target+GossipPath, bytes.NewReader(body))
 	if err != nil {
 		return false
 	}

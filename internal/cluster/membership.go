@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"time"
 )
 
 // maxWireBytes bounds any single heartbeat or gossip message read off the
@@ -37,7 +38,7 @@ type HeartbeatMessage struct {
 func (n *Node) Heartbeat() HeartbeatMessage {
 	hb := HeartbeatMessage{
 		From:          n.cfg.Self,
-		UptimeSeconds: n.cfg.Now().Sub(n.start).Seconds(),
+		UptimeSeconds: time.Since(n.start).Seconds(),
 		Peers:         make(map[string]string),
 	}
 	n.mu.Lock()
@@ -133,7 +134,7 @@ func (n *Node) ProbeOnce(ctx context.Context) {
 // probe issues one heartbeat GET and reports whether the peer answered
 // healthily as the identity the peer list claims for it.
 func (n *Node) probe(ctx context.Context, peerURL string) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peerURL+n.cfg.HeartbeatPath, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peerURL+HeartbeatPath, nil)
 	if err != nil {
 		return false
 	}

@@ -39,7 +39,7 @@ type ringPoint struct {
 }
 
 // ring is a consistent-hash ring over the uint64 fingerprint space.
-// Each member contributes vnodes points (FNV-64a of "url#i"), and a
+// Each member contributes virtualNodes points (FNV-64a of "url#i"), and a
 // fingerprint's owner is the member of the first point at or clockwise
 // after it. The ring is immutable once built; Node swaps whole rings on
 // membership change, which makes rebalancing deterministic: the ring is
@@ -50,10 +50,10 @@ type ring struct {
 
 // newRing builds a ring over members (deduplicated by the caller). An
 // empty member list yields a ring whose owner is always "".
-func newRing(members []string, vnodes int) *ring {
-	r := &ring{points: make([]ringPoint, 0, len(members)*vnodes)}
+func newRing(members []string) *ring {
+	r := &ring{points: make([]ringPoint, 0, len(members)*virtualNodes)}
 	for _, m := range members {
-		for i := 0; i < vnodes; i++ {
+		for i := 0; i < virtualNodes; i++ {
 			r.points = append(r.points, ringPoint{h: pointHash(m, i), member: m})
 		}
 	}

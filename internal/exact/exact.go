@@ -68,12 +68,6 @@ type Options struct {
 	ChildrenRule bool
 }
 
-// DefaultOptions gives the budget used by the benchmark harness: large
-// enough to close all twelve evaluation models at 4-6 stages.
-func DefaultOptions() Options {
-	return Options{Timeout: 120 * time.Second, MaxStates: 100_000_000}
-}
-
 // Result is the outcome of an exact solve.
 type Result struct {
 	// Schedule is the best schedule found.
@@ -289,7 +283,7 @@ func quotientInstance(g *graph.Graph, q sched.Quotient, cross bool) (*graph.Grap
 			qg.AddEdge(a, b)
 		}
 	}
-	qg.MustBuild() // acyclic and duplicate-free by construction
+	qg.MustBuild() // acyclic and duplicate-free by construction; class sums fit since g built
 	if !cross {
 		return qg, nil
 	}

@@ -18,18 +18,48 @@ func randomDAG(seed int64, maxN int) *graph.Graph { return randomDAGDeg(seed, ma
 // randomDAGDeg draws a DAG of 2..maxN nodes whose nodes have 1..maxIn
 // parents each; a higher maxIn means larger sibling groups.
 func randomDAGDeg(seed int64, maxN, maxIn int) *graph.Graph {
+	return drawDAG(seed, maxN, maxIn, 0).MustBuild()
+}
+
+// drawDAG is randomDAGDeg before Build, with parameter weights drawn from
+// [minWeight, 99].
+func drawDAG(seed int64, maxN, maxIn, minWeight int) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
 	n := 2 + rng.Intn(maxN-1)
 	g := graph.New("rand")
 	for i := 0; i < n; i++ {
-		g.AddNode(graph.Node{ParamBytes: int64(rng.Intn(100)), OutBytes: 1 + int64(rng.Intn(50))})
+		g.AddNode(graph.Node{ParamBytes: int64(minWeight + rng.Intn(100-minWeight)), OutBytes: 1 + int64(rng.Intn(50))})
 	}
 	for v := 1; v < n; v++ {
 		for _, u := range rng.Perm(v)[:1+rng.Intn(minInt(v, maxIn))] {
 			g.AddEdge(u, v)
 		}
 	}
-	return g.MustBuild()
+	return g
+}
+
+// TestNegativeWeightsNeverReachTheSearch: the branch and bound prunes on
+// bounds that only hold for non-negative weights. Before graph.Build
+// refused them, seed 42 of this draw made Solve with ChildrenRule report
+// Optimal at peak 54 where brute force finds 50 (2 and 3 stages).
+func TestNegativeWeightsNeverReachTheSearch(t *testing.T) {
+	refused := 0
+	for seed := int64(1); seed <= 300; seed++ {
+		g := drawDAG(seed, 10, 2, -100)
+		negative := false
+		for _, nd := range g.Nodes() {
+			negative = negative || nd.ParamBytes < 0
+		}
+		if err := g.Build(); negative != (err != nil) {
+			t.Fatalf("seed %d: negative weight %v, Build error %v", seed, negative, err)
+		}
+		if negative {
+			refused++
+		}
+	}
+	if refused < 250 {
+		t.Fatalf("only %d of 300 draws had a negative weight: the draw no longer exercises the check", refused)
+	}
 }
 
 func minInt(a, b int) int {

@@ -6,6 +6,7 @@ package graph_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -202,7 +203,9 @@ func fuzzBuild(data []byte, mutNode uint8, mutDelta int64, mutEdge bool) *graph.
 			MACs:       at(4 + 3*v),
 		}
 		if int(mutNode)%n == v {
-			node.ParamBytes += mutDelta
+			// Top two bits masked off: Build refuses a negative weight
+			// and weights that sum past int64.
+			node.ParamBytes = (node.ParamBytes + mutDelta) & (math.MaxInt64 >> 1)
 		}
 		g.AddNode(node)
 	}

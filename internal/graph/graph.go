@@ -130,13 +130,33 @@ func (g *Graph) AddEdge(u, v int) {
 }
 
 // Build validates acyclicity, computes topological order, ASAP/ALAP levels
-// and depth, and freezes the graph. It returns an error on cycles or
-// duplicate edges.
+// and depth, and freezes the graph. It returns an error on cycles,
+// duplicate edges, or node attributes out of range: in every built graph
+// ParamBytes, OutBytes and MACs are non-negative and each sums over the
+// nodes without overflowing int64, which the partition DP's two-pointer
+// walk, the exact solver's bounds and the simulator rely on.
 func (g *Graph) Build() error {
 	if g.built {
 		return nil
 	}
 	n := len(g.nodes)
+	var params, outs, macs int64
+	for v, nd := range g.nodes {
+		switch {
+		case nd.ParamBytes < 0:
+			return fmt.Errorf("graph %q: node %d: negative param_bytes", g.Name, v)
+		case nd.OutBytes < 0:
+			return fmt.Errorf("graph %q: node %d: negative out_bytes", g.Name, v)
+		case nd.MACs < 0:
+			return fmt.Errorf("graph %q: node %d: negative macs", g.Name, v)
+		}
+		// Each term and each running total is non-negative, so a total
+		// that turns negative has wrapped.
+		params, outs, macs = params+nd.ParamBytes, outs+nd.OutBytes, macs+nd.MACs
+		if params < 0 || outs < 0 || macs < 0 {
+			return fmt.Errorf("graph %q: node %d: attribute totals overflow int64", g.Name, v)
+		}
+	}
 	// seenFrom[w] == v+1 marks w as already listed among v's successors.
 	seenFrom := make([]int, n)
 	for v := 0; v < n; v++ {
@@ -322,15 +342,6 @@ func (g *Graph) TotalParamBytes() int64 {
 	var t int64
 	for _, n := range g.nodes {
 		t += n.ParamBytes
-	}
-	return t
-}
-
-// TotalMACs returns the sum of MACs over all nodes.
-func (g *Graph) TotalMACs() int64 {
-	var t int64
-	for _, n := range g.nodes {
-		t += n.MACs
 	}
 	return t
 }

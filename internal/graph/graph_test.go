@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -89,6 +90,25 @@ func TestDuplicateEdgeRejected(t *testing.T) {
 	g.AddEdge(a, b)
 	if err := g.Build(); err == nil {
 		t.Fatal("Build accepted duplicate edge")
+	}
+}
+
+func TestAttributeOutOfRangeRejected(t *testing.T) {
+	for _, tc := range []struct {
+		node Node
+		want string
+	}{
+		{Node{ParamBytes: -1}, "node 1: negative param_bytes"},
+		{Node{OutBytes: -1}, "node 1: negative out_bytes"},
+		{Node{MACs: -1}, "node 1: negative macs"},
+		{Node{ParamBytes: math.MaxInt64}, "node 1: attribute totals overflow"},
+		{Node{MACs: math.MaxInt64}, "node 1: attribute totals overflow"},
+	} {
+		g := New("range")
+		g.AddEdge(g.AddNode(Node{ParamBytes: 1, OutBytes: 1, MACs: 1}), g.AddNode(tc.node))
+		if err := g.Build(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Build error %v, want one naming %q", err, tc.want)
+		}
 	}
 }
 

@@ -18,6 +18,9 @@ import (
 // and ParseJSON refuses. The list is closed: a new entry is a wire-format
 // change.
 func TestParseJSONTightenings(t *testing.T) {
+	// Build is the last step of both decoders, so what it refuses the
+	// oracle refuses too.
+	const byBuild = "built as written; Build now refuses it, so the oracle's result is itself refused"
 	cases := []struct{ name, doc, was string }{
 		{"member name in another case", `{"Nodes":[{}]}`, "encoding/json folds case"},
 		{"node member name in another case", `{"nodes":[{"Param_Bytes":4}]}`, "encoding/json folds case"},
@@ -28,13 +31,18 @@ func TestParseJSONTightenings(t *testing.T) {
 		{"null edge endpoint", `{"nodes":[{},{}],"edges":[[null,1]]}`, "read as 0"},
 		{"second nodes member", `{"nodes":[{}],"nodes":[{},{}]}`, "the last one won"},
 		{"second edges member", `{"nodes":[{},{}],"edges":[],"edges":[[0,1]]}`, "the last one won"},
+		{"negative param_bytes", `{"nodes":[{"name":"a","param_bytes":-5},{"name":"b"}],"edges":[[0,1]]}`, byBuild},
+		{"negative out_bytes", `{"nodes":[{"out_bytes":-1}]}`, byBuild},
+		{"negative macs", `{"nodes":[{},{"macs":-9223372036854775808}]}`, byBuild},
+		{"weights that sum past int64", `{"nodes":[{"param_bytes":9223372036854775807},{"param_bytes":1}]}`, byBuild},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, _, err := graph.ParseJSON([]byte(tc.doc)); err == nil {
 				t.Fatalf("ParseJSON accepted %s (old decoder: %s)", tc.doc, tc.was)
 			}
-			// All but the two that decoded to a self edge were accepted.
+			// All but those that decoded to a self edge or to attributes out
+			// of range, which Build refuses for both decoders, were accepted.
 			_, err := graph.OracleReadJSON(strings.NewReader(tc.doc))
 			if wasRefused := strings.Contains(tc.was, "itself refused"); (err != nil) != wasRefused {
 				t.Fatalf("oracle on %s: err = %v, want refused = %v", tc.doc, err, wasRefused)

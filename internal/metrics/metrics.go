@@ -416,17 +416,12 @@ func (v *CounterVec) With(values ...string) *Counter {
 // Reinstalling replaces the previous series.
 func (v *CounterVec) Func(fn func() float64, values ...string) { v.f.setFunc(fn, values) }
 
-// GaugeVec is a labeled gauge family.
+// GaugeVec is a labeled gauge family; its series are function-backed.
 type GaugeVec struct{ f *family }
 
 // GaugeVec registers a gauge family with the given label keys.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 	return &GaugeVec{r.newFamily(name, help, gaugeKind, nil, labels...)}
-}
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	return v.f.with(values, func() *series { return &series{gauge: &Gauge{}} }).gauge
 }
 
 // Func installs a function-backed gauge for the given label values.

@@ -38,6 +38,14 @@ func BackendName(class string) string { return "rl-online-" + class }
 // too slow for the stream and are weaker evidence.
 const deadlineMissWeight = 0.5
 
+// winnerSlack bounds how far above the recorded portfolio winners' mean
+// cost a promotable candidate may sit, as a multiple: shadow evaluation is
+// against both the incumbent and the exact/heur winners.
+const winnerSlack = 2.0
+
+// learningRate is the Adam step size of every training round.
+const learningRate = 5e-3
+
 // Config parameterizes the learning loop. Zero values take the
 // documented defaults.
 type Config struct {
@@ -47,8 +55,6 @@ type Config struct {
 	// Agent seeds every class's incumbent (nil: a fresh model per
 	// class, seeded from Seed).
 	Agent *ptrnet.Model
-	// Embed overrides the node-embedding configuration (nil: default).
-	Embed *embed.Config
 	// Classes fixes the set of traffic classes that learn.
 	Classes []string
 	// Interval is the background training-round period (default 30s).
@@ -56,11 +62,6 @@ type Config struct {
 	// Margin is the relative held-out cost improvement a candidate must
 	// show over the incumbent to be promoted (default 0.02).
 	Margin float64
-	// WinnerSlack bounds how far above the recorded portfolio winners'
-	// mean cost a promotable candidate may sit, as a multiple
-	// (default 2.0): shadow evaluation is against both the incumbent
-	// and the exact/heur winners.
-	WinnerSlack float64
 	// BufferCap is the per-class training-ring capacity (default 4096).
 	BufferCap int
 	// MinSamples is the training-partition floor below which a class
@@ -70,8 +71,6 @@ type Config struct {
 	BatchSize int
 	// Steps is the number of gradient steps per round (default 40).
 	Steps int
-	// LR is the Adam learning rate (default 5e-3).
-	LR float64
 	// Hidden is the fresh-model width when Agent is nil (default 32).
 	Hidden int
 	// Seed drives every RNG in the loop (minibatch draws, decode
@@ -95,9 +94,6 @@ func (c Config) withDefaults() Config {
 	if c.Margin == 0 {
 		c.Margin = 0.02
 	}
-	if c.WinnerSlack <= 0 {
-		c.WinnerSlack = 2.0
-	}
 	if c.BufferCap <= 0 {
 		c.BufferCap = 4096
 	}
@@ -109,9 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Steps <= 0 {
 		c.Steps = 40
-	}
-	if c.LR == 0 {
-		c.LR = 5e-3
 	}
 	if c.Hidden <= 0 {
 		c.Hidden = 32
@@ -162,9 +155,6 @@ func New(cfg Config) (*Manager, error) {
 		return nil, fmt.Errorf("online: no classes to learn for")
 	}
 	ecfg := embed.Default()
-	if cfg.Embed != nil {
-		ecfg = *cfg.Embed
-	}
 	m := &Manager{
 		cfg:      cfg,
 		ecfg:     ecfg,
@@ -285,7 +275,7 @@ func (m *Manager) roundClass(ctx context.Context, l *learner) RoundResult {
 	candidate := l.incumbent.Clone()
 	tr := rl.NewExampleTrainer(candidate, m.ecfg, rl.Config{
 		Hidden:         m.cfg.Hidden,
-		LR:             m.cfg.LR,
+		LR:             learningRate,
 		Seed:           m.cfg.Seed + l.seedIdx*1_000_003 + int64(l.rounds)*7919,
 		BatchSize:      m.cfg.BatchSize,
 		ChallengeEvery: 10,
@@ -314,7 +304,7 @@ func (m *Manager) roundClass(ctx context.Context, l *learner) RoundResult {
 	}
 	l.gapBits.Store(math.Float64bits(res.Gap))
 
-	if res.Gap >= m.cfg.Margin && res.CandidateCost <= m.cfg.WinnerSlack*res.WinnerCost {
+	if res.Gap >= m.cfg.Margin && res.CandidateCost <= winnerSlack*res.WinnerCost {
 		l.incumbent = candidate
 		if err := m.bindBackend(l.class, candidate); err != nil {
 			res.Skipped = "rebind failed: " + err.Error()

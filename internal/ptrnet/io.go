@@ -1,18 +1,15 @@
 package ptrnet
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 	"os"
 )
 
-// weightsMagic opens every versioned weights file. The byte after it is
-// the schema version. Files written before the header existed start
-// directly with a gob stream, which never begins with these bytes, so
-// the two formats are distinguishable from the first read.
+// weightsMagic opens every weights file. The byte after it is the schema
+// version.
 var weightsMagic = []byte("RSPTWTS\n")
 
 // WeightsVersion is the weights-file schema version this build writes
@@ -50,33 +47,24 @@ func WriteWeights(w io.Writer, m *Model) error {
 	return gob.NewEncoder(w).Encode(snap)
 }
 
-// ReadWeights deserializes a model written with WriteWeights. Files
-// from before the header existed (a bare gob stream) are still
-// accepted; a file that carries the magic but a different version is
+// ReadWeights deserializes a model written with WriteWeights. A stream
+// that does not open with the magic, or carries a different version, is
 // rejected. Corrupted or truncated input yields an error, never a
 // panic — the online promotion path feeds this from untrusted disk
 // state.
 func ReadWeights(r io.Reader) (*Model, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(weightsMagic))
-	if err == nil && string(head) == string(weightsMagic) {
-		if _, err := br.Discard(len(weightsMagic)); err != nil {
-			return nil, err
-		}
-		ver, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("ptrnet: truncated weights header: %w", err)
-		}
-		if ver != WeightsVersion {
-			return nil, fmt.Errorf("ptrnet: weights schema version %d, this build reads %d", ver, WeightsVersion)
-		}
-	} else if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-		return nil, err
+	head := make([]byte, len(weightsMagic)+1)
+	if _, err := io.ReadFull(r, head); err != nil {
+		return nil, fmt.Errorf("ptrnet: truncated weights header: %w", err)
 	}
-	// No magic: legacy pre-header file; the gob stream starts at the
-	// current read position either way.
+	if !bytes.HasPrefix(head, weightsMagic) {
+		return nil, fmt.Errorf("ptrnet: not a weights file: missing the %q header", weightsMagic)
+	}
+	if ver := head[len(weightsMagic)]; ver != WeightsVersion {
+		return nil, fmt.Errorf("ptrnet: weights schema version %d, this build reads %d", ver, WeightsVersion)
+	}
 	var snap snapshot
-	if err := gob.NewDecoder(br).Decode(&snap); err != nil {
+	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("ptrnet: decode: %w", err)
 	}
 	return modelFromSnapshot(snap)
@@ -109,18 +97,6 @@ func modelFromSnapshot(snap snapshot) (*Model, error) {
 	return m, nil
 }
 
-// Write serializes the model weights in the versioned format
-// (see WriteWeights).
-func (m *Model) Write(w io.Writer) error {
-	return WriteWeights(w, m)
-}
-
-// ReadFrom deserializes a model previously written with Write or
-// WriteWeights, accepting legacy headerless files (see ReadWeights).
-func ReadFrom(r io.Reader) (*Model, error) {
-	return ReadWeights(r)
-}
-
 // SaveFile writes the model to path.
 func (m *Model) SaveFile(path string) error {
 	f, err := os.Create(path)
@@ -128,7 +104,7 @@ func (m *Model) SaveFile(path string) error {
 		return err
 	}
 	defer f.Close()
-	if err := m.Write(f); err != nil {
+	if err := WriteWeights(f, m); err != nil {
 		return err
 	}
 	return f.Close()
@@ -141,5 +117,5 @@ func LoadFile(path string) (*Model, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadFrom(f)
+	return ReadWeights(f)
 }

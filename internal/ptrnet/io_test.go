@@ -38,8 +38,9 @@ func TestWeightsHeaderVersioned(t *testing.T) {
 	}
 }
 
-// legacyBytes serializes m in the pre-header format: a bare gob stream.
-func legacyBytes(t *testing.T, m *Model) []byte {
+// headerlessBytes serializes m as a bare gob stream, the format that
+// predates the header.
+func headerlessBytes(t testing.TB, m *Model) []byte {
 	t.Helper()
 	snap := snapshot{Cfg: m.Cfg}
 	for _, p := range m.Params() {
@@ -53,19 +54,12 @@ func legacyBytes(t *testing.T, m *Model) []byte {
 	return buf.Bytes()
 }
 
-// TestLegacyWeightsFallback loads a headerless pre-versioning file.
-func TestLegacyWeightsFallback(t *testing.T) {
-	m := testModel(43)
-	m2, err := ReadWeights(bytes.NewReader(legacyBytes(t, m)))
-	if err != nil {
-		t.Fatalf("legacy file rejected: %v", err)
-	}
-	emb := testEmb(t, 8, 44)
-	want, got := m.Infer(emb), m2.Infer(emb)
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatal("legacy round trip changed behaviour")
-		}
+// TestHeaderlessWeightsRefused: a stream without the magic is not a
+// weights file, and the error says what is missing.
+func TestHeaderlessWeightsRefused(t *testing.T) {
+	_, err := ReadWeights(bytes.NewReader(headerlessBytes(t, testModel(43))))
+	if err == nil || !strings.Contains(err.Error(), "header") {
+		t.Fatalf("headerless stream accepted or wrong error: %v", err)
 	}
 }
 
@@ -104,6 +98,8 @@ func TestWeightsTruncatedRejected(t *testing.T) {
 func TestWeightsCorruptedSnapshotRejected(t *testing.T) {
 	encode := func(snap snapshot) []byte {
 		var buf bytes.Buffer
+		buf.Write(weightsMagic)
+		buf.WriteByte(WeightsVersion)
 		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 			t.Fatal(err)
 		}
@@ -157,17 +153,8 @@ func FuzzReadWeights(f *testing.F) {
 	if err := WriteWeights(&versioned, m); err != nil {
 		f.Fatal(err)
 	}
-	var legacy bytes.Buffer
-	snap := snapshot{Cfg: m.Cfg}
-	for _, p := range m.Params() {
-		snap.Weights = append(snap.Weights, append([]float64(nil), p.Data...))
-		snap.Shapes = append(snap.Shapes, [2]int{p.Rows, p.Cols})
-	}
-	if err := gob.NewEncoder(&legacy).Encode(snap); err != nil {
-		f.Fatal(err)
-	}
 	f.Add(versioned.Bytes())
-	f.Add(legacy.Bytes())
+	f.Add(headerlessBytes(f, m))
 	f.Add(versioned.Bytes()[:len(versioned.Bytes())/2])
 	f.Add(append(append([]byte(nil), weightsMagic...), 7))
 	f.Add([]byte("not a model at all"))

@@ -179,10 +179,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	want := m.Infer(emb)
 
 	var buf bytes.Buffer
-	if err := m.Write(&buf); err != nil {
+	if err := WriteWeights(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := ReadFrom(&buf)
+	m2, err := ReadWeights(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadCorruptFails(t *testing.T) {
-	if _, err := ReadFrom(bytes.NewReader([]byte("not a model"))); err == nil {
+	if _, err := ReadWeights(bytes.NewReader([]byte("not a model"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
 	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.gob")); err == nil {

@@ -412,13 +412,9 @@ func ScheduleSampledCtx(ctx context.Context, m *ptrnet.Model, ecfg embed.Config,
 	return best, nil
 }
 
-// ScheduleBeam is beam-search inference: the width most likely node
-// orders are decoded jointly and the most likely one is deployed.
-func ScheduleBeam(m *ptrnet.Model, ecfg embed.Config, g *graph.Graph, numStages, width int) (sched.Schedule, error) {
-	return ScheduleBeamCtx(context.Background(), m, ecfg, g, numStages, width)
-}
-
-// ScheduleBeamCtx is ScheduleBeam under a context, checked at every step.
+// ScheduleBeamCtx is beam-search inference: the width most likely node
+// orders are decoded jointly and the most likely one is deployed. ctx is
+// checked at every step.
 func ScheduleBeamCtx(ctx context.Context, m *ptrnet.Model, ecfg embed.Config, g *graph.Graph, numStages, width int) (sched.Schedule, error) {
 	enc, err := encode(ctx, m, ecfg, g)
 	if err != nil {

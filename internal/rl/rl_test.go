@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"context"
 	"testing"
 
 	"respect/internal/embed"
@@ -259,7 +260,7 @@ func TestScheduleBeamValid(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := models.MustLoad("Xception")
-	s, err := ScheduleBeam(tr.Model, tr.EmbedCfg, g, 4, 4)
+	s, err := ScheduleBeamCtx(context.Background(), tr.Model, tr.EmbedCfg, g, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -784,9 +784,6 @@ func (d *Dispatcher) Queued() int {
 	return len(d.pending)
 }
 
-// Streams snapshots the admitted stream set, sorted by name.
-func (d *Dispatcher) Streams() []StreamStats { return d.Stats().Streams }
-
 // queuedJob is a Job on the dispatch heap; cancelled jobs are skipped
 // lazily when popped.
 type queuedJob struct {

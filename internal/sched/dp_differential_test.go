@@ -63,35 +63,6 @@ func TestDPSegmentMatchesReferenceRandom(t *testing.T) {
 	}
 }
 
-// TestDPSegmentNegativeWeightsFallBack exercises the monotonicity guard:
-// negative parameter weights (expressible through the JSON wire format)
-// void the two-pointer argument, so dpSegment must detect them and fall
-// back to the reference — the outputs still have to agree exactly.
-func TestDPSegmentNegativeWeightsFallBack(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n := 2 + rng.Intn(20)
-		g := graph.New("neg")
-		for i := 0; i < n; i++ {
-			g.AddNode(graph.Node{Name: "n", ParamBytes: int64(rng.Intn(41)) - 20})
-		}
-		for i := 1; i < n; i++ {
-			g.AddEdge(i-1, i)
-		}
-		g.MustBuild()
-		order := g.TopoView()
-		k := 1 + rng.Intn(5)
-		fast := dpSegment(g, order, k)
-		ref := dpSegmentRef(g, order, k)
-		for v := range fast.Stage {
-			if fast.Stage[v] != ref.Stage[v] {
-				t.Fatalf("trial %d: node %d staged %d by fast DP, %d by reference",
-					trial, v, fast.Stage[v], ref.Stage[v])
-			}
-		}
-	}
-}
-
 // TestEvaluateStackAndHeapPathsAgree pins the small-stage stack fast path
 // in Evaluate to the heap path by evaluating the same schedule at a stage
 // count on each side of the threshold.

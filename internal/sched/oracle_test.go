@@ -2,6 +2,55 @@ package sched
 
 import "respect/internal/graph"
 
+// dpSegmentRef is the quadratic reference implementation of dpSegment: a
+// direct materialization of the recurrence with smallest-index tie-breaks.
+// The differential tests pin dpSegment's output to it bit for bit.
+func dpSegmentRef(g *graph.Graph, order []int, numStages int) Schedule {
+	n := len(order)
+	prefix := make([]int64, n+1)
+	for i, v := range order {
+		prefix[i+1] = prefix[i] + g.Node(v).ParamBytes
+	}
+	const inf = int64(1) << 62
+	dp := make([][]int64, numStages+1)
+	cut := make([][]int, numStages+1)
+	for k := range dp {
+		dp[k] = make([]int64, n+1)
+		cut[k] = make([]int, n+1)
+		for i := range dp[k] {
+			dp[k][i] = inf
+		}
+	}
+	dp[0][0] = 0
+	for k := 1; k <= numStages; k++ {
+		for i := 0; i <= n; i++ {
+			if dp[k-1][i] == inf {
+				continue
+			}
+			for j := i; j <= n; j++ {
+				peak := dp[k-1][i]
+				if sm := prefix[j] - prefix[i]; sm > peak {
+					peak = sm
+				}
+				if peak < dp[k][j] {
+					dp[k][j] = peak
+					cut[k][j] = i
+				}
+			}
+		}
+	}
+	s := NewSchedule(g.NumNodes(), numStages)
+	j := n
+	for k := numStages; k >= 1; k-- {
+		i := cut[k][j]
+		for t := i; t < j; t++ {
+			s.Stage[order[t]] = k - 1
+		}
+		j = i
+	}
+	return s
+}
+
 // postProcessRef is PostProcess as it stood before Condense was lifted out
 // of it: union-find, class graph and SCC condensation over maps and slices
 // of slices, then a Kahn pass. FuzzCondense and the zoo differential hold

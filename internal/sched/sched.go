@@ -23,6 +23,12 @@ type Schedule struct {
 	Stage []int
 }
 
+// MaxStages is the longest pipeline the service schedules for: request
+// validation, gossip decoding and speculative mutation all stop here. Real
+// Coral deployments pipeline a handful of Edge TPUs, so anything beyond it
+// is a client error rather than a capacity problem.
+const MaxStages = 64
+
 // NewSchedule returns an all-zero schedule for numNodes nodes.
 func NewSchedule(numNodes, numStages int) Schedule {
 	return Schedule{NumStages: numStages, Stage: make([]int, numNodes)}
@@ -290,9 +296,9 @@ func growBool(buf *[]bool, n int) []bool {
 // Together these turn the inner loop into an amortized two-pointer walk —
 // O(|V|·numStages) instead of O(|V|²·numStages) — while selecting exactly
 // the cuts the quadratic reference selects (smallest minimizer, strict
-// improvement), so the returned schedule is bit-identical to
-// dpSegmentRef's. Graphs with negative weights (expressible through the
-// JSON wire format, never by real models) fall back to the reference.
+// improvement), so the returned schedule is bit-identical to the
+// reference's (dpSegmentRef, in the tests). graph.Build guarantees the
+// non-negative weights.
 func dpSegment(g *graph.Graph, order []int, numStages int) Schedule {
 	n := len(order)
 	sc := dpPool.Get().(*dpScratch)
@@ -300,17 +306,8 @@ func dpSegment(g *graph.Graph, order []int, numStages int) Schedule {
 
 	prefix := grow64(&sc.prefix, n+1)
 	prefix[0] = 0
-	negative := false
 	for i, v := range order {
-		p := g.Node(v).ParamBytes
-		if p < 0 {
-			negative = true
-			break
-		}
-		prefix[i+1] = prefix[i] + p
-	}
-	if negative {
-		return dpSegmentRef(g, order, numStages)
+		prefix[i+1] = prefix[i] + g.Node(v).ParamBytes
 	}
 
 	const inf = int64(1) << 62
@@ -353,57 +350,6 @@ func dpSegment(g *graph.Graph, order []int, numStages int) Schedule {
 	j := n
 	for k := numStages; k >= 1; k-- {
 		i := int(cut[k*(n+1)+j])
-		for t := i; t < j; t++ {
-			s.Stage[order[t]] = k - 1
-		}
-		j = i
-	}
-	return s
-}
-
-// dpSegmentRef is the quadratic reference implementation of dpSegment: a
-// direct materialization of the recurrence with smallest-index tie-breaks.
-// It handles negative weights (where the two-pointer walk's monotonicity
-// arguments fail) and anchors the differential tests that pin dpSegment's
-// output bit-for-bit.
-func dpSegmentRef(g *graph.Graph, order []int, numStages int) Schedule {
-	n := len(order)
-	prefix := make([]int64, n+1)
-	for i, v := range order {
-		prefix[i+1] = prefix[i] + g.Node(v).ParamBytes
-	}
-	const inf = int64(1) << 62
-	dp := make([][]int64, numStages+1)
-	cut := make([][]int, numStages+1)
-	for k := range dp {
-		dp[k] = make([]int64, n+1)
-		cut[k] = make([]int, n+1)
-		for i := range dp[k] {
-			dp[k][i] = inf
-		}
-	}
-	dp[0][0] = 0
-	for k := 1; k <= numStages; k++ {
-		for i := 0; i <= n; i++ {
-			if dp[k-1][i] == inf {
-				continue
-			}
-			for j := i; j <= n; j++ {
-				peak := dp[k-1][i]
-				if sm := prefix[j] - prefix[i]; sm > peak {
-					peak = sm
-				}
-				if peak < dp[k][j] {
-					dp[k][j] = peak
-					cut[k][j] = i
-				}
-			}
-		}
-	}
-	s := NewSchedule(g.NumNodes(), numStages)
-	j := n
-	for k := numStages; k >= 1; k-- {
-		i := cut[k][j]
 		for t := i; t < j; t++ {
 			s.Stage[order[t]] = k - 1
 		}

@@ -22,6 +22,9 @@ import (
 
 const tinyGraph = `{"name":"t","nodes":[{"name":"a","param_bytes":10},{"name":"b","param_bytes":10}],"edges":[[0,1]]}`
 
+// negGraph is well-formed JSON for a graph no solver's bounds hold on.
+const negGraph = `{"nodes":[{"name":"a","param_bytes":-5},{"name":"b"}],"edges":[[0,1]]}`
+
 // TestEnvelopeContract pins, per request body, what the single-pass
 // decoder keeps from encoding/json with DisallowUnknownFields and the
 // closed list of places where it is stricter.
@@ -55,6 +58,11 @@ func TestEnvelopeContract(t *testing.T) {
 		{"member name in another case", "/v1/schedule", `{"Model":"VGG16"}`, 400, "unknown field"},
 		{"second graph member", "/v1/schedule", `{"graph":` + tinyGraph + `,"graph":` + tinyGraph + `}`, 400, "duplicate"},
 		{"second graphs member", "/v1/batch", `{"graphs":[` + tinyGraph + `],"graphs":[]}`, 400, "duplicate"},
+		// Refused by graph.Build, whichever way the graph arrives.
+		{"negative weight (schedule)", "/v1/schedule", `{"graph":` + negGraph + `,"stages":2}`, 400, "node 0: negative param_bytes"},
+		{"negative weight (batch)", "/v1/batch", `{"graphs":[` + tinyGraph + `,` + negGraph + `],"stages":2}`, 400, "graphs[1]: graph \"\": node 0: negative param_bytes"},
+		{"negative weight (periodic)", "/v1/periodic", `{"name":"s3","graph":` + negGraph + `,"stages":2,"period_ms":1000,"cost_ms":1}`, 400, "node 0: negative param_bytes"},
+		{"sibling weights that sum past int64", "/v1/schedule", `{"graph":{"nodes":[{},{"param_bytes":9223372036854775807},{"param_bytes":9223372036854775807}],"edges":[[0,1],[0,2]]},"stages":2,"class":"batch"}`, 400, "node 2: attribute totals overflow int64"},
 		// The bug fixed with the walker: json.Decoder stopped at the brace.
 		{"bytes after the object (schedule)", "/v1/schedule", `{"model":"VGG16"} trailing-garbage`, 400, "after the request object"},
 		{"bytes after the object (batch)", "/v1/batch", `{"models":["VGG16"]}{}`, 400, "after the request object"},

@@ -31,20 +31,6 @@ type ClusterConfig struct {
 	// Peers lists every replica's advertise URL; the list may include
 	// Advertise (it is filtered out). Non-empty enables clustering.
 	Peers []string
-	// ProbeInterval paces the membership heartbeat loop (default 500ms).
-	ProbeInterval time.Duration
-	// GossipInterval paces the popularity gossip loop (default 2s).
-	GossipInterval time.Duration
-	// GossipTopK bounds hot entries pushed per gossip round (default 16).
-	GossipTopK int
-	// SuspectAfter / DeadAfter are the consecutive probe-failure counts
-	// after which a peer is suspect (still an owner, not forwarded to)
-	// and dead (leaves the ring). Defaults 1 and 3.
-	SuspectAfter int
-	DeadAfter    int
-	// VirtualNodes is the consistent-hash ring points per member
-	// (default 64).
-	VirtualNodes int
 	// DisableGossip keeps sharding and forwarding but turns off the
 	// popularity gossip exchange.
 	DisableGossip bool
@@ -155,19 +141,12 @@ func (s *Server) initCluster() error {
 		sink = fleetGossip{s}
 	}
 	node, err := cluster.New(cluster.Config{
-		Self:           cc.Advertise,
-		Peers:          cc.Peers,
-		VirtualNodes:   cc.VirtualNodes,
-		SuspectAfter:   cc.SuspectAfter,
-		DeadAfter:      cc.DeadAfter,
-		ProbeInterval:  cc.ProbeInterval,
-		GossipInterval: cc.GossipInterval,
-		GossipTopK:     cc.GossipTopK,
-		MaxStages:      maxStages,
-		Client:         cc.Client,
-		Source:         source,
-		Sink:           sink,
-		Logf:           s.cfg.Logf,
+		Self:   cc.Advertise,
+		Peers:  cc.Peers,
+		Client: cc.Client,
+		Source: source,
+		Sink:   sink,
+		Logf:   s.cfg.Logf,
 	})
 	if err != nil {
 		return err
@@ -299,7 +278,7 @@ func (s *Server) handleClusterGossip(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	msg, err := cluster.DecodeGossip(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), maxStages)
+	msg, err := cluster.DecodeGossip(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
 		writeDecodeError(w, err)
 		return

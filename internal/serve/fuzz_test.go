@@ -73,6 +73,7 @@ func FuzzScheduleRequest(f *testing.F) {
 	// Regression: json.Decoder stopped at the closing brace, so anything
 	// after it was accepted.
 	f.Add([]byte(`{"model":"VGG16"} trailing-garbage`))
+	f.Add([]byte(`{"graph":{"nodes":[{"name":"a","param_bytes":-5},{"name":"b"}],"edges":[[0,1]]},"stages":2}`))
 	f.Add([]byte(`{"graph":null,"graph":` + tiny + `,"Model":"x"}`))
 	fuzzPost(f, "/v1/schedule")
 }
@@ -92,6 +93,7 @@ func FuzzBatchRequest(f *testing.F) {
 	f.Add([]byte(`not json`))
 	f.Add([]byte(strings.Repeat("{", 64)))
 	f.Add([]byte(`{"models":["VGG16"]} trailing-garbage`))
+	f.Add([]byte(`{"graphs":[{"nodes":[{"name":"a","param_bytes":-5},{"name":"b"}],"edges":[[0,1]]}],"stages":2}`))
 	f.Add([]byte(`{"graphs":[` + tiny + `,{"nodes":7},null],"graphs":null}`))
 	fuzzPost(f, "/v1/batch")
 }

@@ -362,8 +362,8 @@ func (s *Server) stages(requested int) (int, error) {
 	if requested == 0 {
 		return s.cfg.Stages, nil
 	}
-	if requested < 1 || requested > maxStages {
-		return 0, fmt.Errorf("stages %d outside [1,%d]", requested, maxStages)
+	if requested < 1 || requested > sched.MaxStages {
+		return 0, fmt.Errorf("stages %d outside [1,%d]", requested, sched.MaxStages)
 	}
 	return requested, nil
 }

@@ -88,11 +88,15 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: status %d: %s", resp.StatusCode, data)
 	}
-	// 1 invalid interactive request (stages beyond the cap) for the
-	// invalid outcome label.
-	if resp, _ := postJSON(t, ts.URL+"/v1/schedule",
-		serve.ScheduleRequest{Model: "ResNet50", Stages: -1}); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("invalid request: status %d, want 400", resp.StatusCode)
+	// 2 invalid interactive requests (stages beyond the cap, a graph
+	// defect) for the invalid outcome label.
+	for _, body := range []any{
+		serve.ScheduleRequest{Model: "ResNet50", Stages: -1},
+		`{"graph":{"nodes":[{"name":"a","param_bytes":-5},{"name":"b"}],"edges":[[0,1]]}}`,
+	} {
+		if resp, _ := postJSON(t, ts.URL+"/v1/schedule", body); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("invalid request %v: status %d, want 400", body, resp.StatusCode)
+		}
 	}
 
 	series, page := scrapeMetrics(t, ts.URL)
@@ -120,7 +124,7 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 		{`respect_active_requests{class="interactive"}`, float64(inter.Active)},
 		{`respect_queued_requests{class="interactive"}`, float64(inter.Queued)},
 		{`respect_request_duration_seconds_count{class="interactive",outcome="ok"}`, 4},
-		{`respect_request_duration_seconds_count{class="interactive",outcome="invalid"}`, 1},
+		{`respect_request_duration_seconds_count{class="interactive",outcome="invalid"}`, 2},
 		{`respect_request_duration_seconds_count{class="batch",outcome="ok"}`, 1},
 		{`respect_admission_requests_total{class="batch",result="admitted"}`, 1},
 		{`respect_schedule_cache_ops_total{cache="batch/heur",op="miss"}`, 2},

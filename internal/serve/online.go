@@ -29,9 +29,6 @@ type OnlineConfig struct {
 	// Margin is the relative held-out improvement a candidate must show
 	// over the incumbent to be promoted (default 0.02).
 	Margin float64
-	// WinnerSlack bounds a promotable candidate's held-out cost as a
-	// multiple of the recorded portfolio winners' (default 2.0).
-	WinnerSlack float64
 	// BufferCap is the per-class replay-ring capacity (default 4096).
 	BufferCap int
 	// MinSamples is the per-class floor below which a training round is
@@ -43,9 +40,6 @@ type OnlineConfig struct {
 	Steps int
 	// Seed drives every RNG in the loop, making rounds replayable.
 	Seed int64
-	// Clock injects the background loop's time source (nil: wall clock);
-	// tests drive rounds with an rt.FakeClock.
-	Clock rt.Clock
 }
 
 // newOnlineManager builds the learning-loop manager for cfg and returns
@@ -61,19 +55,17 @@ func newOnlineManager(cfg Config) (*online.Manager, map[Class]ClassPolicy, error
 	}
 	sort.Strings(classNames)
 	mgr, err := online.New(online.Config{
-		Registry:    solver.Default(),
-		Agent:       oc.Agent,
-		Classes:     classNames,
-		Interval:    oc.Interval,
-		Margin:      oc.Margin,
-		WinnerSlack: oc.WinnerSlack,
-		BufferCap:   oc.BufferCap,
-		MinSamples:  oc.MinSamples,
-		BatchSize:   oc.BatchSize,
-		Steps:       oc.Steps,
-		Seed:        oc.Seed,
-		Clock:       oc.Clock,
-		Logf:        cfg.Logf,
+		Registry:   solver.Default(),
+		Agent:      oc.Agent,
+		Classes:    classNames,
+		Interval:   oc.Interval,
+		Margin:     oc.Margin,
+		BufferCap:  oc.BufferCap,
+		MinSamples: oc.MinSamples,
+		BatchSize:  oc.BatchSize,
+		Steps:      oc.Steps,
+		Seed:       oc.Seed,
+		Logf:       cfg.Logf,
 	})
 	if err != nil {
 		return nil, nil, err

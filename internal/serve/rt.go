@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strings"
 	"time"
@@ -31,15 +30,11 @@ type RTConfig struct {
 	// response-time analysis; setting it is an operator override that
 	// admits exactly up to the bound, overload included.
 	UtilBound float64
-	// Workers sizes the periodic executor pool (default 1). Each worker
-	// still passes through the stream class's admission controller, so
-	// periodic work cannot crowd out more than the class allows.
-	Workers int
-	// CostQuantile picks the per-solve latency quantile used as a
-	// stream's cost estimate when the registration does not pin cost_ms
-	// (default 0.95). Must be in (0, 1].
-	CostQuantile float64
 }
+
+// rtCostQuantile is the quantile of a class's observed request latency
+// that stands in for a stream's cost when its registration pins no cost_ms.
+const rtCostQuantile = 0.95
 
 // rtPayload is the opaque stream payload carried through internal/rt: the
 // resolved graph and the serving class the stream's jobs run under.
@@ -58,14 +53,6 @@ func (s *Server) initRT() error {
 	if !rc.Enabled {
 		return nil
 	}
-	if rc.CostQuantile == 0 {
-		rc.CostQuantile = 0.95
-	}
-	if rc.CostQuantile <= 0 || rc.CostQuantile > 1 {
-		return fmt.Errorf("serve: RT.CostQuantile %v outside (0,1]", rc.CostQuantile)
-	}
-	s.rtQuantile = rc.CostQuantile
-
 	s.rtTardiness = s.reg.Histogram("respect_rt_tardiness_seconds",
 		"Periodic job tardiness (seconds past the absolute deadline; 0 for on-time jobs), all streams.",
 		s.cfg.LatencyBuckets)
@@ -80,7 +67,6 @@ func (s *Server) initRT() error {
 	d, err := rt.New(rt.Config{
 		Policy:    rt.Policy(rc.Policy),
 		UtilBound: rc.UtilBound,
-		Workers:   rc.Workers,
 		Run:       s.runRTJob,
 		Estimate:  s.rtEstimate,
 		OnComplete: func(res rt.JobResult) {
@@ -123,13 +109,13 @@ func (s *Server) runRTJob(ctx context.Context, j rt.Job) error {
 	return err
 }
 
-// rtEstimate feeds the schedulability test: the configured quantile of
+// rtEstimate feeds the schedulability test: the rtCostQuantile quantile of
 // the stream class's observed ok-request latency, falling back to the
 // class budget (the worst admissible case) before any traffic has been
 // observed. Registrations that pin cost_ms never reach here.
 func (s *Server) rtEstimate(stream *rt.Stream) time.Duration {
 	p := stream.Payload.(*rtPayload)
-	if secs := s.reqSeconds.With(string(p.class), outcomeOK).Quantile(s.rtQuantile); secs > 0 {
+	if secs := s.reqSeconds.With(string(p.class), outcomeOK).Quantile(rtCostQuantile); secs > 0 {
 		return time.Duration(secs * float64(time.Second))
 	}
 	return p.st.policy.Budget
@@ -210,6 +196,11 @@ func (s *Server) handlePeriodicRegister(w http.ResponseWriter, r *http.Request) 
 	}
 	if req.PeriodMS <= 0 {
 		writeError(w, http.StatusBadRequest, "period_ms %v must be positive", req.PeriodMS)
+		return
+	}
+	if strings.Contains(req.Name, "/") {
+		// DELETE /v1/periodic/{name} could never address it.
+		writeError(w, http.StatusBadRequest, "stream name %q must not contain '/'", req.Name)
 		return
 	}
 	spec := rt.StreamSpec{

@@ -6,6 +6,7 @@ package serve_test
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"math"
 	"net"
@@ -119,6 +120,38 @@ func TestPeriodicRegistrationAndSchedulability(t *testing.T) {
 	decodeInto(t, statsData, &stats)
 	if stats.RT == nil || len(stats.RT.Streams) != 1 || stats.RT.Streams[0].Name != "cam" {
 		t.Fatalf("/v1/stats rt block missing the admitted stream: %s", statsData)
+	}
+}
+
+// TestPeriodicNameMustBeAddressable: a stream is removed by its name as a
+// URL path segment, so a name that cannot be one is refused at
+// registration; it used to register and then outlive every DELETE.
+func TestPeriodicNameMustBeAddressable(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{
+		WarmModels: []string{},
+		RT:         serve.RTConfig{Enabled: true},
+	})
+	register := func(name string) (*http.Response, []byte) {
+		return postJSON(t, ts.URL+"/v1/periodic", serve.PeriodicRequest{
+			Name: name, Model: "ResNet50", PeriodMS: 50, CostMS: 5,
+		})
+	}
+	if resp, data := register("a/b"); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("register a/b: status %d, want 400: %s", resp.StatusCode, data)
+	}
+	if resp, data := register("a"); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("register a: status %d, want 201: %s", resp.StatusCode, data)
+	}
+	if resp, data := httpDelete(t, ts.URL+"/v1/periodic/a"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete a: status %d, want 200: %s", resp.StatusCode, data)
+	}
+	_, listData := httpGet(t, ts.URL+"/v1/periodic")
+	var list struct {
+		Streams []json.RawMessage `json:"streams"`
+	}
+	decodeInto(t, listData, &list)
+	if len(list.Streams) != 0 {
+		t.Fatalf("list after the delete = %s, want no streams", listData)
 	}
 }
 

@@ -59,10 +59,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"respect/internal/cluster"
 	"respect/internal/metrics"
 	"respect/internal/models"
 	"respect/internal/online"
 	"respect/internal/rt"
+	"respect/internal/sched"
 	"respect/internal/solver"
 	"respect/internal/speculate"
 )
@@ -178,11 +180,6 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// maxStages bounds requested pipeline lengths; real Coral deployments
-// pipeline a handful of Edge TPUs, so anything beyond this is a client
-// error rather than a capacity problem.
-const maxStages = 64
-
 // classState is one request class's runtime: its policy, admission
 // controller, memoizing engine and (when enabled for a warm-marked class)
 // its speculative warmer.
@@ -228,9 +225,8 @@ type Server struct {
 	rtSolves  rtSolves
 
 	// Periodic-task mode (nil/zero unless Config.RT.Enabled): the
-	// dispatcher, the rt metric families and the cost-estimate quantile.
+	// dispatcher and the rt metric families.
 	rtDisp      *rt.Dispatcher
-	rtQuantile  float64
 	rtTardiness *metrics.Histogram
 	rtMisses    *metrics.CounterVec // stream, policy (func-backed)
 	rtReleases  *metrics.CounterVec // stream (func-backed)
@@ -245,8 +241,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Stages == 0 {
 		cfg.Stages = 4
 	}
-	if cfg.Stages < 1 || cfg.Stages > maxStages {
-		return nil, fmt.Errorf("serve: default stages %d outside [1,%d]", cfg.Stages, maxStages)
+	if cfg.Stages < 1 || cfg.Stages > sched.MaxStages {
+		return nil, fmt.Errorf("serve: default stages %d outside [1,%d]", cfg.Stages, sched.MaxStages)
 	}
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = 512
@@ -351,8 +347,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	if s.cluster != nil {
 		s.mux.HandleFunc("/v1/cluster", s.handleClusterStats)
-		s.mux.HandleFunc("/v1/cluster/heartbeat", s.handleClusterHeartbeat)
-		s.mux.HandleFunc("/v1/cluster/gossip", s.handleClusterGossip)
+		s.mux.HandleFunc(cluster.HeartbeatPath, s.handleClusterHeartbeat)
+		s.mux.HandleFunc(cluster.GossipPath, s.handleClusterGossip)
 	}
 	if !cfg.DisableMetrics {
 		s.mux.Handle("/metrics", s.reg.Handler())
@@ -404,10 +400,6 @@ func (s *Server) initMetrics() {
 	}
 	s.batchCaches.Instrument(s.ins, "batch/")
 }
-
-// Metrics returns the server's metrics registry, for embedding servers
-// that want to add their own families or mount the handler elsewhere.
-func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -471,7 +463,7 @@ func (s *Server) WarmUp(ctx context.Context) (int, error) {
 			continue
 		}
 		start := time.Now()
-		stored, err := st.engine.Warm(ctx, graphs, s.cfg.Stages, 0)
+		stored, err := st.engine.Warm(ctx, graphs, s.cfg.Stages)
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("serve: warm-up class %q: %w", class, err)
 		}

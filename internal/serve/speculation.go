@@ -27,12 +27,8 @@ type SpeculationConfig struct {
 	Watermark float64
 	// Budget bounds speculative solves per scan pass (default 4).
 	Budget int
-	// Workers sizes the speculative worker pool per class (default 1).
-	Workers int
 	// Interval is the scan period (default 500ms).
 	Interval time.Duration
-	// HalfLife is the popularity decay half-life (default 1m).
-	HalfLife time.Duration
 	// TopK bounds hot keys considered per pass (default 8).
 	TopK int
 }
@@ -82,12 +78,9 @@ func (s *Server) initSpeculation() error {
 			},
 			Watermark:   sc.Watermark,
 			Budget:      sc.Budget,
-			Workers:     sc.Workers,
 			Interval:    sc.Interval,
-			HalfLife:    sc.HalfLife,
 			TopK:        sc.TopK,
 			SolveBudget: st.policy.Budget,
-			MaxStages:   maxStages,
 			Logf:        s.logf,
 		})
 		if err != nil {

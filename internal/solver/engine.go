@@ -3,7 +3,6 @@ package solver
 import (
 	"context"
 	"runtime"
-	"sync"
 
 	"respect/internal/graph"
 	"respect/internal/sched"
@@ -92,53 +91,21 @@ func (e *Engine) Contains(g *graph.Graph, numStages int) bool {
 	return e.lru.contains(cacheKey{fp: g.Fingerprint(), numStages: numStages})
 }
 
-// Warm races every graph through a bounded pool of jobs workers (jobs < 1
-// defaults to GOMAXPROCS) and returns how many distinct instances are
-// memoized afterwards — duplicate graphs in the warm set and evictions by
-// later warms must not inflate the count. Warming is best-effort:
-// truncated races are skipped rather than stored, failures don't stop the
-// remaining warms, and the first error is returned at the end.
-func (e *Engine) Warm(ctx context.Context, graphs []*graph.Graph, numStages, jobs int) (stored int, err error) {
-	if jobs < 1 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if jobs > len(graphs) {
-		jobs = len(graphs)
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	work := make(chan *graph.Graph)
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for g := range work {
-				if _, _, err := e.Run(ctx, g, numStages); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-feed:
-	for _, g := range graphs {
-		select {
-		case work <- g:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(work)
-	wg.Wait()
-
+// Warm races every graph through Batch on GOMAXPROCS workers and returns
+// how many distinct instances are memoized afterwards — duplicate graphs
+// in the warm set and evictions by later warms must not inflate the count.
+// Warming is best-effort: truncated races are skipped rather than stored,
+// failures don't stop the remaining warms, and the first error (in input
+// order) is returned at the end.
+func (e *Engine) Warm(ctx context.Context, graphs []*graph.Graph, numStages int) (stored int, err error) {
+	// Batch's own error is ctx's, which every instance it cut short already
+	// carries.
+	results, _ := Batch(ctx, e, graphs, numStages, runtime.GOMAXPROCS(0))
 	seen := make(map[uint64]bool, len(graphs))
-	for _, g := range graphs {
+	for i, g := range graphs {
+		if err == nil {
+			err = results[i].Err
+		}
 		if fp := g.Fingerprint(); !seen[fp] {
 			seen[fp] = true
 			if e.Contains(g, numStages) {
@@ -146,7 +113,7 @@ feed:
 			}
 		}
 	}
-	return stored, firstErr
+	return stored, err
 }
 
 // OnEvict registers fn to be called with the evicted instance's graph

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"slices"
 	"strings"
@@ -149,5 +150,44 @@ func TestBatchFlagsTruncatedPortfolioWinner(t *testing.T) {
 	}
 	if e.Contains(g, 3) || e.Len() != 0 {
 		t.Fatal("a truncated winner was stored")
+	}
+}
+
+// TestEngineWarmCountsWhatIsStored pins Warm's return contract: the count
+// is of distinct instances memoized when it returns.
+func TestEngineWarmCountsWhatIsStored(t *testing.T) {
+	ctx := context.Background()
+	a, b, c := chain(1, 2, 3), chain(4, 5, 6), chain(7, 8, 9)
+	trivial := NewFunc("trivial", trivialSolve)
+
+	// Duplicates in the warm set count once.
+	if n, err := engineOf(trivial, 8).Warm(ctx, []*graph.Graph{a, b, a, a}, 2); n != 2 || err != nil {
+		t.Fatalf("duplicates: stored=%d err=%v, want 2", n, err)
+	}
+	// An instance evicted by a later warm is not counted.
+	if n, err := engineOf(trivial, 2).Warm(ctx, []*graph.Graph{a, b, c}, 2); n != 2 || err != nil {
+		t.Fatalf("capacity 2: stored=%d err=%v, want 2", n, err)
+	}
+	// A truncated race is skipped, not stored and not an error.
+	if n, err := engineOf(&truncating{}, 8).Warm(ctx, []*graph.Graph{a}, 2); n != 0 || err != nil {
+		t.Fatalf("truncated: stored=%d err=%v, want 0", n, err)
+	}
+	// A backend failure is reported and the other warms still land.
+	failB := NewFunc("fail-b", func(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, error) {
+		if g == b {
+			return sched.Schedule{}, errors.New("boom")
+		}
+		return trivialSolve(ctx, g, numStages)
+	})
+	if n, err := engineOf(failB, 8).Warm(ctx, []*graph.Graph{a, b, c}, 2); n != 2 || err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("one failure: stored=%d err=%v, want 2 and the backend's error", n, err)
+	}
+	// Under a context cancelled beforehand nothing is stored and the
+	// cancellation is reported, whether an instance was cut short before
+	// its race started or inside it.
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if n, err := engineOf(Heur(), 8).Warm(cancelled, []*graph.Graph{a, b}, 2); n != 0 || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled: stored=%d err=%v, want 0 and context.Canceled", n, err)
 	}
 }

@@ -90,7 +90,7 @@ func TestCachedConcurrentStress(t *testing.T) {
 				t.Fatalf("sweep hits = %d, want %d", after-before, len(graphs))
 			}
 			// Warm on an already-hot cache is a no-op that still reports coverage.
-			stored, err := c.Warm(context.Background(), graphs, 3, 4)
+			stored, err := c.Warm(context.Background(), graphs, 3)
 			if err != nil {
 				t.Fatal(err)
 			}

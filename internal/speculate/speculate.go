@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"respect/internal/graph"
+	"respect/internal/sched"
 )
 
 // Target is the cache a Speculator keeps warm. The serving layer adapts
@@ -75,8 +76,6 @@ type Config struct {
 	Workers int
 	// Interval is the period of the background Run loop (default 500ms).
 	Interval time.Duration
-	// HalfLife is the popularity counters' decay half-life (default 1m).
-	HalfLife time.Duration
 	// TopK bounds how many hot keys each pass considers for popularity
 	// and mutation warming (default 8).
 	TopK int
@@ -87,9 +86,6 @@ type Config struct {
 	// SolveBudget bounds one speculative solve (default 1s). Truncated
 	// solves are not stored, so this also bounds wasted work.
 	SolveBudget time.Duration
-	// MaxStages clamps grown stage counts in mutations (default 64,
-	// matching the serving layer's request validation).
-	MaxStages int
 	// Logf, when set, receives speculation log lines.
 	Logf func(format string, args ...any)
 }
@@ -111,7 +107,6 @@ const (
 	defaultTopK        = 8
 	defaultMinScore    = 1.5
 	defaultSolveBudget = time.Second
-	defaultMaxStages   = 64
 )
 
 // Speculator drives speculative warming for one Target. Create with New,
@@ -175,10 +170,7 @@ func New(cfg Config) (*Speculator, error) {
 	if cfg.SolveBudget <= 0 {
 		cfg.SolveBudget = defaultSolveBudget
 	}
-	if cfg.MaxStages < 1 {
-		cfg.MaxStages = defaultMaxStages
-	}
-	tracker := NewTracker(cfg.HalfLife, 0)
+	tracker := NewTracker(defaultHalfLife, defaultTrackerCap)
 	// Cold keys need only their score; the graph payload (client-sized,
 	// so client-controlled memory) is retained only once a key is hot
 	// enough to act on.
@@ -350,7 +342,7 @@ func (s *Speculator) mutationsFor(e Entry) []Candidate {
 	if ok {
 		return muts
 	}
-	muts = Mutations(e.Graph, e.Key.Stages, s.cfg.MaxStages)
+	muts = Mutations(e.Graph, e.Key.Stages, sched.MaxStages)
 	s.mutMu.Lock()
 	if len(s.mutCache) >= mutCacheCap {
 		s.mutCache = make(map[Key][]Candidate)

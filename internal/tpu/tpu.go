@@ -208,26 +208,3 @@ func RunBenchmark(g *graph.Graph, s sched.Schedule, hw HW, rounds, perRound int)
 	}
 	return total / time.Duration(rounds*perRound), nil
 }
-
-// CoralPCIe returns the M.2/PCIe Coral accelerator platform: same compute
-// die, but parameters and activations move over PCIe Gen2 x1 (~2x the
-// practical USB 3.0 throughput, far lower setup latency). Useful for
-// asking how much of a schedule's penalty is fabric-bound.
-func CoralPCIe() HW {
-	hw := Coral()
-	hw.USBBandwidth = 800e6
-	hw.USBLatency = 20 * time.Microsecond
-	return hw
-}
-
-// DevBoard returns the Coral Dev Board platform: the Edge TPU sits behind
-// the SoC's internal fabric, so off-chip parameter streaming is cheaper
-// still, at a slightly lower sustained MAC rate (thermal envelope).
-func DevBoard() HW {
-	hw := Coral()
-	hw.USBBandwidth = 1.5e9
-	hw.USBLatency = 5 * time.Microsecond
-	hw.MACRate = 1.6e12
-	hw.ActiveWatts = 1.5
-	return hw
-}

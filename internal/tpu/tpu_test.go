@@ -222,10 +222,13 @@ func TestMultiConsumerTransferOncePerStage(t *testing.T) {
 
 func TestPlatformVariants(t *testing.T) {
 	// A streaming-bound schedule (12 MiB on one stage) must speed up on
-	// faster fabrics: USB < PCIe < DevBoard streaming time.
+	// faster fabrics: USB 3.0, then PCIe Gen2 x1, then an on-SoC link.
 	g := chain(t, []int64{12 << 20})
 	s := sched.Schedule{NumStages: 1, Stage: []int{0}}
-	variants := []HW{Coral(), CoralPCIe(), DevBoard()}
+	pcie, soc := Coral(), Coral()
+	pcie.USBBandwidth, pcie.USBLatency = 800e6, 20*time.Microsecond
+	soc.USBBandwidth, soc.USBLatency = 1.5e9, 5*time.Microsecond
+	variants := []HW{Coral(), pcie, soc}
 	var prev time.Duration
 	for i, hw := range variants {
 		hw.NoiseAmp = 0

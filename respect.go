@@ -137,13 +137,6 @@ func (a *Agent) Schedule(g *Graph, numStages int) (Schedule, error) {
 	return rl.Schedule(a.model, a.ecfg, g, numStages)
 }
 
-// ScheduleSampled draws samples stochastic decodes besides the greedy one
-// and returns the best schedule by deployed objective — a solve-time /
-// quality knob between greedy inference and exact search.
-func (a *Agent) ScheduleSampled(g *Graph, numStages, samples int, seed int64) (Schedule, error) {
-	return rl.ScheduleSampled(a.model, a.ecfg, g, numStages, samples, seed)
-}
-
 // Save writes the agent's weights to path.
 func (a *Agent) Save(path string) error { return a.model.SaveFile(path) }
 
@@ -243,18 +236,6 @@ func ExecutePipeline(g *Graph, s Schedule, hw HW, n, queueDepth int) (*Execution
 	return pipeline.Run(g, s, hw, pipeline.Config{Inferences: n, QueueDepth: queueDepth})
 }
 
-// ScheduleBeam decodes with beam search of the given width and returns
-// the deployed schedule of the most likely emitted order.
-func (a *Agent) ScheduleBeam(g *Graph, numStages, width int) (Schedule, error) {
-	return rl.ScheduleBeam(a.model, a.ecfg, g, numStages, width)
-}
-
-// CoralPCIeHW returns the M.2/PCIe Coral platform variant (faster fabric).
-func CoralPCIeHW() HW { return tpu.CoralPCIe() }
-
-// DevBoardHW returns the Coral Dev Board platform variant.
-func DevBoardHW() HW { return tpu.DevBoard() }
-
 // ---- Scheduler backends and concurrent engines ----
 
 // Backend is a named, context-aware scheduler (see internal/solver): any
@@ -288,18 +269,6 @@ func RegisterBackend(b Backend) error { return solver.Register(b) }
 
 // LookupBackend resolves a registered backend by name.
 func LookupBackend(name string) (Backend, error) { return solver.Lookup(name) }
-
-// Backend returns the agent's greedy-decode scheduler ("rl").
-func (a *Agent) Backend() Backend { return solver.RL(a.model, a.ecfg) }
-
-// SampledBackend returns the agent's best-of-K stochastic decoder
-// ("rl-sampled").
-func (a *Agent) SampledBackend(samples int, seed int64) Backend {
-	return solver.RLSampled(a.model, a.ecfg, samples, seed)
-}
-
-// BeamBackend returns the agent's beam-search decoder ("rl-beam").
-func (a *Agent) BeamBackend(width int) Backend { return solver.RLBeam(a.model, a.ecfg, width) }
 
 // RegisterBackends publishes the agent's three decode modes ("rl",
 // "rl-sampled", "rl-beam", with default inference knobs) in the backend
