@@ -79,7 +79,11 @@ func main() {
 	if agent != nil {
 		// Publish the agent's decode modes so registry-driven experiments
 		// (heur study, portfolio) can race them by name.
-		for _, b := range solver.AgentBackends(agent, ecfg) {
+		backends, err := solver.AgentBackends(agent, ecfg, solver.DefaultSamples, solver.DefaultBeamWidth)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, b := range backends {
 			if err := solver.Replace(b); err != nil {
 				log.Fatal(err)
 			}

@@ -66,7 +66,7 @@ func TestScheduleListBackendsSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("respect-schedule -list-backends: %v\n%s", err, out)
 	}
-	for _, want := range []string{"backends:", "exact", "heur", "compiler", "models:", "ResNet152"} {
+	for _, want := range []string{"backends:", "exact", "heur", "compiler", "models:", "ResNet152", "ptrnet kernels: "} {
 		if !strings.Contains(string(out), want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
@@ -116,12 +116,16 @@ func TestServeBinaryStartupShutdown(t *testing.T) {
 	}
 	defer cmd.Process.Kill() //nolint:errcheck // belt and braces on failure paths
 
-	// First line announces the bound address.
+	// The "listening on" line announces the bound address; the kernel
+	// line comes before it.
 	lineCh := make(chan string, 1)
 	go func() {
 		sc := bufio.NewScanner(stdout)
-		if sc.Scan() {
-			lineCh <- sc.Text()
+		for sc.Scan() {
+			if strings.HasPrefix(sc.Text(), "listening on ") {
+				lineCh <- sc.Text()
+				break
+			}
 		}
 		// Drain so the child never blocks on a full pipe.
 		_, _ = io.Copy(io.Discard, stdout)
@@ -131,7 +135,7 @@ func TestServeBinaryStartupShutdown(t *testing.T) {
 	case line := <-lineCh:
 		i := strings.Index(line, "http://")
 		if i < 0 {
-			t.Fatalf("unexpected first line: %q", line)
+			t.Fatalf("unexpected listening line: %q", line)
 		}
 		base = strings.Fields(line[i:])[0]
 	case <-time.After(30 * time.Second):

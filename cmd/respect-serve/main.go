@@ -136,8 +136,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
+		backends, err := solver.AgentBackends(m, embed.Default(), solver.DefaultSamples, solver.DefaultBeamWidth)
+		if err != nil {
+			return fmt.Errorf("-agent %s: %w", *agentPath, err)
+		}
 		agent = m
-		for _, b := range solver.AgentBackends(m, embed.Default()) {
+		for _, b := range backends {
 			if err := solver.Replace(b); err != nil {
 				return err
 			}
@@ -220,6 +224,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// Which form of the pointer network's inner loops this replica runs:
+	// without AVX2 an rl solve costs about twice the CPU.
+	fmt.Fprintf(out, "ptrnet kernels: %s\n", ptrnet.KernelPath())
 	fmt.Fprintf(out, "listening on http://%s (%d backends, %d zoo models)\n",
 		ln.Addr(), len(solver.Names()), len(models.Names()))
 

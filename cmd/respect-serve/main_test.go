@@ -6,11 +6,14 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"respect/internal/ptrnet"
 )
 
 // syncBuffer is a goroutine-safe io.Writer the server under test logs to.
@@ -60,6 +63,11 @@ func TestRunStartupShutdown(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("no listening line within 15s; output: %s", out.String())
 		}
+	}
+
+	// The line before it says which ptrnet kernels this replica runs.
+	if !regexp.MustCompile(`(?m)^ptrnet kernels: (avx2|portable)\nlistening on `).MatchString(out.String()) {
+		t.Fatalf("no kernel line before the listening line; output: %s", out.String())
 	}
 
 	resp, err := http.Get(base + "/healthz")
@@ -464,6 +472,28 @@ func TestRunWarmSetAndFlagErrors(t *testing.T) {
 	err = run(context.Background(), []string{"-addr", "127.0.0.1:0", "-warm", "none", "-interactive-backends", "nope"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "unknown backend") {
 		t.Fatalf("want unknown-backend error, got %v", err)
+	}
+}
+
+// TestRunRefusesAgentOfAnotherWidth: an agent file whose input width is
+// not the embedding's cannot decode anything (the decoder panics on the
+// first graph), so the binary must refuse it at load, naming both widths,
+// and not start listening.
+func TestRunRefusesAgentOfAnotherWidth(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wide.gob")
+	if err := ptrnet.New(ptrnet.Config{InputDim: 9, Hidden: 8, Seed: 1}).SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	// Were the file accepted, run would serve until the context ends.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var out syncBuffer
+	err := run(ctx, []string{"-addr", "127.0.0.1:0", "-warm", "none", "-agent", path}, &out)
+	if err == nil || !strings.Contains(err.Error(), "width 9") || !strings.Contains(err.Error(), "produces 7") {
+		t.Fatalf("want an error naming widths 9 and 7, got %v", err)
+	}
+	if strings.Contains(out.String(), "listening on") {
+		t.Fatalf("the server started listening:\n%s", out.String())
 	}
 }
 

@@ -225,6 +225,27 @@ func TestPassRegistry(t *testing.T) {
 	}
 }
 
+// TestLoadHonoursBuildConstraints loads a package laid out like one with
+// assembly kernels: an _amd64.go file (with a body-less function) and its
+// //go:build !amd64 twin declare the same names. Exactly one of them
+// belongs to the build, and every pass must run over the result.
+func TestLoadHonoursBuildConstraints(t *testing.T) {
+	l := fixtureLoader(t)
+	units, err := l.LoadDir(filepath.Join("testdata", "src", "buildpair"))
+	if err != nil {
+		t.Fatalf("loading a package with a build-constrained file pair: %v", err)
+	}
+	if len(units) != 1 || len(units[0].Files) != 2 {
+		t.Fatalf("loaded %d units, the first with %d files; want buildpair.go and one of the twins", len(units), len(units[0].Files))
+	}
+	if units[0].Pkg.Scope().Lookup("sum4") == nil {
+		t.Error("the selected twin's sum4 is not declared")
+	}
+	for _, d := range Run(units, Passes()) {
+		t.Errorf("unexpected diagnostic: %s", d)
+	}
+}
+
 // TestLoadModuleShape loads the whole module and checks the loader's
 // unit inventory: the root package, its external test package, and the
 // internal packages all appear, and testdata fixtures do not.

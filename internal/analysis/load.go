@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -147,8 +148,11 @@ func (l *Loader) importPathFor(dir string) (string, error) {
 	return l.module + "/" + filepath.ToSlash(rel), nil
 }
 
-// parseDir parses (and memoizes) every .go file directly inside dir,
-// returning the files sorted by name.
+// parseDir parses (and memoizes) the .go files directly inside dir that
+// the go tool would build on this platform (build.Default.MatchFile: the
+// //go:build line and the _GOOS/_GOARCH name suffixes), returning them
+// sorted by name. A per-platform pair of files declares the same names
+// twice, so taking both is a redeclaration, not a stricter check.
 func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	if files, ok := l.parsed[dir]; ok {
 		return files, nil
@@ -159,7 +163,14 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	}
 	var names []string
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+			continue
+		}
+		match, err := build.Default.MatchFile(dir, e.Name())
+		if err != nil {
+			return nil, err
+		}
+		if match {
 			names = append(names, e.Name())
 		}
 	}

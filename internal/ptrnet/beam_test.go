@@ -49,16 +49,18 @@ func TestBeamLikelihoodAtLeastGreedy(t *testing.T) {
 }
 
 func TestScoreSeqMatchesDecodeForced(t *testing.T) {
-	m := testModel(27)
-	emb := testEmb(t, 10, 28)
-	rng := rand.New(rand.NewSource(29))
-	seq := m.InferSample(emb, rng)
-	fwd := m.ScoreSeq(emb, seq)
-	tape := m.DecodeForced(ad.NewTape(), emb, seq)
-	diff := fwd - tape.LogProb.Data()[0]
-	if diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("ScoreSeq %.12f != DecodeForced %.12f", fwd, tape.LogProb.Data()[0])
-	}
+	withKernels(t, func(t *testing.T) {
+		m := testModel(27)
+		emb := testEmb(t, 10, 28)
+		rng := rand.New(rand.NewSource(29))
+		seq := m.InferSample(emb, rng)
+		fwd := m.ScoreSeq(emb, seq)
+		tape := m.DecodeForced(ad.NewTape(), emb, seq)
+		diff := fwd - tape.LogProb.Data()[0]
+		if diff > 1e-9 || diff < -1e-9 {
+			t.Fatalf("ScoreSeq %.12f != DecodeForced %.12f", fwd, tape.LogProb.Data()[0])
+		}
+	})
 }
 
 func TestBeamWidthClamped(t *testing.T) {

@@ -84,8 +84,11 @@ func decodeGolden(m *Model, g *graph.Graph) goldenRecord {
 }
 
 // TestGoldenDecode holds every forward-only decode mode to the recorded
-// sequences exactly, and the log-probabilities to 1e-9.
-func TestGoldenDecode(t *testing.T) {
+// sequences exactly, and the log-probabilities to 1e-9, on the kernels the
+// CPU selects; TestGoldenDecodePortable covers the other ones.
+func TestGoldenDecode(t *testing.T) { testGoldenDecode(t) }
+
+func testGoldenDecode(t *testing.T) {
 	m, err := LoadFile(fixturePath)
 	if err != nil {
 		t.Fatal(err)

@@ -59,26 +59,28 @@ func TestDecodeIsPermutation(t *testing.T) {
 // TestInferMatchesGreedyDecode holds the forward-only kernel to the tape
 // path, which shares no code with it, from toy inputs up to zoo scale.
 func TestInferMatchesGreedyDecode(t *testing.T) {
-	m := testModel(4)
-	embs := map[string][][]float64{}
-	for _, n := range []int{5, 17, 30} {
-		embs[fmt.Sprintf("synth-%d", n)] = testEmb(t, n, int64(n))
-	}
-	g, err := models.Load("ResNet50v2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	embs[g.Name] = embed.Graph(g, embed.Default())
-	for name, emb := range embs {
-		dec := m.Decode(ad.NewTape(), emb, false, nil)
-		inf := m.Infer(emb)
-		if !slices.Equal(dec.Seq, inf) {
-			t.Errorf("%s: decode %v != infer %v", name, dec.Seq, inf)
+	withKernels(t, func(t *testing.T) {
+		m := testModel(4)
+		embs := map[string][][]float64{}
+		for _, n := range []int{5, 17, 30} {
+			embs[fmt.Sprintf("synth-%d", n)] = testEmb(t, n, int64(n))
 		}
-		if d := m.ScoreSeq(emb, inf) - dec.LogProb.Data()[0]; math.Abs(d) > 1e-9 {
-			t.Errorf("%s: ScoreSeq off the tape log-probability by %g", name, d)
+		g, err := models.Load("ResNet50v2")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		embs[g.Name] = embed.Graph(g, embed.Default())
+		for name, emb := range embs {
+			dec := m.Decode(ad.NewTape(), emb, false, nil)
+			inf := m.Infer(emb)
+			if !slices.Equal(dec.Seq, inf) {
+				t.Errorf("%s: decode %v != infer %v", name, dec.Seq, inf)
+			}
+			if d := m.ScoreSeq(emb, inf) - dec.LogProb.Data()[0]; math.Abs(d) > 1e-9 {
+				t.Errorf("%s: ScoreSeq off the tape log-probability by %g", name, d)
+			}
+		}
+	})
 }
 
 func TestDecodeForcedLogProb(t *testing.T) {
@@ -227,11 +229,14 @@ func TestBadConfigPanics(t *testing.T) {
 	New(Config{InputDim: 0, Hidden: 4})
 }
 
-func BenchmarkInfer30(b *testing.B) {
+func BenchmarkInfer(b *testing.B) {
 	m := New(Config{InputDim: embed.Default().Dim(), Hidden: 64, Seed: 1})
-	emb := testEmb(b, 30, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Infer(emb)
+	for _, n := range []int{30, 100, 180} {
+		emb := testEmb(b, n, 1)
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			for b.Loop() {
+				m.Infer(emb)
+			}
+		})
 	}
 }

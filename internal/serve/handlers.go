@@ -478,9 +478,13 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// A budget/disconnect cut with no schedule at all is a timeout,
 		// not a client error: retrying (with a calmer class) can succeed.
+		// A backend that panicked is this server's fault, not the request's.
 		code, outcome := http.StatusUnprocessableEntity, outcomeError
+		var panicked *solver.PanicError
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			code, outcome = http.StatusGatewayTimeout, outcomeTimeout
+		} else if errors.As(err, &panicked) {
+			code = http.StatusInternalServerError
 		}
 		s.observeRequest(class, outcome, arrival)
 		writeError(w, code, "no backend produced a schedule: %v", err)

@@ -225,6 +225,43 @@ func TestPinnedRLPastBudgetIs504(t *testing.T) {
 	}
 }
 
+// TestPanickingBackendIsContained: a backend that panics mid-solve loses
+// the race it is in; pinned alone it makes that one request a 500, and
+// the server goes on serving.
+func TestPanickingBackendIsContained(t *testing.T) {
+	registerBackend(t, solver.NewFunc("e2e-panic", func(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, error) {
+		panic("e2e-panic: fault injected by the test")
+	}))
+	srv, ts := newTestServer(t, serve.Config{WarmModels: []string{}})
+
+	resp, data := postJSON(t, ts.URL+"/v1/schedule",
+		serve.ScheduleRequest{Model: "ResNet50", Stages: 4, Backends: []string{"heur", "e2e-panic"}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("raced with heur: status %d, want 200: %s", resp.StatusCode, data)
+	}
+	var out serve.ScheduleResponse
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Backend != "heur" || !strings.Contains(string(data), `backend \"e2e-panic\" panicked`) {
+		t.Fatalf("backend %q; the outcome table should name the panic: %s", out.Backend, data)
+	}
+
+	resp, data = postJSON(t, ts.URL+"/v1/schedule",
+		serve.ScheduleRequest{Model: "ResNet50", Stages: 4, Backends: []string{"e2e-panic"}})
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(data), "fault injected by the test") {
+		t.Fatalf("pinned alone: status %d, want 500 naming the panic: %s", resp.StatusCode, data)
+	}
+
+	resp, data = postJSON(t, ts.URL+"/v1/schedule", serve.ScheduleRequest{Model: "ResNet50", Stages: 4})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("the request after the panic: status %d: %s", resp.StatusCode, data)
+	}
+	if st := srv.Stats().Classes[string(serve.ClassInteractive)]; st.Admitted != 3 {
+		t.Fatalf("class stats %+v, want all three requests admitted", st)
+	}
+}
+
 // registerBackend registers a test backend with the global solver
 // registry, tolerating re-registration: -count>1 re-runs tests in one
 // process, and the registry keeps the first (behaviorally identical)

@@ -72,15 +72,38 @@ func Portfolio(ctx context.Context, backends []Scheduler, g *graph.Graph, numSta
 	return PortfolioOpt(ctx, backends, g, numStages, PortfolioOptions{})
 }
 
+// PanicError is the Outcome.Err of a backend that panicked in the middle
+// of a solve.
+type PanicError struct {
+	Backend string
+	Value   any // what the backend panicked with
+}
+
+// Error implements error.
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("solver: backend %q panicked: %v", e.Backend, e.Value)
+}
+
 // solve runs one race member and validates and prices what it returns.
 // This is the one place the package's promise is checked: a schedule that
 // is not pipeline-monotone or not deployable on the hardware (a backend
 // that forgot the repair) becomes that backend's error, so it loses the
 // race and is never served or stored on a cost no deployable schedule has.
-func solve(ctx context.Context, b Scheduler, g *graph.Graph, numStages int) Outcome {
+//
+// It is also the one place every member of every race, batch, periodic job
+// and speculative warm passes through, on a goroutine of this package's
+// making as often as not, so it is where a backend's panic is contained:
+// the panic becomes that member's error, and a fault in one backend costs
+// it the race, not the process every other request is being served by.
+func solve(ctx context.Context, b Scheduler, g *graph.Graph, numStages int) (out Outcome) {
 	start := time.Now()
+	defer func() {
+		if r := recover(); r != nil {
+			out = Outcome{Backend: b.Name(), Elapsed: time.Since(start), Err: &PanicError{Backend: b.Name(), Value: r}}
+		}
+	}()
 	s, info, err := ScheduleInfo(ctx, b, g, numStages)
-	out := Outcome{Backend: b.Name(), Elapsed: time.Since(start), Err: err, Info: info}
+	out = Outcome{Backend: b.Name(), Elapsed: time.Since(start), Err: err, Info: info}
 	if err != nil {
 		return out
 	}

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"fmt"
 
 	"respect/internal/embed"
 	"respect/internal/graph"
@@ -46,12 +47,26 @@ func RLBeam(m *ptrnet.Model, ecfg embed.Config, width int) Scheduler {
 	})
 }
 
-// AgentBackends bundles the three decode modes of one trained model with
-// default inference knobs (16 samples, beam width 8).
-func AgentBackends(m *ptrnet.Model, ecfg embed.Config) []Scheduler {
+// The inference knobs an agent's sampled and beam backends get unless a
+// caller has its own.
+const (
+	DefaultSamples   = 16
+	DefaultBeamWidth = 8
+)
+
+// AgentBackends bundles the three decode modes of one trained model:
+// greedy, best of samples stochastic decodes, and beam search of the given
+// width. It is where every loader of an agent file passes, so it is where
+// a model whose input width is not the embedding's is refused: such a
+// model cannot decode a single graph, and the decoder reports that by
+// panicking in the middle of a solve.
+func AgentBackends(m *ptrnet.Model, ecfg embed.Config, samples, beamWidth int) ([]Scheduler, error) {
+	if m.Cfg.InputDim != ecfg.Dim() {
+		return nil, fmt.Errorf("solver: agent expects input width %d, the embedding produces %d", m.Cfg.InputDim, ecfg.Dim())
+	}
 	return []Scheduler{
 		RL(m, ecfg),
-		RLSampled(m, ecfg, 16, 1),
-		RLBeam(m, ecfg, 8),
-	}
+		RLSampled(m, ecfg, samples, 1),
+		RLBeam(m, ecfg, beamWidth),
+	}, nil
 }

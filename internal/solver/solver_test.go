@@ -263,6 +263,39 @@ func TestPortfolioAllFail(t *testing.T) {
 	}
 }
 
+// TestPanickingBackendLosesTheRace: a backend that panics, on the race's
+// goroutine or on the caller's, costs that backend the solve and nothing
+// else; the outcome table says what it panicked with.
+func TestPanickingBackendLosesTheRace(t *testing.T) {
+	g := randomDAG(7, 12)
+	heurB, err := Lookup("heur")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty := NewFunc("faulty", func(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, error) {
+		var table []int
+		return sched.Schedule{}, fmt.Errorf("unreachable: %d", table[g.NumNodes()])
+	})
+	res, err := Portfolio(context.Background(), []Scheduler{faulty, heurB}, g, 3)
+	if err != nil {
+		t.Fatalf("the race failed with a healthy member in it: %v", err)
+	}
+	if !res.Outcomes[1].Winner {
+		t.Fatalf("heur did not win: %+v", res.Outcomes)
+	}
+	var panicked *PanicError
+	if o := res.Outcomes[0]; !errors.As(o.Err, &panicked) || panicked.Backend != "faulty" ||
+		!strings.Contains(o.Err.Error(), `backend "faulty" panicked`) || !strings.Contains(o.Err.Error(), "index out of range") {
+		t.Fatalf("the faulty member's outcome is %+v, want a PanicError naming it and the fault", o)
+	}
+
+	// Alone it runs on the caller's goroutine; the caller gets an error.
+	_, err = Portfolio(context.Background(), []Scheduler{faulty}, g, 3)
+	if !errors.As(err, &panicked) {
+		t.Fatalf("a race of one panicking backend returned %v, want a wrapped PanicError", err)
+	}
+}
+
 func TestBatchPreservesOrder(t *testing.T) {
 	heurB, err := Lookup("heur")
 	if err != nil {

@@ -22,7 +22,6 @@ package respect
 
 import (
 	"context"
-	"fmt"
 	"net"
 	"time"
 
@@ -146,11 +145,17 @@ func LoadAgent(path string) (*Agent, error) {
 	if err != nil {
 		return nil, err
 	}
-	ecfg := embed.Default()
-	if m.Cfg.InputDim != ecfg.Dim() {
-		return nil, fmt.Errorf("respect: model input width %d does not match the default embedding (%d)", m.Cfg.InputDim, ecfg.Dim())
+	a := &Agent{model: m, ecfg: embed.Default()}
+	if _, err := a.backends(); err != nil { // refuses a file trained for another embedding
+		return nil, err
 	}
-	return &Agent{model: m, ecfg: ecfg}, nil
+	return a, nil
+}
+
+// backends returns the agent's three decode modes with the default
+// inference knobs.
+func (a *Agent) backends() ([]Backend, error) {
+	return solver.AgentBackends(a.model, a.ecfg, solver.DefaultSamples, solver.DefaultBeamWidth)
 }
 
 // ScheduleExact computes the provably optimal (peak parameter memory)
@@ -275,7 +280,11 @@ func LookupBackend(name string) (Backend, error) { return solver.Lookup(name) }
 // registry, overwriting any previously registered agent, and resets the
 // schedule cache so stale results from the previous agent cannot surface.
 func (a *Agent) RegisterBackends() error {
-	for _, b := range solver.AgentBackends(a.model, a.ecfg) {
+	backends, err := a.backends()
+	if err != nil {
+		return err
+	}
+	for _, b := range backends {
 		if err := solver.Replace(b); err != nil {
 			return err
 		}

@@ -3,8 +3,11 @@ package respect
 import (
 	"context"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"respect/internal/ptrnet"
 )
 
 func quickAgent(t *testing.T) *Agent {
@@ -169,6 +172,13 @@ func TestLoadModelErrors(t *testing.T) {
 	}
 	if _, err := LoadAgent(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Fatal("missing agent accepted")
+	}
+	wide := filepath.Join(t.TempDir(), "wide.gob")
+	if err := ptrnet.New(ptrnet.Config{InputDim: 9, Hidden: 8, Seed: 1}).SaveFile(wide); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadAgent(wide); err == nil || !strings.Contains(err.Error(), "width 9") {
+		t.Fatalf("agent of input width 9 accepted: %v", err)
 	}
 }
 
