@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 
@@ -22,7 +23,8 @@ const defaultMaxBodyBytes = 16 << 20
 // past this is left to the collector instead of pinning its peak size.
 const maxPooledBodyBytes = 1 << 20
 
-// bodyPool recycles the buffers request bodies are read into: an inline
+// bodyPool recycles the buffers request bodies are read into, responses
+// are encoded into and forwarded answers are relayed through: an inline
 // graph is 13-119 KB, and allocating that per request was a tenth of the
 // server's CPU in collection alone.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
@@ -32,21 +34,28 @@ var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // the POST handlers decode the bytes in place and release the buffer
 // when they return. An oversized body fails with *http.MaxBytesError.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
+	return readPooled(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), min(r.ContentLength, s.cfg.MaxBodyBytes))
+}
+
+// readPooled reads all of r into a pooled buffer, sized up front from
+// the declared length n (-1 when unknown). The caller releases it.
+func readPooled(r io.Reader, n int64) (*bytes.Buffer, error) {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	// The header is the client's claim, so it sizes the buffer only up to
-	// what the pool would keep; a larger body grows it as it arrives.
-	if n := min(r.ContentLength, s.cfg.MaxBodyBytes, maxPooledBodyBytes); n > 0 {
+	// The declared length is the sender's claim, so it sizes the buffer
+	// only up to what the pool would keep; a larger body grows it as it
+	// arrives.
+	if n = min(n, maxPooledBodyBytes); n > 0 {
 		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
 	}
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)); err != nil {
+	if _, err := buf.ReadFrom(r); err != nil {
 		releaseBody(buf)
 		return nil, err
 	}
 	return buf, nil
 }
 
-// releaseBody returns a buffer from readBody to the pool.
+// releaseBody returns a buffer from bodyPool to the pool.
 func releaseBody(buf *bytes.Buffer) {
 	if buf.Cap() <= maxPooledBodyBytes {
 		bodyPool.Put(buf)

@@ -2,9 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -58,5 +62,20 @@ func TestOversizeChunkedBodyIs413AndNotPooled(t *testing.T) {
 			t.Fatalf("read %q", got)
 		}
 		releaseBody(buf)
+	}
+}
+
+// TestWriteJSONEncodeErrorIs500: the body is encoded into a pooled buffer
+// before the status line, so a value with no JSON form becomes a sized
+// 500 with an error instead of a 200 with an empty body.
+func TestWriteJSONEncodeErrorIs500(t *testing.T) {
+	for _, v := range []any{ScheduleResponse{ElapsedMS: math.NaN()}, map[string]float64{"x": math.Inf(1)}} {
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusOK, v)
+		var e ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusInternalServerError ||
+			!strings.Contains(e.Error, "unsupported value") || rec.Header().Get("Content-Length") != strconv.Itoa(rec.Body.Len()) {
+			t.Fatalf("%T: status %d, headers %v, body %q", v, rec.Code, rec.Header(), rec.Body.Bytes())
+		}
 	}
 }

@@ -254,7 +254,7 @@ func (s *Server) ClusterStats() *ClusterStats {
 // handleClusterStats serves GET /v1/cluster.
 func (s *Server) handleClusterStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		methodNotAllowed(w, http.MethodGet)
 		return
 	}
 	writeJSON(w, http.StatusOK, s.ClusterStats())
@@ -265,7 +265,7 @@ func (s *Server) handleClusterStats(w http.ResponseWriter, r *http.Request) {
 // misconfigured peer list reads as unhealthy instead of joining the ring.
 func (s *Server) handleClusterHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		methodNotAllowed(w, http.MethodGet)
 		return
 	}
 	writeJSON(w, http.StatusOK, s.cluster.node.Heartbeat())
@@ -275,7 +275,7 @@ func (s *Server) handleClusterHeartbeat(w http.ResponseWriter, r *http.Request) 
 // push, validated and folded into the local speculators.
 func (s *Server) handleClusterGossip(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		methodNotAllowed(w, http.MethodPost)
 		return
 	}
 	msg, err := cluster.DecodeGossip(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
@@ -297,9 +297,10 @@ func isForwarded(r *http.Request) bool {
 // the body bytes exactly as they arrived, and relays the response
 // verbatim (status, Retry-After, body) annotated with ForwardedToHeader.
 // It returns false — and counts a forward error — when the proxy attempt
-// itself failed (transport error or a 5xx from the owner), in which case
-// the caller solves locally; owner-issued 4xx/429 are real answers and
-// are relayed, not retried.
+// itself failed (transport error, a 5xx from the owner, or an answer that
+// failed to read or exceeds MaxBodyBytes), in which case the caller solves
+// locally: an answer is relayed whole or not at all. Owner-issued 4xx/429
+// are real answers and are relayed, not retried.
 func (s *Server) relaySchedule(w http.ResponseWriter, r *http.Request, target string, body []byte, class Class, budget time.Duration, arrival time.Time) bool {
 	// The owner itself spends up to one budget queueing plus one solving,
 	// so the proxy deadline is twice the class budget.
@@ -318,22 +319,26 @@ func (s *Server) relaySchedule(w http.ResponseWriter, r *http.Request, target st
 		return false
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, s.cfg.MaxBodyBytes))
-	if err != nil || resp.StatusCode >= http.StatusInternalServerError {
+	// One byte past the bound tells an answer that exceeds it from one
+	// that fills it exactly.
+	limit := s.cfg.MaxBodyBytes + 1
+	data, err := readPooled(io.LimitReader(resp.Body, limit), min(resp.ContentLength, limit))
+	if err != nil {
+		s.cluster.forwardErrors.Add(1)
+		return false
+	}
+	defer releaseBody(data)
+	if resp.StatusCode >= http.StatusInternalServerError || int64(data.Len()) > s.cfg.MaxBodyBytes {
 		s.cluster.forwardErrors.Add(1)
 		return false
 	}
 	s.cluster.relayed.Add(1)
 	s.observeRequest(class, outcomeForwarded, arrival)
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		w.Header().Set("Retry-After", ra)
 	}
 	w.Header().Set(ForwardedToHeader, target)
-	w.WriteHeader(resp.StatusCode)
-	w.Write(data)
+	writeSized(w, resp.StatusCode, data.Bytes())
 	return true
 }
 

@@ -13,14 +13,16 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"respect/internal/graph"
+	"respect/internal/models"
 	"respect/internal/serve"
 )
 
-// newPair boots two clustered replicas wired to each other and returns
-// them with their base URLs.
-func newPair(t *testing.T) (srvs [2]*serve.Server, urls [2]string, kill [2]func()) {
+// newPair boots two clustered replicas of cfg wired to each other and
+// returns them with their base URLs.
+func newPair(t *testing.T, cfg serve.Config) (srvs [2]*serve.Server, urls [2]string, kill [2]func()) {
 	t.Helper()
 	var lns [2]net.Listener
 	for i := range lns {
@@ -32,13 +34,8 @@ func newPair(t *testing.T) (srvs [2]*serve.Server, urls [2]string, kill [2]func(
 		urls[i] = "http://" + ln.Addr().String()
 	}
 	for i := range lns {
-		srv, err := serve.New(serve.Config{
-			WarmModels: []string{},
-			Cluster: serve.ClusterConfig{
-				Advertise: urls[i],
-				Peers:     urls[:],
-			},
-		})
+		cfg.Cluster = serve.ClusterConfig{Advertise: urls[i], Peers: urls[:]}
+		srv, err := serve.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +72,7 @@ func pairGraph(t *testing.T, seed int) (*graph.Graph, json.RawMessage) {
 // replica: remote-owned items come back annotated with the owner that
 // solved them, local items do not, and order is preserved.
 func TestClusterBatchSplitsByOwner(t *testing.T) {
-	srvs, urls, _ := newPair(t)
+	srvs, urls, _ := newPair(t, serve.Config{WarmModels: []string{}})
 
 	// Collect graphs until both shards are represented.
 	var raws []json.RawMessage
@@ -140,7 +137,7 @@ func TestClusterBatchSplitsByOwner(t *testing.T) {
 // mixed batch: every item must still come back solved (locally), none
 // annotated as forwarded.
 func TestClusterBatchFallbackOnDeadOwner(t *testing.T) {
-	srvs, urls, kill := newPair(t)
+	srvs, urls, kill := newPair(t, serve.Config{WarmModels: []string{}})
 	var raws []json.RawMessage
 	for seed := 0; seed < 6; seed++ {
 		_, raw := pairGraph(t, seed)
@@ -187,7 +184,7 @@ func TestClusterBatchFallbackOnDeadOwner(t *testing.T) {
 // the receiving replica must solve locally even for a remote-owned
 // fingerprint, bounding any membership disagreement to one hop.
 func TestClusterForwardLoopPrevention(t *testing.T) {
-	srvs, urls, _ := newPair(t)
+	srvs, urls, _ := newPair(t, serve.Config{WarmModels: []string{}})
 
 	// A graph owned by replica 1, sent to replica 0 with the forwarded
 	// marker already set.
@@ -229,5 +226,50 @@ func TestClusterForwardLoopPrevention(t *testing.T) {
 	}
 	if srvs[0].ClusterStats().ForwardsRelayed != 0 {
 		t.Fatal("relay counter moved on an already-forwarded request")
+	}
+}
+
+// TestForwardedAnswerIsNeverTruncated caps bodies at 1 KB and asks the
+// replica that does not own it for every zoo model by name. The request
+// fits the cap and goes to the owner; the owner's answer may not. An
+// answer over the cap is a forward error and the request is solved
+// locally, never relayed cut short with the owner's status.
+func TestForwardedAnswerIsNeverTruncated(t *testing.T) {
+	const limit = 1024
+	srvs, urls, _ := newPair(t, serve.Config{
+		WarmModels:   []string{},
+		MaxBodyBytes: limit,
+		Classes: map[serve.Class]serve.ClassPolicy{
+			serve.ClassInteractive: {Budget: 30 * time.Second, Backends: []string{"heur"}, MaxConcurrent: 4, MaxQueue: 4},
+		},
+	})
+	relayed, fellBack := 0, 0
+	for _, name := range models.Names() {
+		_, ownerIs0 := srvs[0].Cluster().Owner(models.MustLoad(name).Fingerprint())
+		entry := 0
+		if ownerIs0 {
+			entry = 1
+		}
+		before := srvs[entry].ClusterStats().ForwardErrors
+		resp, data := postJSON(t, urls[entry]+"/v1/schedule", serve.ScheduleRequest{Model: name, Stages: 4})
+		if resp.StatusCode != http.StatusOK || !json.Valid(data) {
+			t.Fatalf("%s via replica %d: status %d, %d bytes, valid JSON %v", name, entry, resp.StatusCode, len(data), json.Valid(data))
+		}
+		errs := srvs[entry].ClusterStats().ForwardErrors - before
+		if resp.Header.Get(serve.ForwardedToHeader) != "" {
+			relayed++
+			if len(data) > limit || errs != 0 {
+				t.Fatalf("%s: relayed a %d-byte answer past the %d-byte cap (%d forward errors)", name, len(data), limit, errs)
+			}
+		} else {
+			fellBack++
+			if errs != 1 {
+				t.Fatalf("%s: solved locally with %d forward errors counted, want 1", name, errs)
+			}
+		}
+	}
+	t.Logf("%d answers relayed, %d over the cap solved locally", relayed, fellBack)
+	if relayed == 0 || fellBack == 0 {
+		t.Fatalf("%d answers relayed and %d over the cap: the cap no longer splits the zoo", relayed, fellBack)
 	}
 }

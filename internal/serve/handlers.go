@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"strings"
 	"time"
 
 	"respect/internal/graph"
@@ -261,16 +263,41 @@ func durMS(d time.Duration) float64 { return float64(d) / float64(time.Milliseco
 // budgets regardless of queue depth.
 const retryAfterBudgetCap = 4
 
+// writeJSON is the one writer of JSON responses. It encodes v compact,
+// plus a newline, into a pooled buffer before anything goes out, then
+// sends the status line with Content-Length and the body in one Write.
+// A value that fails to encode becomes a 500 with an ErrorResponse.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer releaseBody(buf)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		code = http.StatusInternalServerError
+		buf.Reset()
+		json.NewEncoder(buf).Encode(ErrorResponse{Error: "encode response: " + err.Error()})
+	}
+	writeSized(w, code, buf.Bytes())
+}
+
+// writeSized sends a complete response body with its Content-Length, so
+// it goes out in one piece and never chunked.
+func writeSized(w http.ResponseWriter, code int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(v) // the status line is out; nothing sane to do on error
+	w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
+}
+
+// methodNotAllowed refuses a request whose method the endpoint does not
+// serve: 405 with the Allow header RFC 9110 requires on it.
+func methodNotAllowed(w http.ResponseWriter, allowed ...string) {
+	w.Header().Set("Allow", strings.Join(allowed, ", "))
+	writeError(w, http.StatusMethodNotAllowed, "%s only", strings.Join(allowed, " or "))
 }
 
 // writeRejected maps an admission failure to 429 with a Retry-After hint
@@ -391,7 +418,7 @@ func (s *Server) observeRequest(class Class, outcome string, arrival time.Time) 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	arrival := time.Now()
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		methodNotAllowed(w, http.MethodPost)
 		return
 	}
 	body, err := s.readBody(w, r)
@@ -528,7 +555,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	arrival := time.Now()
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		methodNotAllowed(w, http.MethodPost)
 		return
 	}
 	body, err := s.readBody(w, r)
@@ -652,7 +679,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBackends(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		methodNotAllowed(w, http.MethodGet)
 		return
 	}
 	resp := BackendsResponse{
@@ -675,7 +702,7 @@ func (s *Server) handleBackends(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		methodNotAllowed(w, http.MethodGet)
 		return
 	}
 	writeJSON(w, http.StatusOK, s.Stats())

@@ -155,7 +155,7 @@ func (s *Server) handlePeriodic(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		s.handlePeriodicRegister(w, r)
 	default:
-		writeError(w, http.StatusMethodNotAllowed, "GET or POST only")
+		methodNotAllowed(w, http.MethodGet, http.MethodPost)
 	}
 }
 
@@ -246,7 +246,7 @@ func (s *Server) handlePeriodicRegister(w http.ResponseWriter, r *http.Request) 
 // stream and cancel its pending release.
 func (s *Server) handlePeriodicItem(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodDelete {
-		writeError(w, http.StatusMethodNotAllowed, "DELETE only")
+		methodNotAllowed(w, http.MethodDelete)
 		return
 	}
 	name := strings.TrimPrefix(r.URL.Path, "/v1/periodic/")
