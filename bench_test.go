@@ -99,9 +99,7 @@ func BenchmarkFig3SolveExactBB(b *testing.B) {
 		g := models.MustLoad(name)
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := exact.Solve(g, 6, exact.Options{
-					TieBreakCross: true, Timeout: 60 * time.Second, MaxStates: 200_000_000,
-				})
+				res := exact.Solve(g, 6, exact.Options{TieBreakCross: true, MaxStates: 200_000_000})
 				if !res.Optimal {
 					b.Fatal("exact truncated")
 				}
@@ -156,7 +154,7 @@ func BenchmarkFig5GapToOptimal(b *testing.B) {
 	m := benchModel(b)
 	g := models.MustLoad("DenseNet121")
 	for i := 0; i < b.N; i++ {
-		opt := exact.Solve(g, 5, exact.Options{Timeout: 30 * time.Second, MaxStates: 100_000_000})
+		opt := exact.Solve(g, 5, exact.Options{MaxStates: 100_000_000})
 		s, err := rl.Schedule(m, embed.Default(), g, 5)
 		if err != nil {
 			b.Fatal(err)

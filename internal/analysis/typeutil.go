@@ -16,7 +16,7 @@ func isContextType(t types.Type) bool {
 }
 
 // isCancelChan reports whether t is a receivable chan struct{} — the
-// cancellation-channel idiom (lp.Opts.Cancel, ctx.Done()'s type).
+// cancellation-channel idiom (ctx.Done()'s type).
 func isCancelChan(t types.Type) bool {
 	ch, ok := t.Underlying().(*types.Chan)
 	if !ok || ch.Dir() == types.SendOnly {

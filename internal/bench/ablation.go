@@ -119,7 +119,7 @@ func PostProcessAblation(tr *rl.Trainer, names []string, stages []int) ([]PostPr
 				return nil, err
 			}
 			repaired := sched.PostProcess(g, raw)
-			opt := exact.Solve(g, ns, exact.Options{Timeout: 30 * time.Second, MaxStates: 100_000_000})
+			opt := solveWithin(30*time.Second, g, ns, exact.Options{MaxStates: 100_000_000})
 			rows = append(rows, PostProcessAblationRow{
 				Model: name, Stages: ns,
 				RawValid:        raw.Validate(g) == nil,

@@ -6,6 +6,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -131,12 +132,14 @@ func Fig3(model *ptrnet.Model, ecfg embed.Config, cfg Fig3Config) ([]Fig3Row, er
 			}
 			row.Compiler = comp.CompileTime
 
-			res := exact.Solve(g, ns, exact.Options{TieBreakCross: true, Timeout: 60 * time.Second, MaxStates: 200_000_000})
+			res := solveWithin(60*time.Second, g, ns, exact.Options{TieBreakCross: true, MaxStates: 200_000_000})
 			row.CombExact = res.Elapsed
 
 			if cfg.ILPBudget > 0 {
 				ilpStart := time.Now()
-				ires, ierr := exact.SolveILP(g, ns, ilp.Options{Timeout: cfg.ILPBudget})
+				ctx, cancel := context.WithTimeout(context.Background(), cfg.ILPBudget)
+				ires, ierr := exact.SolveILPCtx(ctx, g, ns, ilp.Options{})
+				cancel()
 				row.ILP = time.Since(ilpStart)
 				row.ILPOptimal = ierr == nil && ires.Optimal
 			}
@@ -181,8 +184,8 @@ func Fig4(model *ptrnet.Model, ecfg embed.Config, names []string, stages []int, 
 		}
 		for _, ns := range stages {
 			comp := sched.PostProcess(g, compilerSchedule(g, ns))
-			ex := sched.PostProcess(g, exact.Solve(g, ns, exact.Options{
-				TieBreakCross: true, Timeout: 60 * time.Second, MaxStates: 200_000_000,
+			ex := sched.PostProcess(g, solveWithin(60*time.Second, g, ns, exact.Options{
+				TieBreakCross: true, MaxStates: 200_000_000,
 			}).Schedule)
 			rlSched, err := rl.Schedule(model, ecfg, g, ns)
 			if err != nil {
@@ -205,6 +208,13 @@ func Fig4(model *ptrnet.Model, ecfg embed.Config, names []string, stages []int, 
 		}
 	}
 	return rows, nil
+}
+
+// solveWithin is exact.SolveCtx under a wall-clock budget.
+func solveWithin(budget time.Duration, g *graph.Graph, ns int, opts exact.Options) exact.Result {
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
+	return exact.SolveCtx(ctx, g, ns, opts)
 }
 
 // compilerSchedule is the partition the compiler emulation would produce,
@@ -243,8 +253,8 @@ func Fig5(model *ptrnet.Model, ecfg embed.Config, names []string, stages []int) 
 			return nil, err
 		}
 		for _, ns := range stages {
-			opt := exact.Solve(g, ns, exact.Options{Timeout: 60 * time.Second, MaxStates: 200_000_000})
-			dep := exact.Solve(g, ns, exact.Options{Timeout: 60 * time.Second, MaxStates: 200_000_000, ChildrenRule: true})
+			opt := solveWithin(60*time.Second, g, ns, exact.Options{MaxStates: 200_000_000})
+			dep := solveWithin(60*time.Second, g, ns, exact.Options{MaxStates: 200_000_000, ChildrenRule: true})
 			rlSched, err := rl.Schedule(model, ecfg, g, ns)
 			if err != nil {
 				return nil, err

@@ -3,7 +3,6 @@ package bench
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"respect/internal/exact"
 	"respect/internal/models"
@@ -142,7 +141,7 @@ func TestHeuristicStudy(t *testing.T) {
 	// Every backend returns deployed schedules, which stay monotone, so
 	// none can beat the raw monotone optimum.
 	g := models.MustLoad("Xception")
-	opt := exact.Solve(g, 4, exact.Options{Timeout: 30 * time.Second, MaxStates: 100_000_000})
+	opt := exact.Solve(g, 4, exact.Options{MaxStates: 100_000_000})
 	optMiB := float64(opt.Cost.PeakParamBytes) / (1 << 20)
 	for _, r := range rows {
 		if r.PeakMiB < optMiB-1e-9 {

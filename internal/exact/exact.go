@@ -41,12 +41,9 @@ import (
 	"respect/internal/sched"
 )
 
-// Options configures the solver's effort budget.
+// Options configures the solver's effort budget. Wall-clock limits come
+// only from the context passed to SolveCtx.
 type Options struct {
-	// Timeout bounds wall-clock solve time; zero means no limit. Under
-	// SolveCtx the effective deadline is the earlier of start+Timeout and
-	// the context deadline.
-	Timeout time.Duration
 	// MaxStates bounds the number of search states; zero means no limit.
 	MaxStates int64
 	// TieBreakCross additionally minimizes cross-stage activation traffic
@@ -204,7 +201,6 @@ type solver struct {
 	bestPeak  int64
 	bestCross int64 // maintained under tieBreak only
 	states    int64
-	deadline  time.Time
 	truncated bool
 }
 
@@ -225,12 +221,6 @@ func SolveCtx(ctx context.Context, g *graph.Graph, numStages int, opts Options) 
 		numStages = 1
 	}
 	s := &solver{g: g, numStages: numStages, opts: opts, ctx: ctx, tieBreak: opts.TieBreakCross}
-	if opts.Timeout > 0 {
-		s.deadline = start.Add(opts.Timeout)
-	}
-	if d, ok := ctx.Deadline(); ok && (s.deadline.IsZero() || d.Before(s.deadline)) {
-		s.deadline = d
-	}
 	// expand maps a schedule of the instance to one of the caller's graph.
 	expand := func(sch sched.Schedule) sched.Schedule { return sch }
 	if opts.ChildrenRule {
@@ -333,15 +323,9 @@ func (s *solver) budgetExceeded() bool {
 		s.truncated = true
 		return true
 	}
-	if s.states&0xfff == 0 {
-		if !s.deadline.IsZero() && time.Now().After(s.deadline) {
-			s.truncated = true
-			return true
-		}
-		if s.ctx != nil && s.ctx.Err() != nil {
-			s.truncated = true
-			return true
-		}
+	if s.states&0xfff == 0 && s.ctx.Err() != nil {
+		s.truncated = true
+		return true
 	}
 	return false
 }

@@ -164,7 +164,9 @@ func TestSolveSingleStage(t *testing.T) {
 
 func TestSolveTimeoutTruncates(t *testing.T) {
 	g := models.MustLoad("ResNet50")
-	r := Solve(g, 6, Options{Timeout: time.Millisecond, MaxStates: 0})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	r := SolveCtx(ctx, g, 6, Options{})
 	if err := r.Schedule.Validate(g); err != nil {
 		t.Fatalf("truncated result invalid: %v", err)
 	}
@@ -195,7 +197,7 @@ func TestSolveOnRealModels(t *testing.T) {
 	for _, name := range []string{"Xception", "ResNet50"} {
 		g := models.MustLoad(name)
 		for _, ns := range []int{4, 5, 6} {
-			r := Solve(g, ns, Options{Timeout: 20 * time.Second, MaxStates: 20_000_000})
+			r := Solve(g, ns, Options{MaxStates: 20_000_000})
 			if err := r.Schedule.Validate(g); err != nil {
 				t.Errorf("%s/%d: %v", name, ns, err)
 			}
@@ -256,7 +258,7 @@ func TestTieBreakCrossNeverWorse(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomDAG(seed, 16)
 		fast := Solve(g, 3, Options{})
-		lex := Solve(g, 3, Options{TieBreakCross: true, Timeout: 20 * time.Second})
+		lex := Solve(g, 3, Options{TieBreakCross: true})
 		if !fast.Optimal || !lex.Optimal {
 			return false
 		}
@@ -461,7 +463,7 @@ func TestChildrenRuleOnRealModels(t *testing.T) {
 	for _, name := range []string{"Xception", "ResNet50", "DenseNet121"} {
 		g := models.MustLoad(name)
 		for _, ns := range []int{4, 6} {
-			res := Solve(g, ns, Options{ChildrenRule: true, Timeout: 30 * time.Second, MaxStates: 50_000_000})
+			res := Solve(g, ns, Options{ChildrenRule: true, MaxStates: 50_000_000})
 			if !res.Schedule.SameStageChildrenOK(g) {
 				t.Fatalf("%s/%d: children rule violated", name, ns)
 			}

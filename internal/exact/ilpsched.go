@@ -109,9 +109,8 @@ func SolveILP(g *graph.Graph, numStages int, opts ilp.Options) (ILPResult, error
 	return SolveILPCtx(context.Background(), g, numStages, opts)
 }
 
-// SolveILPCtx is SolveILP under a context; the MILP search stops at the
-// earlier of the context deadline and opts.Timeout, and honors explicit
-// cancellation between (and within) LP relaxations.
+// SolveILPCtx is SolveILP under a context; the MILP search stops when the
+// context is done, between and within LP relaxations.
 func SolveILPCtx(ctx context.Context, g *graph.Graph, numStages int, opts ilp.Options) (ILPResult, error) {
 	p := BuildILP(g, numStages)
 	sol, err := ilp.SolveCtx(ctx, p, opts)

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"respect/internal/ilp"
 )
@@ -14,7 +13,7 @@ func TestILPMatchesBruteForce(t *testing.T) {
 		g := randomDAG(seed, 8)
 		for _, ns := range []int{2, 3} {
 			bf := BruteForce(g, ns)
-			res, err := SolveILP(g, ns, ilp.Options{Timeout: 30 * time.Second})
+			res, err := SolveILP(g, ns, ilp.Options{})
 			if err != nil {
 				t.Logf("seed %d: %v", seed, err)
 				return false
@@ -38,7 +37,7 @@ func TestILPMatchesBruteForce(t *testing.T) {
 func TestILPMatchesCombinatorialSolver(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomDAG(seed, 12)
-		res, err := SolveILP(g, 3, ilp.Options{Timeout: 30 * time.Second})
+		res, err := SolveILP(g, 3, ilp.Options{})
 		if err != nil || !res.Optimal {
 			return false
 		}
@@ -89,7 +88,7 @@ func TestBuildILPShape(t *testing.T) {
 func TestILPScheduleValid(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomDAG(seed, 10)
-		res, err := SolveILP(g, 2, ilp.Options{Timeout: 20 * time.Second})
+		res, err := SolveILP(g, 2, ilp.Options{})
 		if err != nil {
 			return false
 		}

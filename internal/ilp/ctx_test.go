@@ -62,9 +62,8 @@ func TestSolveCtxPreCancelled(t *testing.T) {
 func TestSolveCtxDeadlineBoundsElapsed(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	// A loose Options.Timeout must not override the tighter ctx deadline.
 	start := time.Now()
-	if _, err := SolveCtx(ctx, knapsackProblem(), Options{Timeout: time.Hour}); err != nil {
+	if _, err := SolveCtx(ctx, knapsackProblem(), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if time.Since(start) > 5*time.Second {

@@ -20,13 +20,9 @@ type Problem struct {
 	Integer []bool
 }
 
-// Options bounds solver effort. Wall-clock limits are expressed through
-// the context passed to SolveCtx; Timeout remains as a convenience that is
-// intersected with the context deadline.
+// Options bounds solver effort. Wall-clock limits come only from the
+// context passed to SolveCtx.
 type Options struct {
-	// Timeout caps wall-clock time; zero means unlimited. The effective
-	// deadline is the earlier of start+Timeout and the context deadline.
-	Timeout time.Duration
 	// MaxNodes caps branch-and-bound nodes; zero means unlimited.
 	MaxNodes int
 }
@@ -57,12 +53,11 @@ type Solution struct {
 const intTol = 1e-6
 
 type bbSolver struct {
-	base     lp.Problem
-	integer  []bool
-	opts     Options
-	ctx      context.Context
-	start    time.Time
-	deadline time.Time
+	base    lp.Problem
+	integer []bool
+	opts    Options
+	ctx     context.Context
+	start   time.Time
 
 	bestX   []float64
 	bestObj float64
@@ -76,10 +71,9 @@ func Solve(p *Problem, opts Options) (Solution, error) {
 	return SolveCtx(context.Background(), p, opts)
 }
 
-// SolveCtx is Solve under a context: the search stops at the earlier of the
-// context deadline and opts.Timeout, and an explicit cancellation aborts the
-// current LP relaxation mid-pivot. A solve cut off with an integral
-// incumbent reports Feasible; with none, Unknown.
+// SolveCtx is Solve under a context: when the context is done the search
+// stops, aborting the current LP relaxation mid-pivot. A solve cut off
+// with an integral incumbent reports Feasible; with none, Unknown.
 func SolveCtx(ctx context.Context, p *Problem, opts Options) (Solution, error) {
 	s := &bbSolver{
 		base:    p.LP,
@@ -88,12 +82,6 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (Solution, error) {
 		ctx:     ctx,
 		start:   time.Now(),
 		bestObj: math.Inf(1),
-	}
-	if opts.Timeout > 0 {
-		s.deadline = s.start.Add(opts.Timeout)
-	}
-	if d, ok := ctx.Deadline(); ok && (s.deadline.IsZero() || d.Before(s.deadline)) {
-		s.deadline = d
 	}
 	status, err := s.branch(nil)
 	if err != nil {
@@ -127,11 +115,7 @@ func (s *bbSolver) outOfBudget() bool {
 		s.stopped = true
 		return true
 	}
-	if !s.deadline.IsZero() && time.Now().After(s.deadline) {
-		s.stopped = true
-		return true
-	}
-	if s.ctx != nil && s.ctx.Err() != nil {
+	if s.ctx.Err() != nil {
 		s.stopped = true
 		return true
 	}
@@ -152,11 +136,7 @@ func (s *bbSolver) branch(extra []lp.Constraint) (lp.Status, error) {
 		Objective:   s.base.Objective,
 		Constraints: append(append([]lp.Constraint{}, s.base.Constraints...), extra...),
 	}
-	lpOpts := lp.Opts{Deadline: s.deadline}
-	if s.ctx != nil {
-		lpOpts.Cancel = s.ctx.Done()
-	}
-	rel, err := lp.SolveOpt(&prob, lpOpts)
+	rel, err := lp.SolveOpt(s.ctx, &prob, lp.Opts{})
 	if err == lp.ErrDeadline {
 		s.stopped = true
 		return lp.Infeasible, nil

@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -166,7 +167,9 @@ func TestTimeout(t *testing.T) {
 		},
 		Integer: []bool{true, true},
 	}
-	s, err := Solve(p, Options{Timeout: time.Nanosecond})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	s, err := SolveCtx(ctx, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,10 @@
 package lp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
-	"time"
 )
 
 // Sense is a constraint relation.
@@ -80,18 +80,12 @@ type Solution struct {
 // ErrBadProblem reports a malformed problem definition.
 var ErrBadProblem = errors.New("lp: malformed problem")
 
-// ErrDeadline reports that the solve was cut off by its deadline before
-// reaching a conclusive status.
+// ErrDeadline reports that the solve was cut off, by its context or its
+// pivot cap, before reaching a conclusive status.
 var ErrDeadline = errors.New("lp: deadline exceeded")
 
 // Opts bounds a solve.
 type Opts struct {
-	// Deadline aborts the solve when passed (zero value disables).
-	Deadline time.Time
-	// Cancel aborts the solve when closed (nil disables). Callers pass
-	// ctx.Done() so an explicitly cancelled context stops a pivot loop even
-	// when it carries no deadline.
-	Cancel <-chan struct{}
 	// MaxIters caps total simplex pivots (0 uses the defensive default).
 	MaxIters int
 }
@@ -100,11 +94,12 @@ const eps = 1e-9
 
 // Solve runs two-phase simplex on p without a deadline.
 func Solve(p *Problem) (Solution, error) {
-	return SolveOpt(p, Opts{})
+	return SolveOpt(context.Background(), p, Opts{})
 }
 
-// SolveOpt runs two-phase simplex on p under the given bounds.
-func SolveOpt(p *Problem, opts Opts) (Solution, error) {
+// SolveOpt runs two-phase simplex on p under the given bounds; the solve
+// aborts with ErrDeadline once ctx is done.
+func SolveOpt(ctx context.Context, p *Problem, opts Opts) (Solution, error) {
 	if p.NumVars <= 0 || len(p.Objective) != p.NumVars {
 		return Solution{}, fmt.Errorf("%w: %d vars, %d objective coefficients", ErrBadProblem, p.NumVars, len(p.Objective))
 	}
@@ -115,8 +110,7 @@ func SolveOpt(p *Problem, opts Opts) (Solution, error) {
 	}
 
 	t := newTableau(p)
-	t.deadline = opts.Deadline
-	t.cancel = opts.Cancel
+	t.ctx = ctx
 	t.maxIters = opts.MaxIters
 	if t.maxIters <= 0 {
 		t.maxIters = 200000
@@ -155,8 +149,7 @@ type tableau struct {
 	cost    []float64 // phase-2 objective over all columns
 	artBase int       // first artificial column
 
-	deadline time.Time
-	cancel   <-chan struct{}
+	ctx      context.Context
 	maxIters int
 	iters    int
 	aborted  bool
@@ -308,19 +301,9 @@ func (t *tableau) simplex(z []float64, allowed int) (int, bool) {
 			t.aborted = true
 			return iters, true
 		}
-		if iters&0x3f == 0 {
-			if !t.deadline.IsZero() && time.Now().After(t.deadline) {
-				t.aborted = true
-				return iters, true
-			}
-			if t.cancel != nil {
-				select {
-				case <-t.cancel:
-					t.aborted = true
-					return iters, true
-				default:
-				}
-			}
+		if iters&0x3f == 0 && t.ctx.Err() != nil {
+			t.aborted = true
+			return iters, true
 		}
 	}
 }

@@ -1,11 +1,11 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-6 }
@@ -294,13 +294,15 @@ func TestDeadlineAborts(t *testing.T) {
 		row[j] = 1
 		p.Constraints = append(p.Constraints, Constraint{Coeffs: row, Sense: LE, RHS: 1})
 	}
-	_, err := SolveOpt(p, Opts{MaxIters: 3})
+	_, err := SolveOpt(context.Background(), p, Opts{MaxIters: 3})
 	if err != ErrDeadline {
 		t.Fatalf("MaxIters: got %v, want ErrDeadline", err)
 	}
-	_, err = SolveOpt(p, Opts{Deadline: time.Now().Add(-time.Second)})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = SolveOpt(ctx, p, Opts{})
 	if err != ErrDeadline {
-		t.Fatalf("Deadline: got %v, want ErrDeadline", err)
+		t.Fatalf("cancelled context: got %v, want ErrDeadline", err)
 	}
 	// Without bounds the same problem solves.
 	s, err := Solve(p)

@@ -155,6 +155,11 @@ func New(cfg Config) (*Manager, error) {
 		return nil, fmt.Errorf("online: no classes to learn for")
 	}
 	ecfg := embed.Default()
+	if cfg.Agent != nil {
+		if _, err := solver.AgentBackends(cfg.Agent, ecfg, 0, 0); err != nil {
+			return nil, fmt.Errorf("online: seed agent refused: %w", err)
+		}
+	}
 	m := &Manager{
 		cfg:      cfg,
 		ecfg:     ecfg,
@@ -377,7 +382,7 @@ func (m *Manager) Run(ctx context.Context) {
 		case <-timer.C():
 		}
 		m.Round(ctx)
-		timer.Reset(m.cfg.Interval)
+		timer.Reset(m.cfg.Clock.Now().Add(m.cfg.Interval))
 		if m.roundHook != nil {
 			m.roundHook()
 		}

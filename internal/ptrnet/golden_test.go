@@ -28,9 +28,9 @@ const (
 	// fixturePath holds the agent the benchmark's rl_infer workload
 	// serves with, as that commit trained it: respect.Train with six
 	// iterations from seed 1 and every other knob at its default, saved
-	// with Agent.Save. It is stored, not trained here, because training
-	// solves its targets under a wall-clock budget and a slow run (the
-	// race detector) can arrive at other weights.
+	// with Agent.Save. It is stored, not trained here, so the decode tests
+	// need no training run; internal/rl's TestTrainReproducesFixture holds
+	// training to it.
 	fixturePath = "testdata/fixture_seed1.weights"
 )
 

@@ -1,6 +1,6 @@
 // Replay-example training: the online learning loop (internal/online)
-// feeds the REINFORCE step with live-traffic samples instead of the
-// synthetic curriculum. Each example carries its own imitation teacher —
+// feeds the REINFORCE step the synthetic curriculum feeds, with
+// live-traffic samples. Each example carries its own imitation teacher —
 // the schedule the serving portfolio's winning backend produced — so no
 // exact-solver ground truth is computed here.
 package rl
@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"time"
 
-	ad "respect/internal/autodiff"
 	"respect/internal/embed"
 	"respect/internal/graph"
 	"respect/internal/nn"
@@ -17,10 +16,10 @@ import (
 	"respect/internal/sched"
 )
 
-// Example is one recorded solve used as an imitation target: the graph,
-// the teacher schedule (the portfolio winner's), and an importance
-// weight. Truth.NumStages fixes the stage count for ρ, so examples with
-// different pipeline depths can share a minibatch.
+// Example is one imitation target: the graph, the teacher schedule (the
+// exact solver's on the curriculum, the portfolio winner's on replay),
+// and an importance weight. Truth.NumStages fixes the stage count for ρ,
+// so examples with different pipeline depths can share a minibatch.
 type Example struct {
 	// G is the scheduled graph.
 	G *graph.Graph
@@ -29,13 +28,17 @@ type Example struct {
 	// Weight scales this example's gradient contribution; 0 means 1.
 	// The online loop down-weights deadline-missed periodic samples.
 	Weight float64
+	// gamma is the exact scheduler's node order behind a curriculum
+	// target, the sequence the supervised ablation forces.
+	gamma []int
 }
 
 // NewExampleTrainer wraps an existing model for replay-driven training
 // via StepExamples. The model is trained in place; callers that serve
 // from the same weights must train a Clone. Unlike NewTrainer, no
 // synthetic curriculum or held-out evaluation set is built — Step,
-// Train and EvalGreedy must not be used on the returned trainer.
+// Train and EvalGreedy must not be used on the returned trainer — and
+// cfg.Supervised must be off: replay examples carry no γ to force.
 func NewExampleTrainer(m *ptrnet.Model, ecfg embed.Config, cfg Config) *Trainer {
 	cfg = cfg.withDefaults()
 	return &Trainer{
@@ -48,86 +51,12 @@ func NewExampleTrainer(m *ptrnet.Model, ecfg embed.Config, cfg Config) *Trainer 
 	}
 }
 
-// rewardAgainst is Reward with the stage count taken from the teacher
-// schedule rather than the trainer config: live-traffic examples carry
-// per-request pipeline depths.
-func (tr *Trainer) rewardAgainst(g *graph.Graph, seq []int, truth sched.Schedule) float64 {
-	s, err := rho(g, seq, truth.NumStages, tr.Cfg.GreedyRho)
-	if err != nil {
-		return 0
-	}
-	switch tr.Cfg.Reward {
-	case RewardDirectObjective:
-		repaired := sched.PostProcess(g, s)
-		opt := truth.Evaluate(g).PeakParamBytes
-		got := repaired.Evaluate(g).PeakParamBytes
-		if got <= 0 {
-			return 1
-		}
-		return float64(opt) / float64(got)
-	default:
-		return sched.Agreement(s, truth)
-	}
-}
-
-// StepExamples runs one REINFORCE iteration over the given examples
-// (Eq. 6, with the teacher schedules standing in for the exact
-// scheduler's γ) and returns its statistics. The rollout baseline is
-// challenged on the same examples every ChallengeEvery iterations.
+// StepExamples runs one training iteration over the given examples (the
+// teacher schedules standing in for the exact scheduler's) and returns its
+// statistics. The rollout baseline is challenged on the same examples
+// every ChallengeEvery iterations.
 func (tr *Trainer) StepExamples(iter int, examples []Example) IterStats {
-	start := time.Now()
-	stats := IterStats{Iter: iter}
-	if len(examples) == 0 {
-		return stats
-	}
-	n := float64(len(examples))
-	for _, ex := range examples {
-		w := ex.Weight
-		if w == 0 {
-			w = 1
-		}
-		emb := embed.Graph(ex.G, tr.EmbedCfg)
-		tape := ad.NewTape()
-		res := tr.Model.Decode(tape, emb, true, tr.rng)
-		reward := tr.rewardAgainst(ex.G, res.Seq, ex.Truth)
-		cost := 1 - reward
-
-		base := 0.0
-		switch tr.Cfg.Baseline {
-		case BaselineNone:
-		case BaselineEMA:
-			if tr.emaInit {
-				base = tr.ema
-			} else {
-				base = 0.5
-			}
-			if !tr.emaInit {
-				tr.ema, tr.emaInit = cost, true
-			} else {
-				tr.ema = 0.9*tr.ema + 0.1*cost
-			}
-		default:
-			base = 1 - tr.rewardAgainst(ex.G, tr.baseline.Infer(emb), ex.Truth)
-		}
-		res.LogProb.BackwardWithSeed((cost - base) * w / n)
-
-		stats.MeanReward += reward
-		stats.MeanBase += base
-		stats.MeanEntropy += res.AvgEntropy
-	}
-	stats.MeanReward /= n
-	stats.MeanBase /= n
-	stats.MeanEntropy /= n
-	stats.GradNorm = tr.opt.GradNorm()
-	tr.opt.Step()
-
-	if tr.Cfg.Baseline == BaselineRollout && (iter+1)%tr.Cfg.ChallengeEvery == 0 {
-		if tr.EvalExamples(tr.Model, examples) > tr.EvalExamples(tr.baseline, examples) {
-			tr.baseline = tr.Model.Clone()
-		}
-	}
-	stats.Elapsed = time.Since(start)
-	return stats
+	return tr.step(time.Now(), iter, examples, func() []Example { return examples })
 }
 
 // EvalExamples returns the mean greedy-decode imitation reward of m
@@ -140,7 +69,7 @@ func (tr *Trainer) EvalExamples(m *ptrnet.Model, examples []Example) float64 {
 	total := 0.0
 	for _, ex := range examples {
 		emb := embed.Graph(ex.G, tr.EmbedCfg)
-		total += tr.rewardAgainst(ex.G, m.Infer(emb), ex.Truth)
+		total += tr.Reward(ex.G, m.Infer(emb), ex.Truth)
 	}
 	return total / float64(len(examples))
 }

@@ -119,7 +119,8 @@ type Trainer struct {
 	emaInit  bool
 	opt      *nn.Adam
 	sampler  *synth.CurriculumSampler
-	evalSet  []*graph.Graph
+	evalSet  []*graph.Graph // held-out graphs; their targets are solved on first use
+	heldOut  []Example
 	rng      *rand.Rand
 }
 
@@ -173,8 +174,10 @@ func GroundTruth(g *graph.Graph, stages int) ([]int, sched.Schedule) {
 	return groundTruth(g, stages, false)
 }
 
+// groundTruth bounds the exact search by states alone, so a label never
+// depends on how fast the machine is.
 func groundTruth(g *graph.Graph, stages int, greedyRho bool) ([]int, sched.Schedule) {
-	res := exact.Solve(g, stages, exact.Options{MaxStates: 2_000_000, Timeout: 2 * time.Second})
+	res := exact.Solve(g, stages, exact.Options{MaxStates: 2_000_000})
 	gamma := sched.ScheduleToSequence(g, res.Schedule)
 	// S = ρ(γ): the reward compares like with like (Eq. 2).
 	s, err := rho(g, gamma, stages, greedyRho)
@@ -184,11 +187,18 @@ func groundTruth(g *graph.Graph, stages int, greedyRho bool) ([]int, sched.Sched
 	return gamma, s
 }
 
-// Reward scores a predicted sequence π against the ground-truth schedule
-// via ρ: the cosine similarity of one-hot stage matrices (Eq. 1/3), or the
-// normalized inverse objective for the direct-objective ablation.
+// example solves g's imitation target at the configured stage count.
+func (tr *Trainer) example(g *graph.Graph) Example {
+	gamma, truth := groundTruth(g, tr.Cfg.Stages, tr.Cfg.GreedyRho)
+	return Example{G: g, Truth: truth, gamma: gamma}
+}
+
+// Reward scores a predicted sequence π against the target schedule via ρ
+// at the target's stage count: the cosine similarity of one-hot stage
+// matrices (Eq. 1/3), or the normalized inverse objective for the
+// direct-objective ablation.
 func (tr *Trainer) Reward(g *graph.Graph, seq []int, truth sched.Schedule) float64 {
-	s, err := rho(g, seq, tr.Cfg.Stages, tr.Cfg.GreedyRho)
+	s, err := rho(g, seq, truth.NumStages, tr.Cfg.GreedyRho)
 	if err != nil {
 		return 0
 	}
@@ -208,86 +218,84 @@ func (tr *Trainer) Reward(g *graph.Graph, seq []int, truth sched.Schedule) float
 	}
 }
 
-// trainGraph is one sampled graph with its imitation target.
-type trainGraph struct {
-	g     *graph.Graph
-	emb   [][]float64
-	gamma []int
-	truth sched.Schedule
-}
-
-func (tr *Trainer) draw() trainGraph {
-	g := tr.sampler.Sample()
-	gamma, truth := groundTruth(g, tr.Cfg.Stages, tr.Cfg.GreedyRho)
-	return trainGraph{g: g, emb: embed.Graph(g, tr.EmbedCfg), gamma: gamma, truth: truth}
-}
-
-// baselineValue returns b(G) for one graph.
-func (tr *Trainer) baselineValue(tg trainGraph) float64 {
-	switch tr.Cfg.Baseline {
-	case BaselineNone:
-		return 0
-	case BaselineEMA:
-		if !tr.emaInit {
-			return 0.5
-		}
-		return tr.ema
-	default:
-		seq := tr.baseline.Infer(tg.emb)
-		return 1 - tr.Reward(tg.g, seq, tg.truth)
-	}
-}
-
-// Step runs one training iteration and returns its statistics.
+// Step runs one training iteration on BatchSize fresh curriculum graphs,
+// challenging the rollout baseline on the held-out set, and returns its
+// statistics.
 func (tr *Trainer) Step(iter int) IterStats {
 	start := time.Now()
-	stats := IterStats{Iter: iter}
-	cfg := tr.Cfg
+	batch := make([]Example, tr.Cfg.BatchSize)
+	for i := range batch {
+		batch[i] = tr.example(tr.sampler.Sample())
+	}
+	return tr.step(start, iter, batch, tr.heldOutSet)
+}
 
-	for b := 0; b < cfg.BatchSize; b++ {
-		tg := tr.draw()
+// step is the one REINFORCE iteration (Eq. 6) the curriculum and the
+// replay buffer both feed: every example contributes (cost − b)·w/n to
+// the gradient, or −w/n·log p(γ) under the supervised ablation, and Adam
+// takes one step. challenge yields the set the rollout baseline is
+// challenged on; it is called only when a challenge fires.
+func (tr *Trainer) step(start time.Time, iter int, batch []Example, challenge func() []Example) IterStats {
+	stats := IterStats{Iter: iter}
+	if len(batch) == 0 {
+		return stats
+	}
+	cfg := tr.Cfg
+	n := float64(len(batch))
+	for _, ex := range batch {
+		w := ex.Weight
+		if w == 0 {
+			w = 1
+		}
+		emb := embed.Graph(ex.G, tr.EmbedCfg)
 		tape := ad.NewTape()
 
 		if cfg.Supervised {
-			res := tr.Model.DecodeForced(tape, tg.emb, tg.gamma)
-			// Minimize −log p(γ): seed the log-prob with −1.
-			res.LogProb.BackwardWithSeed(-1 / float64(cfg.BatchSize))
-			stats.MeanReward += tr.Reward(tg.g, tr.Model.Infer(tg.emb), tg.truth)
+			res := tr.Model.DecodeForced(tape, emb, ex.gamma)
+			// Minimize −log p(γ): seed the log-prob with −w/n.
+			res.LogProb.BackwardWithSeed(-w / n)
+			stats.MeanReward += tr.Reward(ex.G, tr.Model.Infer(emb), ex.Truth)
 			stats.MeanEntropy += res.AvgEntropy
 			continue
 		}
 
-		res := tr.Model.Decode(tape, tg.emb, true, tr.rng)
-		reward := tr.Reward(tg.g, res.Seq, tg.truth)
+		res := tr.Model.Decode(tape, emb, true, tr.rng)
+		reward := tr.Reward(ex.G, res.Seq, ex.Truth)
 		cost := 1 - reward
-		base := tr.baselineValue(tg)
-		adv := cost - base
+		base := 0.0
+		switch cfg.Baseline {
+		case BaselineNone:
+		case BaselineEMA:
+			// Read b before this rollout updates it.
+			if tr.emaInit {
+				base = tr.ema
+				tr.ema = 0.9*tr.ema + 0.1*cost
+			} else {
+				base = 0.5
+				tr.ema, tr.emaInit = cost, true
+			}
+		default:
+			base = 1 - tr.Reward(ex.G, tr.baseline.Infer(emb), ex.Truth)
+		}
 		// ∇J = E[(cost − b)·∇log p] (Eq. 6); Adam descends the
 		// accumulated gradient.
-		res.LogProb.BackwardWithSeed(adv / float64(cfg.BatchSize))
+		res.LogProb.BackwardWithSeed((cost - base) * w / n)
 
-		if cfg.Baseline == BaselineEMA {
-			if !tr.emaInit {
-				tr.ema = cost
-				tr.emaInit = true
-			} else {
-				tr.ema = 0.9*tr.ema + 0.1*cost
-			}
-		}
 		stats.MeanReward += reward
 		stats.MeanBase += base
 		stats.MeanEntropy += res.AvgEntropy
 	}
-	stats.MeanReward /= float64(cfg.BatchSize)
-	stats.MeanBase /= float64(cfg.BatchSize)
-	stats.MeanEntropy /= float64(cfg.BatchSize)
+	stats.MeanReward /= n
+	stats.MeanBase /= n
+	stats.MeanEntropy /= n
 	stats.GradNorm = tr.opt.GradNorm()
 	tr.opt.Step()
 
 	// Rollout-baseline challenge: adopt the current model if it beats the
-	// snapshot on the held-out evaluation set (greedy vs greedy).
+	// snapshot on the challenge set (greedy vs greedy).
 	if cfg.Baseline == BaselineRollout && (iter+1)%cfg.ChallengeEvery == 0 {
-		if tr.EvalGreedy(tr.Model) > tr.EvalGreedy(tr.baseline) {
+		set := challenge()
+		if tr.EvalExamples(tr.Model, set) > tr.EvalExamples(tr.baseline, set) {
 			tr.baseline = tr.Model.Clone()
 		}
 	}
@@ -310,16 +318,22 @@ func (tr *Trainer) Train(progress func(IterStats)) error {
 	return nil
 }
 
+// heldOutSet returns the held-out evaluation examples, solving their
+// targets on first use.
+func (tr *Trainer) heldOutSet() []Example {
+	if tr.heldOut == nil {
+		tr.heldOut = make([]Example, len(tr.evalSet))
+		for i, g := range tr.evalSet {
+			tr.heldOut[i] = tr.example(g)
+		}
+	}
+	return tr.heldOut
+}
+
 // EvalGreedy returns the mean greedy-decode reward of m over the held-out
 // evaluation set.
 func (tr *Trainer) EvalGreedy(m *ptrnet.Model) float64 {
-	total := 0.0
-	for _, g := range tr.evalSet {
-		_, truth := groundTruth(g, tr.Cfg.Stages, tr.Cfg.GreedyRho)
-		emb := embed.Graph(g, tr.EmbedCfg)
-		total += tr.Reward(g, m.Infer(emb), truth)
-	}
-	return total / float64(len(tr.evalSet))
+	return tr.EvalExamples(m, tr.heldOutSet())
 }
 
 // Schedule runs RESPECT inference end to end on any graph: embed, greedy

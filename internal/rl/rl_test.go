@@ -210,9 +210,7 @@ func TestTrainingDeterministic(t *testing.T) {
 // workload serves with (six iterations from seed 1, every other knob at
 // its default) and holds the result to the stored file byte for byte. The
 // trainer's rollout baseline is a forward-only greedy decode, so this pins
-// that no change to that path moved a decode on the training graphs. The
-// targets are solved under a wall-clock budget; on a machine slow enough
-// to cut one short the weights legitimately differ.
+// that no change to that path moved a decode on the training graphs.
 func TestTrainReproducesFixture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains for a few seconds")

@@ -18,16 +18,18 @@ type Clock interface {
 // Timer is the subset of time.Timer the release loop needs. Reset may
 // be called on an expired or stopped timer without draining first —
 // implementations absorb the stop/drain dance — but only from the one
-// goroutine that receives from C. A Reset with a non-positive duration
-// fires immediately, which is what makes a fake clock race-free: if the
-// clock is advanced past a deadline before the timer is (re)armed, the
-// arm itself delivers the tick.
+// goroutine that receives from C. Reset takes an absolute instant, and
+// one not after the clock's current time fires immediately, which is what
+// makes a fake clock race-free: if the clock is advanced past a deadline
+// before the timer is (re)armed, the arm itself delivers the tick. (A
+// relative duration would be computed from a reading the clock may
+// already have left behind, arming the timer late.)
 type Timer interface {
 	// C is the channel the timer fires on.
 	C() <-chan time.Time
-	// Reset re-arms the timer to fire d from now, superseding any
-	// earlier arming and discarding an undelivered fire.
-	Reset(d time.Duration)
+	// Reset re-arms the timer to fire at the given instant, superseding
+	// any earlier arming and discarding an undelivered fire.
+	Reset(at time.Time)
 	// Stop disarms the timer.
 	Stop()
 }
@@ -51,14 +53,14 @@ type wallTimer struct{ t *time.Timer }
 
 func (w *wallTimer) C() <-chan time.Time { return w.t.C }
 
-func (w *wallTimer) Reset(d time.Duration) {
+func (w *wallTimer) Reset(at time.Time) {
 	if !w.t.Stop() {
 		select {
 		case <-w.t.C:
 		default:
 		}
 	}
-	w.t.Reset(d)
+	w.t.Reset(time.Until(at))
 }
 
 func (w *wallTimer) Stop() { w.t.Stop() }
@@ -66,7 +68,8 @@ func (w *wallTimer) Stop() { w.t.Stop() }
 // FakeClock is a manually advanced Clock for tests: time moves only
 // when Advance is called, and due timers fire synchronously inside it.
 // Advancing past a timer that has not been armed yet is safe — the
-// subsequent Reset computes a non-positive delay and fires immediately.
+// subsequent Reset names an instant already reached and fires
+// immediately.
 // Safe for concurrent use; a job's Run callback may advance the clock
 // to model execution time.
 type FakeClock struct {
@@ -122,16 +125,16 @@ type fakeTimer struct {
 
 func (t *fakeTimer) C() <-chan time.Time { return t.ch }
 
-func (t *fakeTimer) Reset(d time.Duration) {
+func (t *fakeTimer) Reset(at time.Time) {
 	t.clock.mu.Lock()
 	defer t.clock.mu.Unlock()
 	select { // discard an undelivered fire from the previous arming
 	case <-t.ch:
 	default:
 	}
-	t.when = t.clock.now.Add(d)
+	t.when = at
 	t.active = true
-	if d <= 0 {
+	if !at.After(t.clock.now) {
 		t.fireLocked(t.clock.now)
 	}
 }

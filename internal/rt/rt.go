@@ -592,7 +592,7 @@ func (d *Dispatcher) releaseLoop(ctx context.Context) {
 				continue
 			}
 		}
-		timer.Reset(next.Sub(d.cfg.Clock.Now()))
+		timer.Reset(next)
 		select {
 		case <-ctx.Done():
 			return

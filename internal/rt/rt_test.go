@@ -511,3 +511,33 @@ func TestMissRateOrderingUnderOverload(t *testing.T) {
 		t.Errorf("miss ordering violated: rm=%d > fifo=%d", rm, fifo)
 	}
 }
+
+// TestFakeTimerArmedForAReachedInstantFires is the release loop's race
+// with a test that advances the clock: the loop reads the next release
+// instant, the test moves the clock past it, and only then is the timer
+// re-armed. Arming names the instant, not a delay from a stale reading, so
+// the tick is delivered at once instead of a period late.
+func TestFakeTimerArmedForAReachedInstantFires(t *testing.T) {
+	clk := NewFakeClock(time.Unix(0, 0))
+	timer := clk.NewTimer(time.Hour)
+	next := clk.Now().Add(10 * time.Millisecond)
+	clk.Advance(20 * time.Millisecond)
+	timer.Reset(next)
+	select {
+	case <-timer.C():
+	default:
+		t.Fatal("a timer armed for an instant the clock has passed did not fire")
+	}
+	timer.Reset(clk.Now().Add(time.Millisecond))
+	select {
+	case <-timer.C():
+		t.Fatal("a timer armed for a future instant fired early")
+	default:
+	}
+	clk.Advance(time.Millisecond)
+	select {
+	case <-timer.C():
+	default:
+		t.Fatal("the timer did not fire when the clock reached its instant")
+	}
+}

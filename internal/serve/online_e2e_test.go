@@ -13,9 +13,11 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"strings"
 	"testing"
 
 	"respect/internal/graph"
+	"respect/internal/ptrnet"
 	"respect/internal/serve"
 )
 
@@ -130,6 +132,18 @@ func onlineAgentCost(t *testing.T, url, backend string, graphs []json.RawMessage
 		wsum += weights[i]
 	}
 	return total / wsum
+}
+
+// TestOnlineRefusesAgentOfAnotherWidth: a seed agent that cannot decode a
+// single embedded graph is refused at New, not left to panic on the
+// background loop's first round.
+func TestOnlineRefusesAgentOfAnotherWidth(t *testing.T) {
+	cfg := onlineServeConfig()
+	cfg.Online.Agent = ptrnet.New(ptrnet.Config{InputDim: 9, Hidden: 8, Seed: 1})
+	srv, err := serve.New(cfg)
+	if err == nil || !strings.Contains(err.Error(), "width 9") || !strings.Contains(err.Error(), "produces 7") {
+		t.Fatalf("want an error naming widths 9 and 7, got %v (server %v)", err, srv != nil)
+	}
 }
 
 func TestOnlineE2EPromotionImprovesServedCost(t *testing.T) {

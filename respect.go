@@ -100,16 +100,7 @@ type Agent struct {
 // config fields take scaled-down defaults that train in seconds on a CPU;
 // the paper-scale setup (hidden 256, 1M graphs, batch 128) is reachable by
 // setting the fields explicitly.
-func Train(cfg TrainConfig) (*Agent, error) {
-	tr, err := rl.NewTrainer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := tr.Train(nil); err != nil {
-		return nil, err
-	}
-	return &Agent{model: tr.Model, ecfg: tr.EmbedCfg}, nil
-}
+func Train(cfg TrainConfig) (*Agent, error) { return TrainWithProgress(cfg, nil) }
 
 // TrainWithProgress is Train with a per-iteration callback
 // (iteration, mean sampled reward).
