@@ -16,7 +16,9 @@ import (
 // TestAgentQuality holds the RL decoders, the only backends the model-free
 // oracle tests never see, to the hardware contract on the committed
 // benchmark agent: their schedules are valid, keep every node's children in
-// one stage, and never beat the proven deployable optimum.
+// one stage, and never beat the proven deployable optimum. It also pins
+// what the class decode delivers: on the Table I models at 4 stages the
+// greedy peak is on average within 1 % of that optimum.
 func TestAgentQuality(t *testing.T) {
 	m, err := ptrnet.LoadFile("../ptrnet/testdata/fixture_seed1.weights")
 	if err != nil {
@@ -54,4 +56,24 @@ func TestAgentQuality(t *testing.T) {
 			}
 		}
 	}
+
+	var gap float64
+	names := models.TableINames()
+	for _, name := range names {
+		g := models.MustLoad(name)
+		opt := exact.Solve(g, 4, exact.Options{ChildrenRule: true})
+		if !opt.Optimal {
+			t.Fatalf("%s/4: deployable optimum not proven", name)
+		}
+		s, err := rl.Schedule(m, ecfg, g, 4)
+		if err != nil {
+			t.Fatalf("%s/4 greedy: %v", name, err)
+		}
+		optPeak := float64(opt.Cost.PeakParamBytes)
+		gap += (float64(s.Evaluate(g).PeakParamBytes) - optPeak) / optPeak * 100
+	}
+	if gap /= float64(len(names)); gap > 1 {
+		t.Fatalf("greedy peak is %.2f %% above the deployable optimum on average over the Table I models, want <= 1 %%", gap)
+	}
+	t.Logf("mean gap to the deployable optimum over the Table I models at 4 stages: %.3f %%", gap)
 }

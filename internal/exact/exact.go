@@ -264,16 +264,7 @@ func SolveCtx(ctx context.Context, g *graph.Graph, numStages int, opts Options) 
 // children lie in B.
 func quotientInstance(g *graph.Graph, q sched.Quotient, cross bool) (*graph.Graph, [][]int64) {
 	nc := q.NumClasses()
-	qg := graph.New(g.Name)
-	for c := 0; c < nc; c++ {
-		qg.AddNode(graph.Node{ParamBytes: q.ParamBytes[c]})
-	}
-	for a := 0; a < nc; a++ {
-		for _, b := range q.Succ(a) {
-			qg.AddEdge(a, b)
-		}
-	}
-	qg.MustBuild() // acyclic and duplicate-free by construction; class sums fit since g built
+	qg := q.Graph(g.Name)
 	if !cross {
 		return qg, nil
 	}

@@ -405,3 +405,55 @@ func (g *Graph) Stats() Stats {
 	g.mustBuilt()
 	return Stats{V: g.NumNodes(), Deg: g.MaxInDegree(), Depth: g.Depth()}
 }
+
+// FromCSR builds the graph with the given nodes in which node v's
+// successors are succ[start[v]:start[v+1]], in that order: the same graph
+// AddNode over nodes and AddEdge over those lists, source by source, would
+// build, without either. It is the constructor for a graph derived from
+// another (sched.Quotient.Graph). The successor lists are windows of succ
+// and the predecessors are laid out in one flat array, as ParseJSON lays
+// them out. The graph takes nodes, assigning IDs by position, and keeps
+// references into succ; the caller modifies neither afterwards. The
+// errors are Build's, and those of a start or succ that does not describe
+// edges between distinct nodes.
+func FromCSR(name string, nodes []Node, start, succ []int) (*Graph, error) {
+	n := len(nodes)
+	if len(start) != n+1 || start[0] != 0 || start[n] != len(succ) {
+		return nil, fmt.Errorf("graph %q: successor offsets do not cover %d nodes and %d edges", name, n, len(succ))
+	}
+	inDeg := make([]int, n)
+	for u := 0; u < n; u++ {
+		if start[u+1] < start[u] || start[u+1] > len(succ) {
+			return nil, fmt.Errorf("graph %q: successor offsets out of order at node %d", name, u)
+		}
+		for _, v := range succ[start[u]:start[u+1]] {
+			if v < 0 || v >= n || v == u {
+				return nil, fmt.Errorf("graph %q: edge (%d,%d) is not between distinct nodes", name, u, v)
+			}
+			inDeg[v]++
+		}
+	}
+	g := &Graph{Name: name, nodes: nodes, succ: make([][]int, n), pred: windows(make([]int, len(succ)), inDeg)}
+	for u := 0; u < n; u++ {
+		g.nodes[u].ID = u
+		g.succ[u] = succ[start[u]:start[u+1]:start[u+1]]
+		for _, v := range g.succ[u] {
+			g.pred[v] = append(g.pred[v], u)
+		}
+	}
+	if err := g.Build(); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// windows cuts flat into one window per node, node v's of capacity deg[v]
+// and length zero. The full slice expressions keep a window from ever
+// growing into the next, so filling them with append allocates nothing.
+func windows(flat, deg []int) [][]int {
+	out := make([][]int, len(deg))
+	for v, d := range deg {
+		out[v], flat = flat[:0:d], flat[d:]
+	}
+	return out
+}

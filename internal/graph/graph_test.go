@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -90,6 +91,42 @@ func TestDuplicateEdgeRejected(t *testing.T) {
 	g.AddEdge(a, b)
 	if err := g.Build(); err == nil {
 		t.Fatal("Build accepted duplicate edge")
+	}
+}
+
+// TestFromCSR builds the diamond from offsets and successors and refuses
+// offsets and edges that describe no graph, and what Build refuses.
+func TestFromCSR(t *testing.T) {
+	want := diamond(t)
+	g, err := FromCSR("diamond", want.Nodes(), []int{0, 2, 3, 4, 4}, []int{1, 2, 3, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Fingerprint() != want.Fingerprint() || g.Depth() != want.Depth() {
+		t.Fatalf("FromCSR diamond differs from AddNode/AddEdge's")
+	}
+	for v := 0; v < want.NumNodes(); v++ {
+		if g.Node(v) != want.Node(v) || !slices.Equal(g.Succ(v), want.Succ(v)) || !slices.Equal(g.Pred(v), want.Pred(v)) {
+			t.Fatalf("node %d: %+v succ %v pred %v, want %+v succ %v pred %v",
+				v, g.Node(v), g.Succ(v), g.Pred(v), want.Node(v), want.Succ(v), want.Pred(v))
+		}
+	}
+	for _, tc := range []struct {
+		name        string
+		start, succ []int
+	}{
+		{"short offsets", []int{0, 1}, []int{1}},
+		{"offsets past the edges", []int{0, 1, 2}, []int{1}},
+		{"decreasing offsets", []int{0, 2, 1, 2}, []int{1, 2}},
+		{"offset past the edges", []int{0, 5, 2, 2}, []int{1, 2}},
+		{"edge out of range", []int{0, 1, 1, 1}, []int{3}},
+		{"self edge", []int{0, 1, 1, 1}, []int{0}},
+		{"duplicate edge", []int{0, 2, 2, 2}, []int{1, 1}},
+		{"cycle", []int{0, 1, 2, 2}, []int{1, 0}},
+	} {
+		if _, err := FromCSR(tc.name, make([]Node, 3), tc.start, tc.succ); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }
 

@@ -147,13 +147,7 @@ func (d *wireDecoder) graph() (*Graph, error) {
 		outDeg[u]++
 		inDeg[v]++
 	}
-	g.succ, g.pred = make([][]int, n), make([][]int, n)
-	succs, preds := make([]int, m), make([]int, m)
-	for v := 0; v < n; v++ {
-		// Full slice expressions: a window can never grow into the next.
-		g.succ[v], succs = succs[:0:outDeg[v]], succs[outDeg[v]:]
-		g.pred[v], preds = preds[:0:inDeg[v]], preds[inDeg[v]:]
-	}
+	g.succ, g.pred = windows(make([]int, m), outDeg), windows(make([]int, m), inDeg)
 	for i := 0; i < 2*m; i += 2 {
 		u, v := d.edges[i], d.edges[i+1]
 		g.succ[u] = append(g.succ[u], v)

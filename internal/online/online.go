@@ -324,8 +324,10 @@ func (m *Manager) roundClass(ctx context.Context, l *learner) RoundResult {
 	return res
 }
 
-// toExamples converts buffer samples to rl imitation examples,
-// down-weighting deadline-missed teachers.
+// toExamples converts buffer samples to rl imitation examples over their
+// sibling-class quotients, the graphs the agent decodes, down-weighting
+// deadline-missed teachers. A portfolio winner is deployable, so its
+// schedule is constant on every class.
 func toExamples(batch []Sample) []rl.Example {
 	exs := make([]rl.Example, len(batch))
 	for i, s := range batch {
@@ -333,7 +335,8 @@ func toExamples(batch []Sample) []rl.Example {
 		if s.DeadlineMiss {
 			w = deadlineMissWeight
 		}
-		exs[i] = rl.Example{G: s.Graph, Truth: s.Schedule, Weight: w}
+		q := sched.Condense(s.Graph)
+		exs[i] = rl.Example{G: q.Graph(s.Graph.Name), Truth: q.Restrict(s.Schedule), Weight: w}
 	}
 	return exs
 }

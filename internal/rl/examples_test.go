@@ -9,11 +9,12 @@ import (
 	"respect/internal/embed"
 	"respect/internal/graph"
 	"respect/internal/ptrnet"
+	"respect/internal/sched"
 )
 
 // intree builds a binary-reduction DAG in which every node has at most
-// one successor. On such graphs PostProcess's sibling-class merging is
-// a no-op, so the deployed schedule cost genuinely depends on the
+// one successor. Such a graph has no siblings, so every node is a class
+// of its own and the deployed schedule cost genuinely depends on the
 // emission order — the property the reward-sanity and online-loop
 // tests need. (Dense synthetic DAGs collapse to a few sibling classes
 // and deploy to the same cost for any order.)
@@ -54,14 +55,19 @@ func exampleSet(t *testing.T, n int, stages int, seed int64) []Example {
 	return exs
 }
 
-// meanDeployedCost scores a model by the deployed pipeline (repair, ρ,
-// post-process) on the examples' graphs: the metric that must strictly
-// improve under training.
+// meanDeployedCost scores a model by the deployed pipeline (sequence
+// repair, ρ) on the examples' graphs: the metric that must strictly
+// improve under training. The graphs are sibling-free, so each is its own
+// quotient up to numbering and the schedule needs no other repair.
 func meanDeployedCost(t *testing.T, m *ptrnet.Model, ecfg embed.Config, exs []Example) float64 {
 	t.Helper()
 	total := 0.0
 	for _, ex := range exs {
-		s, err := deploySeq(ex.G, m.Infer(embed.Graph(ex.G, ecfg)), ex.Truth.NumStages)
+		seq, err := sched.RepairSequence(ex.G, m.Infer(embed.Graph(ex.G, ecfg)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := sched.SequenceToScheduleDP(ex.G, seq, ex.Truth.NumStages)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -336,58 +336,73 @@ func (tr *Trainer) EvalGreedy(m *ptrnet.Model) float64 {
 	return tr.EvalExamples(m, tr.heldOutSet())
 }
 
-// Schedule runs RESPECT inference end to end on any graph: embed, greedy
-// pointer decode, ρ, post-inference repair. This is the deployment path
-// used by all experiments.
+// Schedule runs RESPECT inference end to end on any graph: condense g to
+// its sibling-class quotient, embed the quotient graph, greedy pointer
+// decode over the classes, ρ, expand. The schedule is deployable by
+// construction. This is the deployment path used by all experiments.
 func Schedule(m *ptrnet.Model, ecfg embed.Config, g *graph.Graph, numStages int) (sched.Schedule, error) {
 	return ScheduleCtx(context.Background(), m, ecfg, g, numStages)
 }
 
 // ScheduleCtx is Schedule under a context: decoding is quadratic in the
-// node count (over a second on the largest zoo models), so the decoder
-// checks ctx at every step and a cancelled call returns ctx's error.
+// class count, so the decoder checks ctx at every step and a cancelled
+// call returns ctx's error.
 func ScheduleCtx(ctx context.Context, m *ptrnet.Model, ecfg embed.Config, g *graph.Graph, numStages int) (sched.Schedule, error) {
-	enc, err := encode(ctx, m, ecfg, g)
+	c, err := encode(ctx, m, ecfg, g)
 	if err != nil {
 		return sched.Schedule{}, err
 	}
-	defer enc.Release()
-	seq, err := enc.Greedy(ctx)
+	defer c.enc.Release()
+	seq, err := c.enc.Greedy(ctx)
 	if err != nil {
 		return sched.Schedule{}, err
 	}
-	return deploySeq(g, seq, numStages)
+	return c.deploy(seq, numStages)
 }
 
-// encode embeds g and runs the encoder over it, once for however many
-// decodes follow, unless ctx is already done.
-func encode(ctx context.Context, m *ptrnet.Model, ecfg embed.Config, g *graph.Graph) (*ptrnet.Encoding, error) {
+// classes is a graph made ready to decode: its sibling-class quotient,
+// the quotient as a graph, and the encoder's pass over that graph, which
+// serves however many decodes follow.
+type classes struct {
+	q   sched.Quotient
+	qg  *graph.Graph
+	enc *ptrnet.Encoding
+}
+
+// encode condenses g, embeds the quotient graph and runs the encoder over
+// it, unless ctx is already done.
+func encode(ctx context.Context, m *ptrnet.Model, ecfg embed.Config, g *graph.Graph) (*classes, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return m.Encode(embed.Graph(g, ecfg)), nil
+	q := sched.Condense(g)
+	qg := q.Graph(g.Name)
+	return &classes{q: q, qg: qg, enc: m.Encode(embed.Graph(qg, ecfg))}, nil
 }
 
-// deploySeq is the shared deployment pipeline: sequence-level dependency
-// repair (push violating nodes forward), ρ, then the stage-level
-// children-same-stage repair.
-func deploySeq(g *graph.Graph, seq []int, numStages int) (sched.Schedule, error) {
-	repaired, err := sched.RepairSequence(g, seq)
+// deploy maps a decoded class order to a schedule of the graph: the order
+// is repaired into a linear extension of the quotient (a class waits until
+// its predecessors are emitted), ρ cuts that into numStages segments, and
+// every node takes its class's stage. Contiguous segments of a linear
+// extension are a monotone assignment of the quotient, which expands to a
+// deployable schedule (see sched.Quotient), so nothing is left to repair.
+func (c *classes) deploy(seq []int, numStages int) (sched.Schedule, error) {
+	repaired, err := sched.RepairSequence(c.qg, seq)
 	if err != nil {
 		return sched.Schedule{}, fmt.Errorf("rl: inference produced invalid sequence: %w", err)
 	}
-	s, err := rho(g, repaired, numStages, false)
+	s, err := sched.SequenceToScheduleDP(c.qg, repaired, numStages)
 	if err != nil {
 		return sched.Schedule{}, err
 	}
-	return sched.PostProcess(g, s), nil
+	return c.q.Expand(s), nil
 }
 
 // ScheduleSampled is sampling-based inference (Bello et al.'s "sampling"
 // decoder): beside the greedy rollout it draws samples stochastic decodes
 // and keeps the schedule with the best deployed objective. Solve time
-// scales linearly in samples: the graph is embedded and encoded once and
-// decoded samples+1 times.
+// scales linearly in samples: the quotient is embedded and encoded once
+// and decoded samples+1 times.
 func ScheduleSampled(m *ptrnet.Model, ecfg embed.Config, g *graph.Graph, numStages, samples int, seed int64) (sched.Schedule, error) {
 	return ScheduleSampledCtx(context.Background(), m, ecfg, g, numStages, samples, seed)
 }
@@ -395,49 +410,49 @@ func ScheduleSampled(m *ptrnet.Model, ecfg embed.Config, g *graph.Graph, numStag
 // ScheduleSampledCtx is ScheduleSampled under a context, checked at every
 // step of every decode.
 func ScheduleSampledCtx(ctx context.Context, m *ptrnet.Model, ecfg embed.Config, g *graph.Graph, numStages, samples int, seed int64) (sched.Schedule, error) {
-	enc, err := encode(ctx, m, ecfg, g)
+	c, err := encode(ctx, m, ecfg, g)
 	if err != nil {
 		return sched.Schedule{}, err
 	}
-	defer enc.Release()
-	seq, err := enc.Greedy(ctx)
+	defer c.enc.Release()
+	seq, err := c.enc.Greedy(ctx)
 	if err != nil {
 		return sched.Schedule{}, err
 	}
-	best, err := deploySeq(g, seq, numStages)
+	best, err := c.deploy(seq, numStages)
 	if err != nil {
 		return sched.Schedule{}, err
 	}
 	bestCost := best.Evaluate(g)
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < samples; i++ {
-		seq, err := enc.Sample(ctx, rng)
+		seq, err := c.enc.Sample(ctx, rng)
 		if err != nil {
 			return sched.Schedule{}, err
 		}
-		s, err := deploySeq(g, seq, numStages)
+		s, err := c.deploy(seq, numStages)
 		if err != nil {
 			return sched.Schedule{}, fmt.Errorf("rl: sampled sequence invalid: %w", err)
 		}
-		if c := s.Evaluate(g); c.Less(bestCost) {
-			best, bestCost = s, c
+		if cost := s.Evaluate(g); cost.Less(bestCost) {
+			best, bestCost = s, cost
 		}
 	}
 	return best, nil
 }
 
-// ScheduleBeamCtx is beam-search inference: the width most likely node
+// ScheduleBeamCtx is beam-search inference: the width most likely class
 // orders are decoded jointly and the most likely one is deployed. ctx is
 // checked at every step.
 func ScheduleBeamCtx(ctx context.Context, m *ptrnet.Model, ecfg embed.Config, g *graph.Graph, numStages, width int) (sched.Schedule, error) {
-	enc, err := encode(ctx, m, ecfg, g)
+	c, err := encode(ctx, m, ecfg, g)
 	if err != nil {
 		return sched.Schedule{}, err
 	}
-	defer enc.Release()
-	seq, err := enc.Beam(ctx, width)
+	defer c.enc.Release()
+	seq, err := c.enc.Beam(ctx, width)
 	if err != nil {
 		return sched.Schedule{}, err
 	}
-	return deploySeq(g, seq, numStages)
+	return c.deploy(seq, numStages)
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"respect/internal/graph"
@@ -100,6 +101,41 @@ func checkQuotient(t *testing.T, g *graph.Graph, q Quotient) {
 	}
 }
 
+// checkQuotientGraph asserts that q.Graph is the graph AddNode and
+// AddEdge build from the quotient: the same nodes, successor and
+// predecessor lists, topological order and fingerprint.
+func checkQuotientGraph(t *testing.T, q Quotient) {
+	t.Helper()
+	got := q.Graph("q")
+	want := graph.New("q")
+	for c := 0; c < q.NumClasses(); c++ {
+		want.AddNode(graph.Node{ParamBytes: q.ParamBytes[c]})
+	}
+	for a := 0; a < q.NumClasses(); a++ {
+		for _, b := range q.Succ(a) {
+			want.AddEdge(a, b)
+		}
+	}
+	want.MustBuild()
+	if got.NumNodes() != want.NumNodes() {
+		t.Fatalf("quotient graph has %d nodes, want %d", got.NumNodes(), want.NumNodes())
+	}
+	for c := 0; c < want.NumNodes(); c++ {
+		if got.Node(c) != want.Node(c) {
+			t.Fatalf("quotient graph node %d = %+v, want %+v", c, got.Node(c), want.Node(c))
+		}
+		if !slices.Equal(got.Succ(c), want.Succ(c)) || !slices.Equal(got.Pred(c), want.Pred(c)) {
+			t.Fatalf("class %d: succ %v pred %v, want succ %v pred %v", c, got.Succ(c), got.Pred(c), want.Succ(c), want.Pred(c))
+		}
+	}
+	if !slices.Equal(got.Topo(), want.Topo()) {
+		t.Fatalf("quotient graph topo %v, want %v", got.Topo(), want.Topo())
+	}
+	if got.Fingerprint() != want.Fingerprint() {
+		t.Fatalf("quotient graph fingerprint %x, want %x", got.Fingerprint(), want.Fingerprint())
+	}
+}
+
 func sameStages(a, b Schedule) bool {
 	if a.NumStages != b.NumStages || len(a.Stage) != len(b.Stage) {
 		return false
@@ -139,7 +175,8 @@ func checkPostProcess(t *testing.T, g *graph.Graph, q Quotient, s Schedule) {
 
 // FuzzCondense checks, on DAGs built from the fuzz bytes, that the
 // quotient is what it claims to be (its monotone assignments are deployable
-// schedules) and that PostProcess over it is the repair it replaced.
+// schedules), that its graph is the one AddNode and AddEdge would build,
+// and that PostProcess over it is the repair it replaced.
 func FuzzCondense(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 1, 2, 2, 3, 3, 4, 4, 3, 0, 1, 0, 2, 1, 3, 2, 3, 9, 9, 9})
@@ -156,6 +193,7 @@ func FuzzCondense(f *testing.F) {
 		ns := 1 + at(0)%6
 		q := Condense(g)
 		checkQuotient(t, g, q)
+		checkQuotientGraph(t, q)
 
 		// Any monotone assignment of the quotient is a deployable schedule,
 		// which PostProcess leaves alone.
@@ -199,6 +237,7 @@ func TestCondenseZoo(t *testing.T) {
 		g := models.MustLoad(name)
 		q := Condense(g)
 		checkQuotient(t, g, q)
+		checkQuotientGraph(t, q)
 		for _, ns := range []int{1, 4, 6} {
 			s := NewSchedule(g.NumNodes(), ns)
 			for i, v := range g.TopoView() {

@@ -393,8 +393,8 @@ func ScheduleToSequence(g *graph.Graph, s Schedule) []int {
 // A schedule is deployable (Validate and SameStageChildrenOK) exactly when
 // it is constant on classes and monotone along the quotient's edges, so the
 // monotone stage assignments of the quotient, expanded, ARE the deployable
-// schedules of the graph. PostProcess repairs into that space and the exact
-// family searches it.
+// schedules of the graph. PostProcess repairs into that space, the exact
+// family searches it and the RL decoders decode it.
 type Quotient struct {
 	// ClassOf maps each node to its class. Classes are numbered in a
 	// topological order of the quotient: every edge runs from a lower class
@@ -424,6 +424,38 @@ func (q Quotient) Expand(s Schedule) Schedule {
 		out.Stage[v] = s.Stage[c]
 	}
 	return out
+}
+
+// Restrict maps a schedule of the underlying graph to a stage assignment
+// of the classes: each class takes the earliest stage among its members.
+// On a deployable schedule, which is constant on classes, it is the
+// inverse of Expand.
+func (q Quotient) Restrict(s Schedule) Schedule {
+	out := Schedule{NumStages: s.NumStages, Stage: make([]int, q.NumClasses())}
+	for c := range out.Stage {
+		out.Stage[c] = s.NumStages // sentinel: min over members below
+	}
+	for v, c := range q.ClassOf {
+		out.Stage[c] = min(out.Stage[c], s.Stage[v])
+	}
+	return out
+}
+
+// Graph materialises the quotient as a graph named name: node c weighs
+// class c's parameters and the edges are the quotient's, in the order Succ
+// lists them. The graph shares the quotient's edge storage.
+func (q Quotient) Graph(name string) *graph.Graph {
+	nodes := make([]graph.Node, q.NumClasses())
+	for c := range nodes {
+		nodes[c].ParamBytes = q.ParamBytes[c]
+	}
+	qg, err := graph.FromCSR(name, nodes, q.start, q.succ)
+	if err != nil {
+		// Acyclic and duplicate-free by construction; the class sums fit
+		// because the graph they came from was built.
+		panic("sched: quotient graph: " + err.Error())
+	}
+	return qg
 }
 
 // Condense computes the sibling-class quotient of g: union-find over every
@@ -552,22 +584,12 @@ func Condense(g *graph.Graph) Quotient {
 func PostProcess(g *graph.Graph, s Schedule) Schedule {
 	q := Condense(g)
 
-	// Earliest predicted stage per class (the paper's rule 2).
-	stage := make([]int, q.NumClasses())
-	for c := range stage {
-		stage[c] = s.NumStages // sentinel: min over members below
-	}
-	for v, c := range q.ClassOf {
-		st := s.Stage[v]
-		if st < 0 {
-			st = 0
-		}
-		if st >= s.NumStages {
-			st = s.NumStages - 1
-		}
-		if st < stage[c] {
-			stage[c] = st
-		}
+	// Earliest predicted stage per class (the paper's rule 2), clamped
+	// into range: clamping each member first would pick the same stage.
+	r := q.Restrict(s)
+	stage := r.Stage
+	for c, st := range stage {
+		stage[c] = max(0, min(st, s.NumStages-1))
 	}
 	// Classes are numbered topologically: one ascending sweep pushes every
 	// class forward past its predecessors.
@@ -578,7 +600,7 @@ func PostProcess(g *graph.Graph, s Schedule) Schedule {
 			}
 		}
 	}
-	return q.Expand(Schedule{NumStages: s.NumStages, Stage: stage})
+	return q.Expand(r)
 }
 
 // tarjanSCC returns the strongly-connected-component index of each vertex

@@ -200,9 +200,10 @@ func TestBudgetExpiryReturnsTruncatedIncumbent(t *testing.T) {
 }
 
 // TestPinnedRLPastBudgetIs504: a request pinned to the rl backend on a
-// graph whose decode outlasts the class budget (InceptionResNetv2 decodes
-// for hundreds of milliseconds) is a timeout like any other backend's,
-// not a 200 delivered a decode late.
+// graph whose decode outlasts the class budget is a timeout like any
+// other backend's, not a 200 delivered a decode late. The graph is a
+// chain: it has no siblings, so the agent decodes one class per node and
+// 600 of them take tens of milliseconds.
 func TestPinnedRLPastBudgetIs504(t *testing.T) {
 	ecfg := embed.Default()
 	registerBackend(t, solver.RL(ptrnet.New(ptrnet.Config{InputDim: ecfg.Dim(), Hidden: 64, Seed: 1}), ecfg))
@@ -212,8 +213,19 @@ func TestPinnedRLPastBudgetIs504(t *testing.T) {
 			"brief": {Budget: 5 * time.Millisecond, Backends: []string{"heur"}, MaxConcurrent: 2, MaxQueue: 2},
 		},
 	})
+	g := graph.New("chain")
+	for i := 0; i < 600; i++ {
+		g.AddNode(graph.Node{Name: fmt.Sprintf("n%d", i), ParamBytes: int64(1000 + i%7), OutBytes: 10})
+		if i > 0 {
+			g.AddEdge(i-1, i)
+		}
+	}
+	var buf bytes.Buffer
+	if err := g.MustBuild().WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
 	resp, data := postJSON(t, ts.URL+"/v1/schedule",
-		serve.ScheduleRequest{Model: "InceptionResNetv2", Stages: 4, Class: "brief", Backends: []string{"rl"}})
+		serve.ScheduleRequest{Graph: json.RawMessage(buf.Bytes()), Stages: 4, Class: "brief", Backends: []string{"rl"}})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", resp.StatusCode, data)
 	}

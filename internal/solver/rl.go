@@ -16,14 +16,16 @@ import (
 // agent constructs them here and registers them (see Registry.Replace,
 // which keeps re-loading an agent idempotent).
 
-// Pointer decoding is quadratic in the node count (tens of milliseconds
-// on ResNet50, over a second on InceptionResNetv2), so every decode mode
-// checks ctx at each step and a cancelled backend returns ctx's error: a
-// portfolio race that has its winner is not held until the decode ends.
+// Pointer decoding points at the graph's sibling classes and is quadratic
+// in their count (a millisecond or two on ResNet50's 77, tens of
+// milliseconds on a chain of several hundred nodes, where every node is a
+// class), so every decode mode checks ctx at each step and a cancelled
+// backend returns ctx's error: a portfolio race that has its winner is not
+// held until the decode ends.
 
-// RL returns the greedy pointer-decode backend ("rl"): embedding, greedy
-// decode, ρ stage mapping, deployment repair — the paper's headline
-// inference path.
+// RL returns the greedy pointer-decode backend ("rl"): sibling-class
+// quotient, embedding, greedy decode over the classes, ρ stage mapping,
+// expansion to the nodes — the paper's headline inference path.
 func RL(m *ptrnet.Model, ecfg embed.Config) Scheduler {
 	return NewFunc("rl", func(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, error) {
 		return rl.ScheduleCtx(ctx, m, ecfg, g, numStages)

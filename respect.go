@@ -120,9 +120,10 @@ func TrainWithProgress(cfg TrainConfig, progress func(iter int, meanReward float
 	return &Agent{model: tr.Model, ecfg: tr.EmbedCfg}, nil
 }
 
-// Schedule runs RESPECT inference on g for an n-stage pipeline: embedding,
-// greedy pointer decode, ρ stage mapping and the deterministic
-// post-inference repair. The result is deployment-ready.
+// Schedule runs RESPECT inference on g for an n-stage pipeline: the agent
+// decodes an order of g's sibling classes (the node groups the Edge TPU
+// runs in one stage), ρ maps it to stages and every node takes its
+// class's stage. The result is deployment-ready by construction.
 func (a *Agent) Schedule(g *Graph, numStages int) (Schedule, error) {
 	return rl.Schedule(a.model, a.ecfg, g, numStages)
 }
