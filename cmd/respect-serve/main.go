@@ -110,9 +110,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		speculateOn = fs.Bool("speculate", false, "speculatively warm the per-class caches from popularity + eviction signals")
 		specMark    = fs.Float64("speculate-watermark", 0, "admission occupancy in (0,1] at which speculation yields (0 keeps the default, 0.5)")
 		specBudget  = fs.Int("speculate-budget", 0, "max speculative solves per scan pass (0 keeps the default, 4)")
-		peersList   = fs.String("peers", "", "comma-separated replica URLs; enables fleet mode (consistent-hash sharding, request forwarding, popularity gossip)")
+		peersList   = fs.String("peers", "", "comma-separated replica URLs; enables fleet mode (consistent-hash sharding, request forwarding)")
 		advertise   = fs.String("advertise", "", "this replica's URL as its peers reach it (required with -peers)")
-		noGossip    = fs.Bool("no-gossip", false, "in fleet mode, disable the popularity gossip exchange (sharding and forwarding stay on)")
 		onlineOn    = fs.Bool("online", false, "enable the online learning loop: solved requests feed per-class replay buffers, background rounds train candidates, shadow-evaluated winners hot-reload into the class portfolios")
 		onlineIvl   = fs.Duration("online-interval", 0, "online training-round period (0 keeps the default, 30s)")
 		onlineMgn   = fs.Float64("online-margin", 0, "relative held-out improvement a candidate must show to be promoted (0 keeps the default, 0.02)")
@@ -198,9 +197,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			BufferCap: *onlineBuf,
 		},
 		Cluster: serve.ClusterConfig{
-			Advertise:     *advertise,
-			Peers:         splitNames(*peersList),
-			DisableGossip: *noGossip,
+			Advertise: *advertise,
+			Peers:     splitNames(*peersList),
 		},
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(out, format+"\n", args...)

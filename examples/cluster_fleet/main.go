@@ -166,8 +166,8 @@ func main() {
 	cs := nodes[0].srv.ClusterStats()
 	fmt.Printf("replica 0 forwarding: relayed=%d errors=%d\n", cs.ForwardsRelayed, cs.ForwardErrors)
 
-	// Kill replica 2. Three consecutive failed probe rounds (DeadAfter's
-	// default) take it alive -> suspect -> dead, and the ring rebuilds.
+	// Kill replica 2. Three consecutive failed probe rounds (the dead
+	// threshold) take it alive -> suspect -> dead, and the ring rebuilds.
 	fmt.Println("\nkilling replica 2...")
 	nodes[2].ts.Close()
 	dead := nodes[2].url

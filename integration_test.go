@@ -131,11 +131,11 @@ func TestSchedulerQualityOrdering(t *testing.T) {
 // Fleet-scale sharded serving: chaos/partition end-to-end suite.
 //
 // The tests below boot 3-5 in-process replicas over httptest with a static
-// peer list and drive membership probes, popularity gossip and speculation
-// passes explicitly (no background loops), so every assertion is
-// deterministic under -race. A kill is the replica's HTTP server closing
-// (peers see connection refusals); a partition is a cut link in a shared
-// reachability matrix behind each replica's HTTP transport.
+// peer list and drive membership probes and speculation passes explicitly
+// (no background loops), so every assertion is deterministic under -race.
+// A kill is the replica's HTTP server closing (peers see connection
+// refusals); a partition is a cut link in a shared reachability matrix
+// behind each replica's HTTP transport.
 // ---------------------------------------------------------------------------
 
 // fleetPartition is the shared reachability matrix between fleet replicas.
@@ -387,8 +387,8 @@ func TestFleetChaosKillZeroLoss(t *testing.T) {
 		}
 	}
 
-	// Phase 3: convergence. Three failed probe rounds (the DeadAfter
-	// default) take the victim out of every survivor's ring.
+	// Phase 3: convergence. Three failed probe rounds (the dead
+	// threshold) take the victim out of every survivor's ring.
 	for round := 0; round < 3; round++ {
 		for _, n := range survivors {
 			n.srv.Cluster().ProbeOnce(ctx)
@@ -493,43 +493,85 @@ func TestFleetPartitionSuspectFallback(t *testing.T) {
 	}
 }
 
-// TestFleetGossipSpeedsWarmRecovery runs the same kill scenario twice —
-// popularity gossip on, then off — and compares first-pass cache hits on
-// the reassigned hot set. With gossip the survivors pre-warmed the
-// victim's hot instances, so recovery starts from hits; without it the
-// first pass is all misses.
-func TestFleetGossipSpeedsWarmRecovery(t *testing.T) {
-	firstPassHits := func(gossip bool) (hits, total int) {
+// TestFleetRelayedDemandSpeedsWarmRecovery runs one kill scenario three
+// times with the hot traffic entering through the two survivors, which
+// relay every hot request to the victim that owns it. A replica counts
+// what it relays as its own demand, and the speculator acts on a key only
+// once that replica's own score reaches minScore (1.5). The owner counts
+// a key's whole fleet traffic; a survivor counts only its share.
+//
+//   - 4 requests per key, 2 through each survivor, speculation on: both
+//     survivors scored every key 2, so the first post-kill pass is all
+//     hits.
+//   - The same traffic with speculation off: all misses.
+//   - 3 requests per key, 2 through survivor 0 and 1 through survivor 1,
+//     speculation on: the boundary. A key hits only if it rehashes to
+//     survivor 0; the keys that rehash to survivor 1 (score 1) miss.
+//
+// The hot set holds two keys that rehash to each survivor, picked on the
+// survivors-only ring, so the boundary case has both outcomes every run.
+func TestFleetRelayedDemandSpeedsWarmRecovery(t *testing.T) {
+	// firstPass returns, per hot key, whether the first post-kill request
+	// hit and how many of its requests the key's new owner had relayed.
+	firstPass := func(speculation bool, perKey int) (hit []bool, relayed []int) {
 		nodes, _ := newFleet(t, 3, func(i int, cfg *serve.Config) {
-			cfg.Speculation = serve.SpeculationConfig{Enabled: true, Budget: 16, TopK: 16}
-			cfg.Cluster.DisableGossip = !gossip
+			cfg.Speculation = serve.SpeculationConfig{Enabled: speculation, Budget: 16, TopK: 16}
 		})
 		ctx := context.Background()
 		victim, survivors := nodes[2], nodes[:2]
+		// The ring the survivors converge to once the victim is dead.
+		after, err := cluster.New(cluster.Config{Self: survivors[0].url, Peers: []string{survivors[1].url}})
+		if err != nil {
+			t.Fatal(err)
+		}
 
-		// The hot set: graphs whose home shard is the victim.
+		// The hot set: graphs whose home shard is the victim, two
+		// rehashing to each survivor.
 		type hot struct {
-			g   *graph.Graph
-			raw []byte
+			g     *graph.Graph
+			raw   []byte
+			owner int // index into survivors after the kill
 		}
 		var hotset []hot
+		per := make([]int, len(survivors))
 		for seed := 100; len(hotset) < 4; seed++ {
 			g, raw := fleetGraph(t, seed)
-			if o, _ := nodes[0].srv.Cluster().Owner(g.Fingerprint()); o == victim.url {
-				hotset = append(hotset, hot{g, raw})
+			if o, _ := nodes[0].srv.Cluster().Owner(g.Fingerprint()); o != victim.url {
+				continue
+			}
+			o, self := after.Owner(g.Fingerprint())
+			idx := 1
+			if self {
+				idx = 0
+			}
+			if o != survivors[idx].url {
+				t.Fatalf("survivors-only ring names %q, not a survivor", o)
+			}
+			if per[idx] < 2 {
+				per[idx]++
+				hotset = append(hotset, hot{g, raw, idx})
 			}
 		}
-		// Hot traffic lands on the owner (as the proxy layer routes it).
+		// Hot traffic enters through the survivors, alternating, as a
+		// load balancer spreads it; every request is relayed to the victim.
+		relayedBy := make([]int, len(survivors))
+		for i := 0; i < perKey; i++ {
+			relayedBy[i%len(survivors)]++
+		}
 		for _, h := range hotset {
-			for i := 0; i < 3; i++ {
-				resp, _ := fleetSchedule(t, victim.url, h.raw)
+			for i := 0; i < perKey; i++ {
+				via := survivors[i%len(survivors)]
+				resp, _ := fleetSchedule(t, via.url, h.raw)
 				if resp.StatusCode != http.StatusOK {
 					t.Fatalf("hot traffic failed: status %d", resp.StatusCode)
 				}
+				if got := resp.Header.Get(serve.ForwardedToHeader); got != victim.url {
+					t.Fatalf("hot request via %s forwarded to %q, want the victim %q",
+						via.url, got, victim.url)
+				}
 			}
 		}
-		// One gossip round, then a speculation pass on the survivors.
-		victim.srv.Cluster().GossipOnce(ctx)
+		// One speculation pass on the survivors.
 		for _, n := range survivors {
 			n.srv.SpeculateOnce(ctx)
 		}
@@ -544,35 +586,40 @@ func TestFleetGossipSpeedsWarmRecovery(t *testing.T) {
 
 		// First post-kill pass over the hot set via the new owners.
 		for _, h := range hotset {
-			owner, _ := survivors[0].srv.Cluster().Owner(h.g.Fingerprint())
-			var target *fleetNode
-			for _, n := range survivors {
-				if n.url == owner {
-					target = n
-				}
-			}
-			if target == nil {
-				t.Fatalf("hot graph %s has no surviving owner (owner %q)", h.g.Name, owner)
+			target := survivors[h.owner]
+			if owner, _ := target.srv.Cluster().Owner(h.g.Fingerprint()); owner != target.url {
+				t.Fatalf("hot graph %s rehashed to %q, want %q", h.g.Name, owner, target.url)
 			}
 			resp, out := fleetSchedule(t, target.url, h.raw)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("post-kill hot request failed: status %d", resp.StatusCode)
 			}
-			if out.CacheHit {
-				hits++
-			}
+			hit = append(hit, out.CacheHit)
+			relayed = append(relayed, relayedBy[h.owner])
 		}
-		return hits, len(hotset)
+		return hit, relayed
 	}
 
-	withGossip, total := firstPassHits(true)
-	withoutGossip, _ := firstPassHits(false)
-	if withoutGossip != 0 {
-		t.Fatalf("without gossip the survivors cannot have pre-warmed the hot set: %d/%d hits",
-			withoutGossip, total)
-	}
-	if withGossip <= withoutGossip {
-		t.Fatalf("gossip must speed warm recovery: %d/%d first-pass hits with gossip, %d/%d without",
-			withGossip, total, withoutGossip, total)
+	for _, tc := range []struct {
+		name        string
+		speculation bool
+		perKey      int
+	}{
+		{"4_per_key", true, 4},
+		{"4_per_key_no_speculation", false, 4},
+		{"3_per_key_boundary", true, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hit, relayed := firstPass(tc.speculation, tc.perKey)
+			for k := range hit {
+				// minScore is 1.5: two relayed requests warm a key, one
+				// does not.
+				want := tc.speculation && relayed[k] >= 2
+				if hit[k] != want {
+					t.Errorf("hot key %d: new owner relayed %d of %d requests, speculation %v: hit %v, want %v",
+						k, relayed[k], tc.perKey, tc.speculation, hit[k], want)
+				}
+			}
+		})
 	}
 }

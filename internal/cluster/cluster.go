@@ -3,17 +3,15 @@
 // consistent-hash ring (every fingerprint has exactly one home shard),
 // maintains health-checked membership over a static peer list (heartbeat
 // probing with alive → suspect → dead transitions and deterministic
-// rebalancing on membership change), and gossips the speculation
-// popularity counters so the whole fleet warms a hot instance once
-// instead of N times.
+// rebalancing on membership change).
 //
 // The package is transport-light by design: a Node speaks plain HTTP/JSON
-// to its peers (heartbeat GETs and gossip POSTs against paths the serving
-// layer mounts), and the serving layer owns request forwarding — cluster
-// only answers "who owns this fingerprint, and are they healthy?" via
-// Owner and ForwardTarget. Every decision is a pure function of the
-// locally observed peer states, so two replicas with the same view agree
-// on every owner without any coordination protocol.
+// to its peers (heartbeat GETs against a path the serving layer mounts),
+// and the serving layer owns request forwarding — cluster only answers
+// "who owns this fingerprint, and are they healthy?" via Owner and
+// ForwardTarget. Every decision is a pure function of the locally
+// observed peer states, so two replicas with the same view agree on every
+// owner without any coordination protocol.
 package cluster
 
 import (
@@ -27,40 +25,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"respect/internal/graph"
 )
-
-// HotEntry is one popular scheduling instance exchanged over gossip: the
-// graph itself (so a remote replica can warm without a client round trip),
-// the requested stage count, the decayed popularity score, and the serving
-// class whose cache should be warmed.
-type HotEntry struct {
-	// Class names the serving class whose warm cache this entry targets.
-	Class string
-	// Graph is the full graph payload; never nil in a decoded message.
-	Graph *graph.Graph
-	// Stages is the requested pipeline length.
-	Stages int
-	// Score is the sender's decayed popularity score for the instance.
-	Score float64
-}
-
-// GossipSource supplies the local hot set for outbound gossip.
-type GossipSource interface {
-	// HotEntries returns up to max entries worth pushing to peers, hottest
-	// first. Entries without a retained graph are not useful to peers and
-	// should be omitted.
-	HotEntries(max int) []HotEntry
-}
-
-// GossipSink merges inbound gossip into local speculation state.
-type GossipSink interface {
-	// MergeRemote folds a peer's hot entries into local popularity
-	// tracking and returns how many keys were merged. Implementations
-	// must treat repeated deliveries idempotently (max-merge, not add).
-	MergeRemote(from string, entries []HotEntry) int
-}
 
 // Config describes one replica's view of the fleet. Self and the peer
 // list are static — membership health is discovered, membership identity
@@ -72,45 +37,33 @@ type Config struct {
 	// Peers lists every replica's advertise URL. Self is filtered out,
 	// duplicates are dropped; the empty list is a single-node fleet.
 	Peers []string
-	// SuspectAfter is the consecutive probe failures after which a peer
-	// is suspect — still an owner, but not forwarded to (default 1).
-	SuspectAfter int
-	// DeadAfter is the consecutive probe failures after which a peer is
-	// dead and leaves the ring (default 3). Must be >= SuspectAfter.
-	DeadAfter int
-	// Client issues heartbeat and gossip requests. The default client
-	// has a 2s timeout. Tests inject partition-aware transports here.
+	// Client issues heartbeat requests. The default client has a 2s
+	// timeout. Tests inject partition-aware transports here.
 	Client *http.Client
-	// Source, when set, supplies outbound gossip entries.
-	Source GossipSource
-	// Sink, when set, receives inbound gossip entries.
-	Sink GossipSink
-	// Logf, when set, receives membership-transition and gossip log lines.
+	// Logf, when set, receives membership-transition log lines.
 	Logf func(format string, args ...any)
 }
 
-// Config defaults, applied by New for unset fields.
-const (
-	defaultSuspectAfter  = 1
-	defaultDeadAfter     = 3
-	defaultClientTimeout = 2 * time.Second
-)
+// defaultClientTimeout bounds one heartbeat when Config.Client is unset.
+const defaultClientTimeout = 2 * time.Second
 
 // The fleet's fixed geometry and pacing. The ring points and the peer
-// endpoints must be the same on every replica for owners to agree, so they
-// were never per-replica settings; the cadences have one value in use.
+// endpoint must be the same on every replica for owners to agree, so they
+// were never per-replica settings; the cadence and the probe thresholds
+// have one value in use.
 const (
 	// virtualNodes is the number of ring points per member.
 	virtualNodes = 64
-	// probeInterval and gossipInterval pace Run's background loops.
-	probeInterval  = 500 * time.Millisecond
-	gossipInterval = 2 * time.Second
-	// gossipTopK bounds the entries pushed per gossip round.
-	gossipTopK = 16
-	// HeartbeatPath and GossipPath are the peer endpoints a Node probes and
-	// POSTs gossip to; the serving layer mounts its handlers on them.
+	// probeInterval paces Run's probe loop.
+	probeInterval = 500 * time.Millisecond
+	// suspectAfter consecutive probe failures make a peer suspect — still
+	// an owner, but not forwarded to; deadAfter make it dead, and it
+	// leaves the ring.
+	suspectAfter = 1
+	deadAfter    = 3
+	// HeartbeatPath is the peer endpoint a Node probes; the serving layer
+	// mounts its handler on it.
 	HeartbeatPath = "/v1/cluster/heartbeat"
-	GossipPath    = "/v1/cluster/gossip"
 )
 
 // peer is the mutable per-peer health state, guarded by Node.mu.
@@ -122,10 +75,10 @@ type peer struct {
 	failures uint64 // total probes failed
 }
 
-// Node is one replica's membership, sharding and gossip engine. Create
-// with New; either call Run for the background loops or drive ProbeOnce /
-// GossipOnce explicitly (the chaos harness does). All methods are safe
-// for concurrent use.
+// Node is one replica's membership and sharding engine. Create with New;
+// either call Run for the background probe loop or drive ProbeOnce
+// explicitly (the chaos harness does). All methods are safe for
+// concurrent use.
 type Node struct {
 	cfg    Config
 	client *http.Client
@@ -135,31 +88,18 @@ type Node struct {
 	peers []*peer // sorted by URL; never contains Self
 	ring  *ring   // over Self + non-dead peers
 
-	rebalances       atomic.Uint64
-	gossipSent       atomic.Uint64
-	gossipSendErrors atomic.Uint64
-	gossipReceived   atomic.Uint64
-	gossipMerged     atomic.Uint64
+	rebalances atomic.Uint64
 }
 
-// New validates cfg, applies defaults and returns a ready Node with every
-// configured peer presumed alive (the optimistic start means a booting
-// fleet shards immediately; the first probe round corrects the view).
+// New validates cfg and returns a ready Node with every configured peer
+// presumed alive (the optimistic start means a booting fleet shards
+// immediately; the first probe round corrects the view).
 func New(cfg Config) (*Node, error) {
 	if cfg.Self == "" {
 		return nil, errors.New("cluster: Config.Self (advertise URL) is required")
 	}
 	if err := checkURL(cfg.Self); err != nil {
 		return nil, fmt.Errorf("cluster: self %q: %w", cfg.Self, err)
-	}
-	if cfg.SuspectAfter < 1 {
-		cfg.SuspectAfter = defaultSuspectAfter
-	}
-	if cfg.DeadAfter < 1 {
-		cfg.DeadAfter = defaultDeadAfter
-	}
-	if cfg.DeadAfter < cfg.SuspectAfter {
-		return nil, fmt.Errorf("cluster: DeadAfter %d < SuspectAfter %d", cfg.DeadAfter, cfg.SuspectAfter)
 	}
 	client := cfg.Client
 	if client == nil {
@@ -251,22 +191,18 @@ func (n *Node) ForwardTarget(fp uint64) (string, bool) {
 	return "", false
 }
 
-// Run drives the background probe and gossip loops until ctx is
-// cancelled. The chaos harness skips Run and calls ProbeOnce/GossipOnce
-// directly for deterministic scheduling.
+// Run drives the background probe loop until ctx is cancelled. The chaos
+// harness skips Run and calls ProbeOnce directly for deterministic
+// scheduling.
 func (n *Node) Run(ctx context.Context) {
 	probe := time.NewTicker(probeInterval)
 	defer probe.Stop()
-	gossip := time.NewTicker(gossipInterval)
-	defer gossip.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-probe.C:
 			n.ProbeOnce(ctx)
-		case <-gossip.C:
-			n.GossipOnce(ctx)
 		}
 	}
 }
@@ -286,8 +222,8 @@ type MemberInfo struct {
 	Failures uint64 `json:"failures,omitempty"`
 }
 
-// Stats is a point-in-time snapshot of the node's membership and gossip
-// counters; it backs GET /v1/cluster and the metric families.
+// Stats is a point-in-time snapshot of the node's membership; it backs
+// GET /v1/cluster and the metric families.
 type Stats struct {
 	// Self is this replica's advertise URL.
 	Self string `json:"self"`
@@ -295,16 +231,9 @@ type Stats struct {
 	Members []MemberInfo `json:"members"`
 	// Rebalances counts ring rebuilds caused by membership transitions.
 	Rebalances uint64 `json:"rebalances"`
-	// GossipSent / GossipSendErrors count outbound gossip POSTs.
-	GossipSent       uint64 `json:"gossip_sent"`
-	GossipSendErrors uint64 `json:"gossip_send_errors"`
-	// GossipReceived counts inbound gossip messages accepted.
-	GossipReceived uint64 `json:"gossip_received"`
-	// GossipMergedKeys counts hot keys folded into local state.
-	GossipMergedKeys uint64 `json:"gossip_merged_keys"`
 }
 
-// Stats snapshots membership and gossip counters.
+// Stats snapshots membership.
 func (n *Node) Stats() Stats {
 	n.mu.Lock()
 	members := make([]MemberInfo, 0, len(n.peers)+1)
@@ -320,31 +249,15 @@ func (n *Node) Stats() Stats {
 	}
 	n.mu.Unlock()
 	return Stats{
-		Self:             n.cfg.Self,
-		Members:          members,
-		Rebalances:       n.rebalances.Load(),
-		GossipSent:       n.gossipSent.Load(),
-		GossipSendErrors: n.gossipSendErrors.Load(),
-		GossipReceived:   n.gossipReceived.Load(),
-		GossipMergedKeys: n.gossipMerged.Load(),
+		Self:       n.cfg.Self,
+		Members:    members,
+		Rebalances: n.rebalances.Load(),
 	}
 }
 
 // Rebalances returns the ring-rebuild counter (lock-free; metrics read it
 // at scrape time).
 func (n *Node) Rebalances() uint64 { return n.rebalances.Load() }
-
-// GossipSentCount returns successful outbound gossip sends (lock-free).
-func (n *Node) GossipSentCount() uint64 { return n.gossipSent.Load() }
-
-// GossipSendErrorCount returns failed outbound gossip sends (lock-free).
-func (n *Node) GossipSendErrorCount() uint64 { return n.gossipSendErrors.Load() }
-
-// GossipReceivedCount returns accepted inbound gossip messages (lock-free).
-func (n *Node) GossipReceivedCount() uint64 { return n.gossipReceived.Load() }
-
-// GossipMergedCount returns hot keys merged from inbound gossip (lock-free).
-func (n *Node) GossipMergedCount() uint64 { return n.gossipMerged.Load() }
 
 // Peers returns the configured peer URLs (self excluded), sorted.
 func (n *Node) Peers() []string {

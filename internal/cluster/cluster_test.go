@@ -1,7 +1,7 @@
 // Unit tests for the cluster layer: consistent-hash ring properties
 // (agreement, balance, minimal disruption), membership state transitions
-// driven through a fake in-memory transport, forward-target semantics,
-// and the gossip wire protocol (round trip, validation, sink merging).
+// driven through a fake in-memory transport, forward-target semantics
+// and the heartbeat message.
 package cluster
 
 import (
@@ -118,7 +118,6 @@ func TestNewValidation(t *testing.T) {
 		{"missing self", Config{}},
 		{"bad self scheme", Config{Self: "ftp://x:1"}},
 		{"bad peer", Config{Self: "http://a:1", Peers: []string{"not a url://"}}},
-		{"dead before suspect", Config{Self: "http://a:1", SuspectAfter: 3, DeadAfter: 1}},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.cfg); err == nil {
@@ -210,11 +209,9 @@ func TestMembershipTransitions(t *testing.T) {
 	ft := &fakeTransport{}
 	ft.set("http://b:1", heartbeatHandler("http://b:1"))
 	n, err := New(Config{
-		Self:         "http://a:1",
-		Peers:        []string{"http://b:1"},
-		SuspectAfter: 1,
-		DeadAfter:    3,
-		Client:       &http.Client{Transport: ft},
+		Self:   "http://a:1",
+		Peers:  []string{"http://b:1"},
+		Client: &http.Client{Transport: ft},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -275,18 +272,18 @@ func TestProbeRejectsIdentityMismatch(t *testing.T) {
 	// list must read as unhealthy, not silently join the ring.
 	ft.set("http://b:1", heartbeatHandler("http://evil:1"))
 	n, err := New(Config{
-		Self:         "http://a:1",
-		Peers:        []string{"http://b:1"},
-		SuspectAfter: 1,
-		DeadAfter:    1,
-		Client:       &http.Client{Transport: ft},
+		Self:   "http://a:1",
+		Peers:  []string{"http://b:1"},
+		Client: &http.Client{Transport: ft},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.ProbeOnce(context.Background())
+	for i := 0; i < deadAfter; i++ {
+		n.ProbeOnce(context.Background())
+	}
 	if got := n.Stats().Members[1].State; got != "dead" {
-		t.Fatalf("identity mismatch: state %s, want dead", got)
+		t.Fatalf("identity mismatch: state %s after %d probes, want dead", got, deadAfter)
 	}
 }
 
@@ -294,11 +291,9 @@ func TestForwardTargetSemantics(t *testing.T) {
 	ft := &fakeTransport{}
 	ft.set("http://b:1", heartbeatHandler("http://b:1"))
 	n, err := New(Config{
-		Self:         "http://a:1",
-		Peers:        []string{"http://b:1"},
-		SuspectAfter: 1,
-		DeadAfter:    3,
-		Client:       &http.Client{Transport: ft},
+		Self:   "http://a:1",
+		Peers:  []string{"http://b:1"},
+		Client: &http.Client{Transport: ft},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -335,192 +330,6 @@ func TestForwardTargetSemantics(t *testing.T) {
 	}
 	if _, ok := n.ForwardTarget(peerFP); ok {
 		t.Fatal("suspect owner is still a forward target")
-	}
-}
-
-func TestGossipRoundTrip(t *testing.T) {
-	entries := []HotEntry{
-		{Class: "interactive", Graph: testGraph(1), Stages: 4, Score: 3.5},
-		{Class: "batch", Graph: testGraph(2), Stages: 2, Score: 1.25},
-		{Graph: nil, Stages: 4, Score: 9}, // skipped: no graph
-	}
-	var buf bytes.Buffer
-	if err := EncodeGossip(&buf, "http://a:1", entries); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := DecodeGossip(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg.From != "http://a:1" {
-		t.Fatalf("from = %q", msg.From)
-	}
-	if len(msg.Entries) != 2 {
-		t.Fatalf("decoded %d entries, want 2", len(msg.Entries))
-	}
-	for i, e := range msg.Entries {
-		if e.Graph.Fingerprint() != entries[i].Graph.Fingerprint() {
-			t.Errorf("entry %d: fingerprint changed across the wire", i)
-		}
-		if e.Class != entries[i].Class || e.Stages != entries[i].Stages || e.Score != entries[i].Score {
-			t.Errorf("entry %d: %+v does not match input", i, e)
-		}
-	}
-}
-
-func TestDecodeGossipValidation(t *testing.T) {
-	g := testGraph(3)
-	var gbuf bytes.Buffer
-	if err := g.WriteJSON(&gbuf); err != nil {
-		t.Fatal(err)
-	}
-	graphJSON := gbuf.String()
-
-	structural := []string{
-		`not json`,
-		`{"entries":[]}`,                    // missing from
-		`{"from":"ftp://x:1","entries":[]}`, // bad from URL
-		`{"from":"http://a:1","entries":` + bigEntriesJSON(graphJSON, maxGossipEntries+1) + `}`,
-	}
-	for _, raw := range structural {
-		if _, err := DecodeGossip(strings.NewReader(raw)); err == nil {
-			t.Errorf("DecodeGossip accepted %.60q", raw)
-		}
-	}
-
-	// Per-entry problems drop the entry, not the message.
-	dropped := []string{
-		`{"stages":0,"score":1,"graph":` + graphJSON + `}`,  // stages < 1
-		`{"stages":65,"score":1,"graph":` + graphJSON + `}`, // stages > max
-		`{"stages":4,"score":-1,"graph":` + graphJSON + `}`, // score <= 0
-		`{"stages":4,"score":1,"graph":{"bad":true}}`,       // unparseable graph
-		// a graph Build refuses: negative weight
-		`{"stages":1,"score":1,"graph":{"nodes":[{"name":"a","param_bytes":-5}]}}`,
-	}
-	raw := `{"from":"http://a:1","entries":[` +
-		strings.Join(dropped, ",") +
-		`,{"stages":4,"score":2,"graph":` + graphJSON + `}]}`
-	msg, err := DecodeGossip(strings.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msg.Entries) != 1 {
-		t.Fatalf("kept %d entries, want 1 (invalid entries must drop individually)", len(msg.Entries))
-	}
-
-	// Absurd scores clamp instead of poisoning downstream trackers.
-	raw = `{"from":"http://a:1","entries":[{"stages":4,"score":1e300,"graph":` + graphJSON + `}]}`
-	msg, err = DecodeGossip(strings.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msg.Entries) != 1 || msg.Entries[0].Score != maxGossipScore {
-		t.Fatalf("score not clamped: %+v", msg.Entries)
-	}
-}
-
-// bigEntriesJSON builds a JSON array of n minimal entries.
-func bigEntriesJSON(graphJSON string, n int) string {
-	var b strings.Builder
-	b.WriteByte('[')
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(`{"stages":4,"score":1,"graph":` + graphJSON + `}`)
-	}
-	b.WriteByte(']')
-	return b.String()
-}
-
-// chanSink records merges for gossip tests.
-type chanSink struct {
-	mu     sync.Mutex
-	merged []HotEntry
-	froms  []string
-}
-
-func (cs *chanSink) MergeRemote(from string, entries []HotEntry) int {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	cs.froms = append(cs.froms, from)
-	cs.merged = append(cs.merged, entries...)
-	return len(entries)
-}
-
-// sliceSource serves a fixed hot set.
-type sliceSource struct{ entries []HotEntry }
-
-func (ss sliceSource) HotEntries(max int) []HotEntry {
-	if len(ss.entries) > max {
-		return ss.entries[:max]
-	}
-	return ss.entries
-}
-
-func TestGossipOnceDeliversToAlivePeersOnly(t *testing.T) {
-	ft := &fakeTransport{}
-	sinkB := &chanSink{}
-	nodeB, err := New(Config{Self: "http://b:1", Sink: sinkB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mount := func(node *Node) http.Handler {
-		mux := http.NewServeMux()
-		mux.HandleFunc("/v1/cluster/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-			json.NewEncoder(w).Encode(node.Heartbeat())
-		})
-		mux.HandleFunc("/v1/cluster/gossip", func(w http.ResponseWriter, r *http.Request) {
-			msg, err := DecodeGossip(r.Body)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			node.ReceiveGossip(msg)
-			w.WriteHeader(http.StatusOK)
-		})
-		return mux
-	}
-	ft.set("http://b:1", mount(nodeB))
-	// c is configured but down the whole time.
-
-	hot := []HotEntry{{Class: "interactive", Graph: testGraph(9), Stages: 4, Score: 5}}
-	nodeA, err := New(Config{
-		Self:         "http://a:1",
-		Peers:        []string{"http://b:1", "http://c:1"},
-		SuspectAfter: 1,
-		DeadAfter:    1,
-		Client:       &http.Client{Transport: ft},
-		Source:       sliceSource{entries: hot},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	n := nodeA.GossipOnce(ctx) // both presumed alive; c's send fails
-	if n != 1 {
-		t.Fatalf("first gossip: %d successful sends, want 1", n)
-	}
-	st := nodeA.Stats()
-	if st.GossipSent != 1 || st.GossipSendErrors != 1 {
-		t.Fatalf("gossip counters sent=%d errors=%d, want 1/1", st.GossipSent, st.GossipSendErrors)
-	}
-
-	nodeA.ProbeOnce(ctx) // c goes dead
-	if n := nodeA.GossipOnce(ctx); n != 1 {
-		t.Fatalf("second gossip: %d sends, want 1 (only b is alive)", n)
-	}
-	if st := nodeA.Stats(); st.GossipSendErrors != 1 {
-		t.Fatalf("dead peer still gossiped to: errors=%d", st.GossipSendErrors)
-	}
-
-	sinkB.mu.Lock()
-	defer sinkB.mu.Unlock()
-	if len(sinkB.merged) != 2 || sinkB.froms[0] != "http://a:1" {
-		t.Fatalf("sink saw merged=%d froms=%v", len(sinkB.merged), sinkB.froms)
-	}
-	if got := nodeB.Stats(); got.GossipReceived != 2 || got.GossipMergedKeys != 2 {
-		t.Fatalf("receiver counters: %+v", got)
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 	"time"
 )
 
-// maxWireBytes bounds any single heartbeat or gossip message read off the
-// network; peers are trusted but a misconfigured peer list can point at
-// arbitrary servers.
+// maxWireBytes bounds any single heartbeat message read off the network;
+// peers are trusted but a misconfigured peer list can point at arbitrary
+// servers.
 const maxWireBytes = 4 << 20
 
 // maxHeartbeatPeers bounds the peer-state map accepted in a heartbeat.
@@ -72,7 +72,7 @@ func DecodeHeartbeat(r io.Reader) (*HeartbeatMessage, error) {
 
 // ProbeOnce runs one heartbeat round: every peer is probed concurrently,
 // then states advance — success resets a peer to alive, a failure run of
-// SuspectAfter marks it suspect, DeadAfter marks it dead. The ring is
+// suspectAfter marks it suspect, deadAfter marks it dead. The ring is
 // rebuilt only when a peer crosses the dead boundary in either direction,
 // and each rebuild counts one rebalance.
 func (n *Node) ProbeOnce(ctx context.Context) {
@@ -110,9 +110,9 @@ func (n *Node) ProbeOnce(ctx context.Context) {
 			p.fails++
 			next := p.state
 			switch {
-			case p.fails >= n.cfg.DeadAfter:
+			case p.fails >= deadAfter:
 				next = StateDead
-			case p.fails >= n.cfg.SuspectAfter:
+			case p.fails >= suspectAfter:
 				next = StateSuspect
 			}
 			if next != p.state {

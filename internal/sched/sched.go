@@ -24,7 +24,7 @@ type Schedule struct {
 }
 
 // MaxStages is the longest pipeline the service schedules for: request
-// validation, gossip decoding and speculative mutation all stop here. Real
+// validation and speculative mutation both stop here. Real
 // Coral deployments pipeline a handful of Edge TPUs, so anything beyond it
 // is a client error rather than a capacity problem.
 const MaxStages = 64

@@ -21,9 +21,7 @@ import (
 // ClusterConfig turns one server into a fleet replica: the graph
 // fingerprint space is consistent-hash sharded across the peer set, each
 // request is proxied to its home shard (with a local-solve fallback when
-// the owner is unhealthy), and the speculation popularity counters are
-// gossiped so the fleet warms a hot instance once, not once per replica.
-// Clustering is enabled when Peers is non-empty.
+// the owner is unhealthy). Clustering is enabled when Peers is non-empty.
 type ClusterConfig struct {
 	// Advertise is this replica's URL as its peers can reach it
 	// (scheme://host:port). Required when Peers is set.
@@ -31,14 +29,11 @@ type ClusterConfig struct {
 	// Peers lists every replica's advertise URL; the list may include
 	// Advertise (it is filtered out). Non-empty enables clustering.
 	Peers []string
-	// DisableGossip keeps sharding and forwarding but turns off the
-	// popularity gossip exchange.
-	DisableGossip bool
-	// Client overrides the HTTP client used for probing, forwarding and
-	// gossip; tests inject partition-aware transports here. By default
-	// probes and gossip use a client with a 2s timeout, and forwards (which
-	// run under the request's own context deadline) a transport that keeps
-	// as many idle connections per peer as a peer admits requests at once.
+	// Client overrides the HTTP client used for probing and forwarding;
+	// tests inject partition-aware transports here. By default probes use
+	// a client with a 2s timeout, and forwards (which run under the
+	// request's own context deadline) a transport that keeps as many idle
+	// connections per peer as a peer admits requests at once.
 	Client *http.Client
 }
 
@@ -70,59 +65,9 @@ type clusterState struct {
 	localUnhealthy atomic.Uint64 // owner suspect/dead at entry: solved locally
 }
 
-// fleetGossip adapts the per-class speculators to the cluster gossip
-// source/sink interfaces, carrying the class name across the wire.
-type fleetGossip struct{ s *Server }
-
-// HotEntries implements cluster.GossipSource: the fleet-wide hot set is
-// the union of every warm class's actionable hot entries, hottest first.
-func (f fleetGossip) HotEntries(max int) []cluster.HotEntry {
-	var out []cluster.HotEntry
-	for class, st := range f.s.classes {
-		if st.spec == nil {
-			continue
-		}
-		for _, e := range st.spec.HotEntries(max) {
-			out = append(out, cluster.HotEntry{
-				Class:  string(class),
-				Graph:  e.Graph,
-				Stages: e.Key.Stages,
-				Score:  e.Score,
-			})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Class < out[j].Class
-	})
-	if len(out) > max {
-		out = out[:max]
-	}
-	return out
-}
-
-// MergeRemote implements cluster.GossipSink: entries fold into the named
-// class's speculator (unknown or non-speculating classes are skipped —
-// fleet members may run different class tables).
-func (f fleetGossip) MergeRemote(from string, entries []cluster.HotEntry) int {
-	merged := 0
-	for _, e := range entries {
-		st, ok := f.s.classes[Class(e.Class)]
-		if !ok || st.spec == nil {
-			continue
-		}
-		if st.spec.MergeRemote(e.Graph, e.Stages, e.Score) {
-			merged++
-		}
-	}
-	return merged
-}
-
 // initCluster builds the membership node and registers the cluster metric
-// families. Called by New after initSpeculation (the gossip adapter needs
-// the speculators wired); a no-op when Peers is empty.
+// families. Called by New after the class table is built (the forward
+// transport is sized by the class limits); a no-op when Peers is empty.
 func (s *Server) initCluster() error {
 	cc := s.cfg.Cluster
 	if len(cc.Peers) == 0 {
@@ -134,18 +79,10 @@ func (s *Server) initCluster() error {
 	if cc.Advertise == "" {
 		return errors.New("serve: Cluster.Peers set without Cluster.Advertise")
 	}
-	var source cluster.GossipSource
-	var sink cluster.GossipSink
-	if !cc.DisableGossip && len(s.speculators) > 0 {
-		source = fleetGossip{s}
-		sink = fleetGossip{s}
-	}
 	node, err := cluster.New(cluster.Config{
 		Self:   cc.Advertise,
 		Peers:  cc.Peers,
 		Client: cc.Client,
-		Source: source,
-		Sink:   sink,
 		Logf:   s.cfg.Logf,
 	})
 	if err != nil {
@@ -188,23 +125,11 @@ func (s *Server) initCluster() error {
 	s.reg.CounterFunc("respect_cluster_rebalances_total",
 		"Consistent-hash ring rebuilds caused by membership transitions.",
 		func() float64 { return float64(node.Rebalances()) })
-	s.reg.CounterFunc("respect_cluster_gossip_sent_total",
-		"Successful outbound popularity-gossip pushes.",
-		func() float64 { return float64(node.GossipSentCount()) })
-	s.reg.CounterFunc("respect_cluster_gossip_send_errors_total",
-		"Failed outbound popularity-gossip pushes.",
-		func() float64 { return float64(node.GossipSendErrorCount()) })
-	s.reg.CounterFunc("respect_cluster_gossip_received_total",
-		"Inbound popularity-gossip messages accepted.",
-		func() float64 { return float64(node.GossipReceivedCount()) })
-	s.reg.CounterFunc("respect_cluster_gossip_merged_keys_total",
-		"Hot keys folded into local popularity tracking from gossip.",
-		func() float64 { return float64(node.GossipMergedCount()) })
 	return nil
 }
 
 // Cluster returns the fleet membership node, or nil when clustering is
-// disabled. The chaos harness drives ProbeOnce/GossipOnce through it.
+// disabled. The chaos harness drives ProbeOnce through it.
 func (s *Server) Cluster() *cluster.Node {
 	if s.cluster == nil {
 		return nil
@@ -215,7 +140,7 @@ func (s *Server) Cluster() *cluster.Node {
 // SpeculateOnce runs one synchronous speculation pass on every class
 // speculator and returns the total entries warmed. It is the
 // deterministic counterpart of the background loops, used by tests and
-// operators to force a pass (e.g. right after a gossip merge).
+// operators to force a pass.
 func (s *Server) SpeculateOnce(ctx context.Context) int {
 	total := 0
 	for _, sp := range s.speculators {
@@ -225,7 +150,7 @@ func (s *Server) SpeculateOnce(ctx context.Context) int {
 }
 
 // ClusterStats is the fleet block of /v1/stats and GET /v1/cluster:
-// membership and gossip counters from the node plus the serving layer's
+// membership from the node plus the serving layer's
 // forwarding counters.
 type ClusterStats struct {
 	cluster.Stats
@@ -269,22 +194,6 @@ func (s *Server) handleClusterHeartbeat(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	writeJSON(w, http.StatusOK, s.cluster.node.Heartbeat())
-}
-
-// handleClusterGossip serves POST /v1/cluster/gossip: a peer's hot-set
-// push, validated and folded into the local speculators.
-func (s *Server) handleClusterGossip(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		methodNotAllowed(w, http.MethodPost)
-		return
-	}
-	msg, err := cluster.DecodeGossip(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		writeDecodeError(w, err)
-		return
-	}
-	merged := s.cluster.node.ReceiveGossip(msg)
-	writeJSON(w, http.StatusOK, map[string]int{"merged": merged})
 }
 
 // isForwarded reports whether r already hopped once; such requests are

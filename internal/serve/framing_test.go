@@ -124,16 +124,11 @@ func TestResponsesAreSized(t *testing.T) {
 	<-held
 
 	srvs, urls, _ := newPair(t, serve.Config{WarmModels: []string{}})
-	var gossip bytes.Buffer
-	if err := cluster.EncodeGossip(&gossip, urls[1], nil); err != nil {
-		t.Fatal(err)
-	}
 	for _, step := range []struct {
 		name, method, path, body string
 	}{
 		{"cluster", "GET", "/v1/cluster", ""},
 		{"cluster heartbeat", "GET", cluster.HeartbeatPath, ""},
-		{"cluster gossip", "POST", cluster.GossipPath, gossip.String()},
 	} {
 		resp, data := exchange(t, step.method, urls[0]+step.path, step.body)
 		checkSized(t, step.name, 200, resp, data)
@@ -167,7 +162,6 @@ func TestMethodNotAllowedNamesAllow(t *testing.T) {
 		{"/v1/periodic/cam", []string{"DELETE"}},
 		{"/v1/cluster", []string{"GET"}},
 		{cluster.HeartbeatPath, []string{"GET"}},
-		{cluster.GossipPath, []string{"POST"}},
 	}
 	methods := []string{"GET", "POST", "PUT", "PATCH", "DELETE"}
 	for _, ep := range endpoints {

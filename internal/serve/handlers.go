@@ -471,8 +471,12 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Speculation's popularity tap: every class-resolved valid request is
-	// demand, whether or not it ends up admitted.
-	if st.spec != nil {
+	// demand, whether or not it ends up admitted. It runs before the
+	// forward decision on purpose: a replica counts the requests it relays
+	// to their owner, so when that owner dies the survivor has already
+	// warmed into its own class memo the keys its share made hot. A
+	// pinned portfolio bypasses the class memo, so it is not demand for it.
+	if st.spec != nil && override == nil {
 		st.spec.ObserveRequest(g, numStages)
 	}
 

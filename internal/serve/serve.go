@@ -33,7 +33,6 @@
 //	GET  /v1/stats      admission / cache / uptime counters
 //	GET  /v1/cluster    fleet membership + forwarding counters
 //	GET  /v1/cluster/heartbeat  peer liveness probe
-//	POST /v1/cluster/gossip     peer popularity push
 //	GET  /metrics       Prometheus text exposition (v0.0.4)
 //	GET  /healthz       liveness probe
 //
@@ -45,9 +44,11 @@
 //
 // The cluster endpoints are mounted only when Config.Cluster.Peers is
 // set: the server then shards the graph-fingerprint space across the
-// fleet by consistent hashing, proxies requests to their home shard
-// (falling back to a local solve when the owner is unhealthy), and
-// gossips speculation popularity so the fleet warms hot instances once.
+// fleet by consistent hashing and proxies requests to their home shard
+// (falling back to a local solve when the owner is unhealthy). A replica
+// counts the requests it relays as its own speculation demand, so when
+// an owner dies a survivor has already warmed the keys its own share of
+// the traffic made hot.
 package serve
 
 import (
@@ -168,8 +169,8 @@ type Config struct {
 	// by deadline-aware queue disciplines); the zero value leaves it off.
 	RT RTConfig
 	// Cluster enables fleet mode: consistent-hash sharding over the peer
-	// set with request forwarding and popularity gossip. The zero value
-	// (no peers) leaves the server standalone.
+	// set with request forwarding. The zero value (no peers) leaves the
+	// server standalone.
 	Cluster ClusterConfig
 	// Online enables the learning loop: solved requests feed a replay
 	// buffer, background training rounds produce candidate agents, and
@@ -348,7 +349,6 @@ func New(cfg Config) (*Server, error) {
 	if s.cluster != nil {
 		s.mux.HandleFunc("/v1/cluster", s.handleClusterStats)
 		s.mux.HandleFunc(cluster.HeartbeatPath, s.handleClusterHeartbeat)
-		s.mux.HandleFunc(cluster.GossipPath, s.handleClusterGossip)
 	}
 	if !cfg.DisableMetrics {
 		s.mux.Handle("/metrics", s.reg.Handler())

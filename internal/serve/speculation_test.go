@@ -227,6 +227,32 @@ func TestSpeculationMutationWarmAndAttribution(t *testing.T) {
 	}
 }
 
+// TestSpeculationIgnoresPinnedRequests: a request that pins its backends
+// bypasses the class memo, so it is not demand for that memo — repeating
+// it tracks nothing, and the next pass warms nothing.
+func TestSpeculationIgnoresPinnedRequests(t *testing.T) {
+	s, err := New(specConfig(8, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	raw := graphJSON(t, specChain(t, 3000))
+	for i := 0; i < 3; i++ {
+		body := map[string]any{"graph": raw, "stages": 4, "backends": []string{"heur"}}
+		if _, code := postSchedule(t, ts.URL, body); code != http.StatusOK {
+			t.Fatalf("pinned request failed with %d", code)
+		}
+	}
+	if n := s.SpeculateOnce(context.Background()); n != 0 {
+		t.Fatalf("pass after pinned-only traffic warmed %d entries, want 0", n)
+	}
+	if st := s.Stats().Speculation; st.TrackedKeys != 0 || st.Attempts != 0 {
+		t.Fatalf("pinned requests counted as demand: %+v", *st)
+	}
+}
+
 // TestSpeculationYieldsUnderSaturatedAdmission: with every admission slot
 // held by in-flight work, a speculation pass must warm nothing — the
 // watermark gate fully yields capacity to admitted requests.

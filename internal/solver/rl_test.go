@@ -11,7 +11,6 @@ import (
 
 	"respect/internal/embed"
 	"respect/internal/graph"
-	"respect/internal/models"
 	"respect/internal/ptrnet"
 	"respect/internal/sched"
 )
@@ -103,16 +102,14 @@ func (c *manualDeadline) Err() error {
 
 func (c *manualDeadline) expire() { c.once.Do(func() { close(c.done) }) }
 
-// TestPortfolioNotHeldByCancelledRL is the {heur, rl} race on the zoo's
-// largest model, where a decode takes hundreds of milliseconds: once heur
-// has answered and the deadline passes, rl must give up with the context
-// error instead of holding the race until its decode ends.
+// TestPortfolioNotHeldByCancelledRL is the {heur, rl} race on a 600-node
+// chain: a chain has no siblings, so the agent decodes one class per node
+// and a decode takes tens of milliseconds. Once heur has answered and the
+// deadline passes, rl must give up with the context error instead of
+// holding the race until its decode ends.
 func TestPortfolioNotHeldByCancelledRL(t *testing.T) {
 	m, ecfg := rlTestModel()
-	g, err := models.Load("InceptionResNetv2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := chainGraph(t, "chain", 600)
 	want, err := Heur().Schedule(context.Background(), g, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -144,8 +141,8 @@ func TestPortfolioNotHeldByCancelledRL(t *testing.T) {
 		}
 	})
 
-	// A real 1 ms deadline: rl cannot finish 782 nodes inside it whatever
-	// the machine does. heur usually can; when the scheduler starts it
+	// A real 1 ms deadline: rl cannot decode 600 classes inside it
+	// whatever the machine does. heur usually can; when the scheduler starts it
 	// late it refuses too, and then nobody has a schedule.
 	t.Run("1ms deadline", func(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)

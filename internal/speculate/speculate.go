@@ -16,9 +16,9 @@
 //     neighbors, zoo family members, structurally pruned graphs — are
 //     scheduled before any client asks.
 //
-// Speculative work never competes with admitted requests: the budgeted
-// worker pool runs a pass only while admission occupancy stays below a
-// configurable watermark, and yields entirely the moment it rises.
+// Speculative work never competes with admitted requests: a budgeted pass
+// warms its candidates one at a time only while admission occupancy stays
+// below a configurable watermark, and yields entirely the moment it rises.
 package speculate
 
 import (
@@ -65,24 +65,15 @@ type Config struct {
 	Occupancy func() float64
 	// Watermark is the occupancy at or above which speculation yields.
 	// Zero means unset and selects the 0.5 default; legal explicit values
-	// are (0, 1], plus WatermarkAlwaysYield to yield at any occupancy —
-	// muting warms entirely while demand tracking stays live, an
-	// operating point the zero value cannot express because it is taken
-	// by "unset".
+	// are (0, 1].
 	Watermark float64
 	// Budget bounds speculative solves per pass (default 4).
 	Budget int
-	// Workers sizes the warming pool within one pass (default 1).
-	Workers int
 	// Interval is the period of the background Run loop (default 500ms).
 	Interval time.Duration
 	// TopK bounds how many hot keys each pass considers for popularity
 	// and mutation warming (default 8).
 	TopK int
-	// MinScore is the decayed score a key needs before the speculator
-	// acts on it (default 1.5 — more than one recent request; a single
-	// request is not popularity).
-	MinScore float64
 	// SolveBudget bounds one speculative solve (default 1s). Truncated
 	// solves are not stored, so this also bounds wasted work.
 	SolveBudget time.Duration
@@ -90,24 +81,19 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// WatermarkAlwaysYield is the Config.Watermark sentinel for "yield at
-// any occupancy, including an idle controller": every pass counts its
-// candidates as watermark-skips and warms nothing, which mutes
-// speculative solving while keeping the demand tracking and stats live.
-// The zero value cannot express this — it means "unset" and selects the
-// default watermark.
-const WatermarkAlwaysYield = -1.0
-
 // Config defaults, applied by New for unset fields.
 const (
 	defaultWatermark   = 0.5
 	defaultBudget      = 4
-	defaultWorkers     = 1
 	defaultInterval    = 500 * time.Millisecond
 	defaultTopK        = 8
-	defaultMinScore    = 1.5
 	defaultSolveBudget = time.Second
 )
+
+// minScore is the decayed score a key needs before the speculator acts
+// on it: more than one recent request, since a single request is not
+// popularity.
+const minScore = 1.5
 
 // Speculator drives speculative warming for one Target. Create with New,
 // feed it demand (ObserveRequest) and eviction signals (ObserveEviction),
@@ -140,14 +126,9 @@ func New(cfg Config) (*Speculator, error) {
 	switch {
 	case cfg.Watermark == 0:
 		cfg.Watermark = defaultWatermark
-	case cfg.Watermark == WatermarkAlwaysYield:
-		// Occupancy is never negative and the pass yields on
-		// occupancy >= watermark, so an effective watermark of 0 yields
-		// unconditionally.
-		cfg.Watermark = 0
 	case cfg.Watermark < 0 || cfg.Watermark > 1:
-		return nil, fmt.Errorf("speculate: watermark %v invalid: want (0,1], 0 for the %v default, or WatermarkAlwaysYield (%v)",
-			cfg.Watermark, defaultWatermark, WatermarkAlwaysYield)
+		return nil, fmt.Errorf("speculate: watermark %v invalid: want (0,1], or 0 for the %v default",
+			cfg.Watermark, defaultWatermark)
 	}
 	if cfg.Budget == 0 {
 		cfg.Budget = defaultBudget
@@ -155,17 +136,11 @@ func New(cfg Config) (*Speculator, error) {
 	if cfg.Budget < 0 {
 		return nil, fmt.Errorf("speculate: budget %d must not be negative", cfg.Budget)
 	}
-	if cfg.Workers < 1 {
-		cfg.Workers = defaultWorkers
-	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = defaultInterval
 	}
 	if cfg.TopK < 1 {
 		cfg.TopK = defaultTopK
-	}
-	if cfg.MinScore <= 0 {
-		cfg.MinScore = defaultMinScore
 	}
 	if cfg.SolveBudget <= 0 {
 		cfg.SolveBudget = defaultSolveBudget
@@ -174,7 +149,7 @@ func New(cfg Config) (*Speculator, error) {
 	// Cold keys need only their score; the graph payload (client-sized,
 	// so client-controlled memory) is retained only once a key is hot
 	// enough to act on.
-	tracker.retainScore = cfg.MinScore
+	tracker.retainScore = minScore
 	return &Speculator{
 		cfg:            cfg,
 		tracker:        tracker,
@@ -191,13 +166,13 @@ func (s *Speculator) ObserveRequest(g *graph.Graph, numStages int) {
 }
 
 // ObserveEviction is the cache eviction tap, wired to the solver LRU's
-// eviction hook. A hot key (decayed score at or above MinScore) becomes a
+// eviction hook. A hot key (decayed score at or above minScore) becomes a
 // re-admission candidate for the next pass; any key loses its
 // speculatively-warmed mark, since the entry it marked is gone. The hook
 // may run under the LRU's lock, so this only touches speculator state.
 func (s *Speculator) ObserveEviction(fp uint64, numStages int) {
 	key := Key{FP: fp, Stages: numStages}
-	hot := s.tracker.Score(key) >= s.cfg.MinScore
+	hot := s.tracker.Score(key) >= minScore
 	s.mu.Lock()
 	delete(s.speculative, key)
 	if hot {
@@ -225,33 +200,6 @@ func (s *Speculator) WasSpeculative(fp uint64, numStages int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.speculative[Key{FP: fp, Stages: numStages}]
-}
-
-// HotEntries returns up to max actionable hot instances — decayed score
-// at or above MinScore and graph retained — hottest first. It is the
-// fleet-gossip source: entries a peer could not act on are omitted.
-func (s *Speculator) HotEntries(max int) []Entry {
-	hot := s.tracker.Hot(s.tracker.Len())
-	out := make([]Entry, 0, max)
-	for _, e := range hot {
-		if len(out) >= max {
-			break
-		}
-		if e.Score < s.cfg.MinScore || e.Graph == nil {
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
-// MergeRemote folds one peer-observed hot instance into local popularity
-// tracking (max-merge via Tracker.Boost) and reports whether it raised
-// the local score. The next speculation pass treats merged keys exactly
-// like locally observed demand, so a fleet warms a hot instance once and
-// gossips the warmth instead of N replicas discovering it independently.
-func (s *Speculator) MergeRemote(g *graph.Graph, numStages int, score float64) bool {
-	return s.tracker.Boost(g, numStages, score)
 }
 
 // PopularityScore returns the key's decayed popularity score. It backs
@@ -306,7 +254,7 @@ func (s *Speculator) gather() []candidate {
 
 	hot := s.tracker.Hot(s.cfg.TopK)
 	for _, e := range hot {
-		if e.Score < s.cfg.MinScore || e.Graph == nil {
+		if e.Score < minScore || e.Graph == nil {
 			continue
 		}
 		if !add(candidate{key: e.Key, g: e.Graph, stages: e.Key.Stages, reason: ReasonPopular}) {
@@ -314,7 +262,7 @@ func (s *Speculator) gather() []candidate {
 		}
 	}
 	for _, e := range hot {
-		if e.Score < s.cfg.MinScore || e.Graph == nil {
+		if e.Score < minScore || e.Graph == nil {
 			continue
 		}
 		for _, m := range s.mutationsFor(e) {
@@ -353,58 +301,31 @@ func (s *Speculator) mutationsFor(e Entry) []Candidate {
 }
 
 // RunOnce executes one speculation pass synchronously: gather candidates,
-// then warm them through the worker pool while occupancy stays below the
-// watermark. It returns the number of cache entries stored. The moment
-// occupancy reaches the watermark the pass yields: remaining candidates
-// are dropped (and counted as skipped), not queued — the next pass
-// re-derives demand from fresher signals.
+// then warm them one at a time while occupancy stays below the watermark.
+// It returns the number of cache entries stored. The moment occupancy
+// reaches the watermark the pass yields: the remaining candidates are
+// dropped (and counted as skipped), not queued — the next pass re-derives
+// demand from fresher signals. A shutdown drops them without counting.
 func (s *Speculator) RunOnce(ctx context.Context) int {
 	s.passes.Add(1)
 	cands := s.gather()
-	if len(cands) == 0 {
-		return 0
+	stored := 0
+	for i, c := range cands {
+		if ctx.Err() != nil {
+			break
+		}
+		if s.occupancy() >= s.cfg.Watermark {
+			s.skippedWatermark.Add(uint64(len(cands) - i))
+			break
+		}
+		if s.warmOne(ctx, c) {
+			stored++
+		}
 	}
-
-	var (
-		stored  atomic.Int64
-		skipped atomic.Int64
-		yielded atomic.Bool
-		wg      sync.WaitGroup
-	)
-	work := make(chan candidate)
-	workers := s.cfg.Workers
-	if workers > len(cands) {
-		workers = len(cands)
+	if stored > 0 {
+		s.logf("speculate: pass warmed %d/%d candidates", stored, len(cands))
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range work {
-				if ctx.Err() != nil {
-					continue // shutdown, not watermark pressure: drop silently
-				}
-				if yielded.Load() || s.occupancy() >= s.cfg.Watermark {
-					yielded.Store(true)
-					skipped.Add(1)
-					continue // drain the channel; every candidate is accounted for
-				}
-				if s.warmOne(ctx, c) {
-					stored.Add(1)
-				}
-			}
-		}()
-	}
-	for _, c := range cands {
-		work <- c
-	}
-	close(work)
-	wg.Wait()
-	s.skippedWatermark.Add(uint64(skipped.Load()))
-	if n := stored.Load(); n > 0 {
-		s.logf("speculate: pass warmed %d/%d candidates", n, len(cands))
-	}
-	return int(stored.Load())
+	return stored
 }
 
 // warmOne runs one speculative solve under the per-solve budget and does

@@ -261,7 +261,6 @@ func speculator(t *testing.T, tgt Target, occ *float64) *Speculator {
 		},
 		Watermark: 0.5,
 		Budget:    16,
-		Workers:   2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +342,7 @@ func TestSpeculatorIgnoresColdEvictions(t *testing.T) {
 	sp := speculator(t, tgt, &occ)
 
 	g := testGraph(t, 1)
-	sp.ObserveRequest(g, 3) // score 1 < MinScore 1.5: not hot
+	sp.ObserveRequest(g, 3) // score 1 < minScore 1.5: not hot
 	sp.ObserveEviction(g.Fingerprint(), 3)
 	sp.RunOnce(context.Background())
 	if tgt.Contains(g, 3) {
@@ -458,178 +457,20 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestWatermarkUnsetDisabledDistinct pins the unset/disabled split: zero
-// still means "unset, take the default", the WatermarkAlwaysYield
-// sentinel is legal and mutes warms at any occupancy, and other negative
-// values are rejected with a message that states the actual legal
-// values rather than claiming 0 is outside (0,1] while silently
-// accepting it.
+// TestWatermarkUnsetDisabledDistinct pins the unset/invalid split: zero
+// still means "unset, take the default", and negative values are
+// rejected with a message that states the actual legal values rather
+// than claiming 0 is outside (0,1] while silently accepting it.
 func TestWatermarkUnsetDisabledDistinct(t *testing.T) {
-	// Rejected negatives name the sentinel and the default, so the legal
-	// surface is discoverable from the error alone.
+	// Rejected negatives name the legal range and the default, so the
+	// legal surface is discoverable from the error alone.
 	_, err := New(Config{Target: newFakeTarget(), Watermark: -0.5})
 	if err == nil {
-		t.Fatal("negative non-sentinel watermark accepted")
+		t.Fatal("negative watermark accepted")
 	}
-	for _, want := range []string{"(0,1]", "WatermarkAlwaysYield", "-1", "0.5"} {
+	for _, want := range []string{"(0,1]", "0.5"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q does not mention %q", err, want)
 		}
-	}
-
-	// The sentinel: passes yield even on a fully idle controller.
-	tgt := newFakeTarget()
-	occ := 0.0
-	var mu sync.Mutex
-	sp, err := New(Config{
-		Target:    tgt,
-		Occupancy: func() float64 { mu.Lock(); defer mu.Unlock(); return occ },
-		Watermark: WatermarkAlwaysYield,
-		Budget:    16,
-	})
-	if err != nil {
-		t.Fatalf("WatermarkAlwaysYield rejected: %v", err)
-	}
-	g := testGraph(t, 41)
-	sp.ObserveRequest(g, 3)
-	sp.ObserveRequest(g, 3)
-	if n := sp.RunOnce(context.Background()); n != 0 {
-		t.Fatalf("always-yield pass stored %d, want 0", n)
-	}
-	if tgt.warms != 0 {
-		t.Fatal("always-yield pass ran solves")
-	}
-	st := sp.Stats()
-	if st.SkippedWatermark == 0 || st.Attempts != 0 {
-		t.Fatalf("always-yield accounting wrong: %+v", st)
-	}
-
-	// Demand tracking stays live behind the mute: the hot key is still
-	// attributable state, it just never got warmed.
-	if sp.WasSpeculative(g.Fingerprint(), 3) {
-		t.Fatal("muted speculator marked a key speculative")
-	}
-}
-
-// TestTrackerBoostMaxMerge: gossip merging is max-merge — idempotent
-// under repeated delivery, never additive, and respectful of local decay.
-func TestTrackerBoostMaxMerge(t *testing.T) {
-	now := time.Unix(0, 0)
-	tr := NewTracker(time.Minute, 16)
-	tr.now = func() time.Time { return now }
-
-	g := testGraph(t, 1)
-	key := Key{FP: g.Fingerprint(), Stages: 4}
-
-	if !tr.Boost(g, 4, 5) {
-		t.Fatal("first boost of an untracked key did not raise")
-	}
-	if got := tr.Score(key); got != 5 {
-		t.Fatalf("score after boost = %v, want 5", got)
-	}
-	// Redelivery of the same snapshot is a no-op, not a doubling.
-	if tr.Boost(g, 4, 5) {
-		t.Fatal("redelivered boost reported a raise")
-	}
-	if got := tr.Score(key); got != 5 {
-		t.Fatalf("score after redelivery = %v, want 5 (max-merge, not add)", got)
-	}
-	// A lower remote score never drags a hotter local key down.
-	tr.Boost(g, 4, 2)
-	if got := tr.Score(key); got != 5 {
-		t.Fatalf("score after lower boost = %v, want 5", got)
-	}
-	// Local observations keep accumulating on top of the merged score.
-	tr.Observe(g, 4)
-	if got := tr.Score(key); got != 6 {
-		t.Fatalf("score after observe = %v, want 6", got)
-	}
-	// Decay applies to merged scores like any other.
-	now = now.Add(time.Minute)
-	if got := tr.Score(key); got < 2.99 || got > 3.01 {
-		t.Fatalf("score after one half-life = %v, want ~3", got)
-	}
-	// Nonsense scores are ignored.
-	if tr.Boost(g, 4, 0) || tr.Boost(g, 4, -3) || tr.Boost(nil, 4, 1) {
-		t.Fatal("non-positive or nil-graph boost reported a raise")
-	}
-}
-
-// TestTrackerBoostRetainsGraph: a boost past retainScore retains the
-// graph so the local speculator can act without a client round trip,
-// including filling in a graph on a non-raising merge.
-func TestTrackerBoostRetainsGraph(t *testing.T) {
-	tr := NewTracker(time.Minute, 16)
-	tr.retainScore = 1.5
-
-	g := testGraph(t, 1)
-	key := Key{FP: g.Fingerprint(), Stages: 4}
-	tr.Boost(g, 4, 1) // below retainScore: score only
-	if tr.Graph(key) != nil {
-		t.Fatal("graph retained below retainScore")
-	}
-	if !tr.Boost(g, 4, 1.4) {
-		t.Fatal("1.4 > current 1 should raise")
-	}
-	if tr.Graph(key) != nil {
-		t.Fatal("graph retained at 1.4 < retainScore 1.5")
-	}
-	tr.Boost(g, 4, 2)
-	if tr.Graph(key) == nil {
-		t.Fatal("graph not retained at score 2 >= retainScore 1.5")
-	}
-
-	// Non-raising merge still fills a missing graph: simulate a key made
-	// hot by Observe while the graph was never retained (fresh tracker
-	// with a higher bar, then bar crossed by boost).
-	tr2 := NewTracker(time.Minute, 16)
-	tr2.retainScore = 3
-	for i := 0; i < 4; i++ {
-		tr2.Observe(g, 4)
-	}
-	if tr2.Graph(key) == nil {
-		t.Fatal("setup: observe should have retained at 4 >= 3")
-	}
-}
-
-// TestSpeculatorHotEntriesAndMergeRemote: the gossip source yields only
-// actionable entries, and merged remote demand drives the next pass's
-// warms exactly like local demand.
-func TestSpeculatorHotEntriesAndMergeRemote(t *testing.T) {
-	target := newFakeTarget()
-	s, err := New(Config{Target: target, Budget: 8, TopK: 8, MinScore: 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hot, cold := testGraph(t, 1), testGraph(t, 2)
-	for i := 0; i < 3; i++ {
-		s.ObserveRequest(hot, 4)
-	}
-	s.ObserveRequest(cold, 4) // score 1 < MinScore: not gossip-worthy
-
-	entries := s.HotEntries(8)
-	if len(entries) != 1 {
-		t.Fatalf("HotEntries = %d entries, want 1 (cold keys and graph-less keys excluded)", len(entries))
-	}
-	if entries[0].Key.FP != hot.Fingerprint() || entries[0].Graph == nil {
-		t.Fatalf("HotEntries[0] = %+v", entries[0])
-	}
-
-	// A receiving replica merges the entry and its next pass warms it.
-	peerTarget := newFakeTarget()
-	peer, err := New(Config{Target: peerTarget, Budget: 8, TopK: 8, MinScore: 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !peer.MergeRemote(entries[0].Graph, entries[0].Key.Stages, entries[0].Score) {
-		t.Fatal("MergeRemote of a fresh key did not raise")
-	}
-	// The pass warms the merged key itself plus whatever mutations the
-	// generator derives from it — at least one store, key included.
-	if n := peer.RunOnce(context.Background()); n < 1 {
-		t.Fatalf("pass after merge warmed %d, want >= 1", n)
-	}
-	if !peerTarget.Contains(hot, 4) {
-		t.Fatal("merged key not warmed into the peer's cache")
 	}
 }

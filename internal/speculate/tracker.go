@@ -179,45 +179,6 @@ func (t *Tracker) enforceNodeBudget(now time.Time) {
 	}
 }
 
-// Boost folds a remotely observed score into the tracker: the key's
-// score becomes the maximum of its current decayed local score and the
-// remote score, and the graph is retained if the key is hot enough. It
-// returns whether the remote score raised the local one. Max-merge (not
-// add) keeps gossip idempotent — repeated deliveries of the same remote
-// snapshot change nothing, and two replicas gossiping the same key back
-// and forth cannot inflate it into a feedback loop.
-func (t *Tracker) Boost(g *graph.Graph, numStages int, score float64) bool {
-	if score <= 0 || g == nil {
-		return false
-	}
-	key := Key{FP: g.Fingerprint(), Stages: numStages}
-	now := t.now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e, ok := t.m[key]
-	if !ok {
-		if len(t.m) >= t.cap {
-			t.dropColdest(now)
-		}
-		e = &trackerEntry{last: now}
-		t.m[key] = e
-	}
-	t.decayTo(e, now)
-	raised := score > e.score
-	if raised {
-		e.score = score
-	}
-	// Retain the graph even on a non-raising merge: a remote copy can
-	// fill in a graph the node budget shed locally (same key ⇒ same
-	// structure).
-	if e.score >= t.retainScore && e.g == nil {
-		t.curNodes += g.NumNodes()
-		e.g = g
-		t.enforceNodeBudget(now)
-	}
-	return raised
-}
-
 // Score returns the key's current decayed score (zero for untracked keys).
 func (t *Tracker) Score(key Key) float64 {
 	now := t.now()
