@@ -1,43 +1,65 @@
 package graph
 
-import (
-	"encoding/binary"
-	"hash/fnv"
-)
+import "math/bits"
 
-// Fingerprint returns a 64-bit FNV-1a hash of the graph's topology and
-// per-node scheduling attributes (operator kind, parameter bytes, output
-// bytes, MACs) plus the adjacency structure. Two graphs with identical
+// Fingerprint returns a 64-bit hash of the graph's topology and per-node
+// scheduling attributes (operator kind, parameter bytes, output bytes,
+// MACs) plus the adjacency structure. Two graphs with identical
 // structure and attributes share a fingerprint regardless of Name, so a
 // schedule computed for one is valid — and cost-identical — for the other.
 // This keys the solver-level schedule cache. The hash is computed once at
 // Build time (the graph is immutable afterwards), so hot serving paths
 // that fingerprint per request — cache lookups, popularity taps, hit
 // attribution — pay a field read, not an O(V+E) rehash.
+//
+// The hash takes the structure as a stream of 64-bit words and folds in
+// one word per step with xxHash64's 8-byte step, then ends in xxHash64's
+// avalanche. Its constants are fixed and it has no seed, so every process
+// of every build that hashes this way agrees on every graph: replicas
+// place keys on the fleet ring by fingerprint, and the ring relies on the
+// avalanche to spread them over the whole uint64 circle.
 func (g *Graph) Fingerprint() uint64 {
 	g.mustBuilt()
 	return g.fp
 }
 
-// computeFingerprint hashes the structure; called by Build.
+// xxHash64's primes.
+const (
+	prime1 uint64 = 0x9E3779B185EBCA87
+	prime2 uint64 = 0xC2B2AE3D27D4EB4F
+	prime3 uint64 = 0x165667B19E3779F9
+	prime4 uint64 = 0x85EBCA77C2B2AE63
+	prime5 uint64 = 0x27D4EB2F165667C5
+)
+
+// fpStep folds the word w into the hash state h: xxHash64's step for an
+// 8-byte lane.
+func fpStep(h, w uint64) uint64 {
+	h ^= bits.RotateLeft64(w*prime2, 31) * prime1
+	return bits.RotateLeft64(h, 27)*prime1 + prime4
+}
+
+// computeFingerprint hashes the structure; called by Build. The word
+// stream is the node count, then per node its kind, its three weights,
+// its out-degree and its successors in order.
 func (g *Graph) computeFingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	u64 := func(x uint64) {
-		binary.LittleEndian.PutUint64(buf[:], x)
-		h.Write(buf[:])
-	}
-	u64(uint64(len(g.nodes)))
+	h := fpStep(prime5, uint64(len(g.nodes)))
 	for v := range g.nodes {
 		n := &g.nodes[v]
-		u64(uint64(n.Kind))
-		u64(uint64(n.ParamBytes))
-		u64(uint64(n.OutBytes))
-		u64(uint64(n.MACs))
-		u64(uint64(len(g.succ[v])))
+		h = fpStep(h, uint64(n.Kind))
+		h = fpStep(h, uint64(n.ParamBytes))
+		h = fpStep(h, uint64(n.OutBytes))
+		h = fpStep(h, uint64(n.MACs))
+		h = fpStep(h, uint64(len(g.succ[v])))
 		for _, w := range g.succ[v] {
-			u64(uint64(w))
+			h = fpStep(h, uint64(w))
 		}
 	}
-	return h.Sum64()
+	// The avalanche: every input bit reaches every output bit.
+	h ^= h >> 33
+	h *= prime2
+	h ^= h >> 29
+	h *= prime3
+	h ^= h >> 32
+	return h
 }

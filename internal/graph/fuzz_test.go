@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"respect/internal/graph"
@@ -167,7 +168,20 @@ var differentialSeeds = []string{
 	`{"Nodes":[{}],"NAME":"folded"}`,
 	`{"nodes":[{}],"nodes":[{},{}]}`,
 	` null `, `{}`, `[]`, `{"nodes":{}}`, `{"nodes":[[]]}`, `{"nodes":[{}]} trailing`, `{"nodes":[{}],}`,
+	// Whitespace and separators where the decoder's own loops meet them:
+	// a tab, a CR and a CRLF between every two tokens; whitespace before
+	// ':', ',' and ']'; empty containers with whitespace inside.
+	strings.ReplaceAll(spacedDoc, "~", "\t"),
+	strings.ReplaceAll(spacedDoc, "~", "\r"),
+	strings.ReplaceAll(spacedDoc, "~", "\r\n"),
+	`{"name" :"g" ,"nodes" :[{"name" :"a" ,"macs" :1 } ,{} ,null ] ,"edges" :[[0 ,1 ] ] }`,
+	`{ }`, `{"nodes":[ ],"edges":[ ]}`, `{"nodes":[{ },{ }],"edges":[ [ 0 , 1 ] ]}`,
 }
+
+// spacedDoc has a ~ between every two tokens, for differentialSeeds to
+// replace with whitespace.
+const spacedDoc = `~{~"name"~:~"g"~,~"nodes"~:~[~{~"name"~:~"a"~,~"kind"~:~"conv"~,~"macs"~:~3~}~,~null~,~{~}~]~,` +
+	`~"edges"~:~[~[~0~,~1~]~,~[~1~,~2~]~]~,~"x"~:~{~"y"~:~[~1~,~"z"~]~}~}~`
 
 // FuzzParseJSONDifferential fuzzes the hand-written decoder against the
 // one it replaced (see checkAgainstOracle).
@@ -283,6 +297,32 @@ func TestFingerprintZooCorpus(t *testing.T) {
 		}
 		if g2.Fingerprint() != fp {
 			t.Fatalf("%s: fingerprint not serialization-stable", name)
+		}
+	}
+}
+
+// TestFingerprintGolden pins the fingerprint's value, so that a change of
+// the hash shows as a deliberate diff here. Replicas agree on the owner of
+// a key only if they compute the same fingerprint for its graph: the
+// fleet ring places keys by it, and a replica that hashed differently
+// would forward to owners the others do not pick.
+func TestFingerprintGolden(t *testing.T) {
+	three := graph.New("three")
+	three.AddNode(graph.Node{Kind: graph.OpInput, OutBytes: 150528})
+	three.AddNode(graph.Node{Kind: graph.OpConv, ParamBytes: 864, OutBytes: 401408, MACs: 10838016})
+	three.AddNode(graph.Node{Kind: graph.OpRelu, OutBytes: 401408})
+	three.AddEdge(0, 1)
+	three.AddEdge(1, 2)
+	for _, tc := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"three-node chain", three.MustBuild().Fingerprint(), 0x5e6326c8893ae5f9},
+		{"VGG16", models.MustLoad("VGG16").Fingerprint(), 0xb271bdfa85b65753},
+		{"ResNet50", models.MustLoad("ResNet50").Fingerprint(), 0x187a28b2bc02bd70},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s: fingerprint %#016x, want %#016x", tc.name, tc.got, tc.want)
 		}
 	}
 }

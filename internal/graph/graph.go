@@ -139,6 +139,12 @@ func (g *Graph) Build() error {
 	if g.built {
 		return nil
 	}
+	return g.build(make([]int, 2*len(g.nodes)))
+}
+
+// build is Build with its scratch: at least 2|V| ints, which it
+// overwrites. The decoder hands over the scratch it counted degrees in.
+func (g *Graph) build(scratch []int) error {
 	n := len(g.nodes)
 	var params, outs, macs int64
 	for v, nd := range g.nodes {
@@ -158,7 +164,8 @@ func (g *Graph) Build() error {
 		}
 	}
 	// seenFrom[w] == v+1 marks w as already listed among v's successors.
-	seenFrom := make([]int, n)
+	seenFrom := scratch[:n]
+	clear(seenFrom)
 	for v := 0; v < n; v++ {
 		for _, w := range g.succ[v] {
 			if seenFrom[w] == v+1 {
@@ -167,12 +174,15 @@ func (g *Graph) Build() error {
 			seenFrom[w] = v + 1
 		}
 	}
-	topo, err := g.topoSort()
+	// The order and both levels share one allocation; the full slice
+	// expressions keep each from growing into the next.
+	levels := make([]int, 3*n)
+	g.asap, g.alap = levels[n:2*n:2*n], levels[2*n:]
+	topo, err := g.topoSort(levels[:0:n], scratch[:n], scratch[n:2*n:2*n])
 	if err != nil {
 		return err
 	}
 	g.topo = topo
-	g.asap = make([]int, n)
 	for _, v := range topo {
 		lvl := 0
 		for _, p := range g.pred[v] {
@@ -182,7 +192,6 @@ func (g *Graph) Build() error {
 		}
 		g.asap[v] = lvl
 	}
-	g.alap = make([]int, n)
 	maxLvl := 0
 	for _, l := range g.asap {
 		if l > maxLvl {
@@ -221,21 +230,20 @@ func (g *Graph) MustBuild() *Graph {
 	return g
 }
 
-func (g *Graph) topoSort() ([]int, error) {
+// topoSort appends a topological order to order, using indeg and ready
+// (|V| ints each) as scratch.
+func (g *Graph) topoSort(order, indeg, ready []int) ([]int, error) {
 	n := len(g.nodes)
-	indeg := make([]int, n)
+	// Deterministic Kahn: smallest-ID-first among ready nodes. The queue
+	// is a window sliding right over ready: it pops at the left and
+	// pushes at most |V| nodes in all, so it never outgrows it. The
+	// sources go in in ID order, so it starts sorted.
+	ready = ready[:0]
 	for v := 0; v < n; v++ {
-		indeg[v] = len(g.pred[v])
-	}
-	// Deterministic Kahn: smallest-ID-first among ready nodes.
-	ready := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
+		if indeg[v] = len(g.pred[v]); indeg[v] == 0 {
 			ready = append(ready, v)
 		}
 	}
-	sort.Ints(ready)
-	order := make([]int, 0, n)
 	for len(ready) > 0 {
 		v := ready[0]
 		ready = ready[1:]
@@ -421,7 +429,8 @@ func FromCSR(name string, nodes []Node, start, succ []int) (*Graph, error) {
 	if len(start) != n+1 || start[0] != 0 || start[n] != len(succ) {
 		return nil, fmt.Errorf("graph %q: successor offsets do not cover %d nodes and %d edges", name, n, len(succ))
 	}
-	inDeg := make([]int, n)
+	scratch := make([]int, 2*n) // the in-degrees, then Build's scratch
+	inDeg := scratch[:n]
 	for u := 0; u < n; u++ {
 		if start[u+1] < start[u] || start[u+1] > len(succ) {
 			return nil, fmt.Errorf("graph %q: successor offsets out of order at node %d", name, u)
@@ -433,7 +442,9 @@ func FromCSR(name string, nodes []Node, start, succ []int) (*Graph, error) {
 			inDeg[v]++
 		}
 	}
-	g := &Graph{Name: name, nodes: nodes, succ: make([][]int, n), pred: windows(make([]int, len(succ)), inDeg)}
+	heads := make([][]int, 2*n)
+	g := &Graph{Name: name, nodes: nodes, succ: heads[:n:n], pred: heads[n:]}
+	windows(g.pred, make([]int, len(succ)), inDeg)
 	for u := 0; u < n; u++ {
 		g.nodes[u].ID = u
 		g.succ[u] = succ[start[u]:start[u+1]:start[u+1]]
@@ -441,19 +452,18 @@ func FromCSR(name string, nodes []Node, start, succ []int) (*Graph, error) {
 			g.pred[v] = append(g.pred[v], u)
 		}
 	}
-	if err := g.Build(); err != nil {
+	if err := g.build(scratch); err != nil {
 		return nil, err
 	}
 	return g, nil
 }
 
-// windows cuts flat into one window per node, node v's of capacity deg[v]
-// and length zero. The full slice expressions keep a window from ever
-// growing into the next, so filling them with append allocates nothing.
-func windows(flat, deg []int) [][]int {
-	out := make([][]int, len(deg))
+// windows cuts flat into one window per node in out, node v's of
+// capacity deg[v] and length zero. The full slice expressions keep a
+// window from ever growing into the next, so filling them with append
+// allocates nothing.
+func windows(out [][]int, flat, deg []int) {
 	for v, d := range deg {
 		out[v], flat = flat[:0:d], flat[d:]
 	}
-	return out
 }

@@ -66,24 +66,28 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 	return g, err
 }
 
-// opKindByName inverts opKindNames for the decoder.
-var opKindByName = func() map[string]OpKind {
-	m := make(map[string]OpKind, len(opKindNames))
-	for k, name := range opKindNames {
-		m[name] = OpKind(k)
+// kindNamed is the kind whose String is name, or OpOther. A scan of the
+// fifteen names beats a map: it hashes nothing, and the kinds a DNN graph
+// is mostly made of come first.
+func kindNamed(name []byte) OpKind {
+	for k, s := range opKindNames {
+		if string(name) == s {
+			return OpKind(k)
+		}
 	}
-	return m
-}()
+	return OpOther
+}
 
 // ParseJSON decodes and builds the graph document at the start of data
 // and returns the number of bytes it occupies, so a caller can decode a
 // graph in place in the middle of a larger buffer (a request envelope).
 // The graph keeps no reference to data.
 //
-// It is the one wire decoder: a single forward scan that writes node
+// It is the one wire decoder: a single forward scan over the primitives
+// of internal/jsonscan with the cursor in a local, which writes node
 // attributes straight into the node slice, carves every name out of one
-// backing string, and lays the edges out as one flat successor and one
-// flat predecessor array in document order (the fingerprint hashes
+// backing string, and lays the edges out in one flat array, successors
+// then predecessors, in document order (the fingerprint hashes
 // successors in that order). A client can send anything, so every defect
 // is an error and none a panic: malformed JSON, a number that is not an
 // integer or overflows, an edge that is not two in-range distinct node
@@ -96,17 +100,23 @@ var opKindByName = func() map[string]OpKind {
 // is an error. Unknown members are still ignored and a null value still
 // leaves its member as it was.
 func ParseJSON(data []byte) (*Graph, int, error) {
-	d := wireDecoder{s: jsonscan.Scanner{Data: data}}
+	d := wireDecoder{data: data}
+	end, err := d.document(jsonscan.Space(data, 0))
+	if err != nil {
+		return nil, 0, fmt.Errorf("graph: decode: %w", err)
+	}
 	g, err := d.graph()
 	if err != nil {
 		return nil, 0, err
 	}
-	return g, d.s.Pos, nil
+	return g, end, nil
 }
 
-// wireDecoder is the state of one ParseJSON call.
+// wireDecoder is the state of one ParseJSON call. Its methods take the
+// offset of the token they start at, after any whitespace, and return
+// the offset past what they consumed.
 type wireDecoder struct {
-	s     jsonscan.Scanner
+	data  []byte
 	name  string
 	nodes []Node
 	// names holds every node name back to back. A node keeps the end
@@ -114,12 +124,13 @@ type wireDecoder struct {
 	// string, which is when the IDs are assigned.
 	names []byte
 	edges []int // u0, v0, u1, v1, ... in document order
+	// scratch is 2|V| zeroed ints for graph()'s degree counts and then
+	// for Build, cut from the edge list's allocation when the nodes came
+	// first.
+	scratch []int
 }
 
 func (d *wireDecoder) graph() (*Graph, error) {
-	if err := d.document(); err != nil {
-		return nil, fmt.Errorf("graph: decode: %w", err)
-	}
 	n := len(d.nodes)
 	if cap(d.nodes)-n > n/2+8 {
 		d.nodes = append(make([]Node, 0, n), d.nodes...)
@@ -132,10 +143,14 @@ func (d *wireDecoder) graph() (*Graph, error) {
 		lo = hi
 	}
 
-	// Flat adjacency: count degrees, cut one backing array per direction
-	// into per-node windows, then fill the windows in document order.
+	// Flat adjacency: count degrees, cut one backing array into per-node
+	// windows, successors first, then fill the windows in document order.
 	m := len(d.edges) / 2
-	outDeg, inDeg := make([]int, n), make([]int, n)
+	scratch := d.scratch
+	if len(scratch) < 2*n {
+		scratch = make([]int, 2*n)
+	}
+	outDeg, inDeg := scratch[:n], scratch[n:2*n]
 	for i := 0; i < 2*m; i += 2 {
 		u, v := d.edges[i], d.edges[i+1]
 		if u < 0 || u >= n || v < 0 || v >= n {
@@ -147,13 +162,16 @@ func (d *wireDecoder) graph() (*Graph, error) {
 		outDeg[u]++
 		inDeg[v]++
 	}
-	g.succ, g.pred = windows(make([]int, m), outDeg), windows(make([]int, m), inDeg)
+	heads, flat := make([][]int, 2*n), make([]int, 2*m)
+	g.succ, g.pred = heads[:n:n], heads[n:]
+	windows(g.succ, flat[:m], outDeg)
+	windows(g.pred, flat[m:], inDeg)
 	for i := 0; i < 2*m; i += 2 {
 		u, v := d.edges[i], d.edges[i+1]
 		g.succ[u] = append(g.succ[u], v)
 		g.pred[v] = append(g.pred[v], u)
 	}
-	if err := g.Build(); err != nil {
+	if err := g.build(scratch); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -172,21 +190,23 @@ func foldsTo(key []byte, known ...string) error {
 	return nil
 }
 
-// document scans the top-level object into d. Here and in node, a null
-// value leaves its member as it was, and of a repeated scalar member the
-// last one counts, both as in encoding/json.
-func (d *wireDecoder) document() error {
-	s := &d.s
+// document decodes the top-level object, or null, into d. It runs once
+// per document, so it walks with a Scanner; the node and edge loops under
+// it keep their cursor in a local. Here and in node, a null value leaves
+// its member as it was, and of a repeated scalar member the last one
+// counts, both as in encoding/json.
+func (d *wireDecoder) document(i int) (int, error) {
+	s := jsonscan.Scanner{Data: d.data, Pos: i}
 	if s.Null() {
-		return nil
+		return s.Pos, nil
 	}
 	if err := s.Open('{'); err != nil {
-		return err
+		return s.Pos, err
 	}
 	for first := true; ; first = false {
 		key, ok, err := s.Member(first)
 		if !ok {
-			return err
+			return s.Pos, err
 		}
 		if s.Null() {
 			continue
@@ -199,21 +219,21 @@ func (d *wireDecoder) document() error {
 			}
 		case "nodes":
 			if d.nodes != nil {
-				return errors.New(`duplicate "nodes" member`)
+				return s.Pos, errors.New(`duplicate "nodes" member`)
 			}
-			err = d.nodeList()
+			s.Pos, err = d.nodeList(s.Pos)
 		case "edges":
 			if d.edges != nil {
-				return errors.New(`duplicate "edges" member`)
+				return s.Pos, errors.New(`duplicate "edges" member`)
 			}
-			err = d.edgeList()
+			s.Pos, err = d.edgeList(s.Pos)
 		default:
 			if err = foldsTo(key, "name", "nodes", "edges"); err == nil {
 				err = s.Skip()
 			}
 		}
 		if err != nil {
-			return err
+			return s.Pos, err
 		}
 	}
 }
@@ -230,124 +250,150 @@ const (
 	maxNodesGuess   = 1024
 )
 
-func (d *wireDecoder) nodeList() error {
-	s := &d.s
-	if err := s.Open('['); err != nil {
-		return err
+// list decodes the array that starts at data[i], calling elem with the
+// offset of each element; an error names the element as name[index].
+func (d *wireDecoder) list(i int, name string, elem func(int) (int, error)) (int, error) {
+	data := d.data
+	if i == len(data) || data[i] != '[' {
+		return i, jsonscan.Unexpected(data, i, '[')
 	}
-	guess := min((len(s.Data)-s.Pos)/docBytesPerNode+1, maxNodesGuess)
-	d.nodes = make([]Node, 0, guess)
-	d.names = make([]byte, 0, guess*docBytesPerNode/docBytesPerName)
-	for first := true; ; first = false {
-		ok, err := s.Element(first)
-		if !ok {
-			return err
+	i++
+	for k := 0; ; k++ {
+		if i = jsonscan.Space(data, i); i < len(data) && data[i] == ']' {
+			return i + 1, nil
 		}
-		if err := d.node(); err != nil {
-			return fmt.Errorf("nodes[%d]: %w", len(d.nodes), err)
+		if k > 0 {
+			if i == len(data) || data[i] != ',' {
+				return i, jsonscan.Unexpected(data, i, ']')
+			}
+			i = jsonscan.Space(data, i+1)
+		}
+		var err error
+		if i, err = elem(i); err != nil {
+			return i, fmt.Errorf("%s[%d]: %w", name, k, err)
 		}
 	}
 }
 
-// node scans one node object (or null, the zero node) onto d.nodes.
-func (d *wireDecoder) node() error {
-	s := &d.s
+// nodeList decodes the array of nodes that starts at data[i].
+func (d *wireDecoder) nodeList(i int) (int, error) {
+	guess := min((len(d.data)-i-1)/docBytesPerNode+1, maxNodesGuess)
+	d.nodes = make([]Node, 0, guess)
+	d.names = make([]byte, 0, guess*docBytesPerNode/docBytesPerName)
+	return d.list(i, "nodes", d.node)
+}
+
+// node decodes the node object (or null, the zero node) that starts at
+// data[i] onto d.nodes.
+func (d *wireDecoder) node(i int) (int, error) {
+	data := d.data
 	n := Node{Kind: OpOther} // what a missing or unknown "kind" decodes to
 	start := len(d.names)
-	if !s.Null() {
-		if err := s.Open('{'); err != nil {
-			return err
+	var null bool
+	if i, null = jsonscan.Null(data, i); !null {
+		if i == len(data) || data[i] != '{' {
+			return i, jsonscan.Unexpected(data, i, '{')
 		}
+		i++
 		for first := true; ; first = false {
-			key, ok, err := s.Member(first)
-			if err != nil {
-				return err
-			}
-			if !ok {
+			if i = jsonscan.Space(data, i); i < len(data) && data[i] == '}' {
+				i++
 				break
 			}
-			if s.Null() {
+			if !first {
+				if i == len(data) || data[i] != ',' {
+					return i, jsonscan.Unexpected(data, i, '}')
+				}
+				i = jsonscan.Space(data, i+1)
+			}
+			key, end, err := jsonscan.String(data, i)
+			if err != nil {
+				return end, err
+			}
+			if i = jsonscan.Space(data, end); i == len(data) || data[i] != ':' {
+				return i, jsonscan.Unexpected(data, i, ':')
+			}
+			if i, null = jsonscan.Null(data, jsonscan.Space(data, i+1)); null {
 				continue
 			}
 			switch string(key) {
 			case "name":
 				var name []byte
-				if name, err = s.String(); err == nil {
+				if name, i, err = jsonscan.String(data, i); err == nil {
 					d.names = append(d.names[:start], name...)
 				}
 			case "kind":
 				var kind []byte
-				if kind, err = s.String(); err == nil {
-					if k, known := opKindByName[string(kind)]; known {
-						n.Kind = k
-					} else {
-						n.Kind = OpOther
-					}
+				if kind, i, err = jsonscan.String(data, i); err == nil {
+					n.Kind = kindNamed(kind)
 				}
 			case "param_bytes":
-				n.ParamBytes, err = s.Int()
+				n.ParamBytes, i, err = jsonscan.Int(data, i)
 			case "out_bytes":
-				n.OutBytes, err = s.Int()
+				n.OutBytes, i, err = jsonscan.Int(data, i)
 			case "macs":
-				n.MACs, err = s.Int()
+				n.MACs, i, err = jsonscan.Int(data, i)
 			default:
 				if err = foldsTo(key, "name", "kind", "param_bytes", "out_bytes", "macs"); err == nil {
-					err = s.Skip()
+					i, err = jsonscan.Skip(data, i)
 				}
 			}
 			if err != nil {
-				return fmt.Errorf("%s: %w", key, err)
+				return i, fmt.Errorf("%s: %w", key, err)
 			}
 		}
 	}
 	n.ID = len(d.names)
 	d.nodes = append(d.nodes, n)
-	return nil
+	return i, nil
 }
 
-func (d *wireDecoder) edgeList() error {
-	s := &d.s
-	if err := s.Open('['); err != nil {
-		return err
-	}
-	// DNN graphs are thin: |E| is a little over |V|. When the edges come
-	// before the nodes, the slice grows from nothing.
-	d.edges = make([]int, 0, 3*len(d.nodes))
-	for first := true; ; first = false {
-		ok, err := s.Element(first)
-		if !ok {
-			return err
-		}
-		if err := d.edge(); err != nil {
-			return fmt.Errorf("edges[%d]: %w", len(d.edges)/2, err)
-		}
-	}
+// edgeList decodes the array of edges that starts at data[i].
+func (d *wireDecoder) edgeList(i int) (int, error) {
+	// DNN graphs are thin: |E| is a little over |V|. The list shares one
+	// allocation with graph()'s scratch, which goes first so that a list
+	// that outgrows its guess leaves the scratch where it is. When the
+	// edges come before the nodes, the list grows from nothing.
+	n := len(d.nodes)
+	slab := make([]int, 2*n+3*n)
+	d.scratch, d.edges = slab[:2*n:2*n], slab[2*n:2*n]
+	return d.list(i, "edges", d.edge)
 }
 
-// edge scans one [u, v] pair: exactly two integers.
-func (d *wireDecoder) edge() error {
-	s := &d.s
-	if err := s.Open('['); err != nil {
-		return err
+var errEdgeArity = errors.New("an edge is exactly two node IDs")
+
+// edge decodes the [u, v] pair that starts at data[i]: exactly two
+// integers.
+func (d *wireDecoder) edge(i int) (int, error) {
+	data := d.data
+	if i == len(data) || data[i] != '[' {
+		return i, jsonscan.Unexpected(data, i, '[')
 	}
-	for i := 0; i < 3; i++ {
-		ok, err := s.Element(i == 0)
-		if err != nil {
-			return err
-		}
-		if ok != (i < 2) {
-			return errors.New("an edge is exactly two node IDs")
-		}
-		if !ok {
-			break
-		}
-		v, err := s.Int()
-		if err != nil {
-			return err
-		}
-		d.edges = append(d.edges, int(v))
+	if i = jsonscan.Space(data, i+1); i < len(data) && data[i] == ']' {
+		return i, errEdgeArity
 	}
-	return nil
+	u, i, err := jsonscan.Int(data, i)
+	if err != nil {
+		return i, err
+	}
+	switch i = jsonscan.Space(data, i); {
+	case i < len(data) && data[i] == ']':
+		return i, errEdgeArity
+	case i == len(data) || data[i] != ',':
+		return i, jsonscan.Unexpected(data, i, ']')
+	}
+	v, i, err := jsonscan.Int(data, jsonscan.Space(data, i+1))
+	if err != nil {
+		return i, err
+	}
+	switch i = jsonscan.Space(data, i); {
+	case i < len(data) && data[i] == ',':
+		return i, errEdgeArity
+	case i == len(data) || data[i] != ']':
+		return i, jsonscan.Unexpected(data, i, ']')
+	}
+	d.edges = append(d.edges, int(u), int(v))
+	return i + 1, nil
 }
 
 // DOT renders the graph in Graphviz format; stage, if non-nil, colors nodes

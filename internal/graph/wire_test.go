@@ -99,6 +99,7 @@ func TestParseJSONErrors(t *testing.T) {
 		`{"nodes":[{},{}],"edges":[[0,0]]}`, `{"nodes":[{},{}],"edges":[[0,1],[0,1]]}`, `{"nodes":[{},{}],"edges":[[0,1],[1,0]]}`,
 		`{"nodes":[{},{}],"edges":[[0.0,1]]}`, `{"nodes":[{},{}],"edges":[0,1]}`, `{"nodes":[{}],"edges":{}}`,
 		"{\"nodes\":[{\"name\":\"a\x01\"}]}", `{"nodes":[{"name":"\q"}]}`, `{"nodes":[{"x":[1,}]}`,
+		`{"nodes":[{"name":"a",}]}`, `{"nodes":[{},{}],"edges":[[0,1,]]}`, `{"nodes":[nullx]}`, `{"nodes":[{"name":nullx}]}`,
 	} {
 		if g, _, err := graph.ParseJSON([]byte(doc)); err == nil {
 			t.Errorf("ParseJSON accepted %q as a %d-node graph", doc, g.NumNodes())
@@ -124,8 +125,8 @@ func TestParseJSONAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 48 {
-		t.Fatalf("ParseJSON(ResNet50) = %.0f allocs/op, budget 48", allocs)
+	if allocs > 10 {
+		t.Fatalf("ParseJSON(ResNet50) = %.0f allocs/op, budget 10", allocs)
 	}
 }
 
@@ -157,6 +158,31 @@ func BenchmarkParseJSON(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := graph.ParseJSON(doc); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkParseJSONZoo decodes every zoo model's WriteJSON document per
+// op; its MB/s is the decoder's throughput over the documents clients send.
+func BenchmarkParseJSONZoo(b *testing.B) {
+	var docs [][]byte
+	var total int64
+	for _, name := range models.Names() {
+		var buf bytes.Buffer
+		if err := models.MustLoad(name).WriteJSON(&buf); err != nil {
+			b.Fatal(err)
+		}
+		docs = append(docs, buf.Bytes())
+		total += int64(buf.Len())
+	}
+	b.SetBytes(total)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, doc := range docs {
+			if _, _, err := graph.ParseJSON(doc); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

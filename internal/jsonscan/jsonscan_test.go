@@ -35,8 +35,7 @@ func checkAgainstEncodingJSON(t *testing.T, data []byte) {
 	case trimmed[0] == '-' || trimmed[0]-'0' <= 9:
 		var want int64
 		wantErr := json.Unmarshal(data, &want)
-		s = Scanner{Data: data}
-		got, err := s.Int()
+		got, _, err := Int(data, Space(data, 0))
 		if (err == nil) != (wantErr == nil) || got != want {
 			t.Fatalf("Int(%q) = %d, %v; encoding/json has %d, %v", data, got, err, want, wantErr)
 		}
@@ -72,8 +71,9 @@ func FuzzScannerMatchesEncodingJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { checkAgainstEncodingJSON(t, data) })
 }
 
-// TestWalk drives Open/Member/Element/Null the way the decoders do and
-// checks the cursor lands where the next step expects it.
+// TestWalk drives Open/Member/Element/Null the way the decoders do, with
+// the function Int on the Scanner's cursor, and checks the cursor lands
+// where the next step expects it.
 func TestWalk(t *testing.T) {
 	s := Scanner{Data: []byte(` { "a" : [ 1 , -2 ] , "bc" : null , "d" : {"x":"y"} } tail`)}
 	if err := s.Open('{'); err != nil {
@@ -103,11 +103,11 @@ func TestWalk(t *testing.T) {
 				if !ok {
 					break
 				}
-				v, err := s.Int()
+				v, end, err := Int(s.Data, Space(s.Data, s.Pos))
 				if err != nil {
 					t.Fatal(err)
 				}
-				sum += v
+				s.Pos, sum = end, sum+v
 			}
 			if sum != -1 {
 				t.Fatalf("elements sum to %d, want -1", sum)
