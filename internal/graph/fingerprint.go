@@ -7,10 +7,11 @@ import "math/bits"
 // MACs) plus the adjacency structure. Two graphs with identical
 // structure and attributes share a fingerprint regardless of Name, so a
 // schedule computed for one is valid — and cost-identical — for the other.
-// This keys the solver-level schedule cache. The hash is computed once at
-// Build time (the graph is immutable afterwards), so hot serving paths
-// that fingerprint per request — cache lookups, popularity taps, hit
-// attribution — pay a field read, not an O(V+E) rehash.
+// This keys the solver-level schedule cache. The hash is computed once,
+// when the graph is built or its document decoded (the graph is immutable
+// afterwards), so hot serving paths that fingerprint per request — cache
+// lookups, popularity taps, hit attribution — pay a field read, not an
+// O(V+E) rehash.
 //
 // The hash takes the structure as a stream of 64-bit words and folds in
 // one word per step with xxHash64's 8-byte step, then ends in xxHash64's
@@ -22,6 +23,11 @@ func (g *Graph) Fingerprint() uint64 {
 	g.mustBuilt()
 	return g.fp
 }
+
+// Graph returns g. A built graph is its own document, so it serves
+// wherever a Document that is built only when needed does: a schedule
+// cache looks either up by Fingerprint and asks for Graph on a miss.
+func (g *Graph) Graph() *Graph { return g }
 
 // xxHash64's primes.
 const (
@@ -39,19 +45,20 @@ func fpStep(h, w uint64) uint64 {
 	return bits.RotateLeft64(h, 27)*prime1 + prime4
 }
 
-// computeFingerprint hashes the structure; called by Build. The word
-// stream is the node count, then per node its kind, its three weights,
-// its out-degree and its successors in order.
-func (g *Graph) computeFingerprint() uint64 {
-	h := fpStep(prime5, uint64(len(g.nodes)))
-	for v := range g.nodes {
-		n := &g.nodes[v]
+// fingerprint hashes the structure of a graph with these nodes and
+// successor lists; Build and DecodeJSON call it. The word stream is the
+// node count, then per node its kind, its three weights, its out-degree
+// and its successors in order.
+func fingerprint(nodes []Node, succ [][]int) uint64 {
+	h := fpStep(prime5, uint64(len(nodes)))
+	for v := range nodes {
+		n := &nodes[v]
 		h = fpStep(h, uint64(n.Kind))
 		h = fpStep(h, uint64(n.ParamBytes))
 		h = fpStep(h, uint64(n.OutBytes))
 		h = fpStep(h, uint64(n.MACs))
-		h = fpStep(h, uint64(len(g.succ[v])))
-		for _, w := range g.succ[v] {
+		h = fpStep(h, uint64(len(succ[v])))
+		for _, w := range succ[v] {
 			h = fpStep(h, uint64(w))
 		}
 	}

@@ -127,15 +127,24 @@ func sameGraph(a, b *graph.Graph) error {
 // checkAgainstOracle holds ParseJSON to the encoding/json decoder it
 // replaced on one input: whatever ParseJSON accepts, the oracle accepts
 // given the same bytes, as the same graph; and the accepted graph
-// round-trips through WriteJSON.
+// round-trips through WriteJSON. The input decoded as an unbuilt
+// Document must agree with both (see checkDocument).
 func checkAgainstOracle(t *testing.T, data []byte) {
 	t.Helper()
+	doc, docN, docErr := graph.DecodeJSON(data)
 	g, n, err := graph.ParseJSON(data)
-	if err != nil {
-		return // ParseJSON may be stricter (TestParseJSONTightenings); it must not panic
+	if (docErr == nil) != (err == nil) || docErr != nil && docErr.Error() != err.Error() {
+		t.Fatalf("DecodeJSON and ParseJSON disagree: %v vs %v\ninput: %q", docErr, err, data)
 	}
-	if n < 0 || n > len(data) {
-		t.Fatalf("consumed %d of %d bytes", n, len(data))
+	if err != nil {
+		// ParseJSON may be stricter (TestParseJSONTightenings); it must not
+		// panic, and the refusal must leave the pooled scratch clean.
+		checkAfterRefusal(t)
+		return
+	}
+	defer doc.Release()
+	if n < 0 || n > len(data) || docN != n {
+		t.Fatalf("consumed %d (document %d) of %d bytes", n, docN, len(data))
 	}
 	want, err := graph.OracleReadJSON(bytes.NewReader(data[:n]))
 	if err != nil {
@@ -144,7 +153,46 @@ func checkAgainstOracle(t *testing.T, data []byte) {
 	if err := sameGraph(g, want); err != nil {
 		t.Fatalf("ParseJSON and the oracle disagree: %v\ninput: %q", err, data[:n])
 	}
+	checkDocument(t, doc, want)
 	checkRoundTrip(t, g)
+}
+
+// checkDocument holds an unbuilt document to the graph want it decodes
+// to: the same name, node count and fingerprint before it is built, and
+// the same graph once it is.
+func checkDocument(t *testing.T, doc *graph.Document, want *graph.Graph) {
+	t.Helper()
+	if doc.Name() != want.Name || doc.NumNodes() != want.NumNodes() || doc.Fingerprint() != want.Fingerprint() {
+		t.Fatalf("document %q/%d/%#x, graph %q/%d/%#x", doc.Name(), doc.NumNodes(), doc.Fingerprint(),
+			want.Name, want.NumNodes(), want.Fingerprint())
+	}
+	if err := sameGraph(doc.Graph(), want); err != nil {
+		t.Fatalf("document built another graph: %v", err)
+	}
+	if doc.Graph() != doc.Graph() {
+		t.Fatal("a document built its graph twice")
+	}
+}
+
+// afterRefusal is decoded right after a refused input, through the same
+// pool: every member the decoder keeps state for, once.
+const afterRefusal = `{"name":"after","nodes":[{"name":"a","macs":1},{"name":"b"},{"name":"c"}],"edges":[[0,2],[1,2]]}`
+
+// checkAfterRefusal decodes afterRefusal and compares it with the
+// oracle's graph: a failed decode must leave no nodes, edges, names or
+// duplicate-member state behind in the scratch it hands back.
+func checkAfterRefusal(t *testing.T) {
+	t.Helper()
+	want, err := graph.OracleReadJSON(strings.NewReader(afterRefusal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, err := graph.DecodeJSON([]byte(afterRefusal))
+	if err != nil {
+		t.Fatalf("a refused input left state behind: %v", err)
+	}
+	defer doc.Release()
+	checkDocument(t, doc, want)
 }
 
 // differentialSeeds are documents on the edges of the wire format: each

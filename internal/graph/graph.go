@@ -139,51 +139,77 @@ func (g *Graph) Build() error {
 	if g.built {
 		return nil
 	}
-	return g.build(make([]int, 2*len(g.nodes)))
+	return g.build()
 }
 
-// build is Build with its scratch: at least 2|V| ints, which it
-// overwrites. The decoder hands over the scratch it counted degrees in.
-func (g *Graph) build(scratch []int) error {
+// build is Build on a graph that is not built yet, with check's scratch
+// borrowed from the decoder's pool.
+func (g *Graph) build() error {
 	n := len(g.nodes)
+	s := getScratch()
+	defer putScratch(s)
+	s.work = resize(s.work, 2*n)
+	// The order and both levels share one allocation; the full slice
+	// expressions keep each from growing into the next.
+	levels := make([]int, 3*n)
+	if _, err := check(g.Name, g.nodes, g.succ, g.pred, s.work, levels[:0:n]); err != nil {
+		return err
+	}
+	g.freeze(levels, fingerprint(g.nodes, g.succ))
+	return nil
+}
+
+// check holds nodes and their adjacency to what every built graph
+// satisfies, and is the one check behind Build and the wire decoder:
+// attributes non-negative with totals that fit int64, no duplicate edge,
+// no cycle. Edge endpoints are in range and distinct on entry: AddEdge
+// panics on others, and the decoder and FromCSR refuse them first. It
+// appends a topological order to order and returns it. work is 2|V|
+// ints, which it overwrites; errors name the graph as name.
+func check(name string, nodes []Node, succ, pred [][]int, work, order []int) ([]int, error) {
+	n := len(nodes)
 	var params, outs, macs int64
-	for v, nd := range g.nodes {
+	for v, nd := range nodes {
 		switch {
 		case nd.ParamBytes < 0:
-			return fmt.Errorf("graph %q: node %d: negative param_bytes", g.Name, v)
+			return nil, fmt.Errorf("graph %q: node %d: negative param_bytes", name, v)
 		case nd.OutBytes < 0:
-			return fmt.Errorf("graph %q: node %d: negative out_bytes", g.Name, v)
+			return nil, fmt.Errorf("graph %q: node %d: negative out_bytes", name, v)
 		case nd.MACs < 0:
-			return fmt.Errorf("graph %q: node %d: negative macs", g.Name, v)
+			return nil, fmt.Errorf("graph %q: node %d: negative macs", name, v)
 		}
 		// Each term and each running total is non-negative, so a total
 		// that turns negative has wrapped.
 		params, outs, macs = params+nd.ParamBytes, outs+nd.OutBytes, macs+nd.MACs
 		if params < 0 || outs < 0 || macs < 0 {
-			return fmt.Errorf("graph %q: node %d: attribute totals overflow int64", g.Name, v)
+			return nil, fmt.Errorf("graph %q: node %d: attribute totals overflow int64", name, v)
 		}
 	}
 	// seenFrom[w] == v+1 marks w as already listed among v's successors.
-	seenFrom := scratch[:n]
+	seenFrom := work[:n]
 	clear(seenFrom)
 	for v := 0; v < n; v++ {
-		for _, w := range g.succ[v] {
+		for _, w := range succ[v] {
 			if seenFrom[w] == v+1 {
-				return fmt.Errorf("graph %q: duplicate edge (%d,%d)", g.Name, v, w)
+				return nil, fmt.Errorf("graph %q: duplicate edge (%d,%d)", name, v, w)
 			}
 			seenFrom[w] = v + 1
 		}
 	}
-	// The order and both levels share one allocation; the full slice
-	// expressions keep each from growing into the next.
-	levels := make([]int, 3*n)
-	g.asap, g.alap = levels[n:2*n:2*n], levels[2*n:]
-	topo, err := g.topoSort(levels[:0:n], scratch[:n], scratch[n:2*n:2*n])
-	if err != nil {
-		return err
+	order = topoSort(succ, pred, order, work[:n], work[n:2*n:2*n])
+	if len(order) != n {
+		return nil, fmt.Errorf("graph %q: cycle detected (%d of %d nodes ordered)", name, len(order), n)
 	}
-	g.topo = topo
-	for _, v := range topo {
+	return order, nil
+}
+
+// freeze derives the levels, depth and maximum in-degree from the
+// topological order in levels[:|V|] and marks g built with fingerprint
+// fp. levels is 3|V| ints: the order, then the ASAP and ALAP levels.
+func (g *Graph) freeze(levels []int, fp uint64) {
+	n := len(g.nodes)
+	g.topo, g.asap, g.alap = levels[:n:n], levels[n:2*n:2*n], levels[2*n:]
+	for _, v := range g.topo {
 		lvl := 0
 		for _, p := range g.pred[v] {
 			if g.asap[p]+1 > lvl {
@@ -202,7 +228,7 @@ func (g *Graph) build(scratch []int) error {
 		g.alap[i] = maxLvl
 	}
 	for i := n - 1; i >= 0; i-- {
-		v := topo[i]
+		v := g.topo[i]
 		for _, s := range g.succ[v] {
 			if g.alap[s]-1 < g.alap[v] {
 				g.alap[v] = g.alap[s] - 1
@@ -216,9 +242,8 @@ func (g *Graph) build(scratch []int) error {
 			g.maxInDeg = len(g.pred[v])
 		}
 	}
-	g.fp = g.computeFingerprint()
+	g.fp = fp
 	g.built = true
-	return nil
 }
 
 // MustBuild is Build that panics on error; for use with generated graphs
@@ -230,17 +255,16 @@ func (g *Graph) MustBuild() *Graph {
 	return g
 }
 
-// topoSort appends a topological order to order, using indeg and ready
-// (|V| ints each) as scratch.
-func (g *Graph) topoSort(order, indeg, ready []int) ([]int, error) {
-	n := len(g.nodes)
+// topoSort appends a topological order of the nodes to order, as far as
+// one exists, using indeg and ready (|V| ints each) as scratch.
+func topoSort(succ, pred [][]int, order, indeg, ready []int) []int {
 	// Deterministic Kahn: smallest-ID-first among ready nodes. The queue
 	// is a window sliding right over ready: it pops at the left and
 	// pushes at most |V| nodes in all, so it never outgrows it. The
 	// sources go in in ID order, so it starts sorted.
 	ready = ready[:0]
-	for v := 0; v < n; v++ {
-		if indeg[v] = len(g.pred[v]); indeg[v] == 0 {
+	for v := range pred {
+		if indeg[v] = len(pred[v]); indeg[v] == 0 {
 			ready = append(ready, v)
 		}
 	}
@@ -248,7 +272,7 @@ func (g *Graph) topoSort(order, indeg, ready []int) ([]int, error) {
 		v := ready[0]
 		ready = ready[1:]
 		order = append(order, v)
-		for _, w := range g.succ[v] {
+		for _, w := range succ[v] {
 			indeg[w]--
 			if indeg[w] == 0 {
 				// Insert keeping ready sorted (ready lists are short for
@@ -260,10 +284,7 @@ func (g *Graph) topoSort(order, indeg, ready []int) ([]int, error) {
 			}
 		}
 	}
-	if len(order) != n {
-		return nil, fmt.Errorf("graph %q: cycle detected (%d of %d nodes ordered)", g.Name, len(order), n)
-	}
-	return order, nil
+	return order
 }
 
 func (g *Graph) mustBuilt() {
@@ -429,8 +450,7 @@ func FromCSR(name string, nodes []Node, start, succ []int) (*Graph, error) {
 	if len(start) != n+1 || start[0] != 0 || start[n] != len(succ) {
 		return nil, fmt.Errorf("graph %q: successor offsets do not cover %d nodes and %d edges", name, n, len(succ))
 	}
-	scratch := make([]int, 2*n) // the in-degrees, then Build's scratch
-	inDeg := scratch[:n]
+	inDeg := make([]int, n)
 	for u := 0; u < n; u++ {
 		if start[u+1] < start[u] || start[u+1] > len(succ) {
 			return nil, fmt.Errorf("graph %q: successor offsets out of order at node %d", name, u)
@@ -452,7 +472,7 @@ func FromCSR(name string, nodes []Node, start, succ []int) (*Graph, error) {
 			g.pred[v] = append(g.pred[v], u)
 		}
 	}
-	if err := g.build(scratch); err != nil {
+	if err := g.build(); err != nil {
 		return nil, err
 	}
 	return g, nil

@@ -8,6 +8,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
+	"unsafe"
 
 	"respect/internal/jsonscan"
 )
@@ -81,18 +83,10 @@ func kindNamed(name []byte) OpKind {
 // ParseJSON decodes and builds the graph document at the start of data
 // and returns the number of bytes it occupies, so a caller can decode a
 // graph in place in the middle of a larger buffer (a request envelope).
-// The graph keeps no reference to data.
-//
-// It is the one wire decoder: a single forward scan over the primitives
-// of internal/jsonscan with the cursor in a local, which writes node
-// attributes straight into the node slice, carves every name out of one
-// backing string, and lays the edges out in one flat array, successors
-// then predecessors, in document order (the fingerprint hashes
-// successors in that order). A client can send anything, so every defect
-// is an error and none a panic: malformed JSON, a number that is not an
-// integer or overflows, an edge that is not two in-range distinct node
-// IDs, a duplicate edge, a cycle. An empty document yields an empty
-// graph; callers that need nodes check NumNodes.
+// It is DecodeJSON, then Graph, then Release: the graph keeps no
+// reference to data or to the decoder's scratch. A caller that may not
+// need the graph itself (a schedule cache consulted by fingerprint)
+// calls DecodeJSON and builds only when it must.
 //
 // Against encoding/json into the WriteJSON structs, which this replaces,
 // it is stricter in three ways: member names match case-sensitively, an
@@ -100,81 +94,204 @@ func kindNamed(name []byte) OpKind {
 // is an error. Unknown members are still ignored and a null value still
 // leaves its member as it was.
 func ParseJSON(data []byte) (*Graph, int, error) {
-	d := wireDecoder{data: data}
-	end, err := d.document(jsonscan.Space(data, 0))
-	if err != nil {
-		return nil, 0, fmt.Errorf("graph: decode: %w", err)
-	}
-	g, err := d.graph()
+	d, end, err := DecodeJSON(data)
 	if err != nil {
 		return nil, 0, err
 	}
+	g := d.Graph()
+	d.Release()
 	return g, end, nil
 }
 
-// wireDecoder is the state of one ParseJSON call. Its methods take the
-// offset of the token they start at, after any whitespace, and return
-// the offset past what they consumed.
-type wireDecoder struct {
-	data  []byte
-	name  string
-	nodes []Node
-	// names holds every node name back to back. A node keeps the end
-	// offset of its name in ID until the names are carved out of one
-	// string, which is when the IDs are assigned.
-	names []byte
-	edges []int // u0, v0, u1, v1, ... in document order
-	// scratch is 2|V| zeroed ints for graph()'s degree counts and then
-	// for Build, cut from the edge list's allocation when the nodes came
-	// first.
-	scratch []int
+// DecodeJSON decodes the graph document at the start of data into
+// pooled scratch and checks it as Build checks a graph, without building
+// one. It returns the number of bytes the document occupies.
+//
+// It is the one wire decoder: a single forward scan over the primitives
+// of internal/jsonscan with the cursor in a local, which writes node
+// attributes straight into the scratch node slice, copies every name
+// into one byte slice, and lists the edges in document order. The edges
+// are then laid out as adjacency windows in one flat array, successors
+// then predecessors, in document order (the fingerprint hashes
+// successors in that order). A client can send anything, so every defect
+// is an error and none a panic: malformed JSON, a number that is not an
+// integer or overflows, an edge that is not two in-range distinct node
+// IDs, and whatever Build refuses (a duplicate edge, a cycle, an
+// attribute out of range), with Build's message. An empty document is a
+// document of no nodes; callers that need nodes check NumNodes.
+//
+// The Document is valid until Release, which the caller must call once;
+// a graph its Graph built outlives it.
+func DecodeJSON(data []byte) (*Document, int, error) {
+	d := getScratch()
+	d.data = data
+	end, err := d.document(jsonscan.Space(data, 0))
+	d.data = nil
+	if err != nil {
+		err = fmt.Errorf("graph: decode: %w", err)
+	} else {
+		err = d.index()
+	}
+	if err != nil {
+		putScratch(d)
+		return nil, 0, err
+	}
+	return d, end, nil
 }
 
-func (d *wireDecoder) graph() (*Graph, error) {
-	n := len(d.nodes)
-	if cap(d.nodes)-n > n/2+8 {
-		d.nodes = append(make([]Node, 0, n), d.nodes...)
-	}
-	g := &Graph{Name: d.name, nodes: d.nodes}
-	names := string(d.names)
-	for v, lo := 0, 0; v < n; v++ {
-		hi := g.nodes[v].ID
-		g.nodes[v].ID, g.nodes[v].Name = v, names[lo:hi]
-		lo = hi
-	}
+// Document is a graph document DecodeJSON decoded and checked but did
+// not build. It holds what a schedule cache consults, the name, node
+// count and fingerprint, and builds the graph on demand. A Document is
+// the decoder's pooled scratch: it is not safe for concurrent use, and
+// after Release it must not be used. Its decoding methods take the
+// offset of the token they start at, after any whitespace, and return
+// the offset past what they consumed.
+type Document struct {
+	name string
+	fp   uint64
+	g    *Graph // built by Graph, on first use
 
-	// Flat adjacency: count degrees, cut one backing array into per-node
-	// windows, successors first, then fill the windows in document order.
-	m := len(d.edges) / 2
-	scratch := d.scratch
-	if len(scratch) < 2*n {
-		scratch = make([]int, 2*n)
+	// What the decoder fills: data while it scans; nodes, whose ID holds
+	// the end offset of the node's name in names until Graph carves the
+	// names out; the edge list u0, v0, u1, v1, ... in document order; and
+	// whether a nodes or an edges member has been seen.
+	data               []byte
+	nodes              []Node
+	names              []byte
+	edges              []int
+	sawNodes, sawEdges bool
+
+	// What index lays out and check leaves: per node a successor window,
+	// then per node a predecessor window, all cut from adj; check's work;
+	// and the topological order.
+	heads [][]int
+	adj   []int
+	work  []int
+	topo  []int
+}
+
+// maxPooledScratchBytes bounds the scratch kept for reuse. The largest
+// zoo document (InceptionResNetv2: 782 nodes, 879 edges, 13 KB of names)
+// needs about 180 KB of it; scratch that a larger graph grew past the
+// bound is left to the collector instead of pinning its peak size.
+const maxPooledScratchBytes = 256 << 10
+
+// scratchPool recycles decoding scratch. Build borrows it for check's
+// work too.
+var scratchPool = sync.Pool{New: func() any { return new(Document) }}
+
+// getScratch takes scratch from the pool; putScratch hands it back.
+func getScratch() *Document { return scratchPool.Get().(*Document) }
+
+func putScratch(d *Document) {
+	size := cap(d.nodes)*int(unsafe.Sizeof(Node{})) + cap(d.names) +
+		cap(d.heads)*int(unsafe.Sizeof([]int(nil))) +
+		(cap(d.edges)+cap(d.adj)+cap(d.work)+cap(d.topo))*int(unsafe.Sizeof(0))
+	if size <= maxPooledScratchBytes {
+		d.reset()
+		scratchPool.Put(d)
 	}
-	outDeg, inDeg := scratch[:n], scratch[n:2*n]
+}
+
+// reset empties d for the next decode, keeping its capacity. What it
+// keeps holds no reference outside d: nodes carry no names, and the
+// windows point into adj.
+func (d *Document) reset() {
+	*d = Document{
+		nodes: d.nodes[:0], names: d.names[:0], edges: d.edges[:0],
+		heads: d.heads, adj: d.adj, work: d.work, topo: d.topo,
+	}
+}
+
+// resize returns buf with length n, reallocated when too small. The
+// contents are not cleared.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// Release returns d's scratch to the pool.
+func (d *Document) Release() { putScratch(d) }
+
+// Name returns the document's graph name.
+func (d *Document) Name() string { return d.name }
+
+// NumNodes returns the document's node count.
+func (d *Document) NumNodes() int { return len(d.nodes) }
+
+// Fingerprint returns the fingerprint the built graph will have.
+func (d *Document) Fingerprint() uint64 { return d.fp }
+
+// index lays the decoded edges out as adjacency windows, checks the graph
+// as Build would, and fingerprints it.
+func (d *Document) index() error {
+	n, m := len(d.nodes), len(d.edges)/2
+	d.work = resize(d.work, 2*n)
+	deg := d.work
+	clear(deg)
+	outDeg, inDeg := deg[:n], deg[n:]
 	for i := 0; i < 2*m; i += 2 {
 		u, v := d.edges[i], d.edges[i+1]
 		if u < 0 || u >= n || v < 0 || v >= n {
-			return nil, fmt.Errorf("graph: edge (%d,%d) out of range", u, v)
+			return fmt.Errorf("graph: edge (%d,%d) out of range", u, v)
 		}
 		if u == v {
-			return nil, fmt.Errorf("graph: self edge at node %d", u)
+			return fmt.Errorf("graph: self edge at node %d", u)
 		}
 		outDeg[u]++
 		inDeg[v]++
 	}
-	heads, flat := make([][]int, 2*n), make([]int, 2*m)
-	g.succ, g.pred = heads[:n:n], heads[n:]
-	windows(g.succ, flat[:m], outDeg)
-	windows(g.pred, flat[m:], inDeg)
+	d.heads, d.adj = resize(d.heads, 2*n), resize(d.adj, 2*m)
+	succ, pred := d.heads[:n:n], d.heads[n:]
+	windows(succ, d.adj[:m], outDeg)
+	windows(pred, d.adj[m:], inDeg)
 	for i := 0; i < 2*m; i += 2 {
 		u, v := d.edges[i], d.edges[i+1]
-		g.succ[u] = append(g.succ[u], v)
-		g.pred[v] = append(g.pred[v], u)
+		succ[u] = append(succ[u], v)
+		pred[v] = append(pred[v], u)
 	}
-	if err := g.build(scratch); err != nil {
-		return nil, err
+	var err error
+	if d.topo, err = check(d.name, d.nodes, succ, pred, deg, resize(d.topo, n)[:0]); err != nil {
+		return err
 	}
-	return g, nil
+	d.fp = fingerprint(d.nodes, succ)
+	return nil
+}
+
+// Graph builds the document's graph, on the first call, from what
+// DecodeJSON already laid out and checked: it copies the nodes, the names
+// and the adjacency into allocations of their exact size and derives the
+// levels from the order the check found, without scanning or checking
+// anything again. Later calls return the same graph, which keeps no
+// reference to the document.
+func (d *Document) Graph() *Graph {
+	if d.g != nil {
+		return d.g
+	}
+	n := len(d.nodes)
+	g := &Graph{Name: d.name, nodes: make([]Node, n)}
+	names := string(d.names)
+	for v, lo := 0, 0; v < n; v++ {
+		nd := d.nodes[v]
+		hi := nd.ID
+		nd.ID, nd.Name = v, names[lo:hi]
+		g.nodes[v] = nd
+		lo = hi
+	}
+	heads, adj := make([][]int, 2*n), make([]int, len(d.adj))
+	copy(adj, d.adj)
+	for i, off := 0, 0; i < 2*n; i++ {
+		k := len(d.heads[i])
+		heads[i], off = adj[off:off+k:off+k], off+k
+	}
+	g.succ, g.pred = heads[:n:n], heads[n:]
+	levels := make([]int, 3*n)
+	copy(levels, d.topo)
+	g.freeze(levels, d.fp)
+	d.g = g
+	return g
 }
 
 // foldsTo reports whether key is a member name the decoder knows in
@@ -195,7 +312,7 @@ func foldsTo(key []byte, known ...string) error {
 // it keep their cursor in a local. Here and in node, a null value leaves
 // its member as it was, and of a repeated scalar member the last one
 // counts, both as in encoding/json.
-func (d *wireDecoder) document(i int) (int, error) {
+func (d *Document) document(i int) (int, error) {
 	s := jsonscan.Scanner{Data: d.data, Pos: i}
 	if s.Null() {
 		return s.Pos, nil
@@ -218,15 +335,17 @@ func (d *wireDecoder) document(i int) (int, error) {
 				d.name = string(name)
 			}
 		case "nodes":
-			if d.nodes != nil {
+			if d.sawNodes {
 				return s.Pos, errors.New(`duplicate "nodes" member`)
 			}
-			s.Pos, err = d.nodeList(s.Pos)
+			d.sawNodes = true
+			s.Pos, err = d.list(s.Pos, "nodes", d.node)
 		case "edges":
-			if d.edges != nil {
+			if d.sawEdges {
 				return s.Pos, errors.New(`duplicate "edges" member`)
 			}
-			s.Pos, err = d.edgeList(s.Pos)
+			d.sawEdges = true
+			s.Pos, err = d.list(s.Pos, "edges", d.edge)
 		default:
 			if err = foldsTo(key, "name", "nodes", "edges"); err == nil {
 				err = s.Skip()
@@ -238,21 +357,9 @@ func (d *wireDecoder) document(i int) (int, error) {
 	}
 }
 
-// Sizing guesses for the node slice and the name bytes, from the length
-// of what is left to scan. WriteJSON spends about 150 bytes per node
-// (its share of the edge list included) and an eighth of a document on
-// names; compacted documents are a third denser. A low guess costs a
-// regrowth. A high one happens when the graph is an early element of a
-// long batch, so the guess is capped and graph() trims what it overshot.
-const (
-	docBytesPerNode = 128
-	docBytesPerName = 7
-	maxNodesGuess   = 1024
-)
-
 // list decodes the array that starts at data[i], calling elem with the
 // offset of each element; an error names the element as name[index].
-func (d *wireDecoder) list(i int, name string, elem func(int) (int, error)) (int, error) {
+func (d *Document) list(i int, name string, elem func(int) (int, error)) (int, error) {
 	data := d.data
 	if i == len(data) || data[i] != '[' {
 		return i, jsonscan.Unexpected(data, i, '[')
@@ -275,17 +382,9 @@ func (d *wireDecoder) list(i int, name string, elem func(int) (int, error)) (int
 	}
 }
 
-// nodeList decodes the array of nodes that starts at data[i].
-func (d *wireDecoder) nodeList(i int) (int, error) {
-	guess := min((len(d.data)-i-1)/docBytesPerNode+1, maxNodesGuess)
-	d.nodes = make([]Node, 0, guess)
-	d.names = make([]byte, 0, guess*docBytesPerNode/docBytesPerName)
-	return d.list(i, "nodes", d.node)
-}
-
 // node decodes the node object (or null, the zero node) that starts at
 // data[i] onto d.nodes.
-func (d *wireDecoder) node(i int) (int, error) {
+func (d *Document) node(i int) (int, error) {
 	data := d.data
 	n := Node{Kind: OpOther} // what a missing or unknown "kind" decodes to
 	start := len(d.names)
@@ -348,23 +447,11 @@ func (d *wireDecoder) node(i int) (int, error) {
 	return i, nil
 }
 
-// edgeList decodes the array of edges that starts at data[i].
-func (d *wireDecoder) edgeList(i int) (int, error) {
-	// DNN graphs are thin: |E| is a little over |V|. The list shares one
-	// allocation with graph()'s scratch, which goes first so that a list
-	// that outgrows its guess leaves the scratch where it is. When the
-	// edges come before the nodes, the list grows from nothing.
-	n := len(d.nodes)
-	slab := make([]int, 2*n+3*n)
-	d.scratch, d.edges = slab[:2*n:2*n], slab[2*n:2*n]
-	return d.list(i, "edges", d.edge)
-}
-
 var errEdgeArity = errors.New("an edge is exactly two node IDs")
 
 // edge decodes the [u, v] pair that starts at data[i]: exactly two
 // integers.
-func (d *wireDecoder) edge(i int) (int, error) {
+func (d *Document) edge(i int) (int, error) {
 	data := d.data
 	if i == len(data) || data[i] != '[' {
 		return i, jsonscan.Unexpected(data, i, '[')

@@ -118,21 +118,51 @@ func resNet50Doc(tb testing.TB) []byte {
 
 // TestParseJSONAllocs is the decoder's allocation gate: the ResNet50
 // document (177 nodes, 27 KB) took 808 allocations through encoding/json.
+// Decoding alone works in pooled scratch and allocates only the graph's
+// name; a build adds the graph, its nodes, their names, its adjacency
+// and its levels.
 func TestParseJSONAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch")
+	}
 	doc := resNet50Doc(t)
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, _, err := graph.ParseJSON(doc); err != nil {
+	for _, tc := range []struct {
+		name   string
+		decode func() error
+		budget float64
+	}{
+		{"DecodeJSON", func() error {
+			d, _, err := graph.DecodeJSON(doc)
+			if err == nil {
+				d.Release()
+			}
+			return err
+		}, 1},
+		{"ParseJSON", func() error {
+			_, _, err := graph.ParseJSON(doc)
+			return err
+		}, 7},
+	} {
+		var err error
+		allocs := testing.AllocsPerRun(20, func() {
+			if e := tc.decode(); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 10 {
-		t.Fatalf("ParseJSON(ResNet50) = %.0f allocs/op, budget 10", allocs)
+		if allocs > tc.budget {
+			t.Errorf("%s(ResNet50) = %.0f allocs/op, budget %.0f", tc.name, allocs, tc.budget)
+		}
 	}
 }
 
 // TestParseJSONKeepsNoReference: a decoded graph must survive its input
 // buffer being reused, because the serving layer decodes out of a pooled
-// body buffer and a periodic stream keeps its graph for hours.
+// body buffer and a periodic stream keeps its graph for hours; and it
+// must survive the next decode reusing the pooled scratch it was built
+// from.
 func TestParseJSONKeepsNoReference(t *testing.T) {
 	doc := resNet50Doc(t)
 	want, _, err := graph.ParseJSON(bytes.Clone(doc))
@@ -148,6 +178,48 @@ func TestParseJSONKeepsNoReference(t *testing.T) {
 	}
 	if err := sameGraph(got, want); err != nil {
 		t.Fatalf("graph changed when its input buffer was overwritten: %v", err)
+	}
+
+	// One scratch, released and taken again, is the common case on one
+	// goroutine; decode documents of other shapes through it, built and
+	// unbuilt, and keep one unbuilt while the next decodes.
+	d, _, err := graph.DecodeJSON(resNet50Doc(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := d.Graph()
+	d.Release()
+	for _, name := range []string{"InceptionResNetv2", "VGG16", "ResNet50"} {
+		var buf bytes.Buffer
+		if err := models.MustLoad(name).WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		held, _, err := graph.DecodeJSON(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := graph.ParseJSON(buf.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		held.Release()
+	}
+	if err := sameGraph(built, want); err != nil {
+		t.Fatalf("graph changed when the next decodes reused its scratch: %v", err)
+	}
+}
+
+// BenchmarkDecodeJSON is what a schedule cache hit on an inline ResNet50
+// pays to decode, check and fingerprint it.
+func BenchmarkDecodeJSON(b *testing.B) {
+	doc := resNet50Doc(b)
+	b.SetBytes(int64(len(doc)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d, _, err := graph.DecodeJSON(doc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		d.Release()
 	}
 }
 

@@ -63,25 +63,40 @@ func releaseBody(buf *bytes.Buffer) {
 }
 
 // inlineGraph is a request's inline graph document, decoded where it sat
-// in the body. A document ParseJSON refused keeps its error for the
-// handler to report once the class is known, as a 400 observed under it.
+// in the body. A /v1/schedule document stays unbuilt in doc, which the
+// handler releases; a batch element or a periodic stream is built into
+// g. A document the decoder refused keeps its error for the handler to
+// report once the class is known, as a 400 observed under it.
 type inlineGraph struct {
+	doc *graph.Document
 	g   *graph.Graph
 	err error
 }
 
-// scan decodes the graph document under the cursor.
-func (in *inlineGraph) scan(s *jsonscan.Scanner) error {
-	g, n, err := graph.ParseJSON(s.Data[s.Pos:])
-	if err != nil {
+// scan decodes the graph document under the cursor, building it unless
+// unbuilt is set.
+func (in *inlineGraph) scan(s *jsonscan.Scanner, unbuilt bool) error {
+	var n int
+	if unbuilt {
+		in.doc, n, in.err = graph.DecodeJSON(s.Data[s.Pos:])
+	} else {
+		in.g, n, in.err = graph.ParseJSON(s.Data[s.Pos:])
+	}
+	if in.err != nil {
 		// The walk goes on, so the rest of the body is still held to
 		// account; a document too broken to step over fails the decode.
-		in.err = err
 		return s.Skip()
 	}
-	in.g = g
 	s.Pos += n
 	return nil
+}
+
+// release returns an unbuilt document's scratch; in may be nil.
+func (in *inlineGraph) release() {
+	if in != nil && in.doc != nil {
+		in.doc.Release()
+		in.doc = nil
+	}
 }
 
 // walkEnvelope visits the top-level members of a request body in one
@@ -130,8 +145,9 @@ func unknownField(name []byte) error { return fmt.Errorf("json: unknown field %q
 var errDuplicateGraph = errors.New("json: duplicate graph member")
 
 // decodeSchedule decodes a POST /v1/schedule body: ScheduleRequest's
-// scalar members, and the graph member into in instead of req.Graph. in
-// is nil when the body has no graph member.
+// scalar members, and the graph member into in, unbuilt, instead of
+// req.Graph. in is nil when the body has no graph member; the caller
+// releases it, whether or not err is set.
 func decodeSchedule(body []byte) (req ScheduleRequest, in *inlineGraph, err error) {
 	err = walkEnvelope(body, func(s *jsonscan.Scanner, name []byte) error {
 		switch string(name) {
@@ -142,7 +158,7 @@ func decodeSchedule(body []byte) (req ScheduleRequest, in *inlineGraph, err erro
 				return errDuplicateGraph
 			}
 			in = new(inlineGraph)
-			return in.scan(s)
+			return in.scan(s, true)
 		case "stages":
 			return scalar(s, name, &req.Stages)
 		case "class":
@@ -187,7 +203,7 @@ func decodeBatch(body []byte) (req BatchRequest, graphs []inlineGraph, err error
 				if failed {
 					err = s.Skip()
 				} else {
-					err = in.scan(s)
+					err = in.scan(s, false)
 					failed = in.err != nil
 				}
 				if err != nil {
@@ -209,7 +225,8 @@ func decodeBatch(body []byte) (req BatchRequest, graphs []inlineGraph, err error
 	return req, graphs, err
 }
 
-// decodePeriodic decodes a POST /v1/periodic body, as decodeSchedule.
+// decodePeriodic decodes a POST /v1/periodic body, as decodeSchedule,
+// but builds the graph: a stream keeps it for as long as it runs.
 func decodePeriodic(body []byte) (req PeriodicRequest, in *inlineGraph, err error) {
 	err = walkEnvelope(body, func(s *jsonscan.Scanner, name []byte) error {
 		switch string(name) {
@@ -222,7 +239,7 @@ func decodePeriodic(body []byte) (req PeriodicRequest, in *inlineGraph, err erro
 				return errDuplicateGraph
 			}
 			in = new(inlineGraph)
-			return in.scan(s)
+			return in.scan(s, false)
 		case "stages":
 			return scalar(s, name, &req.Stages)
 		case "class":

@@ -5,6 +5,7 @@ package serve_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -16,6 +17,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"respect/internal/graph"
 	"respect/internal/models"
 	"respect/internal/serve"
 )
@@ -205,42 +207,223 @@ func TestRelayForwardsTheBytesItRead(t *testing.T) {
 	}
 }
 
-// TestByNameForwardBuildsNoGraph: routing a by-name request needs the
-// model's fingerprint, which is a field of the shared zoo graph. The
-// whole hop — client, forwarder, stand-in owner — must allocate far less
-// than one build of the model would (216-343 KB for these five).
-func TestByNameForwardBuildsNoGraph(t *testing.T) {
-	owner := newRecordingOwner(t, 0)
-	fwd, owned := newForwarderTo(t, owner.ts.URL,
-		[]string{"InceptionResNetv2", "DenseNet201", "DenseNet169", "ResNet152v2", "ResNet152"})
-	body := []byte(`{"model":"` + owned[0] + `","stages":4}`)
-	post := func() {
-		resp, err := http.Post(fwd.URL+"/v1/schedule", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.Header.Get(serve.ForwardedToHeader) == "" {
-			t.Fatalf("%s was not forwarded (status %d)", owned[0], resp.StatusCode)
-		}
-	}
-	post() // connections, pools and the graph itself exist after this one
-	shared := models.MustLoad(owned[0])
+// newDiscardingOwner is a stand-in home shard that reads each body into
+// nothing and answers 200: what it allocates does not grow with the
+// body, so what a hop allocates is the forwarder's.
+func newDiscardingOwner(t *testing.T) *httptest.Server {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"graph":"from-the-owner"}`)
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
 
-	const requests = 50
+// bytesPerRequest calls post once, so that connections, pools, caches
+// and zoo graphs exist, then returns what the whole process (client,
+// servers and stand-ins alike) allocates per call over 40 more.
+func bytesPerRequest(post func()) uint64 {
+	post()
+	const requests = 40
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < requests; i++ {
 		post()
 	}
 	runtime.ReadMemStats(&after)
-	if perReq := (after.TotalAlloc - before.TotalAlloc) / requests; perReq > 100<<10 {
-		t.Fatalf("a forwarded by-name request allocates %d KB; building %s is 216 KB or more", perReq>>10, owned[0])
+	return (after.TotalAlloc - before.TotalAlloc) / requests
+}
+
+// modelDoc is the zoo model's WriteJSON document.
+func modelDoc(t *testing.T, name string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := models.MustLoad(name).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// buildBytes is what decoding and building doc allocates.
+func buildBytes(t *testing.T, doc []byte) uint64 {
+	return bytesPerRequest(func() {
+		if _, _, err := graph.ParseJSON(doc); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// serveSchedule hands body to h as a POST /v1/schedule, in process, and
+// returns the status, the forwarding header and the response body. No
+// client sits in between, so what a measurement around it counts is the
+// server's (and, on a forward, the hop's and the stand-in owner's).
+func serveSchedule(h http.Handler, body []byte) (int, string, []byte) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(body)))
+	return rec.Code, rec.Header().Get(serve.ForwardedToHeader), rec.Body.Bytes()
+}
+
+// inlineAndByName returns a /v1/schedule body with the model's document
+// inline, and one that names the model, padded with whitespace to the
+// same length. Sending, reading, relaying and answering the two allocate
+// the same, so what the inline one allocates beyond the other is what
+// its document costs: the decode, and a build if there is one.
+func inlineAndByName(t *testing.T, model, members string) (inline, byName []byte) {
+	inline = []byte(`{"graph":` + string(modelDoc(t, model)) + members + `}`)
+	head, tail := `{"model":"`+model+`"`, members+`}`
+	return inline, []byte(head + strings.Repeat(" ", len(inline)-len(head)-len(tail)) + tail)
+}
+
+// TestByNameForwardBuildsNoGraph: routing a request needs its graph's
+// fingerprint, which is a field of the shared zoo graph for a by-name
+// request and comes out of the decode for an inline one. A forward
+// (forwarder and stand-in owner together) must allocate far less than
+// one build of the model would (216-343 KB for these five), and an
+// inline forward or cache hit must add far less than one build to what
+// a by-name request of the same size allocates. A refused inline
+// document gets the same 400 from a forwarder as from a standalone
+// server. The race detector drops pooled scratch, so under it the inline
+// requests run but their allocations are not held to a budget.
+func TestByNameForwardBuildsNoGraph(t *testing.T) {
+	owner := newDiscardingOwner(t)
+	fwd, owned := newForwarderTo(t, owner.URL,
+		[]string{"InceptionResNetv2", "DenseNet201", "DenseNet169", "ResNet152v2", "ResNet152"})
+	forward := func(body []byte) func() {
+		return func() {
+			if code, to, data := serveSchedule(fwd.Config.Handler, body); to == "" {
+				t.Fatalf("%s was not forwarded (status %d: %s)", owned[0], code, data)
+			}
+		}
+	}
+	shared := models.MustLoad(owned[0])
+	if perReq := bytesPerRequest(forward([]byte(`{"model":"` + owned[0] + `","stages":4}`))); perReq > 100<<10 {
+		t.Errorf("a forwarded by-name request allocates %d KB; building %s is 216 KB or more", perReq>>10, owned[0])
 	}
 	if models.MustLoad(owned[0]) != shared {
 		t.Fatalf("%s was rebuilt", owned[0])
 	}
+
+	doc := modelDoc(t, owned[0])
+	build := buildBytes(t, doc)
+	inline, byName := inlineAndByName(t, owned[0], `,"stages":4`)
+	in, by := bytesPerRequest(forward(inline)), bytesPerRequest(forward(byName))
+	if in > by+build/4 && !raceEnabled {
+		t.Errorf("a forwarded inline request allocates %d KB, by name %d KB; building %s is %d KB", in>>10, by>>10, owned[0], build>>10)
+	}
+
+	local, _ := newTestServer(t, serve.Config{WarmModels: []string{}})
+	hit := func(body []byte) func() {
+		return func() {
+			if code, _, data := serveSchedule(local, body); code != http.StatusOK || !bytes.Contains(data, []byte(`"cache_hit":true`)) {
+				t.Fatalf("not a cache hit (status %d): %.200s", code, data)
+			}
+		}
+	}
+	serveSchedule(local, inline) // the miss
+	in, by = bytesPerRequest(hit(inline)), bytesPerRequest(hit(byName))
+	if in > by+build/4 && !raceEnabled {
+		t.Errorf("an inline cache hit allocates %d KB, by name %d KB; building %s is %d KB", in>>10, by>>10, owned[0], build>>10)
+	}
+
+	// The cycle is in a document whose graph the peer would own.
+	cyclic := bytes.Replace(doc, []byte(`"edges": [`), []byte(`"edges": [[1, 0],`), 1)
+	for _, body := range []string{
+		`{"graph":{"nodes":[{}],"edges":[[0,0]]},"stages":1}`,
+		`{"graph":{"nodes":[{"macs":1.5}]},"stages":1}`,
+		`{"graph":` + negGraph + `,"stages":2}`,
+		`{"graph":` + string(cyclic) + `,"stages":4}`,
+	} {
+		code, to, got := serveSchedule(fwd.Config.Handler, []byte(body))
+		wantCode, _, want := serveSchedule(local, []byte(body))
+		if code != http.StatusBadRequest || to != "" || code != wantCode || !bytes.Equal(got, want) {
+			t.Errorf("forwarder answered %d %q (forwarded to %q), standalone %d %q", code, got, to, wantCode, want)
+		}
+	}
+}
+
+// TestInlineGraphBuiltOnlyWhenNeeded: an inline document is built only
+// for a consumer of the graph itself. A cache hit reads the document's
+// name, node count and fingerprint; a miss races on the graph, a pinned
+// portfolio bypasses the memo and races on it, and speculation's tap and
+// the learning loop's sample keep it. Each row compares an inline
+// request with a by-name one of the same size, which builds nothing: the
+// shared zoo graph serves all of those. Under the race detector the
+// requests run unchecked, as in TestByNameForwardBuildsNoGraph.
+func TestInlineGraphBuiltOnlyWhenNeeded(t *testing.T) {
+	const model, other = "DenseNet169", "DenseNet201"
+	build := buildBytes(t, modelDoc(t, model))
+	heurOnly := serve.DefaultClasses()
+	policy := heurOnly[serve.ClassInteractive]
+	policy.Backends = []string{"heur"} // one backend allocates the same on every solve
+	heurOnly[serve.ClassInteractive] = policy
+	cases := []struct {
+		name    string
+		cfg     serve.Config
+		members string // envelope members after the graph
+		built   bool
+	}{
+		{"cache hit", serve.Config{}, `,"stages":4`, false},
+		{"miss (a one-entry cache, two models in turn)", serve.Config{CacheSize: 1, Classes: heurOnly}, `,"stages":4`, true},
+		{"pinned backends", serve.Config{}, `,"stages":4,"backends":["heur"]`, true},
+		{"-speculate", serve.Config{Speculation: serve.SpeculationConfig{Enabled: true}}, `,"stages":4`, true},
+		{"-online", serve.Config{Online: serve.OnlineConfig{Enabled: true}}, `,"stages":4`, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.WarmModels = []string{}
+			srv, _ := newTestServer(t, tc.cfg)
+			inline, byName := inlineAndByName(t, model, tc.members)
+			// In the one-entry cache, a request for the other model
+			// evicts each one of these.
+			_, evict := inlineAndByName(t, other, tc.members)
+			perReq := func(body []byte) uint64 {
+				return bytesPerRequest(func() {
+					for _, b := range [][]byte{body, evict} {
+						if code, _, data := serveSchedule(srv, b); code != http.StatusOK {
+							t.Fatalf("status %d: %.200s", code, data)
+						}
+					}
+				})
+			}
+			in, by := perReq(inline), perReq(byName)
+			if built := in >= by+build/2; built != tc.built && !raceEnabled {
+				t.Errorf("inline %d KB per request, by name %d KB, one build %d KB: want built = %v", in>>10, by>>10, build>>10, tc.built)
+			}
+		})
+	}
+}
+
+// TestInlineDocumentsConcurrently: every inline document decodes into
+// scratch from one pool and holds it until its request is answered, so
+// handlers that run at once must each answer for their own document (its
+// name, its node count, a stage per node), hit or miss, with refused
+// documents going back to the pool in between.
+func TestInlineDocumentsConcurrently(t *testing.T) {
+	srv, _ := newTestServer(t, serve.Config{WarmModels: []string{}})
+	var wg sync.WaitGroup
+	for _, name := range []string{"VGG16", "MobileNet", "Xception", "ResNet50"} {
+		body := []byte(`{"graph":` + string(modelDoc(t, name)) + `,"stages":4}`)
+		nodes := models.MustLoad(name).NumNodes()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				code, _, data := serveSchedule(srv, body)
+				var resp serve.ScheduleResponse
+				if err := json.Unmarshal(data, &resp); code != http.StatusOK || err != nil ||
+					resp.Graph != name || resp.Nodes != nodes || len(resp.Stage) != nodes {
+					t.Errorf("%s: status %d, answered for %q (%d nodes, %d stages)", name, code, resp.Graph, resp.Nodes, len(resp.Stage))
+					return
+				}
+				if code, _, _ := serveSchedule(srv, []byte(`{"graph":`+negGraph+`,"stages":2}`)); code != http.StatusBadRequest {
+					t.Errorf("a refused document got status %d", code)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestForwardingReusesConnections: forwards run before admission, so

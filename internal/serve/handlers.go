@@ -357,30 +357,47 @@ func writeDecodeError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, "decode request: %v", err)
 }
 
+// requestGraph is the graph a request names, as the handlers use it: the
+// name and node count the checks and the response read, and the
+// instance the engine looks up by fingerprint. That is the shared zoo
+// graph of a by-name request, or an inline document, which Graph builds
+// only when something needs the graph itself.
+type requestGraph struct {
+	name  string
+	nodes int
+	solver.Instance
+}
+
 // resolveGraph picks a request's graph: a zoo model by name, which is a
 // lookup of the shared graph (404 when unknown), or the inline document
-// the body decoder already built (400 when it was malformed or empty).
+// the body decoder already checked (400 when it was malformed or empty).
 // in is nil when the request carried no inline graph.
-func resolveGraph(model string, in *inlineGraph) (*graph.Graph, int, error) {
+func resolveGraph(model string, in *inlineGraph) (requestGraph, int, error) {
 	switch {
 	case model != "" && in != nil:
-		return nil, http.StatusBadRequest, errors.New("set model or graph, not both")
+		return requestGraph{}, http.StatusBadRequest, errors.New("set model or graph, not both")
 	case model != "":
 		g, err := models.Load(model)
 		if err != nil {
-			return nil, http.StatusNotFound, err
+			return requestGraph{}, http.StatusNotFound, err
 		}
-		return g, 0, nil
+		return requestGraph{g.Name, g.NumNodes(), g}, 0, nil
 	case in != nil:
 		if in.err != nil {
-			return nil, http.StatusBadRequest, in.err
+			return requestGraph{}, http.StatusBadRequest, in.err
 		}
-		if in.g.NumNodes() == 0 {
-			return nil, http.StatusBadRequest, errors.New("graph has no nodes")
+		var rg requestGraph
+		if in.doc != nil {
+			rg = requestGraph{in.doc.Name(), in.doc.NumNodes(), in.doc}
+		} else {
+			rg = requestGraph{in.g.Name, in.g.NumNodes(), in.g}
 		}
-		return in.g, 0, nil
+		if rg.nodes == 0 {
+			return requestGraph{}, http.StatusBadRequest, errors.New("graph has no nodes")
+		}
+		return rg, 0, nil
 	default:
-		return nil, http.StatusBadRequest, errors.New("one of model or graph is required")
+		return requestGraph{}, http.StatusBadRequest, errors.New("one of model or graph is required")
 	}
 }
 
@@ -398,10 +415,10 @@ func (s *Server) stages(requested int) (int, error) {
 // validateStagesForGraph rejects pipelines longer than the graph: a stage
 // per Edge TPU with no node to run is a client error, and letting it
 // through would hand backends a shape they never contract to handle.
-func validateStagesForGraph(numStages int, g *graph.Graph) error {
-	if numStages > g.NumNodes() {
+func validateStagesForGraph(numStages int, g requestGraph) error {
+	if numStages > g.nodes {
 		return fmt.Errorf("stages %d exceeds graph %q's %d nodes (a pipeline cannot have more stages than nodes)",
-			numStages, g.Name, g.NumNodes())
+			numStages, g.name, g.nodes)
 	}
 	return nil
 }
@@ -435,6 +452,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 	req, inline, err := decodeSchedule(body.Bytes())
+	defer inline.release()
 	if err != nil {
 		writeDecodeError(w, err)
 		return
@@ -476,8 +494,10 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	// to their owner, so when that owner dies the survivor has already
 	// warmed into its own class memo the keys its share made hot. A
 	// pinned portfolio bypasses the class memo, so it is not demand for it.
+	// The tracker keeps a hot key's graph to warm it from, so the tap
+	// builds an inline document.
 	if st.spec != nil && override == nil {
-		st.spec.ObserveRequest(g, numStages)
+		st.spec.ObserveRequest(g.Graph(), numStages)
 	}
 
 	// Fleet routing: a request whose graph hashes to another replica is
@@ -501,7 +521,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 
 	// The solve context is bound to the client connection, so abandoned
 	// requests cancel their backends.
-	out, err := s.run(r.Context(), class, st, g, numStages, override)
+	out, err := s.run(r.Context(), class, st, g.Instance, numStages, override)
 	if errors.Is(err, errOverCapacity) || errors.Is(err, errQueueTimeout) {
 		s.reject(w, class, st, arrival, err)
 		return
@@ -530,8 +550,8 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	total := s.observeRequest(class, outcomeOK, arrival)
 	resp := ScheduleResponse{
-		Graph:          g.Name,
-		Nodes:          g.NumNodes(),
+		Graph:          g.name,
+		Nodes:          g.nodes,
 		Stages:         numStages,
 		Class:          string(class),
 		Backend:        out.res.Backend,
@@ -601,7 +621,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			writeError(w, code, "models[%q]: %s", name, err.Error())
 			return
 		}
-		graphs = append(graphs, g)
+		graphs = append(graphs, g.Graph())
 	}
 	for i := range inline {
 		g, code, err := resolveGraph("", &inline[i])
@@ -614,7 +634,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			writeError(w, code, "graphs[%d]: %s", i, err.Error())
 			return
 		}
-		graphs = append(graphs, g)
+		graphs = append(graphs, g.Graph())
 	}
 	backendName := req.Backend
 	if backendName == "" {

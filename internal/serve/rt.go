@@ -208,7 +208,7 @@ func (s *Server) handlePeriodicRegister(w http.ResponseWriter, r *http.Request) 
 		Period:   time.Duration(req.PeriodMS * float64(time.Millisecond)),
 		Deadline: time.Duration(req.DeadlineMS * float64(time.Millisecond)),
 		Cost:     time.Duration(req.CostMS * float64(time.Millisecond)),
-		Payload:  &rtPayload{g: g, stages: numStages, class: class, st: st},
+		Payload:  &rtPayload{g: g.Graph(), stages: numStages, class: class, st: st},
 	}
 	stream, err := s.rtDisp.Register(spec)
 	if err != nil {

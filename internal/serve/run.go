@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"respect/internal/graph"
 	"respect/internal/online"
 	"respect/internal/solver"
 )
@@ -33,7 +32,8 @@ type ran struct {
 	// queueWait is the admission wait, solve the window from admission to
 	// the result (memo lookup plus the race when it missed).
 	queueWait, solve time.Duration
-	// sample is this solve as the learning loop records it.
+	// sample is this solve as the learning loop records it; only set when
+	// the loop is on.
 	sample online.Sample
 }
 
@@ -41,9 +41,11 @@ type ran struct {
 // observes depends on its result and never on who asked: admit, then
 // solve under a fresh class budget through the class engine — or, when
 // the request overrode the portfolio, through an ad-hoc race that
-// bypasses the memo — then attribute a speculative hit. An admission
-// failure comes back as errOverCapacity or errQueueTimeout.
-func (s *Server) run(ctx context.Context, class Class, st *classState, g *graph.Graph, numStages int, override []solver.Scheduler) (ran, error) {
+// bypasses the memo — then attribute a speculative hit. The graph is
+// built from in only for a race: a miss, or the pinned portfolio; and for
+// the learning loop's sample. An admission failure comes back as
+// errOverCapacity or errQueueTimeout.
+func (s *Server) run(ctx context.Context, class Class, st *classState, in solver.Instance, numStages int, override []solver.Scheduler) (ran, error) {
 	release, wait, err := s.admit(ctx, class, st)
 	out := ran{queueWait: wait}
 	if err != nil {
@@ -55,28 +57,30 @@ func (s *Server) run(ctx context.Context, class Class, st *classState, g *graph.
 	defer cancel()
 	start := time.Now()
 	if override != nil {
-		out.res, err = solver.PortfolioOpt(ctx, override, g, numStages,
+		out.res, err = solver.PortfolioOpt(ctx, override, in.Graph(), numStages,
 			solver.PortfolioOptions{Patience: st.policy.Patience})
 		s.ins.ObserveOutcomes(string(class), out.res.Outcomes)
 	} else {
-		out.res, out.hit, err = st.engine.Run(ctx, g, numStages)
+		out.res, out.hit, err = st.engine.Run(ctx, in, numStages)
 	}
 	out.solve = time.Since(start)
 	if err != nil {
 		return out, err
 	}
 	if out.hit && st.spec != nil {
-		out.specHit = st.spec.AttributeHit(g.Fingerprint(), numStages)
+		out.specHit = st.spec.AttributeHit(in.Fingerprint(), numStages)
 	}
-	out.sample = online.Sample{
-		Class:    string(class),
-		Graph:    g,
-		Stages:   numStages,
-		Backend:  out.res.Backend,
-		Schedule: out.res.Schedule,
-		Cost:     out.res.Cost,
-		Latency:  out.solve,
-		CacheHit: out.hit,
+	if s.onlineMgr != nil {
+		out.sample = online.Sample{
+			Class:    string(class),
+			Graph:    in.Graph(),
+			Stages:   numStages,
+			Backend:  out.res.Backend,
+			Schedule: out.res.Schedule,
+			Cost:     out.res.Cost,
+			Latency:  out.solve,
+			CacheHit: out.hit,
+		}
 	}
 	return out, nil
 }

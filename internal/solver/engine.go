@@ -51,12 +51,23 @@ func (e *Engine) Backends() []string {
 	return names
 }
 
-// Run races the backends on (g, numStages), serving memoized results when
-// available. hit reports a cache hit; on a hit the Outcomes telemetry
-// (elapsed times, per-backend costs) is that of the original race and the
-// result is shared — callers must treat Outcomes as read-only.
-func (e *Engine) Run(ctx context.Context, g *graph.Graph, numStages int) (res PortfolioResult, hit bool, err error) {
-	key := cacheKey{fp: g.Fingerprint(), numStages: numStages}
+// Instance is what Run needs of a graph: the fingerprint it looks the
+// memo up by, and the graph itself, which it asks for only on a miss. A
+// built *graph.Graph is one; so is a *graph.Document, which a request
+// decoded and checked but builds only when Graph is called.
+type Instance interface {
+	Fingerprint() uint64
+	Graph() *graph.Graph
+}
+
+// Run races the backends on (in, numStages), serving memoized results
+// when available. It does one memo lookup by (fingerprint, stages), and
+// calls in.Graph only when that misses. hit reports a cache hit; on a hit
+// the Outcomes telemetry (elapsed times, per-backend costs) is that of
+// the original race and the result is shared — callers must treat
+// Outcomes as read-only.
+func (e *Engine) Run(ctx context.Context, in Instance, numStages int) (res PortfolioResult, hit bool, err error) {
+	key := cacheKey{fp: in.Fingerprint(), numStages: numStages}
 	if res, hit = e.lru.get(key); hit {
 		res.Schedule = res.Schedule.Clone()
 		return res, true, nil
@@ -64,7 +75,7 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, numStages int) (res Po
 	// Solve outside the lock: a slow backend must not serialize unrelated
 	// cache traffic. Concurrent misses on one key may race the solve; the
 	// last finisher's (equivalent) result wins.
-	res, err = PortfolioOpt(ctx, e.backends, g, numStages, e.opts)
+	res, err = PortfolioOpt(ctx, e.backends, in.Graph(), numStages, e.opts)
 	e.ins.ObserveOutcomes(e.name, res.Outcomes)
 	if err != nil || res.Truncated {
 		// A budget-cut incumbent must not shadow a later full-effort race.
