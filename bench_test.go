@@ -1,5 +1,5 @@
 // Benchmarks regenerating the paper's tables and figures. One target per
-// artifact (see DESIGN.md's per-experiment index):
+// artifact:
 //
 //	Table I  -> BenchmarkTableIGraphConstruction
 //	Figure 3 -> BenchmarkFig3SolveRL / SolveCompiler / SolveExactBB /
@@ -110,7 +110,7 @@ func BenchmarkFig3SolveExactBB(b *testing.B) {
 
 // BenchmarkFig3SolveExactILP times the generic MILP (the CPLEX stand-in)
 // on a paper-training-scale 30-node instance with a node budget; at full
-// model scale the MILP needs minutes per solve (see EXPERIMENTS.md).
+// model scale the MILP needs minutes per solve.
 func BenchmarkFig3SolveExactILP(b *testing.B) {
 	s, err := synth.NewSampler(synth.DefaultConfig(3), 1)
 	if err != nil {
@@ -190,8 +190,8 @@ func BenchmarkPipelineSimulator(b *testing.B) {
 	}
 }
 
-// Ablation benches: the design choices DESIGN.md calls out, timed as
-// single training steps so their relative cost is visible.
+// Ablation benches: the training-design variants of bench.Ablations, timed
+// as single training steps so their relative cost is visible.
 func BenchmarkAblationTrainingStep(b *testing.B) {
 	variants := map[string]rl.Config{
 		"cosine_rollout": {},

@@ -6,8 +6,7 @@
 //	-exp fig3      Figure 3 — schedule solving time (RL vs compiler vs ILP)
 //	-exp fig4      Figure 4 — pipelined on-chip inference runtime
 //	-exp fig5      Figure 5 — gap-to-optimal parameter caching
-//	-exp ablation  training-design ablations from DESIGN.md
-//	-exp postproc  post-inference repair study
+//	-exp ablation  training-design ablations (reward, baseline, embedding, ρ)
 //	-exp heur      backend quality/latency comparison (registry-enumerated)
 //	-exp portfolio concurrent backend-portfolio race (rl vs heur vs exact)
 //	-exp all       everything above
@@ -31,7 +30,6 @@ import (
 	"respect/internal/embed"
 	"respect/internal/models"
 	"respect/internal/ptrnet"
-	"respect/internal/rl"
 	"respect/internal/solver"
 	"respect/internal/tpu"
 )
@@ -41,7 +39,7 @@ func main() {
 	log.SetPrefix("respect-bench: ")
 
 	var (
-		exp        = flag.String("exp", "all", "experiment: table1|fig3|fig4|fig5|ablation|postproc|heur|portfolio|all")
+		exp        = flag.String("exp", "all", "experiment: table1|fig3|fig4|fig5|ablation|heur|portfolio|all")
 		agentPath  = flag.String("agent", "", "trained agent weights (otherwise trains in-process)")
 		trainIters = flag.Int("train-iters", 200, "in-process training iterations when -agent is absent")
 		ilpBudget  = flag.Duration("ilp-budget", 0, "per-instance budget for the generic MILP column of fig3 (0 skips it; the paper-faithful setting is 60s+)")
@@ -54,8 +52,7 @@ func main() {
 
 	var agent *ptrnet.Model
 	ecfg := embed.Default()
-	var trainer *rl.Trainer
-	needAgent := map[string]bool{"fig3": true, "fig4": true, "fig5": true, "postproc": true, "portfolio": true, "all": true}
+	needAgent := map[string]bool{"fig3": true, "fig4": true, "fig5": true, "portfolio": true, "all": true}
 	if needAgent[*exp] {
 		if *agentPath != "" {
 			m, err := ptrnet.LoadFile(*agentPath)
@@ -70,7 +67,6 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			trainer = tr
 			agent = tr.Model
 			fmt.Printf("held-out greedy imitation reward: %.4f\n", tr.EvalGreedy(tr.Model))
 		}
@@ -255,30 +251,6 @@ func main() {
 				r.TrainTime.Round(time.Millisecond).String()})
 		}
 		fmt.Print(bench.RenderTable([]string{"variant", "held-out greedy reward", "train time"}, cells))
-		return nil
-	})
-
-	run("postproc", func() error {
-		tr := trainer
-		if tr == nil {
-			var err error
-			tr, err = bench.TrainQuick(*seed, *trainIters)
-			if err != nil {
-				return err
-			}
-		}
-		rows, err := bench.PostProcessAblation(tr, nil, nil)
-		if err != nil {
-			return err
-		}
-		var cells [][]string
-		for _, r := range rows {
-			cells = append(cells, []string{r.Model, fmt.Sprint(r.Stages),
-				fmt.Sprint(r.RawValid), fmt.Sprint(r.RawChildrenOK),
-				fmt.Sprintf("%.3f", r.RawPeakMiB), fmt.Sprintf("%.3f", r.RepairedPeakMiB),
-				fmt.Sprintf("%.3f", r.OptimalPeakMiB)})
-		}
-		fmt.Print(bench.RenderTable([]string{"model", "stages", "raw valid", "raw children-ok", "raw peak", "repaired peak", "optimal peak"}, cells))
 		return nil
 	})
 

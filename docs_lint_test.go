@@ -1,7 +1,8 @@
 // Documentation lint, run as part of CI's docs-lint step:
 //
-//   - every relative link in the repo's Markdown files must resolve to a
-//     file or directory that exists;
+//   - every relative link in the repo's Markdown files, and every *.md
+//     path a Go comment names, must resolve to a file or directory that
+//     exists;
 //   - every exported identifier in the serving-stack packages
 //     (internal/serve, internal/solver, internal/speculate) must carry a
 //     doc comment, so `go doc` is complete where operators look first;
@@ -13,6 +14,7 @@ package respect_test
 import (
 	"go/ast"
 	"go/parser"
+	"go/scanner"
 	"go/token"
 	"io/fs"
 	"os"
@@ -26,10 +28,15 @@ import (
 // mdLinkRE matches Markdown inline links and captures the destination.
 var mdLinkRE = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 
+// mdPathRE matches a Markdown file path named in prose.
+var mdPathRE = regexp.MustCompile(`[\w./-]*\w\.md\b`)
+
 // TestDocsRelativeLinks checks in-repo relative links in the authored
-// documentation (README.md, docs/, ROADMAP.md, CHANGES.md) resolve.
-// PAPER.md / PAPERS.md / SNIPPETS.md are scraped research artifacts and
-// are out of scope.
+// documentation (README.md, docs/, ROADMAP.md, CHANGES.md) resolve, and
+// that every *.md path a Go comment names exists, from the repo root or
+// from the commenting file's directory. PAPER.md / PAPERS.md /
+// SNIPPETS.md are scraped research artifacts and are out of scope as
+// sources of links.
 func TestDocsRelativeLinks(t *testing.T) {
 	files := []string{"README.md", "ROADMAP.md", "CHANGES.md"}
 	err := filepath.WalkDir("docs", func(path string, d fs.DirEntry, err error) error {
@@ -76,6 +83,64 @@ func TestDocsRelativeLinks(t *testing.T) {
 		t.Fatal("no relative links checked; lint is miswired")
 	}
 	t.Logf("checked %d relative links across %d Markdown files", checked, len(files))
+
+	refs := checkGoCommentDocRefs(t)
+	if refs == 0 {
+		t.Fatal("no Go-comment doc references checked; lint is miswired")
+	}
+	t.Logf("checked %d Markdown paths named in Go comments", refs)
+}
+
+// checkGoCommentDocRefs reports every *.md path named in a Go comment
+// that resolves neither from the repo root nor from the file's own
+// directory, and returns how many it checked.
+func checkGoCommentDocRefs(t *testing.T) int {
+	t.Helper()
+	checked := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		fset := token.NewFileSet()
+		var sc scanner.Scanner
+		sc.Init(fset.AddFile(path, -1, len(src)), src, nil, scanner.ScanComments)
+		for {
+			pos, tok, lit := sc.Scan()
+			if tok == token.EOF {
+				break
+			}
+			if tok != token.COMMENT {
+				continue
+			}
+			for _, ref := range mdPathRE.FindAllString(lit, -1) {
+				checked++
+				if exists(ref) || exists(filepath.Join(filepath.Dir(path), ref)) {
+					continue
+				}
+				t.Errorf("%s: comment names %s, which does not exist", fset.Position(pos), ref)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return checked
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 // docCheckedPackages are the serving-stack packages held to full go-doc

@@ -1,7 +1,7 @@
 // Custom-graph deployment: build your own computational DAG with the
-// public API, schedule it with the exact solver, repair it for hardware,
-// and simulate the pipeline — the path a user takes for a model that is
-// not in the zoo.
+// public API, schedule it with the exact solver (whose optimum is over
+// the schedules the hardware can run, so no repair follows), and simulate
+// the pipeline — the path a user takes for a model that is not in the zoo.
 package main
 
 import (
@@ -45,11 +45,7 @@ func main() {
 
 	for _, stages := range []int{2, 3} {
 		s, cost, optimal := respect.ScheduleExact(g, stages, time.Second)
-		s = respect.PostProcess(g, s)
 		fmt.Printf("\n%d-stage exact schedule (proven optimal: %v): %v\n", stages, optimal, cost)
-		if deployed := s.Evaluate(g); deployed != cost {
-			fmt.Printf("  (hardware repair moved the deployed objective to %v)\n", deployed)
-		}
 		perStage := s.StageParamBytes(g)
 		for k, m := range perStage {
 			fmt.Printf("  stage %d (%.1f MiB):", k, float64(m)/(1<<20))

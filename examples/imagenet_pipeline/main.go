@@ -38,7 +38,6 @@ func main() {
 				log.Fatal(err)
 			}
 			exS, _, _ := respect.ScheduleExact(g, stages, 30*time.Second)
-			exS = respect.PostProcess(g, exS)
 
 			lc, err := respect.MeasureInference(g, comp, hw)
 			if err != nil {

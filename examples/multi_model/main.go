@@ -36,7 +36,6 @@ func main() {
 
 	// Co-scheduled: one exact solve over the union.
 	s, cost, optimal := respect.ScheduleExact(joint, stages, 60*time.Second)
-	s = respect.PostProcess(joint, s)
 	fmt.Printf("\nco-scheduled on %d stages (optimal=%v): %v\n", stages, optimal, cost)
 	rep, err := respect.Simulate(joint, s, hw)
 	if err != nil {
@@ -48,8 +47,6 @@ func main() {
 	// the natural hand partition by model size.
 	sm, _, _ := respect.ScheduleExact(mobilenet, 1, time.Second)
 	sr, _, _ := respect.ScheduleExact(resnet, 3, 30*time.Second)
-	sm = respect.PostProcess(mobilenet, sm)
-	sr = respect.PostProcess(resnet, sr)
 	repM, err := respect.Simulate(mobilenet, sm, hw)
 	if err != nil {
 		log.Fatal(err)

@@ -44,7 +44,6 @@ func main() {
 	}
 	compSched := respect.ScheduleCompiler(g, stages)
 	exSched, exCost, optimal := respect.ScheduleExact(g, stages, 30*time.Second)
-	exSched = respect.PostProcess(g, exSched)
 
 	fmt.Printf("\nobjective (peak per-stage parameter memory):\n")
 	fmt.Printf("  compiler heuristic: %v\n", compSched.Evaluate(g))

@@ -6,10 +6,8 @@ import (
 	"time"
 
 	"respect/internal/embed"
-	"respect/internal/exact"
 	"respect/internal/models"
 	"respect/internal/rl"
-	"respect/internal/sched"
 	"respect/internal/solver"
 )
 
@@ -36,9 +34,9 @@ func DefaultAblation() AblationConfig {
 	return AblationConfig{Iterations: 120, Hidden: 32, NumNodes: 20, Seed: 7}
 }
 
-// Ablations trains the design variants DESIGN.md calls out and reports
-// final held-out quality: reward shape, baseline choice, supervised
-// teacher forcing, and embedding columns.
+// Ablations trains the training-design variants and reports final
+// held-out quality: reward shape, baseline choice, supervised teacher
+// forcing, embedding columns and the ρ segmentation.
 func Ablations(cfg AblationConfig) ([]AblationRow, error) {
 	base := rl.Config{
 		Hidden: cfg.Hidden, NumNodes: cfg.NumNodes, Degrees: []int{2, 3, 4},
@@ -79,56 +77,6 @@ func Ablations(cfg AblationConfig) ([]AblationRow, error) {
 			GreedyReward: tr.EvalGreedy(tr.Model),
 			TrainTime:    time.Since(start),
 		})
-	}
-	return rows, nil
-}
-
-// PostProcessAblationRow quantifies what the post-inference repair pass
-// contributes on real models: how many raw RL schedules violate hardware
-// constraints, and the objective before/after repair.
-type PostProcessAblationRow struct {
-	Model           string
-	Stages          int
-	RawValid        bool
-	RawChildrenOK   bool
-	RawPeakMiB      float64 // peak of ρ output before repair
-	RepairedPeakMiB float64
-	OptimalPeakMiB  float64
-}
-
-// PostProcessAblation runs the deployment repair study (§III,
-// post-inference processing on vs off).
-func PostProcessAblation(tr *rl.Trainer, names []string, stages []int) ([]PostProcessAblationRow, error) {
-	if len(names) == 0 {
-		names = []string{"Xception", "ResNet50", "DenseNet121"}
-	}
-	if len(stages) == 0 {
-		stages = Stages
-	}
-	var rows []PostProcessAblationRow
-	for _, name := range names {
-		g, err := models.Load(name)
-		if err != nil {
-			return nil, err
-		}
-		emb := embed.Graph(g, tr.EmbedCfg)
-		for _, ns := range stages {
-			seq := tr.Model.Infer(emb)
-			raw, err := sched.SequenceToSchedule(g, seq, ns)
-			if err != nil {
-				return nil, err
-			}
-			repaired := sched.PostProcess(g, raw)
-			opt := solveWithin(30*time.Second, g, ns, exact.Options{MaxStates: 100_000_000})
-			rows = append(rows, PostProcessAblationRow{
-				Model: name, Stages: ns,
-				RawValid:        raw.Validate(g) == nil,
-				RawChildrenOK:   raw.SameStageChildrenOK(g),
-				RawPeakMiB:      float64(raw.Evaluate(g).PeakParamBytes) / (1 << 20),
-				RepairedPeakMiB: float64(repaired.Evaluate(g).PeakParamBytes) / (1 << 20),
-				OptimalPeakMiB:  float64(opt.Cost.PeakParamBytes) / (1 << 20),
-			})
-		}
 	}
 	return rows, nil
 }

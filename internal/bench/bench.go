@@ -1,8 +1,9 @@
 // Package bench is the experiment harness: for every table and figure in
-// the paper's evaluation (Table I, Figures 3-5) plus the ablation studies
-// called out in DESIGN.md, it runs the workload, collects the same rows or
-// series the paper reports, and renders them as aligned text tables and
-// CSV.
+// the paper's evaluation (Table I, Figures 3-5) plus the training-design
+// ablations, it runs the workload, collects the same rows or series the
+// paper reports, and renders them as aligned text tables and CSV. Every
+// exact solve inside is bounded by search states alone, never by the
+// clock, so no row depends on how fast the machine is.
 package bench
 
 import (
@@ -74,8 +75,8 @@ type Fig3Row struct {
 	Model  string
 	V      int
 	Stages int
-	// RL is the RESPECT inference wall time (embed + pointer decode + ρ +
-	// repair).
+	// RL is the RESPECT inference wall time (condense + embed + pointer
+	// decode + ρ + expand; the schedule is deployable as decoded).
 	RL time.Duration
 	// Compiler is the full Edge TPU compiler-emulation wall time.
 	Compiler time.Duration
@@ -132,7 +133,7 @@ func Fig3(model *ptrnet.Model, ecfg embed.Config, cfg Fig3Config) ([]Fig3Row, er
 			}
 			row.Compiler = comp.CompileTime
 
-			res := solveWithin(60*time.Second, g, ns, exact.Options{TieBreakCross: true, MaxStates: 200_000_000})
+			res := exact.Solve(g, ns, exact.Options{TieBreakCross: true, MaxStates: 200_000_000})
 			row.CombExact = res.Elapsed
 
 			if cfg.ILPBudget > 0 {
@@ -184,7 +185,7 @@ func Fig4(model *ptrnet.Model, ecfg embed.Config, names []string, stages []int, 
 		}
 		for _, ns := range stages {
 			comp := sched.PostProcess(g, compilerSchedule(g, ns))
-			ex := sched.PostProcess(g, solveWithin(60*time.Second, g, ns, exact.Options{
+			ex := sched.PostProcess(g, exact.Solve(g, ns, exact.Options{
 				TieBreakCross: true, MaxStates: 200_000_000,
 			}).Schedule)
 			rlSched, err := rl.Schedule(model, ecfg, g, ns)
@@ -208,13 +209,6 @@ func Fig4(model *ptrnet.Model, ecfg embed.Config, names []string, stages []int, 
 		}
 	}
 	return rows, nil
-}
-
-// solveWithin is exact.SolveCtx under a wall-clock budget.
-func solveWithin(budget time.Duration, g *graph.Graph, ns int, opts exact.Options) exact.Result {
-	ctx, cancel := context.WithTimeout(context.Background(), budget)
-	defer cancel()
-	return exact.SolveCtx(ctx, g, ns, opts)
 }
 
 // compilerSchedule is the partition the compiler emulation would produce,
@@ -253,8 +247,8 @@ func Fig5(model *ptrnet.Model, ecfg embed.Config, names []string, stages []int) 
 			return nil, err
 		}
 		for _, ns := range stages {
-			opt := solveWithin(60*time.Second, g, ns, exact.Options{MaxStates: 200_000_000})
-			dep := solveWithin(60*time.Second, g, ns, exact.Options{MaxStates: 200_000_000, ChildrenRule: true})
+			opt := exact.Solve(g, ns, exact.Options{MaxStates: 200_000_000})
+			dep := exact.Solve(g, ns, exact.Options{MaxStates: 200_000_000, ChildrenRule: true})
 			rlSched, err := rl.Schedule(model, ecfg, g, ns)
 			if err != nil {
 				return nil, err

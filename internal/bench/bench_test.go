@@ -106,21 +106,6 @@ func TestFig5HarnessAndAverages(t *testing.T) {
 	}
 }
 
-func TestPostProcessAblationHarness(t *testing.T) {
-	tr := tinyTrainer(t)
-	rows, err := PostProcessAblation(tr, []string{"Xception"}, []int{4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	r := rows[0]
-	if r.RepairedPeakMiB < r.OptimalPeakMiB {
-		t.Errorf("repaired schedule beats the optimum: %+v", r)
-	}
-}
-
 func TestHeuristicStudy(t *testing.T) {
 	rows, err := HeuristicStudy("Xception", 4)
 	if err != nil {

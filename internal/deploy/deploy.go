@@ -82,7 +82,7 @@ func Dequantize(q []int8, p QuantParams) []float32 {
 
 // SyntheticWeights deterministically generates the float32 weight tensor
 // of a node (the repo has no proprietary checkpoints; scheduling and
-// deployment only need tensors of the right size, see DESIGN.md).
+// deployment only need tensors of the right size).
 func SyntheticWeights(g *graph.Graph, v int) []float32 {
 	n := g.Node(v)
 	count := int(n.ParamBytes) // one int8 weight per byte post-quantization

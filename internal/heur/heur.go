@@ -4,9 +4,9 @@
 // force-directed scheduling, an exact-on-a-fixed-order dynamic program
 // (the "adaptive budgeting" style of Ahn et al.), and simulated annealing.
 //
-// All heuristics return schedules satisfying pipeline monotonicity; callers
-// apply sched.PostProcess before hardware deployment, exactly as the paper
-// does for every scheduler.
+// All heuristics return schedules satisfying pipeline monotonicity, not
+// necessarily deployable ones; callers apply sched.PostProcess before
+// hardware deployment, as the solver registry's heuristic backends do.
 package heur
 
 import (

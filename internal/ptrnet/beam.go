@@ -48,7 +48,7 @@ func (st *decState) extend(parent *decState, k int, logp float64) {
 // reduces to Greedy. Beam search trades width× compute for sequences of
 // higher model likelihood — the third standard pointer-network inference
 // mode beside greedy and sampling (Bello et al.). It checks ctx once per
-// step and returns its error if cancelled.
+// step and returns its error if cancelled or past its deadline.
 func (e *Encoding) Beam(ctx context.Context, width int) ([]int, error) {
 	n := len(e.emb)
 	if width > n {
@@ -67,8 +67,9 @@ func (e *Encoding) Beam(ctx context.Context, width int) ([]int, error) {
 	}
 	local, global := e.cands[:0:width], e.cands[width:width:2*width]
 
+	limit := budgetOf(ctx)
 	for step := 0; step < n; step++ {
-		if err := ctx.Err(); err != nil {
+		if err := limit.err(); err != nil {
 			return nil, err
 		}
 		global = global[:0]

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"time"
 
 	"respect/internal/nn"
 )
@@ -203,6 +204,32 @@ func (st *decState) emit(k int) int {
 	return v
 }
 
+// budget is a decode's view of its context. It reads the deadline once,
+// and err also fails once the clock has passed it: ctx.Err stays nil until
+// the runtime delivers the context's timer, and a processor kept busy
+// decoding can hold that delivery well past the deadline.
+type budget struct {
+	ctx      context.Context
+	deadline time.Time
+	bounded  bool
+}
+
+func budgetOf(ctx context.Context) budget {
+	d, ok := ctx.Deadline()
+	return budget{ctx: ctx, deadline: d, bounded: ok}
+}
+
+// err is ctx's error, or context.DeadlineExceeded past the deadline.
+func (b budget) err() error {
+	if err := b.ctx.Err(); err != nil {
+		return err
+	}
+	if b.bounded && time.Now().After(b.deadline) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
 // run is the single-sequence decode behind Greedy, Sample and Score: at
 // each step the node is forced[step] when forced is set, else drawn from
 // the pointer distribution when rng is set, else the argmax. logp is
@@ -214,8 +241,9 @@ func (e *Encoding) run(ctx context.Context, rng *rand.Rand, forced []int) (seq [
 	if forced == nil {
 		seq = make([]int, 0, n)
 	}
+	limit := budgetOf(ctx)
 	for step := 0; step < n; step++ {
-		if err := ctx.Err(); err != nil {
+		if err := limit.err(); err != nil {
 			return nil, 0, err
 		}
 		p := e.decodeStep(st)
@@ -250,7 +278,7 @@ func (e *Encoding) run(ctx context.Context, rng *rand.Rand, forced []int) (seq [
 }
 
 // Greedy decodes by argmax. It checks ctx once per step and returns its
-// error if cancelled.
+// error if cancelled or past its deadline.
 func (e *Encoding) Greedy(ctx context.Context) ([]int, error) {
 	seq, _, err := e.run(ctx, nil, nil)
 	return seq, err

@@ -7,25 +7,24 @@
 //
 //   - Admission is a schedulability test, not a queue-depth check. A
 //     registration is accepted only if the stream set's total utilization
-//     (Σ cost/period, scaled by the worker count) stays under the
-//     policy's bound — 1.0 for EDF, the Liu & Layland bound
-//     n·(2^(1/n)−1) for RM and FIFO — and a response-time analysis
-//     confirms every stream meets its deadline under worst-case
-//     interference. Costs are pinned per stream or fed live from
+//     (Σ cost/period) stays under the policy's bound — 1.0 for EDF, the
+//     Liu & Layland bound n·(2^(1/n)−1) for RM and FIFO — and a
+//     response-time analysis confirms every stream meets its deadline
+//     under worst-case interference. Costs are pinned per stream or fed live from
 //     observed solve-latency percentiles via Config.Estimate.
 //
 //   - A release loop turns each registered stream into jobs: one job per
 //     period, stamped with its absolute deadline. A release that finds
 //     the stream's previous job still waiting supersedes it — the old
 //     job is dropped and counted as a deadline miss, which bounds the
-//     backlog to one pending job per stream under overload. Workers
-//     likewise shed a job whose deadline has already passed instead of
-//     executing it — stale output is worthless, and running overdue
-//     jobs first is exactly EDF's overload failure mode.
+//     backlog to one pending job per stream under overload. The
+//     executor likewise sheds a job whose deadline has already passed
+//     instead of executing it — stale output is worthless, and running
+//     overdue jobs first is exactly EDF's overload failure mode.
 //
-//   - A pluggable queue discipline orders the released jobs for the
-//     executor workers: FIFO (release order), RM (rate-monotonic,
-//     shortest period first) or EDF (earliest absolute deadline first).
+//   - A pluggable queue discipline orders the released jobs for the one
+//     executor: FIFO (release order), RM (rate-monotonic, shortest period
+//     first) or EDF (earliest absolute deadline first).
 //     Execution is non-preemptive — a running job is never interrupted —
 //     matching a real inference pipeline.
 //
@@ -189,10 +188,8 @@ type Config struct {
 	// UtilBound overrides the admission utilization bound; zero selects
 	// the policy default (see DefaultBound) plus the response-time
 	// analysis. Setting it is an operator override: only the utilization
-	// test applies, and values above Workers admit overload on purpose.
+	// test applies, and values above 1 admit overload on purpose.
 	UtilBound float64
-	// Workers sizes the executor pool (default 1 — one pipeline).
-	Workers int
 	// Run executes one job; required. The context is cancelled when the
 	// dispatcher stops.
 	Run func(ctx context.Context, job Job) error
@@ -221,8 +218,8 @@ var ErrNotSchedulable = errors.New("rt: stream set not schedulable")
 var ErrStreamExists = errors.New("rt: stream already registered")
 
 // Dispatcher owns the registered stream set, the release loop and the
-// executor workers. Construct with New; Register/Remove are safe at any
-// time, including while running.
+// executor. Construct with New; Register/Remove are safe at any time,
+// including while running.
 type Dispatcher struct {
 	cfg Config
 
@@ -248,12 +245,6 @@ func New(cfg Config) (*Dispatcher, error) {
 	if cfg.UtilBound < 0 {
 		return nil, fmt.Errorf("rt: utilization bound %v must not be negative", cfg.UtilBound)
 	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 1
-	}
-	if cfg.Workers < 1 {
-		return nil, fmt.Errorf("rt: workers %d must be at least 1", cfg.Workers)
-	}
 	if cfg.Run == nil {
 		return nil, errors.New("rt: Config.Run is required")
 	}
@@ -274,14 +265,12 @@ func New(cfg Config) (*Dispatcher, error) {
 // Policy returns the dispatcher's queue discipline.
 func (d *Dispatcher) Policy() Policy { return d.cfg.Policy }
 
-// bound returns the admission utilization bound for n streams, scaled by
-// the worker count.
+// bound returns the admission utilization bound for n streams.
 func (d *Dispatcher) bound(n int) float64 {
-	b := d.cfg.UtilBound
-	if b == 0 {
-		b = DefaultBound(d.cfg.Policy, n)
+	if d.cfg.UtilBound != 0 {
+		return d.cfg.UtilBound
 	}
-	return b * float64(d.cfg.Workers)
+	return DefaultBound(d.cfg.Policy, n)
 }
 
 // effectiveCost resolves one stream's cost estimate: the pinned spec cost
@@ -368,9 +357,8 @@ func (d *Dispatcher) schedulable(set []*Stream) error {
 	}
 	// An explicit UtilBound is an operator override — it may admit sets
 	// the analysis would reject (including deliberate overload), so the
-	// utilization test alone governs. RTA also only models a single
-	// executor; with more workers the scaled bound is the admission test.
-	if d.cfg.UtilBound != 0 || d.cfg.Workers > 1 {
+	// utilization test alone governs.
+	if d.cfg.UtilBound != 0 {
 		return nil
 	}
 	return responseTimeAnalysis(d.cfg.Policy, set)
@@ -489,8 +477,8 @@ func (d *Dispatcher) wakeReleaseLoop() {
 	}
 }
 
-// Start launches the release loop and the executor workers under ctx and
-// returns an idempotent stop function that cancels and awaits them all —
+// Start launches the release loop and the executor under ctx and returns
+// an idempotent stop function that cancels and awaits them all —
 // after stop returns, no release or job goroutine is left running.
 // Starting an already-running dispatcher returns an error.
 func (d *Dispatcher) Start(ctx context.Context) (stop func(), err error) {
@@ -514,16 +502,14 @@ func (d *Dispatcher) Start(ctx context.Context) (stop func(), err error) {
 		defer wg.Done()
 		d.releaseLoop(rctx)
 	}()
-	for i := 0; i < d.cfg.Workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			d.worker(rctx)
-		}()
-	}
 	wg.Add(1)
 	go func() {
-		// The stop watcher: workers parked in cond.Wait cannot see a
+		defer wg.Done()
+		d.worker(rctx)
+	}()
+	wg.Add(1)
+	go func() {
+		// The stop watcher: an executor parked in cond.Wait cannot see a
 		// context, so cancellation is translated into the stopped flag
 		// plus a broadcast.
 		defer wg.Done()
@@ -726,7 +712,7 @@ type Stats struct {
 	// Policy is the queue discipline in force.
 	Policy Policy `json:"policy"`
 	// UtilBound is the admission bound applied to the current stream
-	// count (already scaled by workers).
+	// count.
 	UtilBound float64 `json:"util_bound"`
 	// Utilization is the admitted set's total cost/period share.
 	Utilization float64 `json:"utilization"`

@@ -79,7 +79,6 @@ func TestNewValidation(t *testing.T) {
 	cases := []Config{
 		{Policy: "lifo", Run: nopRun},
 		{UtilBound: -0.5, Run: nopRun},
-		{Workers: -1, Run: nopRun},
 		{}, // no Run
 	}
 	for i, cfg := range cases {

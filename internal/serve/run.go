@@ -39,11 +39,11 @@ type ran struct {
 
 // run is the admitted solve path every caller shares, so what a solve
 // observes depends on its result and never on who asked: admit, then
-// solve under a fresh class budget through the class engine — or, when
-// the request overrode the portfolio, through an ad-hoc race that
-// bypasses the memo — then attribute a speculative hit. The graph is
-// built from in only for a race: a miss, or the pinned portfolio; and for
-// the learning loop's sample. An admission failure comes back as
+// solve under a fresh class budget through the class engine — its memo,
+// or, when the request overrode the portfolio, its Race, which bypasses
+// the memo — then attribute a speculative hit. The graph is built from in
+// only for a race: a miss, or the pinned portfolio; and for the learning
+// loop's sample. An admission failure comes back as
 // errOverCapacity or errQueueTimeout.
 func (s *Server) run(ctx context.Context, class Class, st *classState, in solver.Instance, numStages int, override []solver.Scheduler) (ran, error) {
 	release, wait, err := s.admit(ctx, class, st)
@@ -57,9 +57,7 @@ func (s *Server) run(ctx context.Context, class Class, st *classState, in solver
 	defer cancel()
 	start := time.Now()
 	if override != nil {
-		out.res, err = solver.PortfolioOpt(ctx, override, in.Graph(), numStages,
-			solver.PortfolioOptions{Patience: st.policy.Patience})
-		s.ins.ObserveOutcomes(string(class), out.res.Outcomes)
+		out.res, err = st.engine.Race(ctx, override, in.Graph(), numStages)
 	} else {
 		out.res, out.hit, err = st.engine.Run(ctx, in, numStages)
 	}

@@ -119,7 +119,9 @@ feed:
 			r.Cost = src.Cost
 			r.CacheHit = true
 			r.Truncated = src.Truncated
-			e.lru.recordHit()
+			e.mu.Lock()
+			e.hits++
+			e.mu.Unlock()
 		}
 	}
 	return results, ctx.Err()

@@ -10,10 +10,9 @@ import "respect/internal/metrics"
 // engines attach to it with Engine.Instrument and CacheSet.Instrument
 // before serving traffic.
 //
-// Cache hit/miss counters are function-backed on the LRU's own counters
-// and evictions are counted through the LRU's eviction hook, so the
-// exposition page can never disagree with the engines' Stats()/Len()
-// telemetry.
+// Cache hit/miss/eviction counters are function-backed on each engine's
+// own counters, so the exposition page can never disagree with the
+// engines' Stats()/Evictions() telemetry.
 type Instruments struct {
 	scheduleSeconds *metrics.HistogramVec // engine, backend
 	wins            *metrics.CounterVec   // engine, backend
@@ -46,11 +45,11 @@ func NewInstruments(reg *metrics.Registry, buckets []float64) *Instruments {
 	}
 }
 
-// ObserveOutcomes records one portfolio race's per-backend telemetry for
+// observeOutcomes records one portfolio race's per-backend telemetry for
 // the named engine: a latency observation per raced backend, a win for
 // the winner, a loss for everyone else, and a truncation for each
 // budget-cut incumbent. Nil-safe so un-instrumented engines pay nothing.
-func (ins *Instruments) ObserveOutcomes(engine string, outs []Outcome) {
+func (ins *Instruments) observeOutcomes(engine string, outs []Outcome) {
 	if ins == nil {
 		return
 	}
@@ -65,17 +64,4 @@ func (ins *Instruments) ObserveOutcomes(engine string, outs []Outcome) {
 			ins.truncations.With(engine, o.Backend).Inc()
 		}
 	}
-}
-
-// instrumentLRU wires one LRU's counters into the cacheOps family under
-// the given cache name: hits and misses are read from the LRU itself at
-// scrape time, evictions are counted live through the eviction hook.
-func (ins *Instruments) instrumentLRU(name string, l *lru) {
-	if ins == nil {
-		return
-	}
-	ins.cacheOps.Func(func() float64 { h, _ := l.stats(); return float64(h) }, name, "hit")
-	ins.cacheOps.Func(func() float64 { _, m := l.stats(); return float64(m) }, name, "miss")
-	evict := ins.cacheOps.With(name, "evict")
-	l.addEvictHook(func(cacheKey) { evict.Inc() })
 }

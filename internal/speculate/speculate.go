@@ -165,11 +165,12 @@ func (s *Speculator) ObserveRequest(g *graph.Graph, numStages int) {
 	s.tracker.Observe(g, numStages)
 }
 
-// ObserveEviction is the cache eviction tap, wired to the solver LRU's
-// eviction hook. A hot key (decayed score at or above minScore) becomes a
-// re-admission candidate for the next pass; any key loses its
-// speculatively-warmed mark, since the entry it marked is gone. The hook
-// may run under the LRU's lock, so this only touches speculator state.
+// ObserveEviction is the cache eviction tap, wired to the solver engine's
+// eviction hook (Engine.OnEvict). A hot key (decayed score at or above
+// minScore) becomes a re-admission candidate for the next pass; any key
+// loses its speculatively-warmed mark, since the entry it marked is gone.
+// The hook may run under the engine's memo lock, so this only touches
+// speculator state.
 func (s *Speculator) ObserveEviction(fp uint64, numStages int) {
 	key := Key{FP: fp, Stages: numStages}
 	hot := s.tracker.Score(key) >= minScore
@@ -204,7 +205,7 @@ func (s *Speculator) WasSpeculative(fp uint64, numStages int) bool {
 
 // PopularityScore returns the key's decayed popularity score. It backs
 // the solver cache's popularity-aware eviction ordering and is safe to
-// call from the LRU's locked victim-selection path (the tracker lock is a
+// call from the engine's locked victim-selection path (the tracker lock is a
 // leaf).
 func (s *Speculator) PopularityScore(fp uint64, numStages int) float64 {
 	return s.tracker.Score(Key{FP: fp, Stages: numStages})

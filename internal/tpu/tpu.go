@@ -1,7 +1,7 @@
 // Package tpu is a cycle-approximate simulator of the paper's evaluation
 // platform: a host-driven pipeline of Coral Edge TPUs connected over USB
-// 3.0 (Figure 2). It substitutes for the physical testbed per the
-// reproduction's substitution rule (see DESIGN.md).
+// 3.0 (Figure 2). It stands in for the physical testbed, which this
+// reproduction does not have.
 //
 // The mechanisms that differentiate schedules on real silicon are modeled
 // directly:
