@@ -23,7 +23,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"time"
 
 	"respect/internal/graph"
 	"respect/internal/serve"
@@ -56,7 +55,6 @@ func newFleet(n int) []*replica {
 			Cluster: serve.ClusterConfig{
 				Advertise: urls[i],
 				Peers:     append([]string(nil), urls...),
-				Client:    &http.Client{Timeout: 2 * time.Second},
 			},
 		})
 		if err != nil {

@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"respect/internal/cluster"
 	"respect/internal/deploy"
@@ -135,7 +134,7 @@ func TestSchedulerQualityOrdering(t *testing.T) {
 // (no background loops), so every assertion is deterministic under -race.
 // A kill is the replica's HTTP server closing (peers see connection
 // refusals); a partition is a cut link in a shared reachability matrix
-// behind each replica's HTTP transport.
+// behind each replica's dialer.
 // ---------------------------------------------------------------------------
 
 // fleetPartition is the shared reachability matrix between fleet replicas.
@@ -172,19 +171,53 @@ func (p *fleetPartition) isBlocked(from, to string) bool {
 	return p.blocked[[2]string{from, to}]
 }
 
-// partitionTransport is one replica's outbound HTTP transport; requests
-// crossing a cut link fail with a transport error, like a real partition.
-type partitionTransport struct {
+// partitionDialer is one replica's outbound dialer: a dial across a cut
+// link fails, and a connection checks the link on every Read and Write,
+// so a pooled connection also obeys a partition that starts after it
+// was opened, like a real one.
+type partitionDialer struct {
 	from string
 	part *fleetPartition
 }
 
-func (tr *partitionTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	to := req.URL.Scheme + "://" + req.URL.Host
-	if tr.part.isBlocked(tr.from, to) {
-		return nil, fmt.Errorf("partition: %s cannot reach %s", tr.from, to)
+func (d *partitionDialer) DialContext(ctx context.Context, network, addr string) (net.Conn, error) {
+	to := "http://" + addr
+	if d.part.isBlocked(d.from, to) {
+		return nil, fmt.Errorf("partition: %s cannot reach %s", d.from, to)
 	}
-	return http.DefaultTransport.RoundTrip(req)
+	c, err := new(net.Dialer).DialContext(ctx, network, addr)
+	if err != nil {
+		return nil, err
+	}
+	return &partitionConn{Conn: c, d: d, to: to}, nil
+}
+
+// partitionConn is a connection that fails its I/O while its link is cut.
+type partitionConn struct {
+	net.Conn
+	d  *partitionDialer
+	to string
+}
+
+func (c *partitionConn) cut() error {
+	if c.d.part.isBlocked(c.d.from, c.to) {
+		return fmt.Errorf("partition: %s cannot reach %s", c.d.from, c.to)
+	}
+	return nil
+}
+
+func (c *partitionConn) Read(p []byte) (int, error) {
+	if err := c.cut(); err != nil {
+		return 0, err
+	}
+	return c.Conn.Read(p)
+}
+
+func (c *partitionConn) Write(p []byte) (int, error) {
+	if err := c.cut(); err != nil {
+		return 0, err
+	}
+	return c.Conn.Write(p)
 }
 
 // fleetNode is one in-process replica: a serve.Server on a real listener.
@@ -220,10 +253,7 @@ func newFleet(t *testing.T, n int, mutate func(i int, cfg *serve.Config)) ([]*fl
 			Cluster: serve.ClusterConfig{
 				Advertise: urls[i],
 				Peers:     append([]string(nil), urls...),
-				Client: &http.Client{
-					Transport: &partitionTransport{from: urls[i], part: part},
-					Timeout:   5 * time.Second,
-				},
+				Dial:      (&partitionDialer{from: urls[i], part: part}).DialContext,
 			},
 		}
 		if mutate != nil {

@@ -173,9 +173,11 @@ func (n *Node) Owner(fp uint64) (string, bool) {
 }
 
 // ForwardTarget reports where a request for fp should be proxied: the
-// owner's URL when the owner is a healthy (alive) remote peer, and
-// ok=false when this replica owns fp or the owner is suspect — the
-// local-solve fallback path.
+// owner's URL when the owner is a healthy (alive) remote peer. ok=false
+// is the local-solve fallback path: the target is "" when this replica
+// owns fp, and the owner's URL when the owner is suspect. One call is one
+// ring walk under one lock, so a caller that branches on both results
+// sees one membership view.
 func (n *Node) ForwardTarget(fp uint64) (string, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -23,8 +23,9 @@ var (
 // = receive, release = send), so the controller is lock-free on the fast
 // path and gauges fall out of channel lengths.
 type admission struct {
-	sem   chan struct{} // concurrency tokens
-	queue chan struct{} // wait-queue tokens
+	sem     chan struct{} // concurrency tokens
+	queue   chan struct{} // wait-queue tokens
+	release func()        // returns one concurrency token
 
 	admitted         atomic.Uint64
 	rejectedCapacity atomic.Uint64
@@ -41,6 +42,7 @@ func newAdmission(maxConcurrent, maxQueue int) *admission {
 		sem:   make(chan struct{}, maxConcurrent),
 		queue: make(chan struct{}, maxQueue),
 	}
+	a.release = func() { a.sem <- struct{}{} }
 	for i := 0; i < maxConcurrent; i++ {
 		a.sem <- struct{}{}
 	}
@@ -55,12 +57,8 @@ func newAdmission(maxConcurrent, maxQueue int) *admission {
 // immediate when the wait queue is full (errOverCapacity) and deferred
 // when ctx expires while queued (errQueueTimeout).
 func (a *admission) acquire(ctx context.Context) (release func(), err error) {
-	release = func() { a.sem <- struct{}{} }
-	select {
-	case <-a.sem:
-		a.admitted.Add(1)
+	if release, ok := a.tryAcquire(); ok {
 		return release, nil
-	default:
 	}
 	select {
 	case <-a.queue:
@@ -75,10 +73,22 @@ func (a *admission) acquire(ctx context.Context) (release func(), err error) {
 	select {
 	case <-a.sem:
 		a.admitted.Add(1)
-		return release, nil
+		return a.release, nil
 	case <-ctx.Done():
 		a.rejectedTimeout.Add(1)
 		return nil, errQueueTimeout
+	}
+}
+
+// tryAcquire admits the caller if a concurrency slot is free, without
+// waiting; ok is false when none is.
+func (a *admission) tryAcquire() (release func(), ok bool) {
+	select {
+	case <-a.sem:
+		a.admitted.Add(1)
+		return a.release, true
+	default:
+		return nil, false
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"respect/internal/cluster"
 	"respect/internal/graph"
 	"respect/internal/models"
 	"respect/internal/serve"
@@ -89,12 +90,14 @@ func TestEnvelopeContract(t *testing.T) {
 }
 
 // recordingOwner is a stand-in home shard: it records each /v1/schedule
-// body it is sent and counts the connections opened to it. With gate set,
-// a request waits until gate requests are in flight, so a round of that
-// many forwards needs that many connections at once.
+// body it is sent and counts the connections opened to it and those still
+// open. With gate set, a request waits until gate requests are in flight,
+// so a round of that many forwards needs that many connections at once.
+// It answers heartbeat probes as a healthy peer.
 type recordingOwner struct {
 	ts    *httptest.Server
 	conns atomic.Int64
+	open  atomic.Int64
 	gate  int
 
 	mu      sync.Mutex
@@ -106,6 +109,10 @@ type recordingOwner struct {
 func newRecordingOwner(t *testing.T, gate int) *recordingOwner {
 	o := &recordingOwner{gate: gate, release: make(chan struct{})}
 	o.ts = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == cluster.HeartbeatPath {
+			json.NewEncoder(w).Encode(cluster.HeartbeatMessage{From: o.ts.URL})
+			return
+		}
 		body, err := io.ReadAll(r.Body)
 		if err != nil {
 			t.Error(err)
@@ -125,8 +132,12 @@ func newRecordingOwner(t *testing.T, gate int) *recordingOwner {
 		io.WriteString(w, `{"graph":"from-the-owner"}`)
 	}))
 	o.ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
-		if state == http.StateNew {
+		switch state {
+		case http.StateNew:
 			o.conns.Add(1)
+			o.open.Add(1)
+		case http.StateClosed, http.StateHijacked:
+			o.open.Add(-1)
 		}
 	}
 	o.ts.Start()
@@ -135,17 +146,26 @@ func newRecordingOwner(t *testing.T, gate int) *recordingOwner {
 }
 
 // newForwarderTo returns a replica whose only peer is owner, with the
-// zoo models (of the candidates) whose key the peer owns. The ring hashes
-// the advertise URLs and the owner's port is random, so the replica tries
-// advertise names until the peer owns at least one candidate.
+// zoo models (of the candidates) whose key the peer owns.
 func newForwarderTo(t *testing.T, owner string, candidates []string) (*httptest.Server, []string) {
+	t.Helper()
+	srv, owned := newForwarderWith(t, serve.Config{WarmModels: []string{}}, owner, candidates)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	return ts, owned
+}
+
+// newForwarderWith builds a replica from cfg whose only peer is owner,
+// and returns it with the zoo models (of the candidates) whose key the
+// peer owns. The ring hashes the advertise URLs and the owner's port is
+// random, so the replica tries advertise names until the peer owns at
+// least one candidate.
+func newForwarderWith(t *testing.T, cfg serve.Config, owner string, candidates []string) (*serve.Server, []string) {
 	t.Helper()
 	for try := 0; try < 64; try++ {
 		self := fmt.Sprintf("http://forwarder-%d.test:80", try)
-		srv, err := serve.New(serve.Config{
-			WarmModels: []string{},
-			Cluster:    serve.ClusterConfig{Advertise: self, Peers: []string{self, owner}},
-		})
+		cfg.Cluster.Advertise, cfg.Cluster.Peers = self, []string{self, owner}
+		srv, err := serve.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,9 +176,7 @@ func newForwarderTo(t *testing.T, owner string, candidates []string) (*httptest.
 			}
 		}
 		if len(owned) > 0 {
-			ts := httptest.NewServer(srv)
-			t.Cleanup(ts.Close)
-			return ts, owned
+			return srv, owned
 		}
 	}
 	t.Fatal("no advertise name gave the peer one of the candidate models")
@@ -427,9 +445,8 @@ func TestInlineDocumentsConcurrently(t *testing.T) {
 }
 
 // TestForwardingReusesConnections: forwards run before admission, so
-// more than the default transport's two idle connections per host are in
-// flight to one peer at once; the surplus must go back to the idle pool,
-// not be closed and re-dialed on the next burst.
+// many connections to one peer are in flight at once; each must go back
+// to the idle stack, not be closed and re-dialed on the next burst.
 func TestForwardingReusesConnections(t *testing.T) {
 	const concurrent, rounds = 16, 10
 	owner := newRecordingOwner(t, concurrent)

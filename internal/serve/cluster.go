@@ -6,7 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"net"
 	"net/http"
 	"sort"
 	"sync"
@@ -29,12 +29,10 @@ type ClusterConfig struct {
 	// Peers lists every replica's advertise URL; the list may include
 	// Advertise (it is filtered out). Non-empty enables clustering.
 	Peers []string
-	// Client overrides the HTTP client used for probing and forwarding;
-	// tests inject partition-aware transports here. By default probes use
-	// a client with a 2s timeout, and forwards (which run under the
-	// request's own context deadline) a transport that keeps as many idle
-	// connections per peer as a peer admits requests at once.
-	Client *http.Client
+	// Dial opens every connection to a peer, heartbeat probes and
+	// forwards alike; tests inject partition-aware dialers here. Unset, a
+	// plain net.Dialer. Peer traffic never goes through a proxy.
+	Dial func(ctx context.Context, network, addr string) (net.Conn, error)
 }
 
 // Forwarding headers. A proxied request carries ForwardedFromHeader so
@@ -50,6 +48,9 @@ const (
 	ForwardedToHeader = "X-Respect-Forwarded-To"
 )
 
+// probeTimeout bounds one heartbeat probe.
+const probeTimeout = 2 * time.Second
+
 // outcomeForwarded is the request-duration outcome label for requests
 // relayed to their home shard; "ok" keeps meaning locally solved.
 const outcomeForwarded = "forwarded"
@@ -57,8 +58,8 @@ const outcomeForwarded = "forwarded"
 // clusterState is the server's fleet runtime: the membership node plus
 // the forwarding counters backing both /v1/stats and /metrics.
 type clusterState struct {
-	node   *cluster.Node
-	client *http.Client
+	node *cluster.Node
+	link *peerLink
 
 	relayed        atomic.Uint64 // requests proxied to their home shard
 	forwardErrors  atomic.Uint64 // proxy attempts that fell back to a local solve
@@ -66,8 +67,8 @@ type clusterState struct {
 }
 
 // initCluster builds the membership node and registers the cluster metric
-// families. Called by New after the class table is built (the forward
-// transport is sized by the class limits); a no-op when Peers is empty.
+// families. Called by New after the class table is built (the peer link
+// is sized by the class limits); a no-op when Peers is empty.
 func (s *Server) initCluster() error {
 	cc := s.cfg.Cluster
 	if len(cc.Peers) == 0 {
@@ -79,33 +80,29 @@ func (s *Server) initCluster() error {
 	if cc.Advertise == "" {
 		return errors.New("serve: Cluster.Peers set without Cluster.Advertise")
 	}
+	// Heartbeats dial afresh each probe, so no probe connection outlives
+	// the probe.
 	node, err := cluster.New(cluster.Config{
-		Self:   cc.Advertise,
-		Peers:  cc.Peers,
-		Client: cc.Client,
-		Logf:   s.cfg.Logf,
+		Self:  cc.Advertise,
+		Peers: cc.Peers,
+		Client: &http.Client{
+			Timeout:   probeTimeout,
+			Transport: &http.Transport{DialContext: cc.Dial, DisableKeepAlives: true},
+		},
+		Logf: s.cfg.Logf,
 	})
 	if err != nil {
 		return err
 	}
-	client := cc.Client
-	if client == nil {
-		// Forwarding happens before admission, so the number of forwards
-		// in flight to one peer is not bounded here; what the peer admits
-		// at once is, by the sum of its class limits. Keeping that many
-		// connections idle per peer means a burst re-dials nothing.
-		// http.DefaultTransport keeps two.
-		slots := 0
-		for _, st := range s.classes {
-			slots += st.policy.MaxConcurrent
-		}
-		client = &http.Client{Transport: &http.Transport{
-			Proxy:               http.ProxyFromEnvironment,
-			MaxIdleConnsPerHost: slots,
-			IdleConnTimeout:     90 * time.Second,
-		}}
+	// Forwarding happens before admission, so the number of forwards in
+	// flight to one peer is not bounded here; what the peer admits at
+	// once is, by the sum of its class limits. Keeping that many
+	// connections idle per peer means a burst re-dials nothing.
+	slots := 0
+	for _, st := range s.classes {
+		slots += st.policy.MaxConcurrent
 	}
-	s.cluster = &clusterState{node: node, client: client}
+	s.cluster = &clusterState{node: node, link: newPeerLink(node.Self(), cc.Dial, slots)}
 
 	forwards := s.reg.CounterVec("respect_cluster_forwards_total",
 		"Cross-shard request routing by result: relayed (proxied to the home shard), error_fallback (proxy failed, solved locally), local_unhealthy (owner suspect or dead, solved locally).",
@@ -206,48 +203,35 @@ func isForwarded(r *http.Request) bool {
 // the body bytes exactly as they arrived, and relays the response
 // verbatim (status, Retry-After, body) annotated with ForwardedToHeader.
 // It returns false — and counts a forward error — when the proxy attempt
-// itself failed (transport error, a 5xx from the owner, or an answer that
+// itself failed (connection error, a 5xx from the owner, or an answer that
 // failed to read or exceeds MaxBodyBytes), in which case the caller solves
 // locally: an answer is relayed whole or not at all. Owner-issued 4xx/429
-// are real answers and are relayed, not retried.
+// are real answers and are relayed, not retried. The link is done with
+// body when relaySchedule returns.
 func (s *Server) relaySchedule(w http.ResponseWriter, r *http.Request, target string, body []byte, class Class, budget time.Duration, arrival time.Time) bool {
 	// The owner itself spends up to one budget queueing plus one solving,
 	// so the proxy deadline is twice the class budget.
 	ctx, cancel := context.WithTimeout(r.Context(), 2*budget)
 	defer cancel()
-	preq, err := http.NewRequestWithContext(ctx, http.MethodPost, target+"/v1/schedule", bytes.NewReader(body))
-	if err != nil {
-		s.cluster.forwardErrors.Add(1)
-		return false
-	}
-	preq.Header.Set("Content-Type", "application/json")
-	preq.Header.Set(ForwardedFromHeader, s.cluster.node.Self())
-	resp, err := s.cluster.client.Do(preq)
-	if err != nil {
-		s.cluster.forwardErrors.Add(1)
-		return false
-	}
-	defer resp.Body.Close()
 	// One byte past the bound tells an answer that exceeds it from one
 	// that fills it exactly.
-	limit := s.cfg.MaxBodyBytes + 1
-	data, err := readPooled(io.LimitReader(resp.Body, limit), min(resp.ContentLength, limit))
+	status, retryAfter, data, err := s.cluster.link.post(ctx, target, "/v1/schedule", body, s.cfg.MaxBodyBytes+1)
 	if err != nil {
 		s.cluster.forwardErrors.Add(1)
 		return false
 	}
 	defer releaseBody(data)
-	if resp.StatusCode >= http.StatusInternalServerError || int64(data.Len()) > s.cfg.MaxBodyBytes {
+	if status >= http.StatusInternalServerError || int64(data.Len()) > s.cfg.MaxBodyBytes {
 		s.cluster.forwardErrors.Add(1)
 		return false
 	}
 	s.cluster.relayed.Add(1)
 	s.observeRequest(class, outcomeForwarded, arrival)
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
+	if retryAfter != "" {
+		w.Header().Set("Retry-After", retryAfter)
 	}
 	w.Header().Set(ForwardedToHeader, target)
-	writeSized(w, resp.StatusCode, data.Bytes())
+	writeSized(w, status, data.Bytes())
 	return true
 }
 
@@ -259,7 +243,7 @@ func (s *Server) batchForwardGroups(graphs []*graph.Graph) map[string][]int {
 	for i, g := range graphs {
 		if target, ok := s.cluster.node.ForwardTarget(g.Fingerprint()); ok {
 			groups[target] = append(groups[target], i)
-		} else if _, self := s.cluster.node.Owner(g.Fingerprint()); !self {
+		} else if target != "" {
 			s.cluster.localUnhealthy.Add(1)
 		}
 	}
@@ -267,8 +251,8 @@ func (s *Server) batchForwardGroups(graphs []*graph.Graph) map[string][]int {
 }
 
 // forwardBatchGroup proxies one owner's sub-batch and returns its items
-// in the order of idx. Any failure (transport, non-200, short or
-// malformed response) is an error; the caller solves the group locally.
+// in the order of idx. Any failure (connection, non-200, oversize, short
+// or malformed response) is an error; the caller solves the group locally.
 func (s *Server) forwardBatchGroup(ctx context.Context, target string, graphs []*graph.Graph, idx []int, numStages int, class Class, backend string, jobs int) ([]BatchItemJSON, error) {
 	sub := BatchRequest{
 		Graphs:  make([]json.RawMessage, len(idx)),
@@ -288,23 +272,19 @@ func (s *Server) forwardBatchGroup(ctx context.Context, target string, graphs []
 	if err != nil {
 		return nil, err
 	}
-	preq, err := http.NewRequestWithContext(ctx, http.MethodPost, target+"/v1/batch", bytes.NewReader(body))
+	status, _, data, err := s.cluster.link.post(ctx, target, "/v1/batch", body, s.cfg.MaxBodyBytes+1)
 	if err != nil {
 		return nil, err
 	}
-	preq.Header.Set("Content-Type", "application/json")
-	preq.Header.Set(ForwardedFromHeader, s.cluster.node.Self())
-	resp, err := s.cluster.client.Do(preq)
-	if err != nil {
-		return nil, err
+	defer releaseBody(data)
+	if status != http.StatusOK {
+		return nil, fmt.Errorf("owner %s: status %d", target, status)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, s.cfg.MaxBodyBytes))
-		return nil, fmt.Errorf("owner %s: status %d", target, resp.StatusCode)
+	if int64(data.Len()) > s.cfg.MaxBodyBytes {
+		return nil, fmt.Errorf("owner %s: answer exceeds %d bytes", target, s.cfg.MaxBodyBytes)
 	}
 	var br BatchResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, s.cfg.MaxBodyBytes)).Decode(&br); err != nil {
+	if err := json.Unmarshal(data.Bytes(), &br); err != nil {
 		return nil, err
 	}
 	if len(br.Items) != len(idx) {

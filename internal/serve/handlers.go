@@ -443,14 +443,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeDecodeError(w, err)
 		return
 	}
-	// A body that went out on a forwarding hop is not pooled again: the
-	// transport may still be reading it after the round trip returns.
-	forwarded := false
-	defer func() {
-		if !forwarded {
-			releaseBody(body)
-		}
-	}()
+	defer releaseBody(body)
 	req, inline, err := decodeSchedule(body.Bytes())
 	defer inline.release()
 	if err != nil {
@@ -506,16 +499,13 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	// forwarded requests always solve locally — one hop, no loops — as do
 	// ad-hoc portfolio overrides (no shared cache to concentrate).
 	if s.cluster != nil && override == nil && !isForwarded(r) {
-		if _, self := s.cluster.node.Owner(g.Fingerprint()); !self {
-			if target, ok := s.cluster.node.ForwardTarget(g.Fingerprint()); ok {
-				forwarded = true
-				if s.relaySchedule(w, r, target, body.Bytes(), class, st.policy.Budget, arrival) {
-					return
-				}
-				// Relay failed; fall through to the local solve.
-			} else {
-				s.cluster.localUnhealthy.Add(1)
+		if target, ok := s.cluster.node.ForwardTarget(g.Fingerprint()); ok {
+			if s.relaySchedule(w, r, target, body.Bytes(), class, st.policy.Budget, arrival) {
+				return
 			}
+			// Relay failed; fall through to the local solve.
+		} else if target != "" {
+			s.cluster.localUnhealthy.Add(1) // the owner is suspect
 		}
 	}
 

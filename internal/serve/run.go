@@ -11,13 +11,18 @@ import (
 // admit waits for one of the class's admission slots, for at most one
 // class budget. It is the only caller of acquire, so every admission
 // decision — one-shot, batch or periodic — has its wait measured once and
-// observed once on the queue-wait histogram. On success the caller must
-// call release exactly once when its work finishes.
+// observed once on the queue-wait histogram. A free slot is taken
+// without building the budget's timer; only a request that has to queue
+// gets one. On success the caller must call release exactly once when
+// its work finishes.
 func (s *Server) admit(ctx context.Context, class Class, st *classState) (release func(), wait time.Duration, err error) {
 	start := time.Now()
-	admCtx, cancel := context.WithTimeout(ctx, st.policy.Budget)
-	release, err = st.adm.acquire(admCtx)
-	cancel()
+	release, ok := st.adm.tryAcquire()
+	if !ok {
+		admCtx, cancel := context.WithTimeout(ctx, st.policy.Budget)
+		release, err = st.adm.acquire(admCtx)
+		cancel()
+	}
 	wait = time.Since(start)
 	s.queueSeconds.With(string(class)).Observe(wait.Seconds())
 	return release, wait, err

@@ -501,7 +501,7 @@ func (s *Server) Run(ctx context.Context, ln net.Listener) error {
 	defer stopRT()
 	clusterDone := make(chan struct{})
 	if s.cluster != nil {
-		defer s.cluster.client.CloseIdleConnections() // the forwarding keep-alives
+		defer s.cluster.link.closeIdle() // after Shutdown: no forward is left in flight
 		go func() {
 			defer close(clusterDone)
 			s.cluster.node.Run(ctx)
