@@ -75,14 +75,8 @@ func main() {
 	if agent != nil {
 		// Publish the agent's decode modes so registry-driven experiments
 		// (heur study, portfolio) can race them by name.
-		backends, err := solver.AgentBackends(agent, ecfg, solver.DefaultSamples, solver.DefaultBeamWidth)
-		if err != nil {
+		if err := solver.Default().BindAgent(agent, ecfg); err != nil {
 			log.Fatal(err)
-		}
-		for _, b := range backends {
-			if err := solver.Replace(b); err != nil {
-				log.Fatal(err)
-			}
 		}
 	}
 

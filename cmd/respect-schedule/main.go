@@ -46,8 +46,6 @@ func main() {
 		jobs       = flag.Int("jobs", 1, "parallel workers when scheduling several graphs")
 		agentPath  = flag.String("agent", "", "trained agent weights (enables the rl backends)")
 		timeout    = flag.Duration("timeout", 60*time.Second, "scheduling deadline (context); anytime backends return incumbents")
-		samples    = flag.Int("samples", solver.DefaultSamples, "stochastic decodes for the rl-sampled backend")
-		beam       = flag.Int("beam", solver.DefaultBeamWidth, "beam width for the rl-beam backend")
 		dotPath    = flag.String("dot", "", "write a stage-colored Graphviz rendering here (single graph only)")
 		simulate   = flag.Bool("sim", true, "simulate pipelined inference on the Coral platform model")
 		listOnly   = flag.Bool("list-backends", false, "list registered backends and exit")
@@ -59,14 +57,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		backends, err := solver.AgentBackends(m, embed.Default(), *samples, *beam)
-		if err != nil {
+		if err := solver.Default().BindAgent(m, embed.Default()); err != nil {
 			log.Fatalf("-agent %s: %v", *agentPath, err)
-		}
-		for _, b := range backends {
-			if err := solver.Replace(b); err != nil {
-				log.Fatal(err)
-			}
 		}
 	}
 

@@ -135,16 +135,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		backends, err := solver.AgentBackends(m, embed.Default(), solver.DefaultSamples, solver.DefaultBeamWidth)
-		if err != nil {
+		if err := solver.Default().BindAgent(m, embed.Default()); err != nil {
 			return fmt.Errorf("-agent %s: %w", *agentPath, err)
 		}
 		agent = m
-		for _, b := range backends {
-			if err := solver.Replace(b); err != nil {
-				return err
-			}
-		}
 	}
 
 	classes := defaults

@@ -8,11 +8,13 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"respect/internal/embed"
 	"respect/internal/ptrnet"
 )
 
@@ -494,6 +496,55 @@ func TestRunRefusesAgentOfAnotherWidth(t *testing.T) {
 	}
 	if strings.Contains(out.String(), "listening on") {
 		t.Fatalf("the server started listening:\n%s", out.String())
+	}
+}
+
+// TestRunAgentBackends: with an agent loaded the replica lists the
+// built-ins plus rl and rl-sampled, and a request pinned to a name that
+// is not registered is a 400 naming the backends that are.
+func TestRunAgentBackends(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "agent.gob")
+	if err := ptrnet.New(ptrnet.Config{InputDim: embed.Default().Dim(), Hidden: 8, Seed: 1}).SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	base, _, cancel, done := startServe(t, "-agent", path)
+	defer func() { cancel(); <-done }()
+
+	resp, err := http.Get(base + "/v1/backends")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var page struct {
+		Backends []string `json:"backends"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&page)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Other tests of this process may have bound online backends too.
+	for _, want := range []string{"anneal", "compiler", "compiler-full", "exact", "exact-ilp-grade", "force", "heur", "hu", "ilp", "list", "rl", "rl-sampled"} {
+		if !slices.Contains(page.Backends, want) {
+			t.Fatalf("backends %v lack %q", page.Backends, want)
+		}
+	}
+	for _, gone := range []string{"rl-beam", "dp"} {
+		if slices.Contains(page.Backends, gone) {
+			t.Fatalf("backends %v list %q", page.Backends, gone)
+		}
+	}
+
+	for _, name := range []string{"rl-beam", "dp"} {
+		resp, err := http.Post(base+"/v1/schedule", "application/json",
+			strings.NewReader(`{"model":"MobileNet","stages":4,"backends":["`+name+`"]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), name) || !strings.Contains(string(body), " heur ") || !strings.Contains(string(body), " rl-sampled") {
+			t.Fatalf("pinned to %s: %d %s, want a 400 naming it and the registered backends", name, resp.StatusCode, body)
+		}
 	}
 }
 

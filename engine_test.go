@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -78,6 +79,48 @@ func TestSchedulePortfolioAcceptance(t *testing.T) {
 		if c := s.Evaluate(g); c.Less(res.Cost) {
 			t.Fatalf("portfolio (%v via %s) worse than %s alone (%v)", res.Cost, res.Backend, name, c)
 		}
+	}
+}
+
+// TestRegisterBackendsRebinds: an agent registers rl and rl-sampled
+// beside the built-ins, and registering one again drops the schedules
+// the facade cached for the previous binding.
+func TestRegisterBackendsRebinds(t *testing.T) {
+	a := quickAgent(t)
+	if err := a.RegisterBackends(); err != nil {
+		t.Fatal(err)
+	}
+	names := Backends()
+	for _, want := range []string{"rl", "rl-sampled", "heur", "exact"} {
+		if !slices.Contains(names, want) {
+			t.Fatalf("backend %q missing (have %v)", want, names)
+		}
+	}
+	for _, gone := range []string{"rl-beam", "dp"} {
+		if slices.Contains(names, gone) {
+			t.Fatalf("backend %q still registered (have %v)", gone, names)
+		}
+	}
+	g, _ := LoadModel("MobileNet")
+	if _, err := ScheduleWith(context.Background(), "rl", g, 4); err != nil {
+		t.Fatal(err)
+	}
+	cached := func() bool {
+		t.Helper()
+		e, err := scheduleCaches.For("rl")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.Contains(g, 4)
+	}
+	if !cached() {
+		t.Fatal("the rl schedule was not cached")
+	}
+	if err := a.RegisterBackends(); err != nil {
+		t.Fatal(err)
+	}
+	if cached() {
+		t.Fatal("a schedule of the previous binding survived RegisterBackends")
 	}
 }
 
@@ -166,7 +209,7 @@ func TestScheduleWithRejectsInvalidSchedules(t *testing.T) {
 		s.Stage[0] = numStages // one past the last stage
 		return s, nil
 	})
-	if err := solver.Replace(bad); err != nil {
+	if err := solver.Default().Replace(bad); err != nil {
 		t.Fatal(err)
 	}
 	g, _ := LoadModel("MobileNet")
@@ -188,6 +231,24 @@ func TestScheduleWithRejectsInvalidSchedules(t *testing.T) {
 	}
 	if e, err := scheduleCaches.For(bad.Name()); err != nil || e.Contains(g, 4) {
 		t.Fatalf("invalid schedule cached (err=%v)", err)
+	}
+}
+
+// TestFacadeRefusesStageCountBelowOne: the facade's races and batches
+// report a stage count below 1 as an error instead of serving a
+// one-stage schedule.
+func TestFacadeRefusesStageCountBelowOne(t *testing.T) {
+	g, _ := LoadModel("MobileNet")
+	ctx := context.Background()
+	if res, err := SchedulePortfolio(ctx, g, 0, "heur", "exact"); err == nil {
+		t.Fatalf("SchedulePortfolio returned a %d-stage schedule from %q without an error", res.Schedule.NumStages, res.Backend)
+	}
+	results, err := ScheduleBatch(ctx, []*Graph{g}, 0, "exact", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results[0].Err == nil {
+		t.Fatalf("ScheduleBatch item returned a %d-stage schedule without an error", results[0].Schedule.NumStages)
 	}
 }
 

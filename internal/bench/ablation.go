@@ -94,11 +94,10 @@ type HeuristicRow struct {
 // StudyBackends returns the registry backends the heuristic study runs by
 // default: everything registered except the generic MILP (hours at model
 // scale), the full compiler emulation (its solve time is Figure 3's story,
-// not a quality story), the "dp" alias (the same heuristic as "heur"),
-// and the model-bound RL decoders, which need an agent.
+// not a quality story) and the model-bound RL decoders, which need an
+// agent.
 func StudyBackends() []string {
-	skip := map[string]bool{"ilp": true, "compiler-full": true, "dp": true,
-		"rl": true, "rl-sampled": true, "rl-beam": true}
+	skip := map[string]bool{"ilp": true, "compiler-full": true, "rl": true, "rl-sampled": true}
 	var names []string
 	for _, n := range solver.Names() {
 		if !skip[n] {

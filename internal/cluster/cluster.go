@@ -95,6 +95,7 @@ type Node struct {
 // presumed alive (the optimistic start means a booting fleet shards
 // immediately; the first probe round corrects the view).
 func New(cfg Config) (*Node, error) {
+	cfg.Self = normalizeURL(cfg.Self)
 	if cfg.Self == "" {
 		return nil, errors.New("cluster: Config.Self (advertise URL) is required")
 	}
@@ -109,7 +110,7 @@ func New(cfg Config) (*Node, error) {
 	seen := map[string]bool{cfg.Self: true}
 	var peers []*peer
 	for _, p := range cfg.Peers {
-		p = strings.TrimRight(p, "/")
+		p = normalizeURL(p)
 		if p == "" || seen[p] {
 			continue
 		}
@@ -130,6 +131,12 @@ func New(cfg Config) (*Node, error) {
 	n.rebuildRingLocked()
 	return n, nil
 }
+
+// normalizeURL gives an advertise URL the one form a Node keeps: no
+// trailing slash. Self and the peers pass through it alike, so a replica
+// recognises itself in the peer list, and the From it answers heartbeats
+// with is the URL its peers dialed.
+func normalizeURL(s string) string { return strings.TrimRight(s, "/") }
 
 // checkURL rejects advertise URLs a peer could not actually dial.
 func checkURL(s string) error {

@@ -198,10 +198,17 @@ func (r *responseRecorder) Write(b []byte) (int, error) {
 	return r.body.Write(b)
 }
 
-// heartbeatHandler answers heartbeat GETs as the given identity.
+// heartbeatHandler answers heartbeat GETs as the given identity, hashing
+// graphs as this build does.
 func heartbeatHandler(from string) http.Handler {
+	return versionHandler(from, graph.FingerprintVersion)
+}
+
+// versionHandler answers heartbeat GETs as the given identity and
+// fingerprint-function version.
+func versionHandler(from string, version int) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(HeartbeatMessage{From: from, UptimeSeconds: 1})
+		json.NewEncoder(w).Encode(HeartbeatMessage{From: from, FingerprintVersion: version, UptimeSeconds: 1})
 	})
 }
 
@@ -287,6 +294,70 @@ func TestProbeRejectsIdentityMismatch(t *testing.T) {
 	}
 }
 
+// TestProbeRejectsFingerprintVersionMismatch: a peer that hashes graphs
+// with another function (or does not say which) would place every key
+// elsewhere on the ring, so it reads as unhealthy and is not forwarded to.
+func TestProbeRejectsFingerprintVersionMismatch(t *testing.T) {
+	for _, version := range []int{0, graph.FingerprintVersion + 1} {
+		ft := &fakeTransport{}
+		ft.set("http://b:1", versionHandler("http://b:1", version))
+		n, err := New(Config{
+			Self:   "http://a:1",
+			Peers:  []string{"http://b:1"},
+			Client: &http.Client{Transport: ft},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < deadAfter; i++ {
+			n.ProbeOnce(context.Background())
+		}
+		if st, _ := n.PeerState("http://b:1"); st != StateDead {
+			t.Fatalf("version %d: state %s after %d probes, want dead", version, st, deadAfter)
+		}
+	}
+}
+
+// TestTrailingSlashAdvertise: an advertise URL written with a trailing
+// slash names the same replica as the one without. The replica does not
+// list itself as a peer, answers heartbeats as the URL its peers dial,
+// and so stays alive in their view.
+func TestTrailingSlashAdvertise(t *testing.T) {
+	ft := &fakeTransport{}
+	a, err := New(Config{
+		Self:   "http://a:1/",
+		Peers:  []string{"http://a:1/", "http://b:1"},
+		Client: &http.Client{Transport: ft},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Peers(); len(got) != 1 || got[0] != "http://b:1" {
+		t.Fatalf("peers %q, want [http://b:1]", got)
+	}
+	if a.Self() != "http://a:1" || a.Heartbeat().From != "http://a:1" {
+		t.Fatalf("self %q, heartbeat from %q: want http://a:1", a.Self(), a.Heartbeat().From)
+	}
+
+	ft.set("http://a:1", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(a.Heartbeat())
+	}))
+	b, err := New(Config{
+		Self:   "http://b:1",
+		Peers:  []string{"http://a:1/", "http://b:1"},
+		Client: &http.Client{Transport: ft},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < deadAfter; i++ {
+		b.ProbeOnce(context.Background())
+	}
+	if st, _ := b.PeerState("http://a:1"); st != StateAlive {
+		t.Fatalf("peer a: state %s after %d probes, want alive", st, deadAfter)
+	}
+}
+
 func TestForwardTargetSemantics(t *testing.T) {
 	ft := &fakeTransport{}
 	ft.set("http://b:1", heartbeatHandler("http://b:1"))
@@ -342,7 +413,7 @@ func TestHeartbeatMessage(t *testing.T) {
 		t.Fatal(err)
 	}
 	hb := n.Heartbeat()
-	if hb.From != "http://a:1" || hb.Peers["http://b:1"] != "alive" {
+	if hb.From != "http://a:1" || hb.FingerprintVersion != graph.FingerprintVersion || hb.Peers["http://b:1"] != "alive" {
 		t.Fatalf("heartbeat %+v", hb)
 	}
 	if later := n.Heartbeat(); hb.UptimeSeconds < 0 || later.UptimeSeconds < hb.UptimeSeconds {
@@ -356,8 +427,8 @@ func TestHeartbeatMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.From != hb.From {
-		t.Fatalf("round trip changed from: %q", back.From)
+	if back.From != hb.From || back.FingerprintVersion != hb.FingerprintVersion {
+		t.Fatalf("round trip changed from or version: %+v", back)
 	}
 
 	for _, raw := range []string{`x`, `{}`, `{"from":"nope"}`} {

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"respect/internal/graph"
 )
 
 // maxWireBytes bounds any single heartbeat message read off the network;
@@ -23,10 +25,16 @@ const maxHeartbeatPeers = 1024
 // endpoint. From is the responder's advertise URL — a prober checks it
 // against the URL it dialed, so a peer list pointing at the wrong server
 // (or a replica advertising the wrong identity) reads as unhealthy
-// instead of silently joining the ring.
+// instead of silently joining the ring. FingerprintVersion is checked
+// against the prober's graph.FingerprintVersion the same way: replicas
+// that hash graphs differently would place one graph at two points of
+// the ring and cache it under two keys, so they do not forward to each
+// other.
 type HeartbeatMessage struct {
 	// From is the responder's advertise URL.
 	From string `json:"from"`
+	// FingerprintVersion is the responder's graph.FingerprintVersion.
+	FingerprintVersion int `json:"fingerprint_version"`
 	// UptimeSeconds is how long the responder has been up.
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// Peers maps each of the responder's configured peers to the state it
@@ -37,9 +45,10 @@ type HeartbeatMessage struct {
 // Heartbeat builds this node's heartbeat response.
 func (n *Node) Heartbeat() HeartbeatMessage {
 	hb := HeartbeatMessage{
-		From:          n.cfg.Self,
-		UptimeSeconds: time.Since(n.start).Seconds(),
-		Peers:         make(map[string]string),
+		From:               n.cfg.Self,
+		FingerprintVersion: graph.FingerprintVersion,
+		UptimeSeconds:      time.Since(n.start).Seconds(),
+		Peers:              make(map[string]string),
 	}
 	n.mu.Lock()
 	for _, p := range n.peers {
@@ -132,7 +141,8 @@ func (n *Node) ProbeOnce(ctx context.Context) {
 }
 
 // probe issues one heartbeat GET and reports whether the peer answered
-// healthily as the identity the peer list claims for it.
+// healthily as the identity the peer list claims for it, hashing graphs
+// as this replica does.
 func (n *Node) probe(ctx context.Context, peerURL string) bool {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peerURL+HeartbeatPath, nil)
 	if err != nil {
@@ -153,5 +163,5 @@ func (n *Node) probe(ctx context.Context, peerURL string) bool {
 	if err != nil {
 		return false
 	}
-	return hb.From == peerURL
+	return hb.From == peerURL && hb.FingerprintVersion == graph.FingerprintVersion
 }

@@ -29,6 +29,12 @@ func (g *Graph) Fingerprint() uint64 {
 // cache looks either up by Fingerprint and asks for Graph on a miss.
 func (g *Graph) Graph() *Graph { return g }
 
+// FingerprintVersion names the hash function Fingerprint computes, and
+// changes whenever the function does. Replicas exchange it in their
+// heartbeats: two builds that hash differently disagree on every key's
+// place on the ring, so they must not share one.
+const FingerprintVersion = 2
+
 // xxHash64's primes.
 const (
 	prime1 uint64 = 0x9E3779B185EBCA87

@@ -156,7 +156,7 @@ func New(cfg Config) (*Manager, error) {
 	}
 	ecfg := embed.Default()
 	if cfg.Agent != nil {
-		if _, err := solver.AgentBackends(cfg.Agent, ecfg, 0, 0); err != nil {
+		if err := solver.CheckAgent(cfg.Agent, ecfg); err != nil {
 			return nil, fmt.Errorf("online: seed agent refused: %w", err)
 		}
 	}

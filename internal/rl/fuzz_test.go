@@ -39,7 +39,7 @@ func fuzzDAG(data []byte) (*graph.Graph, []byte) {
 	return g.MustBuild(), data
 }
 
-// FuzzClassSchedule runs the three decoders over the sibling-class
+// FuzzClassSchedule runs the greedy and sampled decoders over the sibling-class
 // quotient of DAGs built from the fuzz bytes, with a tiny seeded model:
 // none may fail or panic, and every schedule must be deployable as it
 // comes out, with no repair after it.
@@ -82,7 +82,5 @@ func FuzzClassSchedule(f *testing.F) {
 		if greedy.Evaluate(g).Less(sampled.Evaluate(g)) {
 			t.Fatalf("sampled %v is worse than the greedy rollout it includes, %v", sampled.Evaluate(g), greedy.Evaluate(g))
 		}
-		beam, err := ScheduleBeamCtx(ctx, m, ecfg, g, ns, 1+at(4)%4)
-		check("beam", beam, err)
 	})
 }

@@ -440,19 +440,3 @@ func ScheduleSampledCtx(ctx context.Context, m *ptrnet.Model, ecfg embed.Config,
 	}
 	return best, nil
 }
-
-// ScheduleBeamCtx is beam-search inference: the width most likely class
-// orders are decoded jointly and the most likely one is deployed. ctx is
-// checked at every step.
-func ScheduleBeamCtx(ctx context.Context, m *ptrnet.Model, ecfg embed.Config, g *graph.Graph, numStages, width int) (sched.Schedule, error) {
-	c, err := encode(ctx, m, ecfg, g)
-	if err != nil {
-		return sched.Schedule{}, err
-	}
-	defer c.enc.Release()
-	seq, err := c.enc.Beam(ctx, width)
-	if err != nil {
-		return sched.Schedule{}, err
-	}
-	return c.deploy(seq, numStages)
-}

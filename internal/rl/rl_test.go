@@ -2,7 +2,6 @@ package rl
 
 import (
 	"bytes"
-	"context"
 	"os"
 	"testing"
 
@@ -283,24 +282,6 @@ func TestScheduleSampledNeverWorseThanGreedy(t *testing.T) {
 	}
 	if !sampled.SameStageChildrenOK(g) {
 		t.Fatal("sampled schedule not hardware-ready")
-	}
-}
-
-func TestScheduleBeamValid(t *testing.T) {
-	tr, err := NewTrainer(smallCfg(33))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := models.MustLoad("Xception")
-	s, err := ScheduleBeamCtx(context.Background(), tr.Model, tr.EmbedCfg, g, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-	if !s.SameStageChildrenOK(g) {
-		t.Fatal("beam schedule not hardware-ready")
 	}
 }
 

@@ -110,7 +110,7 @@ func newRecordingOwner(t *testing.T, gate int) *recordingOwner {
 	o := &recordingOwner{gate: gate, release: make(chan struct{})}
 	o.ts = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == cluster.HeartbeatPath {
-			json.NewEncoder(w).Encode(cluster.HeartbeatMessage{From: o.ts.URL})
+			json.NewEncoder(w).Encode(cluster.HeartbeatMessage{From: o.ts.URL, FingerprintVersion: graph.FingerprintVersion})
 			return
 		}
 		body, err := io.ReadAll(r.Body)

@@ -321,7 +321,7 @@ func (truncatingBackend) ScheduleInfo(ctx context.Context, g *graph.Graph, numSt
 // back budget-truncated must leave no cache entry and no speculative
 // mark — the cache honesty contract holds on the speculative path too.
 func TestSpeculationTruncatedSolvesNeverCached(t *testing.T) {
-	if err := solver.Replace(truncatingBackend{}); err != nil {
+	if err := solver.Default().Replace(truncatingBackend{}); err != nil {
 		t.Fatal(err)
 	}
 	cfg := specConfig(64, true)

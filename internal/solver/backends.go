@@ -136,7 +136,6 @@ func init() {
 		Compiler(),
 		CompilerFull(),
 		Heur(),
-		heuristic("dp", heur.DPBudget), // historical CLI name for Heur
 		heuristic("hu", heur.HuLevel),
 		heuristic("list", heur.ListSchedule),
 		heuristic("force", heur.ForceDirected),

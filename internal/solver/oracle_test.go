@@ -67,7 +67,7 @@ func TestExactFamilyOracle(t *testing.T) {
 			others = append(others, b)
 		}
 	}
-	if len(others) < 9 {
+	if len(others) < 8 {
 		t.Fatalf("only %d model-free backends besides the exact family: %v", len(others), Names())
 	}
 

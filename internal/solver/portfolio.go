@@ -120,10 +120,15 @@ func solve(ctx context.Context, b Scheduler, g *graph.Graph, numStages int) (out
 
 // PortfolioOpt is Portfolio with explicit options. A race of one runs on
 // the caller's goroutine under the caller's context: there is nobody to
-// cancel and no patience to wait out.
+// cancel and no patience to wait out. A stage count below 1 is refused
+// before any backend starts, so every race, engine solve and batch item
+// refuses it alike.
 func PortfolioOpt(ctx context.Context, backends []Scheduler, g *graph.Graph, numStages int, opts PortfolioOptions) (PortfolioResult, error) {
 	if len(backends) == 0 {
 		return PortfolioResult{}, errors.New("solver: portfolio needs at least one backend")
+	}
+	if numStages < 1 {
+		return PortfolioResult{}, fmt.Errorf("solver: %d pipeline stages, want at least 1", numStages)
 	}
 	res := PortfolioResult{Outcomes: make([]Outcome, len(backends))}
 	if len(backends) == 1 {

@@ -127,9 +127,6 @@ func Default() *Registry { return defaultRegistry }
 // Register adds s to the default registry.
 func Register(s Scheduler) error { return defaultRegistry.Register(s) }
 
-// Replace adds s to the default registry, overwriting an existing name.
-func Replace(s Scheduler) error { return defaultRegistry.Replace(s) }
-
 // Lookup resolves a backend from the default registry.
 func Lookup(name string) (Scheduler, error) { return defaultRegistry.Lookup(name) }
 

@@ -13,8 +13,8 @@ import (
 
 // RL backends are model-bound: they wrap a trained pointer network, so
 // they cannot be registered at init time. Whoever loads or trains an
-// agent constructs them here and registers them (see Registry.Replace,
-// which keeps re-loading an agent idempotent).
+// agent binds them (Registry.BindAgent, which replaces an earlier
+// agent's).
 
 // Pointer decoding points at the graph's sibling classes and is quadratic
 // in their count (a millisecond or two on ResNet50's 77, tens of
@@ -41,34 +41,33 @@ func RLSampled(m *ptrnet.Model, ecfg embed.Config, samples int, seed int64) Sche
 	})
 }
 
-// RLBeam returns the beam-search decode backend ("rl-beam") of the given
-// width.
-func RLBeam(m *ptrnet.Model, ecfg embed.Config, width int) Scheduler {
-	return NewFunc("rl-beam", func(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, error) {
-		return rl.ScheduleBeamCtx(ctx, m, ecfg, g, numStages, width)
-	})
+// agentSamples is the number of stochastic decodes the bound
+// "rl-sampled" draws beside its greedy rollout.
+const agentSamples = 16
+
+// CheckAgent refuses a model whose input width is not the embedding's:
+// such a model cannot decode a single graph, and the decoder reports that
+// by panicking in the middle of a solve. Every loader of an agent file
+// passes here, through Registry.BindAgent or directly.
+func CheckAgent(m *ptrnet.Model, ecfg embed.Config) error {
+	if m.Cfg.InputDim != ecfg.Dim() {
+		return fmt.Errorf("solver: agent expects input width %d, the embedding produces %d", m.Cfg.InputDim, ecfg.Dim())
+	}
+	return nil
 }
 
-// The inference knobs an agent's sampled and beam backends get unless a
-// caller has its own.
-const (
-	DefaultSamples   = 16
-	DefaultBeamWidth = 8
-)
-
-// AgentBackends bundles the three decode modes of one trained model:
-// greedy, best of samples stochastic decodes, and beam search of the given
-// width. It is where every loader of an agent file passes, so it is where
-// a model whose input width is not the embedding's is refused: such a
-// model cannot decode a single graph, and the decoder reports that by
-// panicking in the middle of a solve.
-func AgentBackends(m *ptrnet.Model, ecfg embed.Config, samples, beamWidth int) ([]Scheduler, error) {
-	if m.Cfg.InputDim != ecfg.Dim() {
-		return nil, fmt.Errorf("solver: agent expects input width %d, the embedding produces %d", m.Cfg.InputDim, ecfg.Dim())
+// BindAgent registers the decode modes of one trained model in r: "rl"
+// (greedy) and "rl-sampled" (the greedy rollout and 16 stochastic
+// decodes, seed 1). They replace any agent bound before; a model
+// CheckAgent refuses registers nothing.
+func (r *Registry) BindAgent(m *ptrnet.Model, ecfg embed.Config) error {
+	if err := CheckAgent(m, ecfg); err != nil {
+		return err
 	}
-	return []Scheduler{
-		RL(m, ecfg),
-		RLSampled(m, ecfg, samples, 1),
-		RLBeam(m, ecfg, beamWidth),
-	}, nil
+	for _, s := range []Scheduler{RL(m, ecfg), RLSampled(m, ecfg, agentSamples, 1)} {
+		if err := r.Replace(s); err != nil {
+			return err
+		}
+	}
+	return nil
 }

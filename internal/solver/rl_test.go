@@ -54,8 +54,7 @@ func TestRLBackendsObserveCancellationMidDecode(t *testing.T) {
 		backend Scheduler
 		checks  int64 // consultations that still succeed
 	}{
-		{RL(m, ecfg), 1 + n/2},        // pre-flight, then half the steps
-		{RLBeam(m, ecfg, 4), 1 + n/2}, // likewise
+		{RL(m, ecfg), 1 + n/2}, // pre-flight, then half the steps
 		{RLSampled(m, ecfg, 3, 1), 1 + n/2},
 		{RLSampled(m, ecfg, 3, 1), 1 + n},       // the whole greedy rollout: cut between samples
 		{RLSampled(m, ecfg, 3, 1), 1 + 2*n + 3}, // inside the second sample
@@ -175,4 +174,69 @@ func TestPortfolioNotHeldByCancelledRL(t *testing.T) {
 			t.Fatalf("rl outcome err = %v, want context.DeadlineExceeded", o.Err)
 		}
 	})
+}
+
+// TestBindAgent: binding registers exactly the two decode modes, a model
+// of the wrong input width is refused with nothing registered, and a
+// second binding replaces the first.
+func TestBindAgent(t *testing.T) {
+	m1, ecfg := rlTestModel()
+	r := NewRegistry()
+	wide := ptrnet.New(ptrnet.Config{InputDim: ecfg.Dim() + 1, Hidden: 8, Seed: 1})
+	if err := r.BindAgent(wide, ecfg); err == nil {
+		t.Fatal("a model of the wrong input width was bound")
+	}
+	if names := r.Names(); len(names) != 0 {
+		t.Fatalf("a refused model registered %v", names)
+	}
+	if err := r.BindAgent(m1, ecfg); err != nil {
+		t.Fatal(err)
+	}
+	if names := r.Names(); !slices.Equal(names, []string{"rl", "rl-sampled"}) {
+		t.Fatalf("registered %v, want [rl rl-sampled]", names)
+	}
+	if err := r.BindAgent(wide, ecfg); err == nil {
+		t.Fatal("a model of the wrong input width was bound over a good one")
+	}
+
+	// Find a graph the two models decode differently, so the bound "rl"
+	// tells them apart.
+	m2 := ptrnet.New(ptrnet.Config{InputDim: ecfg.Dim(), Hidden: 64, Seed: 2})
+	decode := func(s Scheduler, g *graph.Graph) []int {
+		t.Helper()
+		out, err := s.Schedule(context.Background(), g, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.Stage
+	}
+	var g *graph.Graph
+	for seed := int64(1); seed <= 50 && g == nil; seed++ {
+		if c := randomDAG(seed, 20); !slices.Equal(decode(RL(m1, ecfg), c), decode(RL(m2, ecfg), c)) {
+			g = c
+		}
+	}
+	if g == nil {
+		t.Fatal("no graph tells the two models apart")
+	}
+	bound := func() []int {
+		t.Helper()
+		s, err := r.Lookup("rl")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return decode(s, g)
+	}
+	if !slices.Equal(bound(), decode(RL(m1, ecfg), g)) {
+		t.Fatal("the refused binding replaced the bound model")
+	}
+	if err := r.BindAgent(m2, ecfg); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(bound(), decode(RL(m2, ecfg), g)) {
+		t.Fatal("rl still decodes with the first model after a second binding")
+	}
+	if names := r.Names(); !slices.Equal(names, []string{"rl", "rl-sampled"}) {
+		t.Fatalf("after rebinding: %v, want [rl rl-sampled]", names)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -75,7 +76,7 @@ func (b *blocker) Schedule(ctx context.Context, g *graph.Graph, numStages int) (
 
 func TestRegistryBuiltins(t *testing.T) {
 	names := Names()
-	for _, want := range []string{"exact", "exact-ilp-grade", "ilp", "heur", "compiler", "compiler-full", "hu", "list", "force", "dp", "anneal"} {
+	for _, want := range []string{"exact", "exact-ilp-grade", "ilp", "heur", "compiler", "compiler-full", "hu", "list", "force", "anneal"} {
 		found := false
 		for _, n := range names {
 			if n == want {
@@ -260,6 +261,44 @@ func TestPortfolioAllFail(t *testing.T) {
 	}
 	if _, err := Portfolio(context.Background(), nil, g, 2); err == nil {
 		t.Fatal("want error for an empty portfolio")
+	}
+}
+
+// TestStageCountBelowOneRefused: a race, an engine solve and a batch item
+// with fewer than one stage are errors, and no backend is started. Left
+// to the backends, exact would solve one stage and call it proven and
+// heur would panic.
+func TestStageCountBelowOneRefused(t *testing.T) {
+	g := randomDAG(7, 12)
+	var calls atomic.Int64
+	counting := NewFunc("counting", func(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, error) {
+		calls.Add(1)
+		return sched.Schedule{}, errors.New("counting backend")
+	})
+	members := []Scheduler{counting, Heur(), Exact()}
+	e := NewEngine(members, 8, PortfolioOptions{})
+	for _, stages := range []int{0, -1} {
+		if res, err := Portfolio(context.Background(), members, g, stages); err == nil {
+			t.Errorf("%d stages: race returned %d-stage schedule from %q without an error", stages, res.Schedule.NumStages, res.Backend)
+		}
+		if _, err := Portfolio(context.Background(), []Scheduler{Exact()}, g, stages); err == nil {
+			t.Errorf("%d stages: exact alone returned no error", stages)
+		}
+		if _, _, err := e.Run(context.Background(), g, stages); err == nil {
+			t.Errorf("%d stages: engine solve returned no error", stages)
+		}
+		results, err := Batch(context.Background(), e, []*graph.Graph{g, chain(6, 5)}, stages, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range results {
+			if r.Err == nil {
+				t.Errorf("%d stages: batch item %d has no error", stages, i)
+			}
+		}
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("a backend started %d times on a stage count below 1", n)
 	}
 }
 

@@ -137,17 +137,11 @@ func LoadAgent(path string) (*Agent, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &Agent{model: m, ecfg: embed.Default()}
-	if _, err := a.backends(); err != nil { // refuses a file trained for another embedding
+	ecfg := embed.Default()
+	if err := solver.CheckAgent(m, ecfg); err != nil { // refuses a file trained for another embedding
 		return nil, err
 	}
-	return a, nil
-}
-
-// backends returns the agent's three decode modes with the default
-// inference knobs.
-func (a *Agent) backends() ([]Backend, error) {
-	return solver.AgentBackends(a.model, a.ecfg, solver.DefaultSamples, solver.DefaultBeamWidth)
+	return &Agent{model: m, ecfg: ecfg}, nil
 }
 
 // ScheduleExact computes the provably optimal (peak parameter memory)
@@ -156,7 +150,9 @@ func (a *Agent) backends() ([]Backend, error) {
 // children of a node in one stage), so the result needs no PostProcess and
 // no backend's deployed schedule has a lower peak. optimal reports whether
 // the search completed within timeout. It is a thin wrapper over
-// ScheduleExactCtx with a timeout-derived context.
+// ScheduleExactCtx with a timeout-derived context. A numStages below 1 is
+// solved as 1: the result is a one-stage schedule, and optimal is about
+// that.
 func ScheduleExact(g *Graph, numStages int, timeout time.Duration) (s Schedule, cost Cost, optimal bool) {
 	ctx := context.Background()
 	if timeout > 0 {
@@ -171,7 +167,7 @@ func ScheduleExact(g *Graph, numStages int, timeout time.Duration) (s Schedule, 
 // expired deadline truncates the search and returns the best incumbent
 // (optimal false), so the caller always gets a valid deployable schedule.
 // With optimal true, cost.PeakParamBytes is proven minimal over the
-// deployable schedules of g.
+// deployable schedules of g. A numStages below 1 is solved as 1.
 func ScheduleExactCtx(ctx context.Context, g *Graph, numStages int) (s Schedule, cost Cost, optimal bool) {
 	res := exact.SolveCtx(ctx, g, numStages, exact.Options{MaxStates: 200_000_000, ChildrenRule: true})
 	return res.Schedule, res.Cost, res.Optimal
@@ -179,12 +175,12 @@ func ScheduleExactCtx(ctx context.Context, g *Graph, numStages int) (s Schedule,
 
 // ScheduleCompiler returns the Edge TPU compiler baseline's partition
 // (parameter-balanced greedy, hardware-repaired) — a thin wrapper over the
-// registry's "compiler" backend.
+// registry's "compiler" backend. It panics when numStages is below 1.
 func ScheduleCompiler(g *Graph, numStages int) Schedule {
 	s, err := ScheduleWith(context.Background(), "compiler", g, numStages)
 	if err != nil {
 		// The compiler heuristic cannot fail on a built graph with an
-		// un-cancelled context.
+		// un-cancelled context and at least one stage.
 		panic("respect: compiler backend: " + err.Error())
 	}
 	return s
@@ -255,9 +251,9 @@ func NewBackend(name string, fn func(ctx context.Context, g *Graph, numStages in
 }
 
 // Backends lists every registered scheduler backend, sorted. The built-in
-// set (exact, exact-ilp-grade, ilp, heur, dp, compiler, compiler-full, hu,
-// list, force, anneal) is always present; RL backends appear once an
-// Agent registers them.
+// set (exact, exact-ilp-grade, ilp, heur, compiler, compiler-full, hu,
+// list, force, anneal) is always present; rl and rl-sampled appear once
+// an Agent registers them.
 func Backends() []string { return solver.Names() }
 
 // RegisterBackend adds a custom backend to the registry; names must be
@@ -267,19 +263,14 @@ func RegisterBackend(b Backend) error { return solver.Register(b) }
 // LookupBackend resolves a registered backend by name.
 func LookupBackend(name string) (Backend, error) { return solver.Lookup(name) }
 
-// RegisterBackends publishes the agent's three decode modes ("rl",
-// "rl-sampled", "rl-beam", with default inference knobs) in the backend
-// registry, overwriting any previously registered agent, and resets the
-// schedule cache so stale results from the previous agent cannot surface.
+// RegisterBackends publishes the agent's two decode modes ("rl", greedy,
+// and "rl-sampled", the best of the greedy rollout and 16 stochastic
+// decodes) in the backend registry, overwriting any previously
+// registered agent, and resets the schedule cache so stale results from
+// the previous agent cannot surface.
 func (a *Agent) RegisterBackends() error {
-	backends, err := a.backends()
-	if err != nil {
+	if err := solver.Default().BindAgent(a.model, a.ecfg); err != nil {
 		return err
-	}
-	for _, b := range backends {
-		if err := solver.Replace(b); err != nil {
-			return err
-		}
 	}
 	ResetScheduleCache()
 	return nil
