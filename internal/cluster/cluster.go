@@ -5,9 +5,10 @@
 // probing with alive → suspect → dead transitions and deterministic
 // rebalancing on membership change).
 //
-// The package is transport-light by design: a Node speaks plain HTTP/JSON
-// to its peers (heartbeat GETs against a path the serving layer mounts),
-// and the serving layer owns request forwarding — cluster only answers
+// The package is transport-free by design: a Node probes its peers
+// through a hook the serving layer fills (a heartbeat GET of a path the
+// serving layer mounts, sent over its peer link), and the serving layer
+// owns request forwarding — cluster only answers
 // "who owns this fingerprint, and are they healthy?" via Owner and
 // ForwardTarget. Every decision is a pure function of the locally
 // observed peer states, so two replicas with the same view agree on every
@@ -18,7 +19,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"net/url"
 	"sort"
 	"strings"
@@ -37,15 +37,15 @@ type Config struct {
 	// Peers lists every replica's advertise URL. Self is filtered out,
 	// duplicates are dropped; the empty list is a single-node fleet.
 	Peers []string
-	// Client issues heartbeat requests. The default client has a 2s
-	// timeout. Tests inject partition-aware transports here.
-	Client *http.Client
+	// Probe sends one heartbeat GET of HeartbeatPath to the peer at the
+	// advertise URL and returns the answer's status and body; the Node
+	// checks both. It runs under a context bounded by the probe timeout.
+	// Nil, every probe fails: such a Node only computes owners over its
+	// configured view.
+	Probe func(ctx context.Context, peer string) (status int, body []byte, err error)
 	// Logf, when set, receives membership-transition log lines.
 	Logf func(format string, args ...any)
 }
-
-// defaultClientTimeout bounds one heartbeat when Config.Client is unset.
-const defaultClientTimeout = 2 * time.Second
 
 // The fleet's fixed geometry and pacing. The ring points and the peer
 // endpoint must be the same on every replica for owners to agree, so they
@@ -54,8 +54,9 @@ const defaultClientTimeout = 2 * time.Second
 const (
 	// virtualNodes is the number of ring points per member.
 	virtualNodes = 64
-	// probeInterval paces Run's probe loop.
+	// probeInterval paces Run's probe loop; probeTimeout bounds one probe.
 	probeInterval = 500 * time.Millisecond
+	probeTimeout  = 2 * time.Second
 	// suspectAfter consecutive probe failures make a peer suspect — still
 	// an owner, but not forwarded to; deadAfter make it dead, and it
 	// leaves the ring.
@@ -80,9 +81,8 @@ type peer struct {
 // explicitly (the chaos harness does). All methods are safe for
 // concurrent use.
 type Node struct {
-	cfg    Config
-	client *http.Client
-	start  time.Time
+	cfg   Config
+	start time.Time
 
 	mu    sync.Mutex
 	peers []*peer // sorted by URL; never contains Self
@@ -102,11 +102,6 @@ func New(cfg Config) (*Node, error) {
 	if err := checkURL(cfg.Self); err != nil {
 		return nil, fmt.Errorf("cluster: self %q: %w", cfg.Self, err)
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: defaultClientTimeout}
-	}
-
 	seen := map[string]bool{cfg.Self: true}
 	var peers []*peer
 	for _, p := range cfg.Peers {
@@ -123,10 +118,9 @@ func New(cfg Config) (*Node, error) {
 	sort.Slice(peers, func(i, j int) bool { return peers[i].url < peers[j].url })
 
 	n := &Node{
-		cfg:    cfg,
-		client: client,
-		start:  time.Now(),
-		peers:  peers,
+		cfg:   cfg,
+		start: time.Now(),
+		peers: peers,
 	}
 	n.rebuildRingLocked()
 	return n, nil
@@ -232,7 +226,7 @@ type MemberInfo struct {
 }
 
 // Stats is a point-in-time snapshot of the node's membership; it backs
-// GET /v1/cluster and the metric families.
+// the cluster block of GET /v1/stats and the metric families.
 type Stats struct {
 	// Self is this replica's advertise URL.
 	Self string `json:"self"`

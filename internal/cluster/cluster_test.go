@@ -1,6 +1,6 @@
 // Unit tests for the cluster layer: consistent-hash ring properties
 // (agreement, balance, minimal disruption), membership state transitions
-// driven through a fake in-memory transport, forward-target semantics
+// driven through a fake in-memory probe hook, forward-target semantics
 // and the heartbeat message.
 package cluster
 
@@ -9,9 +9,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -139,63 +139,42 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// fakeTransport routes requests by advertise URL to in-memory handlers
-// and lets tests fail specific peers.
-type fakeTransport struct {
+// fakePeers is a probe hook that answers heartbeat GETs from in-memory
+// handlers, by advertise URL, and lets tests fail specific peers.
+type fakePeers struct {
 	mu       sync.Mutex
 	handlers map[string]http.Handler // advertise URL -> handler
 	down     map[string]bool
 }
 
-func (ft *fakeTransport) set(url string, h http.Handler) {
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	if ft.handlers == nil {
-		ft.handlers = make(map[string]http.Handler)
-		ft.down = make(map[string]bool)
+func (f *fakePeers) set(url string, h http.Handler) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.handlers == nil {
+		f.handlers = make(map[string]http.Handler)
+		f.down = make(map[string]bool)
 	}
-	ft.handlers[url] = h
+	f.handlers[url] = h
 }
 
-func (ft *fakeTransport) setDown(url string, down bool) {
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	ft.down[url] = down
+func (f *fakePeers) setDown(url string, down bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.down[url] = down
 }
 
-func (ft *fakeTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	base := req.URL.Scheme + "://" + req.URL.Host
-	ft.mu.Lock()
-	h, ok := ft.handlers[base]
-	down := ft.down[base]
-	ft.mu.Unlock()
+// probe is the Config.Probe hook.
+func (f *fakePeers) probe(ctx context.Context, peer string) (int, []byte, error) {
+	f.mu.Lock()
+	h, ok := f.handlers[peer]
+	down := f.down[peer]
+	f.mu.Unlock()
 	if !ok || down {
-		return nil, fmt.Errorf("fakeTransport: %s unreachable", base)
+		return 0, nil, fmt.Errorf("fakePeers: %s unreachable", peer)
 	}
-	rec := &responseRecorder{header: make(http.Header)}
-	h.ServeHTTP(rec, req)
-	return &http.Response{
-		StatusCode: rec.code,
-		Header:     rec.header,
-		Body:       io.NopCloser(bytes.NewReader(rec.body.Bytes())),
-		Request:    req,
-	}, nil
-}
-
-// responseRecorder is a minimal http.ResponseWriter for fakeTransport.
-type responseRecorder struct {
-	header http.Header
-	body   bytes.Buffer
-	code   int
-}
-
-func (r *responseRecorder) Header() http.Header { return r.header }
-func (r *responseRecorder) WriteHeader(c int)   { r.code = c }
-func (r *responseRecorder) Write(b []byte) (int, error) {
-	if r.code == 0 {
-		r.code = http.StatusOK
-	}
-	return r.body.Write(b)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, peer+HeartbeatPath, nil).WithContext(ctx))
+	return rec.Code, rec.Body.Bytes(), nil
 }
 
 // heartbeatHandler answers heartbeat GETs as the given identity, hashing
@@ -213,12 +192,12 @@ func versionHandler(from string, version int) http.Handler {
 }
 
 func TestMembershipTransitions(t *testing.T) {
-	ft := &fakeTransport{}
-	ft.set("http://b:1", heartbeatHandler("http://b:1"))
+	fake := &fakePeers{}
+	fake.set("http://b:1", heartbeatHandler("http://b:1"))
 	n, err := New(Config{
-		Self:   "http://a:1",
-		Peers:  []string{"http://b:1"},
-		Client: &http.Client{Transport: ft},
+		Self:  "http://a:1",
+		Peers: []string{"http://b:1"},
+		Probe: fake.probe,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +218,7 @@ func TestMembershipTransitions(t *testing.T) {
 		t.Fatalf("after healthy probe: state %s, want alive", got)
 	}
 
-	ft.setDown("http://b:1", true)
+	fake.setDown("http://b:1", true)
 	n.ProbeOnce(ctx)
 	if got := stateOf("http://b:1"); got != "suspect" {
 		t.Fatalf("after 1 failure: state %s, want suspect", got)
@@ -263,7 +242,7 @@ func TestMembershipTransitions(t *testing.T) {
 	}
 
 	// Recovery: one healthy probe resurrects the peer and rebalances back.
-	ft.setDown("http://b:1", false)
+	fake.setDown("http://b:1", false)
 	n.ProbeOnce(ctx)
 	if got := stateOf("http://b:1"); got != "alive" {
 		t.Fatalf("after recovery: state %s, want alive", got)
@@ -274,14 +253,14 @@ func TestMembershipTransitions(t *testing.T) {
 }
 
 func TestProbeRejectsIdentityMismatch(t *testing.T) {
-	ft := &fakeTransport{}
+	fake := &fakePeers{}
 	// The server at b:1 claims to be someone else — a misconfigured peer
 	// list must read as unhealthy, not silently join the ring.
-	ft.set("http://b:1", heartbeatHandler("http://evil:1"))
+	fake.set("http://b:1", heartbeatHandler("http://evil:1"))
 	n, err := New(Config{
-		Self:   "http://a:1",
-		Peers:  []string{"http://b:1"},
-		Client: &http.Client{Transport: ft},
+		Self:  "http://a:1",
+		Peers: []string{"http://b:1"},
+		Probe: fake.probe,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -299,12 +278,12 @@ func TestProbeRejectsIdentityMismatch(t *testing.T) {
 // elsewhere on the ring, so it reads as unhealthy and is not forwarded to.
 func TestProbeRejectsFingerprintVersionMismatch(t *testing.T) {
 	for _, version := range []int{0, graph.FingerprintVersion + 1} {
-		ft := &fakeTransport{}
-		ft.set("http://b:1", versionHandler("http://b:1", version))
+		fake := &fakePeers{}
+		fake.set("http://b:1", versionHandler("http://b:1", version))
 		n, err := New(Config{
-			Self:   "http://a:1",
-			Peers:  []string{"http://b:1"},
-			Client: &http.Client{Transport: ft},
+			Self:  "http://a:1",
+			Peers: []string{"http://b:1"},
+			Probe: fake.probe,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -318,16 +297,41 @@ func TestProbeRejectsFingerprintVersionMismatch(t *testing.T) {
 	}
 }
 
+// TestProbeNeedsHookAndOK: a Node built without a probe hook computes
+// owners but counts every probe as failed, and an answer other than 200
+// is a failed probe even when its body is a valid heartbeat.
+func TestProbeNeedsHookAndOK(t *testing.T) {
+	bare, err := New(Config{Self: "http://a:1", Peers: []string{"http://b:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fake := &fakePeers{}
+	fake.set("http://b:1", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusServiceUnavailable)
+		json.NewEncoder(w).Encode(HeartbeatMessage{From: "http://b:1", FingerprintVersion: graph.FingerprintVersion})
+	}))
+	hooked, err := New(Config{Self: "http://a:1", Peers: []string{"http://b:1"}, Probe: fake.probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range map[string]*Node{"no hook": bare, "status 503": hooked} {
+		n.ProbeOnce(context.Background())
+		if st, _ := n.PeerState("http://b:1"); st != StateSuspect {
+			t.Errorf("%s: state %s after one probe, want suspect", name, st)
+		}
+	}
+}
+
 // TestTrailingSlashAdvertise: an advertise URL written with a trailing
 // slash names the same replica as the one without. The replica does not
 // list itself as a peer, answers heartbeats as the URL its peers dial,
 // and so stays alive in their view.
 func TestTrailingSlashAdvertise(t *testing.T) {
-	ft := &fakeTransport{}
+	fake := &fakePeers{}
 	a, err := New(Config{
-		Self:   "http://a:1/",
-		Peers:  []string{"http://a:1/", "http://b:1"},
-		Client: &http.Client{Transport: ft},
+		Self:  "http://a:1/",
+		Peers: []string{"http://a:1/", "http://b:1"},
+		Probe: fake.probe,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -339,13 +343,13 @@ func TestTrailingSlashAdvertise(t *testing.T) {
 		t.Fatalf("self %q, heartbeat from %q: want http://a:1", a.Self(), a.Heartbeat().From)
 	}
 
-	ft.set("http://a:1", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	fake.set("http://a:1", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(a.Heartbeat())
 	}))
 	b, err := New(Config{
-		Self:   "http://b:1",
-		Peers:  []string{"http://a:1/", "http://b:1"},
-		Client: &http.Client{Transport: ft},
+		Self:  "http://b:1",
+		Peers: []string{"http://a:1/", "http://b:1"},
+		Probe: fake.probe,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -359,12 +363,12 @@ func TestTrailingSlashAdvertise(t *testing.T) {
 }
 
 func TestForwardTargetSemantics(t *testing.T) {
-	ft := &fakeTransport{}
-	ft.set("http://b:1", heartbeatHandler("http://b:1"))
+	fake := &fakePeers{}
+	fake.set("http://b:1", heartbeatHandler("http://b:1"))
 	n, err := New(Config{
-		Self:   "http://a:1",
-		Peers:  []string{"http://b:1"},
-		Client: &http.Client{Transport: ft},
+		Self:  "http://a:1",
+		Peers: []string{"http://b:1"},
+		Probe: fake.probe,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -394,7 +398,7 @@ func TestForwardTargetSemantics(t *testing.T) {
 
 	// A suspect owner is not a forward target (local fallback) but still
 	// owns its range — no rebalance.
-	ft.setDown("http://b:1", true)
+	fake.setDown("http://b:1", true)
 	n.ProbeOnce(context.Background())
 	if owner, self := n.Owner(peerFP); self || owner != "http://b:1" {
 		t.Fatalf("suspect peer lost ownership: owner %q self=%v", owner, self)

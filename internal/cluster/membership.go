@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -140,26 +141,20 @@ func (n *Node) ProbeOnce(ctx context.Context) {
 	n.mu.Unlock()
 }
 
-// probe issues one heartbeat GET and reports whether the peer answered
-// healthily as the identity the peer list claims for it, hashing graphs
-// as this replica does.
+// probe issues one heartbeat GET through the probe hook and reports
+// whether the peer answered healthily as the identity the peer list
+// claims for it, hashing graphs as this replica does.
 func (n *Node) probe(ctx context.Context, peerURL string) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peerURL+HeartbeatPath, nil)
-	if err != nil {
+	if n.cfg.Probe == nil {
 		return false
 	}
-	resp, err := n.client.Do(req)
-	if err != nil {
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
+	defer cancel()
+	status, body, err := n.cfg.Probe(ctx, peerURL)
+	if err != nil || status != http.StatusOK {
 		return false
 	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, maxWireBytes))
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return false
-	}
-	hb, err := DecodeHeartbeat(resp.Body)
+	hb, err := DecodeHeartbeat(bytes.NewReader(body))
 	if err != nil {
 		return false
 	}

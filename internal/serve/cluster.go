@@ -1,27 +1,21 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"net/http"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"respect/internal/cluster"
-	"respect/internal/graph"
-	"respect/internal/solver"
 )
 
 // ClusterConfig turns one server into a fleet replica: the graph
-// fingerprint space is consistent-hash sharded across the peer set, each
-// request is proxied to its home shard (with a local-solve fallback when
-// the owner is unhealthy). Clustering is enabled when Peers is non-empty.
+// fingerprint space is consistent-hash sharded across the peer set, and
+// each /v1/schedule request is proxied to its home shard (with a
+// local-solve fallback when the owner is unhealthy); a /v1/batch is
+// solved where it arrives. Clustering is enabled when Peers is non-empty.
 type ClusterConfig struct {
 	// Advertise is this replica's URL as its peers can reach it
 	// (scheme://host:port). Required when Peers is set.
@@ -47,9 +41,6 @@ const (
 	// served it.
 	ForwardedToHeader = "X-Respect-Forwarded-To"
 )
-
-// probeTimeout bounds one heartbeat probe.
-const probeTimeout = 2 * time.Second
 
 // outcomeForwarded is the request-duration outcome label for requests
 // relayed to their home shard; "ok" keeps meaning locally solved.
@@ -80,14 +71,14 @@ func (s *Server) initCluster() error {
 	if cc.Advertise == "" {
 		return errors.New("serve: Cluster.Peers set without Cluster.Advertise")
 	}
-	// Heartbeats dial afresh each probe, so no probe connection outlives
-	// the probe.
+	// The node probes over the link, which is set before New returns and
+	// so before any probe runs.
+	var link *peerLink
 	node, err := cluster.New(cluster.Config{
 		Self:  cc.Advertise,
 		Peers: cc.Peers,
-		Client: &http.Client{
-			Timeout:   probeTimeout,
-			Transport: &http.Transport{DialContext: cc.Dial, DisableKeepAlives: true},
+		Probe: func(ctx context.Context, peer string) (int, []byte, error) {
+			return link.get(ctx, peer, cluster.HeartbeatPath, s.cfg.MaxBodyBytes)
 		},
 		Logf: s.cfg.Logf,
 	})
@@ -102,7 +93,8 @@ func (s *Server) initCluster() error {
 	for _, st := range s.classes {
 		slots += st.policy.MaxConcurrent
 	}
-	s.cluster = &clusterState{node: node, link: newPeerLink(node.Self(), cc.Dial, slots)}
+	link = newPeerLink(node.Self(), cc.Dial, slots)
+	s.cluster = &clusterState{node: node, link: link}
 
 	forwards := s.reg.CounterVec("respect_cluster_forwards_total",
 		"Cross-shard request routing by result: relayed (proxied to the home shard), error_fallback (proxy failed, solved locally), local_unhealthy (owner suspect or dead, solved locally).",
@@ -146,9 +138,8 @@ func (s *Server) SpeculateOnce(ctx context.Context) int {
 	return total
 }
 
-// ClusterStats is the fleet block of /v1/stats and GET /v1/cluster:
-// membership from the node plus the serving layer's
-// forwarding counters.
+// ClusterStats is the fleet block of /v1/stats: membership from the node
+// plus the serving layer's forwarding counters.
 type ClusterStats struct {
 	cluster.Stats
 	// ForwardsRelayed counts requests proxied to their home shard.
@@ -171,15 +162,6 @@ func (s *Server) ClusterStats() *ClusterStats {
 		ForwardErrors:          s.cluster.forwardErrors.Load(),
 		ForwardsLocalUnhealthy: s.cluster.localUnhealthy.Load(),
 	}
-}
-
-// handleClusterStats serves GET /v1/cluster.
-func (s *Server) handleClusterStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodNotAllowed(w, http.MethodGet)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.ClusterStats())
 }
 
 // handleClusterHeartbeat serves GET /v1/cluster/heartbeat, the liveness
@@ -215,7 +197,7 @@ func (s *Server) relaySchedule(w http.ResponseWriter, r *http.Request, target st
 	defer cancel()
 	// One byte past the bound tells an answer that exceeds it from one
 	// that fills it exactly.
-	status, retryAfter, data, err := s.cluster.link.post(ctx, target, "/v1/schedule", body, s.cfg.MaxBodyBytes+1)
+	status, retryAfter, data, err := s.cluster.link.send(ctx, http.MethodPost, target, "/v1/schedule", body, s.cfg.MaxBodyBytes+1)
 	if err != nil {
 		s.cluster.forwardErrors.Add(1)
 		return false
@@ -233,136 +215,4 @@ func (s *Server) relaySchedule(w http.ResponseWriter, r *http.Request, target st
 	w.Header().Set(ForwardedToHeader, target)
 	writeSized(w, status, data.Bytes())
 	return true
-}
-
-// batchForwardGroups buckets a resolved batch by healthy remote owner;
-// indices of self-owned graphs (or graphs whose owner is unhealthy) are
-// not bucketed and solve locally.
-func (s *Server) batchForwardGroups(graphs []*graph.Graph) map[string][]int {
-	groups := make(map[string][]int)
-	for i, g := range graphs {
-		if target, ok := s.cluster.node.ForwardTarget(g.Fingerprint()); ok {
-			groups[target] = append(groups[target], i)
-		} else if target != "" {
-			s.cluster.localUnhealthy.Add(1)
-		}
-	}
-	return groups
-}
-
-// forwardBatchGroup proxies one owner's sub-batch and returns its items
-// in the order of idx. Any failure (connection, non-200, oversize, short
-// or malformed response) is an error; the caller solves the group locally.
-func (s *Server) forwardBatchGroup(ctx context.Context, target string, graphs []*graph.Graph, idx []int, numStages int, class Class, backend string, jobs int) ([]BatchItemJSON, error) {
-	sub := BatchRequest{
-		Graphs:  make([]json.RawMessage, len(idx)),
-		Stages:  numStages,
-		Class:   string(class),
-		Backend: backend,
-		Jobs:    jobs,
-	}
-	for k, i := range idx {
-		var buf bytes.Buffer
-		if err := graphs[i].WriteJSON(&buf); err != nil {
-			return nil, err
-		}
-		sub.Graphs[k] = json.RawMessage(buf.Bytes())
-	}
-	body, err := json.Marshal(sub)
-	if err != nil {
-		return nil, err
-	}
-	status, _, data, err := s.cluster.link.post(ctx, target, "/v1/batch", body, s.cfg.MaxBodyBytes+1)
-	if err != nil {
-		return nil, err
-	}
-	defer releaseBody(data)
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("owner %s: status %d", target, status)
-	}
-	if int64(data.Len()) > s.cfg.MaxBodyBytes {
-		return nil, fmt.Errorf("owner %s: answer exceeds %d bytes", target, s.cfg.MaxBodyBytes)
-	}
-	var br BatchResponse
-	if err := json.Unmarshal(data.Bytes(), &br); err != nil {
-		return nil, err
-	}
-	if len(br.Items) != len(idx) {
-		return nil, fmt.Errorf("owner %s: %d items for %d graphs", target, len(br.Items), len(idx))
-	}
-	return br.Items, nil
-}
-
-// runClusteredBatch executes a batch whose graphs span shards: remote
-// groups are proxied to their owners while the local remainder solves
-// here, and any group whose proxy failed is re-solved locally (the
-// fallback guarantee: an admitted batch never loses items to peer
-// failures). Items return in input order.
-func (s *Server) runClusteredBatch(ctx context.Context, engine *solver.Engine, graphs []*graph.Graph, numStages int, class Class, backend string, jobs int, groups map[string][]int) []BatchItemJSON {
-	items := make([]BatchItemJSON, len(graphs))
-	remote := make(map[int]bool)
-	for _, idx := range groups {
-		for _, i := range idx {
-			remote[i] = true
-		}
-	}
-
-	var (
-		mu       sync.Mutex
-		fallback []int
-		wg       sync.WaitGroup
-	)
-	for target, idx := range groups {
-		wg.Add(1)
-		go func(target string, idx []int) {
-			defer wg.Done()
-			sub, err := s.forwardBatchGroup(ctx, target, graphs, idx, numStages, class, backend, jobs)
-			if err != nil {
-				s.cluster.forwardErrors.Add(1)
-				s.logf("cluster: batch group -> %s failed, solving %d items locally: %v", target, len(idx), err)
-				mu.Lock()
-				fallback = append(fallback, idx...)
-				mu.Unlock()
-				return
-			}
-			s.cluster.relayed.Add(1)
-			mu.Lock()
-			for k, i := range idx {
-				items[i] = sub[k]
-				items[i].Index = i
-				items[i].ForwardedTo = target
-			}
-			mu.Unlock()
-		}(target, idx)
-	}
-
-	var local []int
-	for i := range graphs {
-		if !remote[i] {
-			local = append(local, i)
-		}
-	}
-	s.solveBatchLocal(ctx, engine, graphs, local, numStages, jobs, items)
-	wg.Wait()
-	if len(fallback) > 0 {
-		sort.Ints(fallback)
-		s.solveBatchLocal(ctx, engine, graphs, fallback, numStages, jobs, items)
-	}
-	return items
-}
-
-// solveBatchLocal solves the given graph indices through the local batch
-// engine and writes their items (in input positions) into items.
-func (s *Server) solveBatchLocal(ctx context.Context, engine *solver.Engine, graphs []*graph.Graph, idx []int, numStages, jobs int, items []BatchItemJSON) {
-	if len(idx) == 0 {
-		return
-	}
-	subset := make([]*graph.Graph, len(idx))
-	for k, i := range idx {
-		subset[k] = graphs[i]
-	}
-	results, _ := solver.Batch(ctx, engine, subset, numStages, jobs)
-	for k, res := range results {
-		items[idx[k]] = batchItemJSON(idx[k], res)
-	}
 }

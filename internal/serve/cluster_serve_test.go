@@ -1,5 +1,5 @@
-// Serve-layer fleet tests: batch sub-batch forwarding with per-group
-// fallback, and forwarded-header loop prevention. The full chaos and
+// Serve-layer fleet tests: a batch is solved where it is admitted, even
+// with the peer dead, and forwarded-header loop prevention. The full chaos and
 // partition suite lives in the repo root integration tests.
 package serve_test
 
@@ -12,6 +12,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -21,7 +22,7 @@ import (
 )
 
 // newPair boots two clustered replicas of cfg wired to each other and
-// returns them with their base URLs.
+// returns them with their base URLs and a function that stops each one.
 func newPair(t *testing.T, cfg serve.Config) (srvs [2]*serve.Server, urls [2]string, kill [2]func()) {
 	t.Helper()
 	var lns [2]net.Listener
@@ -68,96 +69,73 @@ func pairGraph(t *testing.T, seed int) (*graph.Graph, json.RawMessage) {
 	return g, json.RawMessage(buf.Bytes())
 }
 
-// TestClusterBatchSplitsByOwner sends a mixed-ownership batch to one
-// replica: remote-owned items come back annotated with the owner that
-// solved them, local items do not, and order is preserved.
-func TestClusterBatchSplitsByOwner(t *testing.T) {
-	srvs, urls, _ := newPair(t, serve.Config{WarmModels: []string{}})
-
-	// Collect graphs until both shards are represented.
-	var raws []json.RawMessage
-	var owners []string
-	haveLocal, haveRemote := false, false
-	for seed := 0; !(haveLocal && haveRemote) || len(raws) < 6; seed++ {
-		g, raw := pairGraph(t, seed)
-		owner, self := srvs[0].Cluster().Owner(g.Fingerprint())
-		raws = append(raws, raw)
-		owners = append(owners, owner)
-		if self {
-			haveLocal = true
-		} else {
-			haveRemote = true
-		}
-		if seed > 100 {
-			t.Fatal("could not find graphs for both shards")
-		}
+// TestBatchSolvedWhereAdmitted sends one batch of zoo models owned by
+// both replicas of a fleet, and two inline graphs, to the replica that
+// is not the recording peer: its items equal a standalone server's for
+// the same body, nothing is relayed, and the peer receives no request.
+func TestBatchSolvedWhereAdmitted(t *testing.T) {
+	peer := newRecordingOwner(t, 0)
+	fleet, owned := newForwarderWith(t, serve.Config{WarmModels: []string{}}, peer.ts.URL, models.Names())
+	if len(owned) == len(models.Names()) {
+		t.Fatal("the peer owns every zoo model; the batch would not span both replicas")
 	}
-
-	body, err := json.Marshal(serve.BatchRequest{Graphs: raws, Stages: 4, Class: "interactive"})
+	_, g0 := pairGraph(t, 0)
+	_, g1 := pairGraph(t, 1)
+	body, err := json.Marshal(serve.BatchRequest{Models: models.Names(), Graphs: []json.RawMessage{g0, g1}, Stages: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(urls[0]+"/v1/batch", "application/json", bytes.NewReader(body))
+	standalone, err := serve.New(serve.Config{WarmModels: []string{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch: %d: %s", resp.StatusCode, data)
-	}
-	var out serve.BatchResponse
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatalf("decode %s: %v", data, err)
-	}
-	if len(out.Items) != len(raws) || out.Errors != 0 {
-		t.Fatalf("batch returned %d items / %d errors, want %d / 0", len(out.Items), out.Errors, len(raws))
-	}
-	for i, item := range out.Items {
-		if item.Index != i || len(item.Stage) == 0 {
-			t.Fatalf("item %d: index %d with %d stages", i, item.Index, len(item.Stage))
+	items := func(h http.Handler) []serve.BatchItemJSON {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
+		var out serve.BatchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("batch: status %d, decode error %v: %s", rec.Code, err, rec.Body.Bytes())
 		}
-		wantForward := ""
-		if owners[i] != srvs[0].Cluster().Self() {
-			wantForward = owners[i]
+		for i := range out.Items {
+			out.Items[i].ElapsedMS = 0
 		}
-		if item.ForwardedTo != wantForward {
-			t.Fatalf("item %d: forwarded_to %q, want %q", i, item.ForwardedTo, wantForward)
-		}
+		return out.Items
 	}
-	if srvs[0].ClusterStats().ForwardsRelayed == 0 {
-		t.Fatal("no batch sub-batch was relayed")
+	got, want := items(fleet), items(standalone)
+	if len(got) != len(models.Names())+2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("fleet items differ from a standalone server's:\n got %+v\nwant %+v", got, want)
+	}
+	if n := fleet.ClusterStats().ForwardsRelayed; n != 0 {
+		t.Fatalf("forwards_relayed %d after a batch, want 0", n)
+	}
+	peer.mu.Lock()
+	defer peer.mu.Unlock()
+	if len(peer.bodies) != 0 {
+		t.Fatalf("the peer received %d requests, want none", len(peer.bodies))
 	}
 }
 
-// TestClusterBatchFallbackOnDeadOwner kills the peer and sends the same
-// mixed batch: every item must still come back solved (locally), none
-// annotated as forwarded.
+// TestClusterBatchFallbackOnDeadOwner kills the peer and sends a batch
+// of graphs owned by both replicas: every item must still come back
+// solved on the replica that admitted it, and no forward is attempted
+// to the dead peer.
 func TestClusterBatchFallbackOnDeadOwner(t *testing.T) {
 	srvs, urls, kill := newPair(t, serve.Config{WarmModels: []string{}})
 	var raws []json.RawMessage
+	remote := 0
 	for seed := 0; seed < 6; seed++ {
-		_, raw := pairGraph(t, seed)
+		g, raw := pairGraph(t, seed)
+		if _, self := srvs[0].Cluster().Owner(g.Fingerprint()); !self {
+			remote++
+		}
 		raws = append(raws, raw)
+	}
+	if remote == 0 {
+		t.Fatal("the dead peer owns none of the batch's graphs")
 	}
 	kill[1]()
 
-	body, err := json.Marshal(serve.BatchRequest{Graphs: raws, Stages: 4, Class: "interactive"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(urls[0]+"/v1/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp, data := postJSON(t, urls[0]+"/v1/batch", serve.BatchRequest{Graphs: raws, Stages: 4, Class: "interactive"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch with dead peer: %d: %s", resp.StatusCode, data)
 	}
@@ -171,13 +149,12 @@ func TestClusterBatchFallbackOnDeadOwner(t *testing.T) {
 	}
 	for i, item := range out.Items {
 		if len(item.Stage) == 0 {
-			t.Fatalf("item %d unsolved after fallback", i)
-		}
-		if item.ForwardedTo != "" {
-			t.Fatalf("item %d claims the dead peer solved it", i)
+			t.Fatalf("item %d unsolved with the peer dead", i)
 		}
 	}
-	_ = srvs
+	if st := srvs[0].ClusterStats(); st.ForwardErrors != 0 || st.ForwardsRelayed != 0 {
+		t.Fatalf("a batch reached for the dead peer: %d forward errors, %d relayed", st.ForwardErrors, st.ForwardsRelayed)
+	}
 }
 
 // TestClusterForwardLoopPrevention marks a request as already forwarded:

@@ -127,7 +127,6 @@ func TestResponsesAreSized(t *testing.T) {
 	for _, step := range []struct {
 		name, method, path, body string
 	}{
-		{"cluster", "GET", "/v1/cluster", ""},
 		{"cluster heartbeat", "GET", cluster.HeartbeatPath, ""},
 	} {
 		resp, data := exchange(t, step.method, urls[0]+step.path, step.body)
@@ -160,7 +159,6 @@ func TestMethodNotAllowedNamesAllow(t *testing.T) {
 		{"/v1/stats", []string{"GET"}},
 		{"/v1/periodic", []string{"GET", "POST"}},
 		{"/v1/periodic/cam", []string{"DELETE"}},
-		{"/v1/cluster", []string{"GET"}},
 		{cluster.HeartbeatPath, []string{"GET"}},
 	}
 	methods := []string{"GET", "POST", "PUT", "PATCH", "DELETE"}

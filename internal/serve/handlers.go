@@ -200,9 +200,6 @@ type BatchItemJSON struct {
 	CacheHit  bool      `json:"cache_hit"`
 	Truncated bool      `json:"truncated,omitempty"`
 	ElapsedMS float64   `json:"elapsed_ms"`
-	// ForwardedTo names the fleet peer that solved this item when it was
-	// proxied to its home shard; empty for locally solved items.
-	ForwardedTo string `json:"forwarded_to,omitempty"`
 }
 
 // batchItemJSON converts one batch solve result to its wire form.
@@ -656,22 +653,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), st.policy.Budget)
 	defer cancel()
 	start := time.Now()
-	// Fleet routing: graphs owned by healthy remote shards are proxied to
-	// their owners as sub-batches (concurrently with the local remainder)
-	// so the owners' caches see the traffic; already-forwarded batches
-	// solve entirely locally.
-	var items []BatchItemJSON
-	if s.cluster != nil && !isForwarded(r) {
-		if groups := s.batchForwardGroups(graphs); len(groups) > 0 {
-			items = s.runClusteredBatch(ctx, engine, graphs, numStages, class, backendName, jobs, groups)
-		}
-	}
-	if items == nil {
-		results, _ := solver.Batch(ctx, engine, graphs, numStages, jobs)
-		items = make([]BatchItemJSON, len(results))
-		for i, res := range results {
-			items[i] = batchItemJSON(i, res)
-		}
+	// A batch is solved where it was admitted, in fleet mode too: every
+	// backend returns the same schedule for a graph on any replica.
+	results, _ := solver.Batch(ctx, engine, graphs, numStages, jobs)
+	items := make([]BatchItemJSON, len(results))
+	for i, res := range results {
+		items[i] = batchItemJSON(i, res)
 	}
 	s.observeRequest(class, outcomeOK, arrival)
 

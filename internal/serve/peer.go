@@ -16,12 +16,13 @@ import (
 	"time"
 )
 
-// peerLink is a replica's client for its peers' /v1/schedule and
-// /v1/batch: a forward sends bytes it already holds and reads back one
-// bounded answer, so it needs none of an http.Client's machinery. It keeps
-// one stack of idle HTTP/1.1 connections per peer, writes each request in
-// one Write, reads each answer whole on the caller's goroutine and starts
-// no goroutine of its own.
+// peerLink is a replica's client for its peers: the /v1/schedule forward
+// and the membership heartbeat. An exchange sends bytes the caller already
+// holds and reads back one bounded answer, so it needs none of net/http's
+// client machinery. It keeps one stack of idle HTTP/1.1 connections per
+// peer, shared by forwards and heartbeats, writes each request in one
+// Write, reads each answer whole on the caller's goroutine and starts no
+// goroutine of its own.
 type peerLink struct {
 	self    string // sent as ForwardedFromHeader
 	dial    func(ctx context.Context, network, addr string) (net.Conn, error)
@@ -65,14 +66,15 @@ func newPeerLink(self string, dial func(ctx context.Context, network, addr strin
 	return &peerLink{self: self, dial: dial, maxIdle: maxIdle, targets: make(map[string]*peerTarget)}
 }
 
-// post sends body to target+path as a forwarded POST and reads the answer
-// whole into a pooled buffer, at most limit bytes of it; the caller
-// releases the buffer and judges the status. The exchange runs under
-// ctx's deadline and stops when ctx is cancelled. A connection whose
-// answer was read to its end, within limit, and that the peer did not ask
-// to close goes back to the idle stack. A reused connection that fails
-// before any byte of the answer arrives is retried once on a fresh dial.
-func (l *peerLink) post(ctx context.Context, target, path string, body []byte, limit int64) (status int, retryAfter string, answer *bytes.Buffer, err error) {
+// send sends a method request of path, with body, to target as this
+// replica and reads the answer whole into a pooled buffer, at most limit
+// bytes of it; the caller releases the buffer and judges the status. The
+// exchange runs under ctx's deadline and stops when ctx is cancelled. A
+// connection whose answer was read to its end, within limit, and that the
+// peer did not ask to close goes back to the idle stack. A reused
+// connection that fails before any byte of the answer arrives is retried
+// once on a fresh dial.
+func (l *peerLink) send(ctx context.Context, method, target, path string, body []byte, limit int64) (status int, retryAfter string, answer *bytes.Buffer, err error) {
 	t, pc, err := l.take(target)
 	if err != nil {
 		return 0, "", nil, err
@@ -80,7 +82,7 @@ func (l *peerLink) post(ctx context.Context, target, path string, body []byte, l
 	req := bodyPool.Get().(*bytes.Buffer)
 	defer releaseBody(req)
 	req.Reset()
-	t.writeRequest(req, path, l.self, body)
+	t.writeRequest(req, method, path, l.self, body)
 
 	reused := pc != nil
 	if !reused {
@@ -96,6 +98,18 @@ func (l *peerLink) post(ctx context.Context, target, path string, body []byte, l
 		status, retryAfter, answer, err = l.exchange(ctx, t, pc, req.Bytes(), limit)
 	}
 	return status, retryAfter, answer, err
+}
+
+// get sends a GET of path to target and returns the status and a copy of
+// the body of an answer read whole within limit. With a path and limit
+// bound it is the membership node's probe hook.
+func (l *peerLink) get(ctx context.Context, target, path string, limit int64) (int, []byte, error) {
+	status, _, answer, err := l.send(ctx, http.MethodGet, target, path, nil, limit)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer releaseBody(answer)
+	return status, bytes.Clone(answer.Bytes()), nil
 }
 
 // take returns target's parsed form and pops an idle connection to it,
@@ -177,10 +191,11 @@ func parsePeerTarget(target string) (*peerTarget, error) {
 	return t, nil
 }
 
-// writeRequest lays out a POST of body to path in buf.
-func (t *peerTarget) writeRequest(buf *bytes.Buffer, path, self string, body []byte) {
-	buf.Grow(len(t.prefix) + len(path) + len(t.host) + len(self) + len(body) + 128)
-	buf.WriteString("POST ")
+// writeRequest lays out a method request of body to path in buf.
+func (t *peerTarget) writeRequest(buf *bytes.Buffer, method, path, self string, body []byte) {
+	buf.Grow(len(method) + len(t.prefix) + len(path) + len(t.host) + len(self) + len(body) + 128)
+	buf.WriteString(method)
+	buf.WriteByte(' ')
 	buf.WriteString(t.prefix)
 	buf.WriteString(path)
 	buf.WriteString(" HTTP/1.1\r\nHost: ")

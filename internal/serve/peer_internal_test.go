@@ -34,7 +34,7 @@ func TestPeerLinkSpeaksTLS(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
-	_, _, _, err := link.post(ctx, ts.URL, "/v1/schedule", []byte(`{}`), 1<<10)
+	_, _, _, err := link.send(ctx, http.MethodPost, ts.URL, "/v1/schedule", []byte(`{}`), 1<<10)
 	var certErr *tls.CertificateVerificationError
 	if !errors.As(err, &certErr) {
 		t.Fatalf("post to %s: %v, want a certificate verification error", ts.URL, err)
@@ -43,7 +43,7 @@ func TestPeerLinkSpeaksTLS(t *testing.T) {
 	roots := x509.NewCertPool()
 	roots.AddCert(ts.Certificate())
 	link.targets[ts.URL].tls.RootCAs = roots
-	status, _, answer, err := link.post(ctx, ts.URL, "/v1/schedule", []byte(`{}`), 1<<10)
+	status, _, answer, err := link.send(ctx, http.MethodPost, ts.URL, "/v1/schedule", []byte(`{}`), 1<<10)
 	if err != nil || status != http.StatusOK || answer.String() != `{"graph":"from-the-owner"}` {
 		t.Fatalf("post over trusted TLS: status %d, %v: %v", status, answer, err)
 	}

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"respect/internal/cluster"
 	"respect/internal/models"
 	"respect/internal/serve"
 )
@@ -133,6 +134,54 @@ func TestPeerLinkRetriesStaleConnection(t *testing.T) {
 	if st.ForwardsRelayed != 2 || st.ForwardErrors != 0 || peer.conns.Load() != 2 || peer.requests.Load() != 2 {
 		t.Errorf("relayed %d, forward errors %d, over %d connections with %d requests read; want 2, 0, 2, 2",
 			st.ForwardsRelayed, st.ForwardErrors, peer.conns.Load(), peer.requests.Load())
+	}
+}
+
+// TestHeartbeatRidesPeerLink: membership probes go over the peer link's
+// pooled connections, dialled through ClusterConfig.Dial. Twenty probe
+// rounds against a healthy peer dial once, and a peer that closed the
+// idle connection is dialled again and still probes healthy.
+func TestHeartbeatRidesPeerLink(t *testing.T) {
+	peer := newRecordingOwner(t, 0)
+	var dials atomic.Int64
+	self := "http://prober.test:80"
+	srv, err := serve.New(serve.Config{WarmModels: []string{}, Cluster: serve.ClusterConfig{
+		Advertise: self,
+		Peers:     []string{self, peer.ts.URL},
+		Dial: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			dials.Add(1)
+			return new(net.Dialer).DialContext(ctx, network, addr)
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := srv.Cluster()
+	probe := func(round int) {
+		node.ProbeOnce(context.Background())
+		if st, _ := node.PeerState(peer.ts.URL); st != cluster.StateAlive {
+			t.Fatalf("probe round %d: peer %s, want alive", round, st)
+		}
+	}
+	for round := 0; round < 20; round++ {
+		probe(round)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("20 probe rounds dialled %d times, want 1", n)
+	}
+	peer.ts.CloseClientConnections()
+	waitFor(t, func() bool { return peer.open.Load() == 0 })
+	probe(20)
+	if n := dials.Load(); n != 2 {
+		t.Fatalf("a probe after the peer closed the idle connection: %d dials in all, want 2", n)
+	}
+	if m := node.Stats().Members[1]; m.Probes != 21 || m.Failures != 0 {
+		t.Fatalf("peer row %+v: want 21 probes and no failure", m)
+	}
+	peer.mu.Lock()
+	defer peer.mu.Unlock()
+	if len(peer.bodies) != 0 {
+		t.Fatalf("the peer received %d requests besides heartbeats", len(peer.bodies))
 	}
 }
 

@@ -30,8 +30,7 @@
 //	GET  /v1/periodic   periodic stream set + deadline-miss counters
 //	DELETE /v1/periodic/{name}  unregister a periodic stream
 //	GET  /v1/backends   registered backends, zoo models, class policies
-//	GET  /v1/stats      admission / cache / uptime counters
-//	GET  /v1/cluster    fleet membership + forwarding counters
+//	GET  /v1/stats      admission / cache / uptime (+ fleet) counters
 //	GET  /v1/cluster/heartbeat  peer liveness probe
 //	GET  /metrics       Prometheus text exposition (v0.0.4)
 //	GET  /healthz       liveness probe
@@ -42,10 +41,11 @@
 // FIFO/RM/EDF queue discipline, with schedulability-test admission and
 // deadline-miss/tardiness metrics.
 //
-// The cluster endpoints are mounted only when Config.Cluster.Peers is
+// The heartbeat endpoint is mounted only when Config.Cluster.Peers is
 // set: the server then shards the graph-fingerprint space across the
-// fleet by consistent hashing and proxies requests to their home shard
-// (falling back to a local solve when the owner is unhealthy). A replica
+// fleet by consistent hashing and proxies each /v1/schedule request to
+// its home shard (falling back to a local solve when the owner is
+// unhealthy); a /v1/batch is solved where it arrives. A replica
 // counts the requests it relays as its own speculation demand, so when
 // an owner dies a survivor has already warmed the keys its own share of
 // the traffic made hot.
@@ -347,7 +347,6 @@ func New(cfg Config) (*Server, error) {
 		s.mux.HandleFunc("/v1/periodic/", s.handlePeriodicItem)
 	}
 	if s.cluster != nil {
-		s.mux.HandleFunc("/v1/cluster", s.handleClusterStats)
 		s.mux.HandleFunc(cluster.HeartbeatPath, s.handleClusterHeartbeat)
 	}
 	if !cfg.DisableMetrics {

@@ -115,8 +115,12 @@ type Instance interface {
 // calls in.Graph only when that misses. hit reports a cache hit; on a hit
 // the Outcomes telemetry (elapsed times, per-backend costs) is that of
 // the original race and the result is shared — callers must treat
-// Outcomes as read-only.
+// Outcomes as read-only. A stage count below 1 is refused before the
+// lookup, so a refused call counts neither a hit nor a miss.
 func (e *Engine) Run(ctx context.Context, in Instance, numStages int) (res PortfolioResult, hit bool, err error) {
+	if err := checkStages(numStages); err != nil {
+		return PortfolioResult{}, false, err
+	}
 	key := cacheKey{fp: in.Fingerprint(), numStages: numStages}
 	if res, hit = e.lookup(key); hit {
 		res.Schedule = res.Schedule.Clone()

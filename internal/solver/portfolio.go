@@ -118,6 +118,14 @@ func solve(ctx context.Context, b Scheduler, g *graph.Graph, numStages int) (out
 	return out
 }
 
+// checkStages refuses a stage count below 1.
+func checkStages(numStages int) error {
+	if numStages < 1 {
+		return fmt.Errorf("solver: %d pipeline stages, want at least 1", numStages)
+	}
+	return nil
+}
+
 // PortfolioOpt is Portfolio with explicit options. A race of one runs on
 // the caller's goroutine under the caller's context: there is nobody to
 // cancel and no patience to wait out. A stage count below 1 is refused
@@ -127,8 +135,8 @@ func PortfolioOpt(ctx context.Context, backends []Scheduler, g *graph.Graph, num
 	if len(backends) == 0 {
 		return PortfolioResult{}, errors.New("solver: portfolio needs at least one backend")
 	}
-	if numStages < 1 {
-		return PortfolioResult{}, fmt.Errorf("solver: %d pipeline stages, want at least 1", numStages)
+	if err := checkStages(numStages); err != nil {
+		return PortfolioResult{}, err
 	}
 	res := PortfolioResult{Outcomes: make([]Outcome, len(backends))}
 	if len(backends) == 1 {

@@ -302,6 +302,25 @@ func TestStageCountBelowOneRefused(t *testing.T) {
 	}
 }
 
+// TestRefusedStageCountIsNoCacheTraffic: a call the engine refuses for
+// its stage count never reaches the memo, so it counts neither a hit nor
+// a miss, alone or in a batch.
+func TestRefusedStageCountIsNoCacheTraffic(t *testing.T) {
+	e := NewEngine([]Scheduler{Heur()}, 8, PortfolioOptions{})
+	g := randomDAG(7, 12)
+	for _, stages := range []int{0, -1} {
+		if _, _, err := e.Run(context.Background(), g, stages); err == nil {
+			t.Fatalf("%d stages: engine solve returned no error", stages)
+		}
+		if _, err := Batch(context.Background(), e, []*graph.Graph{g, g, chain(6, 5)}, stages, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits, misses := e.Stats(); hits != 0 || misses != 0 {
+		t.Fatalf("refused calls counted %d hits and %d misses, want 0 and 0", hits, misses)
+	}
+}
+
 // TestPanickingBackendLosesTheRace: a backend that panics, on the race's
 // goroutine or on the caller's, costs that backend the solve and nothing
 // else; the outcome table says what it panicked with.
