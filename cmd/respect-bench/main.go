@@ -7,7 +7,7 @@
 //	-exp fig4      Figure 4 — pipelined on-chip inference runtime
 //	-exp fig5      Figure 5 — gap-to-optimal parameter caching
 //	-exp ablation  training-design ablations (reward, baseline, embedding, ρ)
-//	-exp heur      backend quality/latency comparison (registry-enumerated)
+//	-exp heur      every registered backend's schedule quality and solve time
 //	-exp portfolio concurrent backend-portfolio race (rl vs heur vs exact)
 //	-exp all       everything above
 //
@@ -249,8 +249,7 @@ func main() {
 	})
 
 	run("heur", func() error {
-		fmt.Printf("registered backends: %s\n", strings.Join(solver.Names(), ", "))
-		fmt.Printf("study set: %s\n\n", strings.Join(bench.StudyBackends(), ", "))
+		fmt.Printf("registered backends: %s\n\n", strings.Join(solver.Names(), ", "))
 		for _, m := range []string{"ResNet152"} {
 			rows, err := bench.HeuristicStudy(m, 6)
 			if err != nil {

@@ -507,18 +507,19 @@ func TestRunAgentBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Other tests of this process may have bound online backends too.
-	for _, want := range []string{"anneal", "compiler", "compiler-full", "exact", "exact-ilp-grade", "force", "heur", "hu", "ilp", "list", "rl", "rl-sampled"} {
+	for _, want := range []string{"anneal", "compiler", "exact", "exact-ilp-grade", "heur", "rl", "rl-sampled"} {
 		if !slices.Contains(page.Backends, want) {
 			t.Fatalf("backends %v lack %q", page.Backends, want)
 		}
 	}
-	for _, gone := range []string{"rl-beam", "dp"} {
+	deleted := []string{"rl-beam", "dp", "compiler-full", "ilp", "hu", "list", "force"}
+	for _, gone := range deleted {
 		if slices.Contains(page.Backends, gone) {
 			t.Fatalf("backends %v list %q", page.Backends, gone)
 		}
 	}
 
-	for _, name := range []string{"rl-beam", "dp"} {
+	for _, name := range deleted {
 		resp, err := http.Post(base+"/v1/schedule", "application/json",
 			strings.NewReader(`{"model":"MobileNet","stages":4,"backends":["`+name+`"]}`))
 		if err != nil {

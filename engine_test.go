@@ -3,6 +3,7 @@ package respect
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -19,7 +20,7 @@ func TestBackendsRegistry(t *testing.T) {
 	if len(names) == 0 {
 		t.Fatal("no backends registered")
 	}
-	for _, want := range []string{"exact", "heur", "compiler", "ilp"} {
+	for _, want := range []string{"exact", "heur", "compiler", "anneal"} {
 		found := false
 		for _, n := range names {
 			if n == want {
@@ -176,20 +177,31 @@ func TestScheduleWithUnknownBackend(t *testing.T) {
 	}
 }
 
+// customBackends numbers the backends TestCustomBackendRegistration
+// registers, so every run (-count=N) registers a name of its own in the
+// process-wide registry.
+var customBackends atomic.Int64
+
 func TestCustomBackendRegistration(t *testing.T) {
-	custom := NewBackend("custom-test-backend", func(ctx context.Context, g *Graph, numStages int) (Schedule, error) {
+	compilerFn := func(ctx context.Context, g *Graph, numStages int) (Schedule, error) {
 		return ScheduleCompiler(g, numStages), nil
-	})
-	if err := RegisterBackend(custom); err != nil {
+	}
+	r := solver.NewRegistry()
+	if err := r.Register(NewBackend("custom-test-backend", compilerFn)); err != nil {
 		t.Fatal(err)
 	}
-	if err := RegisterBackend(custom); err == nil {
+	if err := r.Register(NewBackend("custom-test-backend", compilerFn)); err == nil {
 		t.Fatal("duplicate registration accepted")
+	}
+
+	name := fmt.Sprintf("custom-test-backend-%d", customBackends.Add(1))
+	if err := RegisterBackend(NewBackend(name, compilerFn)); err != nil {
+		t.Fatal(err)
 	}
 	g, _ := LoadModel("Xception")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	res, err := SchedulePortfolio(ctx, g, 4, "custom-test-backend", "heur")
+	res, err := SchedulePortfolio(ctx, g, 4, name, "heur")
 	if err != nil {
 		t.Fatal(err)
 	}

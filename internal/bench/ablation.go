@@ -91,30 +91,14 @@ type HeuristicRow struct {
 	Elapsed  time.Duration
 }
 
-// StudyBackends returns the registry backends the heuristic study runs by
-// default: everything registered except the generic MILP (hours at model
-// scale), the full compiler emulation (its solve time is Figure 3's story,
-// not a quality story) and the model-bound RL decoders, which need an
-// agent.
-func StudyBackends() []string {
-	skip := map[string]bool{"ilp": true, "compiler-full": true, "rl": true, "rl-sampled": true}
-	var names []string
-	for _, n := range solver.Names() {
-		if !skip[n] {
-			names = append(names, n)
-		}
-	}
-	return names
-}
-
-// HeuristicStudy evaluates the default backend set on one model with a
+// HeuristicStudy evaluates every registered backend on one model with a
 // 10-second budget per backend.
 func HeuristicStudy(name string, ns int) ([]HeuristicRow, error) {
 	return BackendStudy(context.Background(), name, ns, nil, 10*time.Second)
 }
 
-// BackendStudy evaluates the named registry backends (nil = the
-// StudyBackends default set) on one model, reporting deployed schedule
+// BackendStudy evaluates the named registry backends (nil = every
+// registered one) on one model, reporting deployed schedule
 // quality and solve latency per backend. Each backend gets its own
 // perBackend budget (0 = none beyond ctx), so an anytime search that runs
 // to its deadline cannot starve the backends after it.
@@ -124,7 +108,7 @@ func BackendStudy(ctx context.Context, model string, ns int, backends []string, 
 		return nil, err
 	}
 	if backends == nil {
-		backends = StudyBackends()
+		backends = solver.Names()
 	}
 	schedulers, err := solver.Resolve(backends...)
 	if err != nil {

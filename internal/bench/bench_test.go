@@ -7,6 +7,7 @@ import (
 	"respect/internal/exact"
 	"respect/internal/models"
 	"respect/internal/rl"
+	"respect/internal/solver"
 	"respect/internal/tpu"
 )
 
@@ -111,7 +112,7 @@ func TestHeuristicStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(StudyBackends()); len(rows) != want {
+	if want := len(solver.Names()); len(rows) != want {
 		t.Fatalf("%d rows, want one per study backend (%d)", len(rows), want)
 	}
 	found := false

@@ -1,6 +1,7 @@
 package heur
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -40,11 +41,8 @@ type heuristic struct {
 func all() []heuristic {
 	return []heuristic{
 		{"GreedyBalanced", GreedyBalanced},
-		{"HuLevel", HuLevel},
-		{"ListSchedule", ListSchedule},
-		{"ForceDirected", ForceDirected},
 		{"DPBudget", DPBudget},
-		{"Annealed200", func(g *graph.Graph, n int) sched.Schedule { return Annealed(g, n, 200, 1) }},
+		{"Annealed200", func(g *graph.Graph, n int) sched.Schedule { return Annealed(context.Background(), g, n, 200, 1) }},
 	}
 }
 
@@ -129,7 +127,7 @@ func TestAnnealedNeverWorseThanSeed(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomDAG(seed, 25)
 		dp := DPBudget(g, 3).Evaluate(g)
-		an := Annealed(g, 3, 300, seed).Evaluate(g)
+		an := Annealed(context.Background(), g, 3, 300, seed).Evaluate(g)
 		// Annealed keeps the best-seen schedule, which starts at the DP
 		// seed, so peak can only improve or stay (cross may trade).
 		return an.PeakParamBytes <= dp.PeakParamBytes ||
@@ -141,34 +139,18 @@ func TestAnnealedNeverWorseThanSeed(t *testing.T) {
 	}
 }
 
-func TestHuLevelBandsMonotone(t *testing.T) {
-	g := models.MustLoad("ResNet50")
-	s := HuLevel(g, 6)
-	for u := 0; u < g.NumNodes(); u++ {
-		for _, v := range g.Succ(u) {
-			if s.Stage[u] > s.Stage[v] {
-				t.Fatalf("HuLevel violated edge (%d,%d)", u, v)
-			}
-		}
+// TestAnnealedStopsWhenCancelled: a done context stops the annealing
+// before its first step, and the schedule returned is the DP seed's.
+func TestAnnealedStopsWhenCancelled(t *testing.T) {
+	g := models.MustLoad("DenseNet121")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s := Annealed(ctx, g, 6, 1_000_000, 1)
+	if err := s.Validate(g); err != nil {
+		t.Fatal(err)
 	}
-	// All six stages should be populated on a 517-level-deep... 168-deep net.
-	used := map[int]bool{}
-	for _, st := range s.Stage {
-		used[st] = true
-	}
-	if len(used) != 6 {
-		t.Errorf("HuLevel used %d stages, want 6", len(used))
-	}
-}
-
-func TestListScheduleBalancesBetterThanHu(t *testing.T) {
-	// On real models the budget-driven list scheduler should produce a
-	// lower memory peak than level-band splitting, which ignores memory.
-	g := models.MustLoad("ResNet101")
-	ls := ListSchedule(g, 4).Evaluate(g)
-	hu := HuLevel(g, 4).Evaluate(g)
-	if ls.PeakParamBytes > hu.PeakParamBytes {
-		t.Errorf("list %v worse than hu %v", ls, hu)
+	if got, want := s.Evaluate(g), DPBudget(g, 6).Evaluate(g); got != want {
+		t.Fatalf("cancelled anneal returned %+v, want the DP seed's %+v", got, want)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"respect/internal/compiler"
 	"respect/internal/deploy"
 	"respect/internal/embed"
 	"respect/internal/graph"
@@ -49,10 +50,10 @@ func (s snapshot) equal(o snapshot) bool {
 // useGraph runs every reader of a graph the serving path has: each
 // registered model-free backend (briefly: a deadline cuts the slow ones,
 // which have read the graph by then), the embedding, post-processing,
-// the simulator, the deployment flow and speculation's mutations. The
-// two readers whose time grows with the parameter count and that take no
-// deadline, compiler-full and deploy.Partition (which quantizes every
-// weight), run on the models of at most 10 MB.
+// the simulator and speculation's mutations; and the paper's compiler
+// and deployment flows. Those two grow with the parameter count and take
+// no deadline (both quantize every weight), so they run on the models of
+// at most 10 MB.
 func useGraph(t *testing.T, g *graph.Graph) {
 	const stages = 4
 	light := g.TotalParamBytes() <= 10<<20
@@ -60,9 +61,6 @@ func useGraph(t *testing.T, g *graph.Graph) {
 		b, err := solver.Lookup(name)
 		if err != nil {
 			t.Error(err)
-			continue
-		}
-		if name == "compiler-full" && !light {
 			continue
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
@@ -85,6 +83,9 @@ func useGraph(t *testing.T, g *graph.Graph) {
 		t.Errorf("%s: simulate: %v", g.Name, err)
 	}
 	if light {
+		if _, err := compiler.Compile(g, stages, compiler.DefaultOptions()); err != nil {
+			t.Errorf("%s: compile: %v", g.Name, err)
+		}
 		if _, err := deploy.Partition(g, s); err != nil {
 			t.Errorf("%s: partition: %v", g.Name, err)
 		}

@@ -169,7 +169,7 @@ func TestBetterScheduleBetterThroughput(t *testing.T) {
 	g := models.MustLoad("ResNet152")
 	hw := quietHW()
 	good := sched.PostProcess(g, heur.DPBudget(g, 6))
-	bad := sched.PostProcess(g, heur.HuLevel(g, 6))
+	bad := sched.PostProcess(g, equalCountSchedule(g, 6))
 	rg, err := Run(g, good, hw, Config{Inferences: 200, QueueDepth: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -181,6 +181,16 @@ func TestBetterScheduleBetterThroughput(t *testing.T) {
 	if rg.Throughput <= rb.Throughput {
 		t.Fatalf("balanced %v <= skewed %v inf/s", rg.Throughput, rb.Throughput)
 	}
+}
+
+// equalCountSchedule splits g's topological order into numStages runs of
+// equal node count: a schedule that ignores memory.
+func equalCountSchedule(g *graph.Graph, numStages int) sched.Schedule {
+	s := sched.NewSchedule(g.NumNodes(), numStages)
+	for i, v := range g.TopoView() {
+		s.Stage[v] = i * numStages / g.NumNodes()
+	}
+	return s
 }
 
 func TestMakespanScalesLinearly(t *testing.T) {

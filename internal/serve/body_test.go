@@ -158,8 +158,8 @@ func newForwarderTo(t *testing.T, owner string, candidates []string) (*httptest.
 // newForwarderWith builds a replica from cfg whose only peer is owner,
 // and returns it with the zoo models (of the candidates) whose key the
 // peer owns. The ring hashes the advertise URLs and the owner's port is
-// random, so the replica tries advertise names until the peer owns at
-// least one candidate.
+// random, so the replica tries advertise names until the candidates are
+// split: the peer owns at least one and, of two or more, not all.
 func newForwarderWith(t *testing.T, cfg serve.Config, owner string, candidates []string) (*serve.Server, []string) {
 	t.Helper()
 	for try := 0; try < 64; try++ {
@@ -175,11 +175,11 @@ func newForwarderWith(t *testing.T, cfg serve.Config, owner string, candidates [
 				owned = append(owned, name)
 			}
 		}
-		if len(owned) > 0 {
+		if len(owned) > 0 && (len(owned) < len(candidates) || len(candidates) == 1) {
 			return srv, owned
 		}
 	}
-	t.Fatal("no advertise name gave the peer one of the candidate models")
+	t.Fatal("no advertise name split the candidate models between the replica and its peer")
 	return nil, nil
 }
 

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,11 +22,19 @@ import (
 	"respect/internal/serve"
 )
 
+// pairNames are the advertise URLs of newPair's replicas. The ring hashes
+// these names, not the listeners' ephemeral ports, so which replica owns a
+// key is the same on every run; ClusterConfig.Dial routes each name to its
+// replica's listener. A test that needs a key on a given replica states
+// which, and says to change these names if the ring's hash ever moves it.
+var pairNames = [2]string{"http://replica-0.test:1", "http://replica-1.test:1"}
+
 // newPair boots two clustered replicas of cfg wired to each other and
 // returns them with their base URLs and a function that stops each one.
 func newPair(t *testing.T, cfg serve.Config) (srvs [2]*serve.Server, urls [2]string, kill [2]func()) {
 	t.Helper()
 	var lns [2]net.Listener
+	listeners := make(map[string]string, len(lns))
 	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -33,9 +42,13 @@ func newPair(t *testing.T, cfg serve.Config) (srvs [2]*serve.Server, urls [2]str
 		}
 		lns[i] = ln
 		urls[i] = "http://" + ln.Addr().String()
+		listeners[strings.TrimPrefix(pairNames[i], "http://")] = ln.Addr().String()
+	}
+	dial := func(ctx context.Context, network, addr string) (net.Conn, error) {
+		return new(net.Dialer).DialContext(ctx, network, listeners[addr])
 	}
 	for i := range lns {
-		cfg.Cluster = serve.ClusterConfig{Advertise: urls[i], Peers: urls[:]}
+		cfg.Cluster = serve.ClusterConfig{Advertise: pairNames[i], Peers: pairNames[:], Dial: dial}
 		srv, err := serve.New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -47,6 +60,15 @@ func newPair(t *testing.T, cfg serve.Config) (srvs [2]*serve.Server, urls [2]str
 		kill[i] = ts.Close
 	}
 	return srvs, urls, kill
+}
+
+// wantOwner fails t unless the ring places the key fp of what on replica
+// want of newPair, as the test states.
+func wantOwner(t *testing.T, srv *serve.Server, what string, fp uint64, want int) {
+	t.Helper()
+	if owner, _ := srv.Cluster().Owner(fp); owner != pairNames[want] {
+		t.Fatalf("the ring places %s on %s, not on %s as this test states; if the ring's hash changed, change pairNames until it splits the test's keys as stated", what, owner, pairNames[want])
+	}
 }
 
 // pairGraph builds a distinct buildable chain graph and its wire form.
@@ -75,10 +97,7 @@ func pairGraph(t *testing.T, seed int) (*graph.Graph, json.RawMessage) {
 // the same body, nothing is relayed, and the peer receives no request.
 func TestBatchSolvedWhereAdmitted(t *testing.T) {
 	peer := newRecordingOwner(t, 0)
-	fleet, owned := newForwarderWith(t, serve.Config{WarmModels: []string{}}, peer.ts.URL, models.Names())
-	if len(owned) == len(models.Names()) {
-		t.Fatal("the peer owns every zoo model; the batch would not span both replicas")
-	}
+	fleet, _ := newForwarderWith(t, serve.Config{WarmModels: []string{}}, peer.ts.URL, models.Names())
 	_, g0 := pairGraph(t, 0)
 	_, g1 := pairGraph(t, 1)
 	body, err := json.Marshal(serve.BatchRequest{Models: models.Names(), Graphs: []json.RawMessage{g0, g1}, Stages: 4})
@@ -120,18 +139,14 @@ func TestBatchSolvedWhereAdmitted(t *testing.T) {
 // solved on the replica that admitted it, and no forward is attempted
 // to the dead peer.
 func TestClusterBatchFallbackOnDeadOwner(t *testing.T) {
+	// The batch is pair graphs 0-5; the dead replica 1 owns 2, 3 and 4.
+	owners := [6]int{0, 0, 1, 1, 1, 0}
 	srvs, urls, kill := newPair(t, serve.Config{WarmModels: []string{}})
 	var raws []json.RawMessage
-	remote := 0
-	for seed := 0; seed < 6; seed++ {
+	for seed, owner := range owners {
 		g, raw := pairGraph(t, seed)
-		if _, self := srvs[0].Cluster().Owner(g.Fingerprint()); !self {
-			remote++
-		}
+		wantOwner(t, srvs[0], g.Name, g.Fingerprint(), owner)
 		raws = append(raws, raw)
-	}
-	if remote == 0 {
-		t.Fatal("the dead peer owns none of the batch's graphs")
 	}
 	kill[1]()
 
@@ -163,18 +178,10 @@ func TestClusterBatchFallbackOnDeadOwner(t *testing.T) {
 func TestClusterForwardLoopPrevention(t *testing.T) {
 	srvs, urls, _ := newPair(t, serve.Config{WarmModels: []string{}})
 
-	// A graph owned by replica 1, sent to replica 0 with the forwarded
-	// marker already set.
-	var raw json.RawMessage
-	for seed := 0; raw == nil; seed++ {
-		g, cand := pairGraph(t, seed)
-		if _, self := srvs[0].Cluster().Owner(g.Fingerprint()); !self {
-			raw = cand
-		}
-		if seed > 100 {
-			t.Fatal("no remote-owned graph found")
-		}
-	}
+	// Pair graph 2, owned by replica 1, sent to replica 0 with the
+	// forwarded marker already set.
+	g, raw := pairGraph(t, 2)
+	wantOwner(t, srvs[0], g.Name, g.Fingerprint(), 1)
 	body, err := json.Marshal(serve.ScheduleRequest{Graph: raw, Stages: 4})
 	if err != nil {
 		t.Fatal(err)

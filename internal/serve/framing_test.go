@@ -132,14 +132,11 @@ func TestResponsesAreSized(t *testing.T) {
 		resp, data := exchange(t, step.method, urls[0]+step.path, step.body)
 		checkSized(t, step.name, 200, resp, data)
 	}
-	// Whichever replica owns ResNet152, the other one relays its answer.
-	entry := 0
-	if _, self := srvs[0].Cluster().Owner(models.MustLoad("ResNet152").Fingerprint()); self {
-		entry = 1
-	}
-	resp, data := exchange(t, "POST", urls[entry]+"/v1/schedule", `{"model":"ResNet152"}`)
+	// Replica 0 owns ResNet152, so replica 1 relays its answer.
+	wantOwner(t, srvs[0], "ResNet152", models.MustLoad("ResNet152").Fingerprint(), 0)
+	resp, data := exchange(t, "POST", urls[1]+"/v1/schedule", `{"model":"ResNet152"}`)
 	if resp.Header.Get(serve.ForwardedToHeader) == "" {
-		t.Errorf("ResNet152 via replica %d was not relayed", entry)
+		t.Error("ResNet152 via replica 1 was not relayed")
 	}
 	checkSized(t, "relayed schedule", 200, resp, data)
 }

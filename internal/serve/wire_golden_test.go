@@ -50,7 +50,7 @@ var wireTimeKeys = map[string]bool{
 // wireBuiltins are the model-free backends every process registers; other
 // tests of this package add their own to the shared registry, so backend
 // lists are cut down to these.
-var wireBuiltins = []string{"anneal", "compiler", "compiler-full", "exact", "exact-ilp-grade", "force", "heur", "hu", "ilp", "list"}
+var wireBuiltins = []string{"anneal", "compiler", "exact", "exact-ilp-grade", "heur"}
 
 var wireHaveList = regexp.MustCompile(`\(have \[([^\]]*)\]\)`)
 

@@ -3,11 +3,9 @@ package solver
 import (
 	"context"
 
-	"respect/internal/compiler"
 	"respect/internal/exact"
 	"respect/internal/graph"
 	"respect/internal/heur"
-	"respect/internal/ilp"
 	"respect/internal/sched"
 )
 
@@ -70,55 +68,12 @@ func ExactILPGrade() Scheduler {
 	return exactBackend{name: "exact-ilp-grade", opts: exact.Options{MaxStates: exactMaxStates, ChildrenRule: true, TieBreakCross: true}}
 }
 
-// ilpBackend is the generic MILP backend (the CPLEX stand-in). Unlike the
-// combinatorial exact solver it can run out of budget with no incumbent,
-// in which case it reports an error.
-type ilpBackend struct{}
-
-func (ilpBackend) Name() string { return "ilp" }
-
-func (b ilpBackend) Schedule(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, error) {
-	s, _, err := b.ScheduleInfo(ctx, g, numStages)
-	return s, err
-}
-
-func (ilpBackend) ScheduleInfo(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, Info, error) {
-	res, err := exact.SolveILPCtx(ctx, g, numStages, ilp.Options{})
-	if err != nil {
-		return sched.Schedule{}, Info{Truncated: true}, err
-	}
-	// The MILP's optimum is over all monotone schedules, a lower bound on
-	// the deployable ones: the repaired schedule is proven optimal only
-	// when the repair did not cost it that peak.
-	s := deployed(g, res.Schedule)
-	proven := res.Optimal && s.Evaluate(g).PeakParamBytes == res.Cost.PeakParamBytes
-	return s, Info{Truncated: !res.Optimal, OptimalityProven: proven}, nil
-}
-
-// ILP returns the generic MILP backend.
-func ILP() Scheduler { return ilpBackend{} }
-
 // Compiler returns the Edge TPU compiler baseline's partition
 // (parameter-balanced greedy walk, hardware-repaired) without paying for
-// the quantization/tiling/serialization passes.
+// the quantization/tiling/serialization passes; the full flow, whose
+// solve time is the paper's Figure 3 baseline, is compiler.Compile.
 func Compiler() Scheduler {
 	return heuristic("compiler", heur.GreedyBalanced)
-}
-
-// CompilerFull returns the complete compiler-emulation flow (quantization,
-// partition, tiling, allocation, serialization) as a backend; its schedule
-// matches Compiler but its solve time is the paper's Figure 3 baseline.
-func CompilerFull() Scheduler {
-	return NewFunc("compiler-full", func(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, error) {
-		if err := ctx.Err(); err != nil {
-			return sched.Schedule{}, err
-		}
-		res, err := compiler.Compile(g, numStages, compiler.DefaultOptions())
-		if err != nil {
-			return sched.Schedule{}, err
-		}
-		return res.Schedule, nil
-	})
 }
 
 // Heur returns the strongest classic heuristic (exact DP segmentation of
@@ -132,15 +87,15 @@ func init() {
 	for _, s := range []Scheduler{
 		Exact(),
 		ExactILPGrade(),
-		ILP(),
 		Compiler(),
-		CompilerFull(),
 		Heur(),
-		heuristic("hu", heur.HuLevel),
-		heuristic("list", heur.ListSchedule),
-		heuristic("force", heur.ForceDirected),
-		heuristic("anneal", func(g *graph.Graph, numStages int) sched.Schedule {
-			return heur.Annealed(g, numStages, 5000, 1)
+		// anneal checks ctx as it goes and returns its best schedule so
+		// far, which ScheduleInfo reports as truncated.
+		NewFunc("anneal", func(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, error) {
+			if err := ctx.Err(); err != nil {
+				return sched.Schedule{}, err
+			}
+			return deployed(g, heur.Annealed(ctx, g, numStages, 5000, 1)), nil
 		}),
 	} {
 		if err := Register(s); err != nil {

@@ -35,18 +35,12 @@ func TestEngineOfOneDifferential(t *testing.T) {
 		if strings.HasPrefix(name, "rl") {
 			continue // agent-bound, registered by whoever loads one
 		}
-		gs := graphs
-		if name == "ilp" {
-			// The generic MILP closes only toy instances; anything larger
-			// comes back truncated, which an engine never stores.
-			gs = []*graph.Graph{randomDAG(1, 10), randomDAG(2, 10)}
-		}
 		b, err := Lookup(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := engineOf(b, len(gs))
-		for _, g := range gs {
+		e := engineOf(b, len(graphs))
+		for _, g := range graphs {
 			direct, err := b.Schedule(ctx, g, 4)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, g.Name, err)

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"respect/internal/exact"
 	"respect/internal/graph"
+	"respect/internal/ilp"
 	"respect/internal/models"
 	"respect/internal/sched"
 	"respect/internal/synth"
@@ -15,7 +17,7 @@ import (
 // oracleInstances is the population the exact-family oracle runs over:
 // every zoo model, 256 synthetic DAGs of 30 and 50 nodes, in-degrees 1-6
 // (the paper's training distribution and one size up), and 6 of 8 nodes,
-// small enough for the two slow backends.
+// small enough for the generic MILP.
 func oracleInstances(t *testing.T) []*graph.Graph {
 	t.Helper()
 	var gs []*graph.Graph
@@ -49,15 +51,39 @@ func oracleInstances(t *testing.T) []*graph.Graph {
 	return gs
 }
 
+// milp is the generic MILP (the paper's CPLEX stand-in) as a Scheduler:
+// the oracle's independent check of exact. Its optimum is over all
+// monotone schedules, a lower bound on the deployable ones, so the
+// repaired schedule is proven optimal only when the repair kept that peak.
+type milp struct{}
+
+func (milp) Name() string { return "milp" }
+
+func (b milp) Schedule(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, error) {
+	s, _, err := b.ScheduleInfo(ctx, g, numStages)
+	return s, err
+}
+
+func (milp) ScheduleInfo(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, Info, error) {
+	res, err := exact.SolveILPCtx(ctx, g, numStages, ilp.Options{})
+	if err != nil {
+		return sched.Schedule{}, Info{Truncated: true}, err
+	}
+	s := deployed(g, res.Schedule)
+	proven := res.Optimal && s.Evaluate(g).PeakParamBytes == res.Cost.PeakParamBytes
+	return s, Info{Truncated: !res.Optimal, OptimalityProven: proven}, nil
+}
+
 // TestExactFamilyOracle is the differential oracle behind "a cost is never
 // reported below the exact optimum": whenever exact claims a proof, no
-// registered model-free backend deploys below it. It failed before exact
-// searched the deployable space (ResNet50 at 4 stages: heur deployed at
-// 7 508 672 B under a "proven optimal" 8 314 880 B).
+// registered model-free backend, and on graphs of at most 8 nodes not the
+// generic MILP either, deploys below it. It failed before exact searched
+// the deployable space (ResNet50 at 4 stages: heur deployed at 7 508 672 B
+// under a "proven optimal" 8 314 880 B).
 func TestExactFamilyOracle(t *testing.T) {
 	exactB, _ := Lookup("exact")
 	lexB, _ := Lookup("exact-ilp-grade")
-	var others []Scheduler
+	others := []Scheduler{milp{}}
 	for _, name := range Names() {
 		switch {
 		case strings.HasPrefix(name, "rl"): // model-bound, registered by other tests
@@ -67,7 +93,7 @@ func TestExactFamilyOracle(t *testing.T) {
 			others = append(others, b)
 		}
 	}
-	if len(others) < 8 {
+	if len(others) < 4 {
 		t.Fatalf("only %d model-free backends besides the exact family: %v", len(others), Names())
 	}
 
@@ -125,9 +151,8 @@ func TestExactFamilyOracle(t *testing.T) {
 
 			for _, b := range others {
 				// The generic MILP takes seconds on anything but the smallest
-				// graphs, and the full compiler flow tens of milliseconds on
-				// any (the partition it returns is compiler's).
-				if (b.Name() == "ilp" || b.Name() == "compiler-full") && g.NumNodes() > 8 {
+				// graphs.
+				if b.Name() == "milp" && g.NumNodes() > 8 {
 					continue
 				}
 				out := solve(context.Background(), b, g, ns)

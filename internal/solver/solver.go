@@ -1,7 +1,7 @@
 // Package solver is the scheduling-engine layer of RESPECT: a uniform
-// Scheduler interface over every backend the paper evaluates (RL
-// pointer-network decoding, branch-and-bound exact search, generic MILP,
-// classic heuristics, compiler emulation), a named registry to enumerate
+// Scheduler interface over every backend a request can be served by (RL
+// pointer-network decoding, branch-and-bound exact search, classic
+// heuristics, the compiler's partition), a named registry to enumerate
 // and resolve them, and concurrent engines built on top — Portfolio races
 // backends under one deadline and returns the cheapest deployable
 // schedule; Engine memoizes races by graph fingerprint (a single backend
@@ -15,7 +15,9 @@
 // be deployed without further processing. The race checks this promise on
 // every member and fails the one that breaks it. Backends honor context
 // cancellation: when the deadline expires mid-search, anytime backends
-// (exact, ilp, anneal) return their incumbent rather than blocking.
+// (exact, exact-ilp-grade, anneal) return their incumbent rather than
+// blocking. The paper's timing baselines, the full compiler flow and the
+// generic MILP, are not backends: they are called where they are timed.
 package solver
 
 import (
@@ -48,8 +50,7 @@ type Info struct {
 	// OptimalityProven reports the result is provably optimal among the
 	// schedules this service can return: the search space was exhausted
 	// and no deployable schedule has a lower peak. The exact family proves
-	// it over the deployable schedules themselves; ilp proves the
-	// unconstrained optimum and claims it only when the repair kept it.
+	// it over the deployable schedules themselves.
 	OptimalityProven bool
 }
 

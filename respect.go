@@ -251,9 +251,9 @@ func NewBackend(name string, fn func(ctx context.Context, g *Graph, numStages in
 }
 
 // Backends lists every registered scheduler backend, sorted. The built-in
-// set (exact, exact-ilp-grade, ilp, heur, compiler, compiler-full, hu,
-// list, force, anneal) is always present; rl and rl-sampled appear once
-// an Agent registers them.
+// set (anneal, compiler, exact, exact-ilp-grade, heur) is always present;
+// rl and rl-sampled appear once an Agent registers them. The paper's
+// timing baselines are not backends: see CompileFull for the compiler's.
 func Backends() []string { return solver.Names() }
 
 // RegisterBackend adds a custom backend to the registry; names must be
@@ -278,7 +278,7 @@ func (a *Agent) RegisterBackends() error {
 
 // SchedulePortfolio races the named backends on one graph under ctx and
 // returns the cheapest deployable schedule with per-backend telemetry.
-// Anytime backends (exact, ilp) return their incumbents when the context
+// Anytime backends (exact, exact-ilp-grade, anneal) return their incumbents when the context
 // deadline fires, so the call completes within the caller's budget; losing
 // backends are cancelled, and no goroutine outlives the call.
 func SchedulePortfolio(ctx context.Context, g *Graph, numStages int, backendNames ...string) (PortfolioResult, error) {
