@@ -128,16 +128,21 @@ func main() {
 					ilpCell += " (timeout)"
 				}
 			}
+			rlCell := r.RL.Round(time.Microsecond).String()
+			if r.OneOrder {
+				rlCell += " (1 order)"
+			}
 			cells = append(cells, []string{r.Model, fmt.Sprint(r.V), fmt.Sprint(r.Stages),
-				r.RL.Round(time.Microsecond).String(),
+				rlCell,
 				r.Compiler.Round(time.Millisecond).String(),
-				r.CombExact.Round(time.Millisecond).String(),
+				r.CombExact.Round(time.Microsecond).String(),
 				ilpCell,
 				fmt.Sprintf("%.1fx", r.SpeedupVsCompiler),
 				speedupCell(r.SpeedupVsILP, r.ILPOptimal, r.ILP > 0),
 			})
 		}
 		fmt.Print(bench.RenderTable([]string{"model", "|V|", "stages", "RL", "compiler", "exact-BB", "exact-ILP", "RL-vs-compiler", "RL-vs-ILP"}, cells))
+		fmt.Println("(1 order): the model's sibling-class quotient has one order, so RL deploys it without running the network")
 		fmt.Println()
 		fmt.Print(bench.SpeedupChart(rows, false))
 		if *ilpBudget > 0 {
@@ -152,10 +157,11 @@ func main() {
 					strconv.FormatInt(r.Compiler.Microseconds(), 10),
 					strconv.FormatInt(r.CombExact.Microseconds(), 10),
 					strconv.FormatInt(r.ILP.Microseconds(), 10),
-					strconv.FormatBool(r.ILPOptimal)})
+					strconv.FormatBool(r.ILPOptimal),
+					strconv.FormatBool(r.OneOrder)})
 			}
 			if err := writeCSV(*csvDir, "fig3.csv",
-				[]string{"model", "V", "stages", "rl_us", "compiler_us", "exact_bb_us", "exact_ilp_us", "ilp_optimal"}, c); err != nil {
+				[]string{"model", "V", "stages", "rl_us", "compiler_us", "exact_bb_us", "exact_ilp_us", "ilp_optimal", "one_order"}, c); err != nil {
 				return err
 			}
 		}

@@ -78,6 +78,10 @@ type Fig3Row struct {
 	// RL is the RESPECT inference wall time (condense + embed + pointer
 	// decode + ρ + expand; the schedule is deployable as decoded).
 	RL time.Duration
+	// OneOrder reports that the model's sibling-class quotient has one
+	// order, so RL deploys it without the embed and the pointer network
+	// and its time is condense + ρ + expand only.
+	OneOrder bool
 	// Compiler is the full Edge TPU compiler-emulation wall time.
 	Compiler time.Duration
 	// ILP is the generic MILP (CPLEX stand-in) wall time, capped at its
@@ -118,8 +122,9 @@ func Fig3(model *ptrnet.Model, ecfg embed.Config, cfg Fig3Config) ([]Fig3Row, er
 		if err != nil {
 			return nil, err
 		}
+		oneOrder := sched.Condense(g).OneOrder()
 		for _, ns := range cfg.Stages {
-			row := Fig3Row{Model: name, V: g.NumNodes(), Stages: ns}
+			row := Fig3Row{Model: name, V: g.NumNodes(), Stages: ns, OneOrder: oneOrder}
 
 			start := time.Now()
 			if _, err := rl.Schedule(model, ecfg, g, ns); err != nil {

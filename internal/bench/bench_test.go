@@ -62,6 +62,9 @@ func TestFig3Harness(t *testing.T) {
 		if r.SpeedupVsCompiler <= 0 {
 			t.Errorf("speedup not computed: %+v", r)
 		}
+		if r.OneOrder {
+			t.Errorf("%s marked as having one class order", r.Model)
+		}
 	}
 	SortRows(rows)
 	if rows[0].V > rows[1].V {

@@ -1,6 +1,6 @@
 // Package graph provides the directed-acyclic-graph representation of DNN
 // computational graphs used throughout RESPECT, together with the
-// topological machinery (ASAP/ALAP levels, depth, order ideals) that the
+// topological machinery (ASAP levels, depth, order ideals) that the
 // scheduler, the exact solver and the graph embedding build on.
 package graph
 
@@ -90,7 +90,6 @@ type Graph struct {
 	built    bool
 	topo     []int // a topological order of node IDs
 	asap     []int // ASAP level per node (source level 0)
-	alap     []int // ALAP level per node
 	depth    int   // longest path length in edges
 	maxInDeg int
 	fp       uint64 // structural fingerprint, memoized at Build
@@ -129,7 +128,7 @@ func (g *Graph) AddEdge(u, v int) {
 	g.pred[v] = append(g.pred[v], u)
 }
 
-// Build validates acyclicity, computes topological order, ASAP/ALAP levels
+// Build validates acyclicity, computes topological order, ASAP levels
 // and depth, and freezes the graph. It returns an error on cycles,
 // duplicate edges, or node attributes out of range: in every built graph
 // ParamBytes, OutBytes and MACs are non-negative and each sums over the
@@ -149,9 +148,9 @@ func (g *Graph) build() error {
 	s := getScratch()
 	defer putScratch(s)
 	s.work = resize(s.work, 2*n)
-	// The order and both levels share one allocation; the full slice
-	// expressions keep each from growing into the next.
-	levels := make([]int, 3*n)
+	// The order and the levels share one allocation; the full slice
+	// expression keeps the order from growing into the levels.
+	levels := make([]int, 2*n)
 	if _, err := check(g.Name, g.nodes, g.succ, g.pred, s.work, levels[:0:n]); err != nil {
 		return err
 	}
@@ -205,10 +204,10 @@ func check(name string, nodes []Node, succ, pred [][]int, work, order []int) ([]
 
 // freeze derives the levels, depth and maximum in-degree from the
 // topological order in levels[:|V|] and marks g built with fingerprint
-// fp. levels is 3|V| ints: the order, then the ASAP and ALAP levels.
+// fp. levels is 2|V| ints: the order, then the ASAP levels.
 func (g *Graph) freeze(levels []int, fp uint64) {
 	n := len(g.nodes)
-	g.topo, g.asap, g.alap = levels[:n:n], levels[n:2*n:2*n], levels[2*n:]
+	g.topo, g.asap = levels[:n:n], levels[n:]
 	for _, v := range g.topo {
 		lvl := 0
 		for _, p := range g.pred[v] {
@@ -222,17 +221,6 @@ func (g *Graph) freeze(levels []int, fp uint64) {
 	for _, l := range g.asap {
 		if l > maxLvl {
 			maxLvl = l
-		}
-	}
-	for i := range g.alap {
-		g.alap[i] = maxLvl
-	}
-	for i := n - 1; i >= 0; i-- {
-		v := g.topo[i]
-		for _, s := range g.succ[v] {
-			if g.alap[s]-1 < g.alap[v] {
-				g.alap[v] = g.alap[s] - 1
-			}
 		}
 	}
 	g.depth = maxLvl
@@ -345,12 +333,6 @@ func (g *Graph) TopoView() []int {
 func (g *Graph) ASAP(v int) int {
 	g.mustBuilt()
 	return g.asap[v]
-}
-
-// ALAP returns the as-late-as-possible level of v.
-func (g *Graph) ALAP(v int) int {
-	g.mustBuilt()
-	return g.alap[v]
 }
 
 // Depth returns the longest path length counted in edges (Table I "Depth").

@@ -36,12 +36,6 @@ func TestDiamondLevels(t *testing.T) {
 			t.Errorf("ASAP(%d) = %d, want %d", v, got, want)
 		}
 	}
-	wantALAP := []int{0, 1, 1, 2}
-	for v, want := range wantALAP {
-		if got := g.ALAP(v); got != want {
-			t.Errorf("ALAP(%d) = %d, want %d", v, got, want)
-		}
-	}
 	if g.Depth() != 2 {
 		t.Errorf("Depth = %d, want 2", g.Depth())
 	}
@@ -50,25 +44,6 @@ func TestDiamondLevels(t *testing.T) {
 	}
 	if g.NumEdges() != 4 {
 		t.Errorf("NumEdges = %d, want 4", g.NumEdges())
-	}
-}
-
-func TestChainALAPSlack(t *testing.T) {
-	// a -> b -> d plus a -> d: node b has no slack; a parallel free node
-	// would. Here c is a dangling source with slack.
-	g := New("slack")
-	a := g.AddNode(Node{Name: "a"})
-	b := g.AddNode(Node{Name: "b"})
-	c := g.AddNode(Node{Name: "c"})
-	d := g.AddNode(Node{Name: "d"})
-	g.AddEdge(a, b)
-	g.AddEdge(b, d)
-	g.AddEdge(c, d)
-	if err := g.Build(); err != nil {
-		t.Fatal(err)
-	}
-	if g.ASAP(c) != 0 || g.ALAP(c) != 1 {
-		t.Errorf("c: ASAP=%d ALAP=%d, want 0,1", g.ASAP(c), g.ALAP(c))
 	}
 }
 
@@ -225,14 +200,8 @@ func TestQuickTopoAndLevels(t *testing.T) {
 				if g.ASAP(u) >= g.ASAP(v) {
 					return false
 				}
-				if g.ALAP(u) >= g.ALAP(v) {
-					return false
-				}
 			}
-			if g.ASAP(u) > g.ALAP(u) {
-				return false
-			}
-			if g.ALAP(u) > g.Depth() {
+			if g.ASAP(u) > g.Depth() {
 				return false
 			}
 		}

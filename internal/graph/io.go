@@ -287,7 +287,7 @@ func (d *Document) Graph() *Graph {
 		heads[i], off = adj[off:off+k:off+k], off+k
 	}
 	g.succ, g.pred = heads[:n:n], heads[n:]
-	levels := make([]int, 3*n)
+	levels := make([]int, 2*n)
 	copy(levels, d.topo)
 	g.freeze(levels, d.fp)
 	d.g = g

@@ -42,7 +42,8 @@ func fuzzDAG(data []byte) (*graph.Graph, []byte) {
 // FuzzClassSchedule runs the greedy and sampled decoders over the sibling-class
 // quotient of DAGs built from the fuzz bytes, with a tiny seeded model:
 // none may fail or panic, and every schedule must be deployable as it
-// comes out, with no repair after it.
+// comes out, with no repair after it. Where the quotient has one order,
+// the schedules must be the ones the network's decodes deploy to.
 func FuzzClassSchedule(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 1, 2, 2, 3, 3, 4, 4, 3, 0, 1, 0, 2, 1, 3, 2, 3, 9, 9, 9})
@@ -77,10 +78,22 @@ func FuzzClassSchedule(f *testing.F) {
 		}
 		greedy, err := ScheduleCtx(ctx, m, ecfg, g, ns)
 		check("greedy", greedy, err)
-		sampled, err := ScheduleSampledCtx(ctx, m, ecfg, g, ns, 1+at(2)%4, int64(at(3)))
+		samples, seed := 1+at(2)%4, int64(at(3))
+		sampled, err := ScheduleSampledCtx(ctx, m, ecfg, g, ns, samples, seed)
 		check("sampled", sampled, err)
 		if greedy.Evaluate(g).Less(sampled.Evaluate(g)) {
 			t.Fatalf("sampled %v is worse than the greedy rollout it includes, %v", sampled.Evaluate(g), greedy.Evaluate(g))
+		}
+
+		c, err := condense(ctx, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.q.OneOrder() {
+			want, err := c.greedy(ctx, m, ecfg, ns)
+			sameResult(t, "greedy", greedy, want, nil, err)
+			want, err = c.sampled(ctx, m, ecfg, g, ns, samples, seed)
+			sameResult(t, "sampled", sampled, want, nil, err)
 		}
 	})
 }

@@ -346,38 +346,57 @@ func Schedule(m *ptrnet.Model, ecfg embed.Config, g *graph.Graph, numStages int)
 
 // ScheduleCtx is Schedule under a context: decoding is quadratic in the
 // class count, so the decoder checks ctx at every step and a cancelled
-// call returns ctx's error.
+// call returns ctx's error. A quotient with only one order skips the
+// network: every decode would be repaired to that order (see
+// sched.Quotient.OneOrder), so it goes to deploy as it is.
 func ScheduleCtx(ctx context.Context, m *ptrnet.Model, ecfg embed.Config, g *graph.Graph, numStages int) (sched.Schedule, error) {
-	c, err := encode(ctx, m, ecfg, g)
+	c, err := condense(ctx, g)
 	if err != nil {
 		return sched.Schedule{}, err
 	}
-	defer c.enc.Release()
-	seq, err := c.enc.Greedy(ctx)
+	if c.q.OneOrder() {
+		return c.deployOnly(numStages)
+	}
+	return c.greedy(ctx, m, ecfg, numStages)
+}
+
+// classes is a graph made ready to decode: its sibling-class quotient and
+// the quotient as a graph.
+type classes struct {
+	q  sched.Quotient
+	qg *graph.Graph
+}
+
+// condense computes g's sibling-class quotient, unless ctx is already
+// done.
+func condense(ctx context.Context, g *graph.Graph) (*classes, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	q := sched.Condense(g)
+	return &classes{q: q, qg: q.Graph(g.Name)}, nil
+}
+
+// greedy embeds the quotient graph, encodes it and deploys its greedy
+// decode.
+func (c *classes) greedy(ctx context.Context, m *ptrnet.Model, ecfg embed.Config, numStages int) (sched.Schedule, error) {
+	enc := m.Encode(embed.Graph(c.qg, ecfg))
+	defer enc.Release()
+	seq, err := enc.Greedy(ctx)
 	if err != nil {
 		return sched.Schedule{}, err
 	}
 	return c.deploy(seq, numStages)
 }
 
-// classes is a graph made ready to decode: its sibling-class quotient,
-// the quotient as a graph, and the encoder's pass over that graph, which
-// serves however many decodes follow.
-type classes struct {
-	q   sched.Quotient
-	qg  *graph.Graph
-	enc *ptrnet.Encoding
-}
-
-// encode condenses g, embeds the quotient graph and runs the encoder over
-// it, unless ctx is already done.
-func encode(ctx context.Context, m *ptrnet.Model, ecfg embed.Config, g *graph.Graph) (*classes, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+// deployOnly deploys the class order 0..n−1, which is the only order of a
+// quotient for which OneOrder holds and so what deploy makes of any decode.
+func (c *classes) deployOnly(numStages int) (sched.Schedule, error) {
+	seq := make([]int, c.q.NumClasses())
+	for i := range seq {
+		seq[i] = i
 	}
-	q := sched.Condense(g)
-	qg := q.Graph(g.Name)
-	return &classes{q: q, qg: qg, enc: m.Encode(embed.Graph(qg, ecfg))}, nil
+	return c.deploy(seq, numStages)
 }
 
 // deploy maps a decoded class order to a schedule of the graph: the order
@@ -408,14 +427,26 @@ func ScheduleSampled(m *ptrnet.Model, ecfg embed.Config, g *graph.Graph, numStag
 }
 
 // ScheduleSampledCtx is ScheduleSampled under a context, checked at every
-// step of every decode.
+// step of every decode. A quotient with only one order skips the network
+// as ScheduleCtx does: every decode would deploy to the same schedule.
 func ScheduleSampledCtx(ctx context.Context, m *ptrnet.Model, ecfg embed.Config, g *graph.Graph, numStages, samples int, seed int64) (sched.Schedule, error) {
-	c, err := encode(ctx, m, ecfg, g)
+	c, err := condense(ctx, g)
 	if err != nil {
 		return sched.Schedule{}, err
 	}
-	defer c.enc.Release()
-	seq, err := c.enc.Greedy(ctx)
+	if c.q.OneOrder() {
+		return c.deployOnly(numStages)
+	}
+	return c.sampled(ctx, m, ecfg, g, numStages, samples, seed)
+}
+
+// sampled embeds the quotient graph and encodes it once, then deploys
+// its greedy decode and samples stochastic ones and keeps the schedule
+// that is cheapest on g.
+func (c *classes) sampled(ctx context.Context, m *ptrnet.Model, ecfg embed.Config, g *graph.Graph, numStages, samples int, seed int64) (sched.Schedule, error) {
+	enc := m.Encode(embed.Graph(c.qg, ecfg))
+	defer enc.Release()
+	seq, err := enc.Greedy(ctx)
 	if err != nil {
 		return sched.Schedule{}, err
 	}
@@ -426,7 +457,7 @@ func ScheduleSampledCtx(ctx context.Context, m *ptrnet.Model, ecfg embed.Config,
 	bestCost := best.Evaluate(g)
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < samples; i++ {
-		seq, err := c.enc.Sample(ctx, rng)
+		seq, err := enc.Sample(ctx, rng)
 		if err != nil {
 			return sched.Schedule{}, err
 		}

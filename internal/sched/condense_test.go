@@ -177,6 +177,36 @@ func checkPostProcess(t *testing.T, g *graph.Graph, q Quotient, s Schedule) {
 // quotient is what it claims to be (its monotone assignments are deployable
 // schedules), that its graph is the one AddNode and AddEdge would build,
 // and that PostProcess over it is the repair it replaced.
+// oneOrderRef reports whether q has one linear extension: Kahn's walk
+// over the quotient never has two classes ready at once.
+func oneOrderRef(q Quotient) bool {
+	indeg := make([]int, q.NumClasses())
+	for c := range indeg {
+		for _, d := range q.Succ(c) {
+			indeg[d]++
+		}
+	}
+	var ready []int
+	for c, k := range indeg {
+		if k == 0 {
+			ready = append(ready, c)
+		}
+	}
+	for len(ready) > 0 {
+		if len(ready) > 1 {
+			return false
+		}
+		c := ready[0]
+		ready = ready[:0]
+		for _, d := range q.Succ(c) {
+			if indeg[d]--; indeg[d] == 0 {
+				ready = append(ready, d)
+			}
+		}
+	}
+	return true
+}
+
 func FuzzCondense(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 1, 2, 2, 3, 3, 4, 4, 3, 0, 1, 0, 2, 1, 3, 2, 3, 9, 9, 9})
@@ -194,6 +224,9 @@ func FuzzCondense(f *testing.F) {
 		q := Condense(g)
 		checkQuotient(t, g, q)
 		checkQuotientGraph(t, q)
+		if got, want := q.OneOrder(), oneOrderRef(q); got != want {
+			t.Fatalf("OneOrder = %v, want %v: %d classes", got, want, q.NumClasses())
+		}
 
 		// Any monotone assignment of the quotient is a deployable schedule,
 		// which PostProcess leaves alone.
@@ -238,6 +271,9 @@ func TestCondenseZoo(t *testing.T) {
 		q := Condense(g)
 		checkQuotient(t, g, q)
 		checkQuotientGraph(t, q)
+		if got, want := q.OneOrder(), oneOrderRef(q); got != want {
+			t.Fatalf("%s: OneOrder = %v, want %v", name, got, want)
+		}
 		for _, ns := range []int{1, 4, 6} {
 			s := NewSchedule(g.NumNodes(), ns)
 			for i, v := range g.TopoView() {
@@ -287,6 +323,25 @@ func TestCondenseShapes(t *testing.T) {
 	}
 	if q.ParamBytes[q.ClassOf[1]] != 3 {
 		t.Fatalf("merged class weighs %d, want 3", q.ParamBytes[q.ClassOf[1]])
+	}
+
+	// One order: the empty quotient, a chain, a diamond (a, {b, c}, d);
+	// two independent nodes have two.
+	pair := graph.New("pair")
+	pair.AddNode(graph.Node{})
+	pair.AddNode(graph.Node{})
+	for _, c := range []struct {
+		g    *graph.Graph
+		want bool
+	}{
+		{graph.New("empty").MustBuild(), true},
+		{chain(t, 5), true},
+		{diamond(t), true},
+		{pair.MustBuild(), false},
+	} {
+		if got := Condense(c.g).OneOrder(); got != c.want {
+			t.Fatalf("%s: OneOrder = %v, want %v", c.g.Name, got, c.want)
+		}
 	}
 }
 

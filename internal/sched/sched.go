@@ -7,6 +7,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -415,6 +416,21 @@ func (q Quotient) NumClasses() int { return len(q.ParamBytes) }
 // Succ returns the successor classes of c. The returned slice must not be
 // modified.
 func (q Quotient) Succ(c int) []int { return q.succ[q.start[c]:q.start[c+1]] }
+
+// OneOrder reports whether the quotient has exactly one linear extension,
+// which is then 0, 1, …, n−1: every class c < n−1 has c+1 among Succ(c).
+// Classes are numbered topologically, so 0..n−1 is always an extension; if
+// some c lacks the edge to c+1, no path joins them either (a path from c
+// to c+1 would pass through a class numbered between the two), and
+// swapping them gives a second one. It takes O(classes + class edges).
+func (q Quotient) OneOrder() bool {
+	for c := 0; c+1 < q.NumClasses(); c++ {
+		if !slices.Contains(q.Succ(c), c+1) {
+			return false
+		}
+	}
+	return true
+}
 
 // Expand maps a stage assignment of the classes to the schedule of the
 // underlying graph that puts every node in its class's stage.

@@ -199,24 +199,13 @@ func TestBudgetExpiryReturnsTruncatedIncumbent(t *testing.T) {
 	}
 }
 
-// TestPinnedRLPastBudgetIs504: a request pinned to the rl backend on a
-// graph whose decode outlasts the class budget is a timeout like any
-// other backend's, not a 200 delivered a decode late. The graph is a
-// chain: it has no siblings, so the agent decodes one class per node and
-// 600 of them take tens of milliseconds.
-func TestPinnedRLPastBudgetIs504(t *testing.T) {
-	ecfg := embed.Default()
-	registerBackend(t, solver.RL(ptrnet.New(ptrnet.Config{InputDim: ecfg.Dim(), Hidden: 64, Seed: 1}), ecfg))
-	srv, ts := newTestServer(t, serve.Config{
-		WarmModels: []string{},
-		Classes: map[serve.Class]serve.ClassPolicy{
-			"brief": {Budget: 5 * time.Millisecond, Backends: []string{"heur"}, MaxConcurrent: 2, MaxQueue: 2},
-		},
-	})
+// chainsJSON is the wire document of k disjoint chains of n nodes each.
+func chainsJSON(t *testing.T, k, n int) json.RawMessage {
+	t.Helper()
 	g := graph.New("chain")
-	for i := 0; i < 600; i++ {
+	for i := 0; i < k*n; i++ {
 		g.AddNode(graph.Node{Name: fmt.Sprintf("n%d", i), ParamBytes: int64(1000 + i%7), OutBytes: 10})
-		if i > 0 {
+		if i%n > 0 {
 			g.AddEdge(i-1, i)
 		}
 	}
@@ -224,8 +213,32 @@ func TestPinnedRLPastBudgetIs504(t *testing.T) {
 	if err := g.MustBuild().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
+	return buf.Bytes()
+}
+
+// briefRLServer serves an untrained agent of the served size as rl, with
+// a "brief" class whose 5 ms budget a 600-class decode outlasts.
+func briefRLServer(t *testing.T) (*serve.Server, *httptest.Server) {
+	t.Helper()
+	ecfg := embed.Default()
+	registerBackend(t, solver.RL(ptrnet.New(ptrnet.Config{InputDim: ecfg.Dim(), Hidden: 64, Seed: 1}), ecfg))
+	return newTestServer(t, serve.Config{
+		WarmModels: []string{},
+		Classes: map[serve.Class]serve.ClassPolicy{
+			"brief": {Budget: 5 * time.Millisecond, Backends: []string{"heur"}, MaxConcurrent: 2, MaxQueue: 2},
+		},
+	})
+}
+
+// TestPinnedRLPastBudgetIs504: a request pinned to the rl backend on a
+// graph whose decode outlasts the class budget is a timeout like any
+// other backend's, not a 200 delivered a decode late. The graph is two
+// 300-node chains: no node has two children, so the agent decodes one
+// class per node, and 600 of them take tens of milliseconds.
+func TestPinnedRLPastBudgetIs504(t *testing.T) {
+	srv, ts := briefRLServer(t)
 	resp, data := postJSON(t, ts.URL+"/v1/schedule",
-		serve.ScheduleRequest{Graph: json.RawMessage(buf.Bytes()), Stages: 4, Class: "brief", Backends: []string{"rl"}})
+		serve.ScheduleRequest{Graph: chainsJSON(t, 2, 300), Stages: 4, Class: "brief", Backends: []string{"rl"}})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", resp.StatusCode, data)
 	}
@@ -234,6 +247,23 @@ func TestPinnedRLPastBudgetIs504(t *testing.T) {
 	}
 	if st := srv.Stats().Classes["brief"]; st.Admitted != 1 {
 		t.Fatalf("class stats %+v, want the one request admitted", st)
+	}
+}
+
+// TestPinnedRLOneOrderChainIs200: a single 600-node chain has one class
+// order, which rl deploys without running the network, so the same
+// request that is a 504 on two chains answers inside the 5 ms budget.
+func TestPinnedRLOneOrderChainIs200(t *testing.T) {
+	_, ts := briefRLServer(t)
+	resp, data := postJSON(t, ts.URL+"/v1/schedule",
+		serve.ScheduleRequest{Graph: chainsJSON(t, 1, 600), Stages: 4, Class: "brief", Backends: []string{"rl"}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200: %s", resp.StatusCode, data)
+	}
+	var out serve.ScheduleResponse
+	decodeInto(t, data, &out)
+	if out.Backend != "rl" || out.Nodes != 600 {
+		t.Fatalf("backend %q on %d nodes, want rl on 600", out.Backend, out.Nodes)
 	}
 }
 

@@ -101,14 +101,30 @@ func (c *manualDeadline) Err() error {
 
 func (c *manualDeadline) expire() { c.once.Do(func() { close(c.done) }) }
 
-// TestPortfolioNotHeldByCancelledRL is the {heur, rl} race on a 600-node
-// chain: a chain has no siblings, so the agent decodes one class per node
-// and a decode takes tens of milliseconds. Once heur has answered and the
-// deadline passes, rl must give up with the context error instead of
-// holding the race until its decode ends.
+// twoChains builds two disjoint chains of n nodes each. No node has two
+// children, so every node is a class of its own, and the two chains
+// interleave in many orders: the agent decodes all 2n classes. (A single
+// chain has one order, which rl deploys without decoding.)
+func twoChains(t *testing.T, n int) *graph.Graph {
+	t.Helper()
+	g := graph.New("chains")
+	for i := 0; i < 2*n; i++ {
+		g.AddNode(graph.Node{ParamBytes: int64(50*i + 7), OutBytes: 5})
+		if i%n > 0 {
+			g.AddEdge(i-1, i)
+		}
+	}
+	return g.MustBuild()
+}
+
+// TestPortfolioNotHeldByCancelledRL is the {heur, rl} race on two
+// 300-node chains: the agent decodes 600 classes and a decode takes tens
+// of milliseconds. Once heur has answered and the deadline passes, rl
+// must give up with the context error instead of holding the race until
+// its decode ends.
 func TestPortfolioNotHeldByCancelledRL(t *testing.T) {
 	m, ecfg := rlTestModel()
-	g := chainGraph(t, "chain", 600)
+	g := twoChains(t, 300)
 	want, err := Heur().Schedule(context.Background(), g, 4)
 	if err != nil {
 		t.Fatal(err)
