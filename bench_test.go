@@ -6,7 +6,7 @@
 //	            SolveExactILP (training-scale instance)
 //	Figure 4 -> BenchmarkFig4Inference
 //	Figure 5 -> BenchmarkFig5GapToOptimal
-//	§III-B   -> BenchmarkTrainingStep (+ BenchmarkAblation*)
+//	§III-B   -> BenchmarkTrainingStep
 //	Figure 2 -> BenchmarkPipelineSimulator
 //
 // The full numeric reproduction (all models × stage counts with reporting)
@@ -187,37 +187,6 @@ func BenchmarkPipelineSimulator(b *testing.B) {
 		if _, err := tpu.Simulate(g, s, hw); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// Ablation benches: the training-design variants of bench.Ablations, timed
-// as single training steps so their relative cost is visible.
-func BenchmarkAblationTrainingStep(b *testing.B) {
-	variants := map[string]rl.Config{
-		"cosine_rollout": {},
-		"direct_reward":  {Reward: rl.RewardDirectObjective},
-		"ema_baseline":   {Baseline: rl.BaselineEMA},
-		"no_baseline":    {Baseline: rl.BaselineNone},
-		"supervised":     {Supervised: true},
-	}
-	for name, cfg := range variants {
-		cfg.Hidden = 32
-		cfg.NumNodes = 20
-		cfg.Stages = 4
-		cfg.Iterations = 1
-		cfg.BatchSize = 8
-		cfg.Seed = 3
-		cfg.Degrees = []int{2, 3}
-		b.Run(name, func(b *testing.B) {
-			tr, err := rl.NewTrainer(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tr.Step(i)
-			}
-		})
 	}
 }
 

@@ -6,24 +6,21 @@
 //	-exp fig3      Figure 3 — schedule solving time (RL vs compiler vs ILP)
 //	-exp fig4      Figure 4 — pipelined on-chip inference runtime
 //	-exp fig5      Figure 5 — gap-to-optimal parameter caching
-//	-exp ablation  training-design ablations (reward, baseline, embedding, ρ)
-//	-exp heur      every registered backend's schedule quality and solve time
-//	-exp portfolio concurrent backend-portfolio race (rl vs heur vs exact)
 //	-exp all       everything above
 //
-// A trained agent can be supplied with -agent; otherwise one is trained
-// in-process (-train-iters controls how long).
+// Any other -exp value is a usage error (exit status 2). The figures need
+// an agent: a trained one can be supplied with -agent; otherwise one is
+// trained in-process (-train-iters controls how long). To race registry
+// backends on a model, use respect-schedule -portfolio.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"time"
 
 	"respect/internal/bench"
@@ -34,12 +31,15 @@ import (
 	"respect/internal/tpu"
 )
 
+// experiments names every -exp value.
+const experiments = "table1|fig3|fig4|fig5|all"
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("respect-bench: ")
 
 	var (
-		exp        = flag.String("exp", "all", "experiment: table1|fig3|fig4|fig5|ablation|heur|portfolio|all")
+		exp        = flag.String("exp", "all", "experiment: "+experiments)
 		agentPath  = flag.String("agent", "", "trained agent weights (otherwise trains in-process)")
 		trainIters = flag.Int("train-iters", 200, "in-process training iterations when -agent is absent")
 		ilpBudget  = flag.Duration("ilp-budget", 0, "per-instance budget for the generic MILP column of fig3 (0 skips it; the paper-faithful setting is 60s+)")
@@ -49,14 +49,22 @@ func main() {
 		seed       = flag.Int64("seed", 1, "seed for in-process training")
 	)
 	flag.Parse()
+	switch *exp {
+	case "table1", "fig3", "fig4", "fig5", "all":
+	default:
+		fmt.Fprintf(os.Stderr, "respect-bench: unknown -exp %q (want %s)\n", *exp, experiments)
+		os.Exit(2)
+	}
 
 	var agent *ptrnet.Model
 	ecfg := embed.Default()
-	needAgent := map[string]bool{"fig3": true, "fig4": true, "fig5": true, "portfolio": true, "all": true}
-	if needAgent[*exp] {
+	if *exp != "table1" {
 		if *agentPath != "" {
 			m, err := ptrnet.LoadFile(*agentPath)
 			if err != nil {
+				log.Fatal(err)
+			}
+			if err := solver.CheckAgent(m, ecfg); err != nil { // refuses a file trained for another embedding
 				log.Fatal(err)
 			}
 			agent = m
@@ -69,14 +77,6 @@ func main() {
 			}
 			agent = tr.Model
 			fmt.Printf("held-out greedy imitation reward: %.4f\n", tr.EvalGreedy(tr.Model))
-		}
-	}
-
-	if agent != nil {
-		// Publish the agent's decode modes so registry-driven experiments
-		// (heur study, portfolio) can race them by name.
-		if err := solver.Default().BindAgent(agent, ecfg); err != nil {
-			log.Fatal(err)
 		}
 	}
 
@@ -237,64 +237,6 @@ func main() {
 				return err
 			}
 		}
-		return nil
-	})
-
-	run("ablation", func() error {
-		rows, err := bench.Ablations(bench.DefaultAblation())
-		if err != nil {
-			return err
-		}
-		var cells [][]string
-		for _, r := range rows {
-			cells = append(cells, []string{r.Variant, fmt.Sprintf("%.4f", r.GreedyReward),
-				r.TrainTime.Round(time.Millisecond).String()})
-		}
-		fmt.Print(bench.RenderTable([]string{"variant", "held-out greedy reward", "train time"}, cells))
-		return nil
-	})
-
-	run("heur", func() error {
-		fmt.Printf("registered backends: %s\n\n", strings.Join(solver.Names(), ", "))
-		for _, m := range []string{"ResNet152"} {
-			rows, err := bench.HeuristicStudy(m, 6)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%s, 6 stages:\n", m)
-			var cells [][]string
-			for _, r := range rows {
-				cells = append(cells, []string{r.Name, fmt.Sprintf("%.3f", r.PeakMiB),
-					fmt.Sprintf("%.3f", r.CrossMiB), r.Elapsed.Round(time.Microsecond).String()})
-			}
-			fmt.Print(bench.RenderTable([]string{"backend", "peak MiB", "cross MiB", "solve time"}, cells))
-		}
-		return nil
-	})
-
-	run("portfolio", func() error {
-		members := []string{"rl", "heur", "exact"}
-		fmt.Printf("racing %v, %v per instance\n\n", members, 10*time.Second)
-		rows, err := bench.PortfolioStudy(context.Background(), names, nil, members, 10*time.Second)
-		if err != nil {
-			return err
-		}
-		var cells [][]string
-		for _, r := range rows {
-			var outcomes []string
-			for _, o := range r.Outcomes {
-				if o.Err != nil {
-					outcomes = append(outcomes, o.Backend+": err")
-					continue
-				}
-				outcomes = append(outcomes, fmt.Sprintf("%s: %.3f MiB / %v",
-					o.Backend, float64(o.Cost.PeakParamBytes)/(1<<20), o.Elapsed.Round(time.Millisecond)))
-			}
-			cells = append(cells, []string{r.Model, fmt.Sprint(r.Stages), r.Winner,
-				fmt.Sprintf("%.3f", r.PeakMiB), r.Elapsed.Round(time.Millisecond).String(),
-				strings.Join(outcomes, "; ")})
-		}
-		fmt.Print(bench.RenderTable([]string{"model", "stages", "winner", "peak MiB", "race time", "per-backend"}, cells))
 		return nil
 	})
 }

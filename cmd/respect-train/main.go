@@ -21,23 +21,21 @@ func main() {
 	log.SetPrefix("respect-train: ")
 
 	var (
-		out      = flag.String("out", "respect.gob", "output weights file")
-		iters    = flag.Int("iters", 300, "training iterations")
-		batch    = flag.Int("batch", 16, "graphs per iteration")
-		hidden   = flag.Int("hidden", 64, "LSTM/attention width (paper: 256)")
-		nodes    = flag.Int("nodes", 30, "synthetic graph size |V| (paper: 30)")
-		stages   = flag.Int("stages", 4, "pipeline stages during training")
-		lr       = flag.Float64("lr", 2e-3, "Adam learning rate")
-		seed     = flag.Int64("seed", 1, "random seed")
-		supervis = flag.Bool("supervised", false, "teacher-forcing ablation instead of REINFORCE")
-		quiet    = flag.Bool("q", false, "suppress per-iteration progress")
+		out    = flag.String("out", "respect.gob", "output weights file")
+		iters  = flag.Int("iters", 300, "training iterations")
+		batch  = flag.Int("batch", 16, "graphs per iteration")
+		hidden = flag.Int("hidden", 64, "LSTM/attention width (paper: 256)")
+		nodes  = flag.Int("nodes", 30, "synthetic graph size |V| (paper: 30)")
+		stages = flag.Int("stages", 4, "pipeline stages during training")
+		lr     = flag.Float64("lr", 2e-3, "Adam learning rate")
+		seed   = flag.Int64("seed", 1, "random seed")
+		quiet  = flag.Bool("q", false, "suppress per-iteration progress")
 	)
 	flag.Parse()
 
 	tr, err := rl.NewTrainer(rl.Config{
 		Hidden: *hidden, NumNodes: *nodes, Stages: *stages,
 		Iterations: *iters, BatchSize: *batch, LR: *lr, Seed: *seed,
-		Supervised: *supervis,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -1,7 +1,7 @@
 // Package bench is the experiment harness: for every table and figure in
-// the paper's evaluation (Table I, Figures 3-5) plus the training-design
-// ablations, it runs the workload, collects the same rows or series the
-// paper reports, and renders them as aligned text tables and CSV. Every
+// the paper's evaluation (Table I, Figures 3-5), it runs the workload,
+// collects the same rows or series the paper reports, and renders them as
+// aligned text tables and CSV. Every
 // exact solve inside is bounded by search states alone, never by the
 // clock, so no row depends on how fast the machine is.
 package bench

@@ -4,10 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"respect/internal/exact"
-	"respect/internal/models"
 	"respect/internal/rl"
-	"respect/internal/solver"
 	"respect/internal/tpu"
 )
 
@@ -107,38 +104,6 @@ func TestFig5HarnessAndAverages(t *testing.T) {
 	avg := Fig5Averages(rows)
 	if len(avg) != 2 {
 		t.Fatalf("averages for %d stage counts", len(avg))
-	}
-}
-
-func TestHeuristicStudy(t *testing.T) {
-	rows, err := HeuristicStudy("Xception", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(solver.Names()); len(rows) != want {
-		t.Fatalf("%d rows, want one per study backend (%d)", len(rows), want)
-	}
-	found := false
-	for _, r := range rows {
-		if r.Name == "exact" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("exact backend missing from study")
-	}
-	// Every backend returns deployed schedules, which stay monotone, so
-	// none can beat the raw monotone optimum.
-	g := models.MustLoad("Xception")
-	opt := exact.Solve(g, 4, exact.Options{MaxStates: 100_000_000})
-	optMiB := float64(opt.Cost.PeakParamBytes) / (1 << 20)
-	for _, r := range rows {
-		if r.PeakMiB < optMiB-1e-9 {
-			t.Errorf("%s beat the monotone optimum: %.3f < %.3f", r.Name, r.PeakMiB, optMiB)
-		}
-	}
-	if _, err := HeuristicStudy("NoSuchModel", 4); err == nil {
-		t.Error("unknown model accepted")
 	}
 }
 

@@ -6,14 +6,12 @@
 package embed
 
 import (
-	"hash/fnv"
 	"sort"
 
 	"respect/internal/graph"
 )
 
-// Config selects embedding columns; the defaults reproduce the paper, the
-// switches support the ablation benchmarks.
+// Config selects embedding columns; the defaults reproduce the paper.
 type Config struct {
 	// Parents is how many parent (level, ID) pairs are encoded; the paper
 	// diagrams one pair per parent — two covers deg(V)=2 real models, and
@@ -22,15 +20,11 @@ type Config struct {
 	Parents int
 	// IncludeMemory adds the node memory column (paper default true).
 	IncludeMemory bool
-	// HashIDs derives node IDs by FNV-hashing operator names (the paper's
-	// rule) instead of using node indices. Either way IDs are normalized
-	// to [0, 1].
-	HashIDs bool
 }
 
 // Default is the paper-faithful configuration.
 func Default() Config {
-	return Config{Parents: 2, IncludeMemory: true, HashIDs: false}
+	return Config{Parents: 2, IncludeMemory: true}
 }
 
 // Dim returns the embedding width under the configuration.
@@ -44,8 +38,9 @@ func (c Config) Dim() int {
 
 // Graph embeds every node of g, returning |V| rows in node-ID order.
 // All columns are normalized to small ranges so LSTM inputs stay
-// well-conditioned: levels by graph depth, IDs to [0,1] (missing parents
-// get −1, the paper's sentinel), memory by the largest node footprint.
+// well-conditioned: levels by graph depth, IDs (node index + 1) by |V|
+// (missing parents get −1, the paper's sentinel), memory by the largest
+// node footprint.
 func Graph(g *graph.Graph, cfg Config) [][]float64 {
 	n := g.NumNodes()
 	depth := float64(g.Depth() + 1)
@@ -55,21 +50,12 @@ func Graph(g *graph.Graph, cfg Config) [][]float64 {
 			maxMem = p
 		}
 	}
-	ids := make([]float64, n)
-	for v := 0; v < n; v++ {
-		if cfg.HashIDs {
-			h := fnv.New32a()
-			h.Write([]byte(g.Node(v).Name))
-			ids[v] = float64(h.Sum32()%100003) / 100003
-		} else {
-			ids[v] = float64(v+1) / float64(n)
-		}
-	}
+	id := func(v int) float64 { return float64(v+1) / float64(n) }
 
 	out := make([][]float64, n)
 	for v := 0; v < n; v++ {
 		row := make([]float64, 0, cfg.Dim())
-		row = append(row, float64(g.ASAP(v))/depth, ids[v])
+		row = append(row, float64(g.ASAP(v))/depth, id(v))
 
 		// Parents sorted by level descending (the binding constraint
 		// first), then by ID for determinism.
@@ -84,7 +70,7 @@ func Graph(g *graph.Graph, cfg Config) [][]float64 {
 		for k := 0; k < cfg.Parents; k++ {
 			if k < len(preds) {
 				p := preds[k]
-				row = append(row, float64(g.ASAP(p))/depth, ids[p])
+				row = append(row, float64(g.ASAP(p))/depth, id(p))
 			} else {
 				row = append(row, 0, -1)
 			}

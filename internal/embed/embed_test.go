@@ -87,22 +87,6 @@ func TestMemoryAblation(t *testing.T) {
 	}
 }
 
-func TestHashIDsDeterministicAndBounded(t *testing.T) {
-	g := diamond(t)
-	cfg := Default()
-	cfg.HashIDs = true
-	a := Graph(g, cfg)
-	b := Graph(g, cfg)
-	for v := range a {
-		if a[v][1] != b[v][1] {
-			t.Fatal("hash IDs nondeterministic")
-		}
-		if a[v][1] < 0 || a[v][1] > 1 {
-			t.Fatalf("hash ID %v out of range", a[v][1])
-		}
-	}
-}
-
 func TestAllColumnsBounded(t *testing.T) {
 	s, err := synth.NewSampler(synth.DefaultConfig(6), 9)
 	if err != nil {

@@ -99,9 +99,9 @@ func (m *Model) Decode(t *ad.Tape, emb [][]float64, sample bool, rng *rand.Rand)
 }
 
 // DecodeForced teacher-forces the given permutation, returning its
-// log-probability under the model — used by the supervised-imitation
-// ablation and by gradient checks (forced selection keeps the loss smooth
-// under parameter perturbation).
+// log-probability under the model — the reference for gradient checks
+// (forced selection keeps the loss smooth under parameter perturbation)
+// and for Encoding.Score.
 func (m *Model) DecodeForced(t *ad.Tape, emb [][]float64, forced []int) DecodeResult {
 	if len(forced) != len(emb) {
 		panic(fmt.Sprintf("ptrnet: forced sequence length %d, want %d", len(forced), len(emb)))

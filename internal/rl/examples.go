@@ -28,17 +28,13 @@ type Example struct {
 	// Weight scales this example's gradient contribution; 0 means 1.
 	// The online loop down-weights deadline-missed periodic samples.
 	Weight float64
-	// gamma is the exact scheduler's node order behind a curriculum
-	// target, the sequence the supervised ablation forces.
-	gamma []int
 }
 
 // NewExampleTrainer wraps an existing model for replay-driven training
 // via StepExamples. The model is trained in place; callers that serve
 // from the same weights must train a Clone. Unlike NewTrainer, no
 // synthetic curriculum or held-out evaluation set is built — Step,
-// Train and EvalGreedy must not be used on the returned trainer — and
-// cfg.Supervised must be off: replay examples carry no γ to force.
+// Train and EvalGreedy must not be used on the returned trainer.
 func NewExampleTrainer(m *ptrnet.Model, ecfg embed.Config, cfg Config) *Trainer {
 	cfg = cfg.withDefaults()
 	return &Trainer{

@@ -4,12 +4,15 @@
 // DAGs. The reward is the cosine similarity between the one-hot stage
 // matrices of the predicted and exact schedules (Eq. 3); the gradient uses
 // a greedy-rollout baseline that tracks the best model over past
-// iterations (Eq. 6).
+// iterations (Eq. 6). ρ, which cuts an emitted order into stages, is the
+// optimal DP segmentation (sched.SequenceToScheduleDP) on both sides
+// of the reward.
 package rl
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -21,26 +24,6 @@ import (
 	"respect/internal/ptrnet"
 	"respect/internal/sched"
 	"respect/internal/synth"
-)
-
-// BaselineKind selects the variance-reduction baseline b(G).
-type BaselineKind int8
-
-// Baselines (Rollout is the paper's choice; the others are ablations).
-const (
-	BaselineRollout BaselineKind = iota
-	BaselineEMA
-	BaselineNone
-)
-
-// RewardKind selects the reward signal.
-type RewardKind int8
-
-// Rewards (CosineImitation is the paper's Eq. 3; DirectObjective is the
-// "learn the objective, not the algorithm" ablation).
-const (
-	RewardCosineImitation RewardKind = iota
-	RewardDirectObjective
 )
 
 // Config controls training. Zero values are replaced by defaults matching
@@ -56,17 +39,7 @@ type Config struct {
 	BatchSize      int     // graphs per step (paper: 128)
 	LR             float64 // Adam learning rate (paper: 1e-4)
 	Seed           int64
-	Baseline       BaselineKind
-	Reward         RewardKind
-	ChallengeEvery int  // iterations between rollout-baseline challenges
-	Supervised     bool // cross-entropy teacher forcing ablation
-	// Embed overrides the graph-embedding configuration (nil = paper
-	// default); used by the embedding-column ablation benchmarks.
-	Embed *embed.Config
-	// GreedyRho switches ρ back to the greedy balanced-budget walk
-	// (ablation); the default realizes ρ as the optimal DP segmentation
-	// of the emitted order (sched.SequenceToScheduleDP).
-	GreedyRho bool
+	ChallengeEvery int // iterations between rollout-baseline challenges
 }
 
 // withDefaults fills zero fields.
@@ -98,10 +71,29 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// check refuses a filled-in configuration the trainer cannot train.
+func (c Config) check() error {
+	switch {
+	case c.Stages < 2:
+		return fmt.Errorf("rl: need >= 2 stages, got %d", c.Stages)
+	case c.Hidden < 1:
+		return fmt.Errorf("rl: hidden width must be positive, got %d", c.Hidden)
+	case c.BatchSize < 1:
+		return fmt.Errorf("rl: batch size must be positive, got %d", c.BatchSize)
+	case c.Iterations < 1:
+		return fmt.Errorf("rl: iterations must be positive, got %d", c.Iterations)
+	case c.ChallengeEvery < 1:
+		return fmt.Errorf("rl: challenge interval must be positive, got %d", c.ChallengeEvery)
+	case !(c.LR > 0) || math.IsInf(c.LR, 1):
+		return fmt.Errorf("rl: learning rate must be positive and finite, got %v", c.LR)
+	}
+	return nil
+}
+
 // IterStats reports one training step.
 type IterStats struct {
 	Iter        int
-	MeanReward  float64 // mean cosine/objective reward of sampled rollouts
+	MeanReward  float64 // mean cosine reward of sampled rollouts
 	MeanBase    float64 // mean baseline value
 	GradNorm    float64
 	MeanEntropy float64
@@ -115,8 +107,6 @@ type Trainer struct {
 	EmbedCfg embed.Config
 
 	baseline *ptrnet.Model
-	ema      float64
-	emaInit  bool
 	opt      *nn.Adam
 	sampler  *synth.CurriculumSampler
 	evalSet  []*graph.Graph // held-out graphs; their targets are solved on first use
@@ -124,16 +114,14 @@ type Trainer struct {
 	rng      *rand.Rand
 }
 
-// NewTrainer builds a trainer (and a fresh model) from cfg.
+// NewTrainer builds a trainer (and a fresh model) from cfg, or refuses a
+// configuration it cannot train.
 func NewTrainer(cfg Config) (*Trainer, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Stages < 2 {
-		return nil, fmt.Errorf("rl: need >= 2 stages, got %d", cfg.Stages)
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
 	ecfg := embed.Default()
-	if cfg.Embed != nil {
-		ecfg = *cfg.Embed
-	}
 	model := ptrnet.New(ptrnet.Config{InputDim: ecfg.Dim(), Hidden: cfg.Hidden, Seed: cfg.Seed})
 	sampler, err := synth.NewCurriculum(cfg.NumNodes, cfg.Degrees, cfg.Seed+101)
 	if err != nil {
@@ -143,44 +131,23 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	evalSet := make([]*graph.Graph, 20)
-	for i := range evalSet {
-		evalSet[i] = evalSampler.Sample()
+	tr := NewExampleTrainer(model, ecfg, cfg)
+	tr.sampler = sampler
+	tr.evalSet = make([]*graph.Graph, 20)
+	for i := range tr.evalSet {
+		tr.evalSet[i] = evalSampler.Sample()
 	}
-	return &Trainer{
-		Cfg:      cfg,
-		Model:    model,
-		EmbedCfg: ecfg,
-		baseline: model.Clone(),
-		opt:      nn.NewAdam(model.Params(), cfg.LR),
-		sampler:  sampler,
-		evalSet:  evalSet,
-		rng:      rand.New(rand.NewSource(cfg.Seed + 7)),
-	}, nil
-}
-
-// rho applies the configured sequence→schedule mapping.
-func rho(g *graph.Graph, seq []int, stages int, greedy bool) (sched.Schedule, error) {
-	if greedy {
-		return sched.SequenceToSchedule(g, seq, stages)
-	}
-	return sched.SequenceToScheduleDP(g, seq, stages)
+	return tr, nil
 }
 
 // GroundTruth computes the exact scheduler's sequence γ and schedule S for
-// a graph (the imitation target). greedyRho selects the ρ variant so the
-// reward compares like with like (Eq. 2).
+// a graph (the imitation target). The exact search is bounded by states
+// alone, so a label never depends on how fast the machine is.
 func GroundTruth(g *graph.Graph, stages int) ([]int, sched.Schedule) {
-	return groundTruth(g, stages, false)
-}
-
-// groundTruth bounds the exact search by states alone, so a label never
-// depends on how fast the machine is.
-func groundTruth(g *graph.Graph, stages int, greedyRho bool) ([]int, sched.Schedule) {
 	res := exact.Solve(g, stages, exact.Options{MaxStates: 2_000_000})
 	gamma := sched.ScheduleToSequence(g, res.Schedule)
 	// S = ρ(γ): the reward compares like with like (Eq. 2).
-	s, err := rho(g, gamma, stages, greedyRho)
+	s, err := sched.SequenceToScheduleDP(g, gamma, stages)
 	if err != nil {
 		panic("rl: ground-truth sequence invalid: " + err.Error())
 	}
@@ -189,33 +156,19 @@ func groundTruth(g *graph.Graph, stages int, greedyRho bool) ([]int, sched.Sched
 
 // example solves g's imitation target at the configured stage count.
 func (tr *Trainer) example(g *graph.Graph) Example {
-	gamma, truth := groundTruth(g, tr.Cfg.Stages, tr.Cfg.GreedyRho)
-	return Example{G: g, Truth: truth, gamma: gamma}
+	_, truth := GroundTruth(g, tr.Cfg.Stages)
+	return Example{G: g, Truth: truth}
 }
 
 // Reward scores a predicted sequence π against the target schedule via ρ
 // at the target's stage count: the cosine similarity of one-hot stage
-// matrices (Eq. 1/3), or the normalized inverse objective for the
-// direct-objective ablation.
+// matrices (Eq. 1/3).
 func (tr *Trainer) Reward(g *graph.Graph, seq []int, truth sched.Schedule) float64 {
-	s, err := rho(g, seq, truth.NumStages, tr.Cfg.GreedyRho)
+	s, err := sched.SequenceToScheduleDP(g, seq, truth.NumStages)
 	if err != nil {
 		return 0
 	}
-	switch tr.Cfg.Reward {
-	case RewardDirectObjective:
-		// Peak memory of the repaired schedule relative to the exact
-		// optimum: in (0, 1], 1 at optimal.
-		repaired := sched.PostProcess(g, s)
-		opt := truth.Evaluate(g).PeakParamBytes
-		got := repaired.Evaluate(g).PeakParamBytes
-		if got <= 0 {
-			return 1
-		}
-		return float64(opt) / float64(got)
-	default:
-		return sched.Agreement(s, truth)
-	}
+	return sched.Agreement(s, truth)
 }
 
 // Step runs one training iteration on BatchSize fresh curriculum graphs,
@@ -232,15 +185,14 @@ func (tr *Trainer) Step(iter int) IterStats {
 
 // step is the one REINFORCE iteration (Eq. 6) the curriculum and the
 // replay buffer both feed: every example contributes (cost − b)·w/n to
-// the gradient, or −w/n·log p(γ) under the supervised ablation, and Adam
-// takes one step. challenge yields the set the rollout baseline is
-// challenged on; it is called only when a challenge fires.
+// the gradient, b being the rollout baseline's cost, and Adam takes one
+// step. challenge yields the set the rollout baseline is challenged on;
+// it is called only when a challenge fires.
 func (tr *Trainer) step(start time.Time, iter int, batch []Example, challenge func() []Example) IterStats {
 	stats := IterStats{Iter: iter}
 	if len(batch) == 0 {
 		return stats
 	}
-	cfg := tr.Cfg
 	n := float64(len(batch))
 	for _, ex := range batch {
 		w := ex.Weight
@@ -248,35 +200,10 @@ func (tr *Trainer) step(start time.Time, iter int, batch []Example, challenge fu
 			w = 1
 		}
 		emb := embed.Graph(ex.G, tr.EmbedCfg)
-		tape := ad.NewTape()
-
-		if cfg.Supervised {
-			res := tr.Model.DecodeForced(tape, emb, ex.gamma)
-			// Minimize −log p(γ): seed the log-prob with −w/n.
-			res.LogProb.BackwardWithSeed(-w / n)
-			stats.MeanReward += tr.Reward(ex.G, tr.Model.Infer(emb), ex.Truth)
-			stats.MeanEntropy += res.AvgEntropy
-			continue
-		}
-
-		res := tr.Model.Decode(tape, emb, true, tr.rng)
+		res := tr.Model.Decode(ad.NewTape(), emb, true, tr.rng)
 		reward := tr.Reward(ex.G, res.Seq, ex.Truth)
 		cost := 1 - reward
-		base := 0.0
-		switch cfg.Baseline {
-		case BaselineNone:
-		case BaselineEMA:
-			// Read b before this rollout updates it.
-			if tr.emaInit {
-				base = tr.ema
-				tr.ema = 0.9*tr.ema + 0.1*cost
-			} else {
-				base = 0.5
-				tr.ema, tr.emaInit = cost, true
-			}
-		default:
-			base = 1 - tr.Reward(ex.G, tr.baseline.Infer(emb), ex.Truth)
-		}
+		base := 1 - tr.Reward(ex.G, tr.baseline.Infer(emb), ex.Truth)
 		// ∇J = E[(cost − b)·∇log p] (Eq. 6); Adam descends the
 		// accumulated gradient.
 		res.LogProb.BackwardWithSeed((cost - base) * w / n)
@@ -293,7 +220,7 @@ func (tr *Trainer) step(start time.Time, iter int, batch []Example, challenge fu
 
 	// Rollout-baseline challenge: adopt the current model if it beats the
 	// snapshot on the challenge set (greedy vs greedy).
-	if cfg.Baseline == BaselineRollout && (iter+1)%cfg.ChallengeEvery == 0 {
+	if (iter+1)%tr.Cfg.ChallengeEvery == 0 {
 		set := challenge()
 		if tr.EvalExamples(tr.Model, set) > tr.EvalExamples(tr.baseline, set) {
 			tr.baseline = tr.Model.Clone()

@@ -2,10 +2,10 @@ package rl
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"testing"
 
-	"respect/internal/embed"
 	"respect/internal/models"
 	"respect/internal/ptrnet"
 	"respect/internal/synth"
@@ -38,64 +38,36 @@ func TestTrainerImproves(t *testing.T) {
 	}
 }
 
-func TestSupervisedImproves(t *testing.T) {
-	cfg := smallCfg(2)
-	cfg.Supervised = true
-	cfg.Iterations = 60
-	tr, err := NewTrainer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := tr.EvalGreedy(tr.Model)
-	if err := tr.Train(nil); err != nil {
-		t.Fatal(err)
-	}
-	after := tr.EvalGreedy(tr.Model)
-	t.Logf("supervised greedy reward %.3f -> %.3f", before, after)
-	if after < before {
-		t.Fatalf("teacher forcing regressed: %.3f -> %.3f", before, after)
-	}
-}
-
-func TestBaselineVariants(t *testing.T) {
-	for _, b := range []BaselineKind{BaselineRollout, BaselineEMA, BaselineNone} {
-		cfg := smallCfg(3)
-		cfg.Baseline = b
-		cfg.Iterations = 10
-		tr, err := NewTrainer(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.Train(nil); err != nil {
-			t.Fatalf("baseline %d: %v", b, err)
-		}
-	}
-}
-
-func TestDirectObjectiveReward(t *testing.T) {
-	cfg := smallCfg(4)
-	cfg.Reward = RewardDirectObjective
-	cfg.Iterations = 10
-	tr, err := NewTrainer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Train(nil); err != nil {
-		t.Fatal(err)
-	}
-	// The direct reward must be in (0, 1].
-	s, _ := synth.NewSampler(synth.DefaultConfig(2), 5)
-	g := s.Sample()
-	_, truth := GroundTruth(g, tr.Cfg.Stages)
-	r := tr.Reward(g, tr.Model.Infer(embed.Graph(g, tr.EmbedCfg)), truth)
-	if r <= 0 || r > 1 {
-		t.Fatalf("direct reward %v out of range", r)
-	}
-}
-
 func TestStagesValidation(t *testing.T) {
 	if _, err := NewTrainer(Config{Stages: 1}); err == nil {
 		t.Fatal("1-stage training accepted")
+	}
+}
+
+// TestNewTrainerRefusesUntrainableConfigs holds NewTrainer to refusing,
+// after defaults, every value it cannot train with, instead of panicking
+// mid-step, writing an untrained agent or climbing the loss.
+func TestNewTrainerRefusesUntrainableConfigs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"negative hidden", Config{Hidden: -4}},
+		{"negative batch", Config{BatchSize: -1}},
+		{"negative iterations", Config{Iterations: -5}},
+		{"negative challenge interval", Config{ChallengeEvery: -1}},
+		{"negative learning rate", Config{LR: -1}},
+		{"NaN learning rate", Config{LR: math.NaN()}},
+		{"infinite learning rate", Config{LR: math.Inf(1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := NewTrainer(tc.cfg); err == nil {
+				t.Fatalf("%+v accepted", tc.cfg)
+			}
+		})
+	}
+	if _, err := NewTrainer(Config{Iterations: 1}); err != nil {
+		t.Fatalf("defaults refused: %v", err)
 	}
 }
 
@@ -282,23 +254,6 @@ func TestScheduleSampledNeverWorseThanGreedy(t *testing.T) {
 	}
 	if !sampled.SameStageChildrenOK(g) {
 		t.Fatal("sampled schedule not hardware-ready")
-	}
-}
-
-func TestGreedyRhoAblationTrains(t *testing.T) {
-	cfg := smallCfg(40)
-	cfg.GreedyRho = true
-	cfg.Iterations = 8
-	tr, err := NewTrainer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Train(nil); err != nil {
-		t.Fatal(err)
-	}
-	// Greedy-rho rewards must stay in [0, 1].
-	if r := tr.EvalGreedy(tr.Model); r < 0 || r > 1 {
-		t.Fatalf("reward %v", r)
 	}
 }
 

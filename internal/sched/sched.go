@@ -186,7 +186,8 @@ func SequenceToSchedule(g *graph.Graph, seq []int, numStages int) (Schedule, err
 // paper leaves ρ abstract ("the scheduling algorithm w.r.t. the specific
 // Edge TPU"); the DP keeps ρ deterministic and polynomial while letting
 // the learned node order express schedule quality fully. The greedy
-// budget walk remains available (SequenceToSchedule) as an ablation.
+// budget walk (SequenceToSchedule) is the compiler's ρ: heur.GreedyBalanced
+// runs it over a topological order.
 func SequenceToScheduleDP(g *graph.Graph, seq []int, numStages int) (Schedule, error) {
 	// Validate via the shared path, then resegment optimally.
 	if err := validateSequence(g, seq, numStages); err != nil {
