@@ -155,7 +155,7 @@ func TestExactFamilyOracle(t *testing.T) {
 				if b.Name() == "milp" && g.NumNodes() > 8 {
 					continue
 				}
-				out := solve(context.Background(), b, g, ns)
+				out := solve(context.Background(), b, g, ns, time.Now())
 				if out.Err != nil {
 					t.Fatalf("%s/%d: %s: %v", g.Name, ns, b.Name(), out.Err)
 				}

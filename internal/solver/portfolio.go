@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"respect/internal/graph"
@@ -23,9 +24,12 @@ type Outcome struct {
 	// Info is the backend's honesty metadata (truncation / optimality
 	// proof) when it reports any; zero for plain backends.
 	Info Info
-	// Started is the backend goroutine's start offset from the beginning
-	// of the race (scheduling delay; normally microseconds). Together with
-	// Elapsed it places the backend on a per-request timeline.
+	// Started is the backend's start offset from the start of the race's
+	// first member, so member 0 of a race starts at 0. It includes any wait
+	// behind the members run before it on the caller's goroutine (at most
+	// escalateAfter unless a member before it ran that long inline) and a
+	// spawned goroutine's scheduling delay. Together with Elapsed it places
+	// the backend on a per-request timeline.
 	Started time.Duration
 	// Elapsed is the backend's wall-clock solve time.
 	Elapsed time.Duration
@@ -63,9 +67,11 @@ type PortfolioOptions struct {
 // Portfolio races the given backends on one scheduling instance under the
 // caller's context and returns the best deployable schedule by deployed
 // cost (ties break toward the earlier backend in the argument order).
-// Every backend runs in its own goroutine against a shared derived
-// context; when the race is decided the derived context is cancelled, so
-// no goroutine outlives the call. Backends that error or return invalid
+// The backends run under a shared derived context, one after another on
+// the caller's goroutine; a backend that has not started within
+// escalateAfter (1 ms) of the race's start gets a goroutine of its own
+// (see race). When the race is decided the derived context is cancelled,
+// so no goroutine outlives the call. Backends that error or return invalid
 // schedules are excluded; the call fails only when no backend produced a
 // valid schedule or the caller's context was cancelled outright.
 func Portfolio(ctx context.Context, backends []Scheduler, g *graph.Graph, numStages int) (PortfolioResult, error) {
@@ -91,12 +97,14 @@ func (e *PanicError) Error() string {
 // race and is never served or stored on a cost no deployable schedule has.
 //
 // It is also the one place every member of every race, batch, periodic job
-// and speculative warm passes through, on a goroutine of this package's
-// making as often as not, so it is where a backend's panic is contained:
+// and speculative warm passes through, on the caller's goroutine or on one
+// the race escalated it to, so it is where a backend's panic is contained:
 // the panic becomes that member's error, and a fault in one backend costs
 // it the race, not the process every other request is being served by.
-func solve(ctx context.Context, b Scheduler, g *graph.Graph, numStages int) (out Outcome) {
-	start := time.Now()
+//
+// start is when the solve began, for Elapsed; the race passes its own
+// clock reading so that the first member's Started is exactly 0.
+func solve(ctx context.Context, b Scheduler, g *graph.Graph, numStages int, start time.Time) (out Outcome) {
 	defer func() {
 		if r := recover(); r != nil {
 			out = Outcome{Backend: b.Name(), Elapsed: time.Since(start), Err: &PanicError{Backend: b.Name(), Value: r}}
@@ -126,9 +134,9 @@ func checkStages(numStages int) error {
 	return nil
 }
 
-// PortfolioOpt is Portfolio with explicit options. A race of one runs on
-// the caller's goroutine under the caller's context: there is nobody to
-// cancel and no patience to wait out. A stage count below 1 is refused
+// PortfolioOpt is Portfolio with explicit options. A race of one is no
+// special case: its only member runs on the caller's goroutine, as the
+// first member of every race does. A stage count below 1 is refused
 // before any backend starts, so every race, engine solve and batch item
 // refuses it alike.
 func PortfolioOpt(ctx context.Context, backends []Scheduler, g *graph.Graph, numStages int, opts PortfolioOptions) (PortfolioResult, error) {
@@ -139,11 +147,7 @@ func PortfolioOpt(ctx context.Context, backends []Scheduler, g *graph.Graph, num
 		return PortfolioResult{}, err
 	}
 	res := PortfolioResult{Outcomes: make([]Outcome, len(backends))}
-	if len(backends) == 1 {
-		res.Outcomes[0] = solve(ctx, backends[0], g, numStages)
-	} else {
-		race(ctx, backends, g, numStages, opts, res.Outcomes)
-	}
+	race(ctx, backends, g, numStages, opts, res.Outcomes)
 
 	best := -1
 	for i := range res.Outcomes {
@@ -169,44 +173,122 @@ func PortfolioOpt(ctx context.Context, backends []Scheduler, g *graph.Graph, num
 	return res, nil
 }
 
-// race runs every backend in its own goroutine against a shared derived
-// context and fills outs in input order; it returns once all have
-// reported in.
+// escalateAfter is how long a race runs its members one after another on
+// the caller's goroutine before every member not yet started gets a
+// goroutine of its own. The members of a miss solve in microseconds, and
+// starting a goroutine per member cost more than the solves (a CPU profile
+// of a miss-only load put a fifth of the server's samples on those
+// goroutines and their stack growth). 1 ms is 2 % of the tightest class
+// budget (interactive, 50 ms), so an anytime member behind a slow one
+// loses at most that much of its search before the deadline.
+const escalateAfter = 1 * time.Millisecond
+
+// race fills outs in input order and returns once every member has
+// reported in. It runs the members in input order on the caller's
+// goroutine, under a context derived from ctx. A timer armed at the start
+// fires after escalateAfter; it then starts every member not yet started
+// on a goroutine of its own, and the caller finishes the member it is
+// running and waits for them. The trade: when every member finishes in
+// under escalateAfter, the race takes the sum of their times instead of
+// the longest plus goroutine start-up, and no member starts later than
+// escalateAfter after the race began unless the members before it already
+// ran that long inline.
+//
+// The first valid result, from the caller or from an escalated member,
+// arms opts.Patience: when it elapses the derived context is cancelled,
+// and anytime members hand back their incumbents while the others return
+// the context's error.
 func race(ctx context.Context, backends []Scheduler, g *graph.Graph, numStages int, opts PortfolioOptions, outs []Outcome) {
 	raceCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	type indexed struct {
-		i   int
-		out Outcome
+	r := &racer{ctx: raceCtx, cancel: cancel, backends: backends, g: g, numStages: numStages, patience: opts.Patience, outs: outs}
+	r.start = time.Now()
+	var escalation *time.Timer
+	if len(backends) > 1 {
+		// The timer's callback is counted as a member would be, so the
+		// caller waits for it unless it is stopped before it fires.
+		r.wg.Add(1)
+		escalation = time.AfterFunc(escalateAfter, r.escalate)
 	}
-	results := make(chan indexed, len(backends))
-	raceStart := time.Now()
-	for i, b := range backends {
-		go func(i int, b Scheduler) {
-			started := time.Since(raceStart)
-			out := solve(raceCtx, b, g, numStages)
-			out.Started = started
-			results <- indexed{i, out}
-		}(i, b)
+	start := r.start
+	for i := r.claim(); i >= 0; i = r.claim() {
+		r.run(i, start)
+		start = time.Now()
 	}
+	if escalation != nil && escalation.Stop() {
+		r.wg.Done()
+	}
+	r.wg.Wait()
+	if r.cut != nil {
+		// Every member has reported in, so nothing arms it any more; a
+		// callback that already fired only cancels raceCtx, as the
+		// deferred cancel does.
+		r.cut.Stop()
+	}
+}
 
-	var patience <-chan time.Time
-	for done := 0; done < len(backends); {
-		select {
-		case r := <-results:
-			done++
-			outs[r.i] = r.out
-			if r.out.Err == nil && patience == nil && opts.Patience > 0 {
-				patience = time.After(opts.Patience)
-			}
-		case <-patience:
-			// The stragglers lost; reclaim their goroutines. Anytime
-			// backends return incumbents, others return ctx.Canceled —
-			// either way every goroutine reports in and we keep draining.
-			cancel()
-			patience = nil
-		}
+// racer is the state one race shares between the caller and the members
+// it escalates to goroutines of their own.
+type racer struct {
+	ctx       context.Context
+	cancel    context.CancelFunc
+	backends  []Scheduler
+	g         *graph.Graph
+	numStages int
+	patience  time.Duration
+	outs      []Outcome
+	start     time.Time
+
+	// mu hands members over between the caller and the escalation timer:
+	// next only grows, each member is claimed exactly once, and an
+	// escalated member is counted in wg before next passes it, so a caller
+	// that finds next at the end never waits too early.
+	mu       sync.Mutex
+	next     int            // the first member not yet claimed
+	finished int            // members that have reported in
+	cut      *time.Timer    // patience, armed by the first valid result
+	wg       sync.WaitGroup // escalated members and the escalation callback
+}
+
+// claim returns the next member for the caller to run inline, or -1 when
+// every member has been claimed.
+func (r *racer) claim() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.next == len(r.backends) {
+		return -1
+	}
+	r.next++
+	return r.next - 1
+}
+
+// escalate is the escalation timer's callback: every member not yet
+// claimed starts on a goroutine of its own.
+func (r *racer) escalate() {
+	defer r.wg.Done()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for ; r.next < len(r.backends); r.next++ {
+		r.wg.Add(1)
+		go func(i int) {
+			defer r.wg.Done()
+			r.run(i, time.Now())
+		}(r.next)
+	}
+}
+
+// run solves member i, which started at start, into its outcome slot and
+// arms patience on the first valid result while members are still to
+// report in.
+func (r *racer) run(i int, start time.Time) {
+	out := solve(r.ctx, r.backends[i], r.g, r.numStages, start)
+	out.Started = start.Sub(r.start)
+	r.outs[i] = out
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.finished++
+	if out.Err == nil && r.cut == nil && r.patience > 0 && r.finished < len(r.backends) {
+		r.cut = time.AfterFunc(r.patience, r.cancel)
 	}
 }
 

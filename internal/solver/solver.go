@@ -4,7 +4,9 @@
 // heuristics, the compiler's partition), a named registry to enumerate
 // and resolve them, and concurrent engines built on top — Portfolio races
 // backends under one deadline and returns the cheapest deployable
-// schedule; Engine memoizes races by graph fingerprint (a single backend
+// schedule (the members run in order on the caller's goroutine, and any
+// not started within 1 ms of the race's start get goroutines of their
+// own); Engine memoizes races by graph fingerprint (a single backend
 // is an engine of one); Batch schedules many graphs through an Engine
 // with a bounded worker pool.
 //

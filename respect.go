@@ -279,8 +279,10 @@ func (a *Agent) RegisterBackends() error {
 // SchedulePortfolio races the named backends on one graph under ctx and
 // returns the cheapest deployable schedule with per-backend telemetry.
 // Anytime backends (exact, exact-ilp-grade, anneal) return their incumbents when the context
-// deadline fires, so the call completes within the caller's budget; losing
-// backends are cancelled, and no goroutine outlives the call.
+// deadline fires, so the call completes within the caller's budget. The
+// backends run in order on the caller's goroutine; any not started 1 ms
+// into the race get goroutines of their own. Losing backends are
+// cancelled, and no goroutine outlives the call.
 func SchedulePortfolio(ctx context.Context, g *Graph, numStages int, backendNames ...string) (PortfolioResult, error) {
 	backends, err := solver.Resolve(backendNames...)
 	if err != nil {
