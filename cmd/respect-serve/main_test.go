@@ -507,12 +507,12 @@ func TestRunAgentBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Other tests of this process may have bound online backends too.
-	for _, want := range []string{"anneal", "compiler", "exact", "exact-ilp-grade", "heur", "rl", "rl-sampled"} {
+	for _, want := range []string{"compiler", "exact", "exact-ilp-grade", "heur", "rl", "rl-sampled"} {
 		if !slices.Contains(page.Backends, want) {
 			t.Fatalf("backends %v lack %q", page.Backends, want)
 		}
 	}
-	deleted := []string{"rl-beam", "dp", "compiler-full", "ilp", "hu", "list", "force"}
+	deleted := []string{"rl-beam", "dp", "compiler-full", "ilp", "hu", "list", "force", "anneal"}
 	for _, gone := range deleted {
 		if slices.Contains(page.Backends, gone) {
 			t.Fatalf("backends %v list %q", page.Backends, gone)

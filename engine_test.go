@@ -20,7 +20,7 @@ func TestBackendsRegistry(t *testing.T) {
 	if len(names) == 0 {
 		t.Fatal("no backends registered")
 	}
-	for _, want := range []string{"exact", "heur", "compiler", "anneal"} {
+	for _, want := range []string{"exact", "exact-ilp-grade", "heur", "compiler"} {
 		found := false
 		for _, n := range names {
 			if n == want {

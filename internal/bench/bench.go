@@ -17,7 +17,6 @@ import (
 	"respect/internal/embed"
 	"respect/internal/exact"
 	"respect/internal/graph"
-	"respect/internal/heur"
 	"respect/internal/ilp"
 	"respect/internal/models"
 	"respect/internal/ptrnet"
@@ -250,7 +249,7 @@ func Fig4(model *ptrnet.Model, ecfg embed.Config, names []string, stages []int, 
 // compilerSchedule is the partition the compiler emulation would produce,
 // without paying for its quantization and serialization passes.
 func compilerSchedule(g *graph.Graph, ns int) sched.Schedule {
-	return heur.GreedyBalanced(g, ns)
+	return sched.GreedyBalanced(g, ns)
 }
 
 // Fig5Row is one (model, stages) gap-to-optimal data point. Two optima

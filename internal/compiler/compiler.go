@@ -22,7 +22,6 @@ import (
 
 	"respect/internal/deploy"
 	"respect/internal/graph"
-	"respect/internal/heur"
 	"respect/internal/sched"
 )
 
@@ -85,7 +84,7 @@ func Compile(g *graph.Graph, numStages int, opts Options) (*Result, error) {
 
 	// Pass 1+3: canonicalize and partition (parameter-balanced greedy over
 	// the deterministic topological order, then hardware-rule repair).
-	s := sched.PostProcess(g, heur.GreedyBalanced(g, numStages))
+	s := sched.PostProcess(g, sched.GreedyBalanced(g, numStages))
 
 	// Pass 2+6 live in deploy: quantize every tensor and build sub-models.
 	subs, err := deploy.Partition(g, s)

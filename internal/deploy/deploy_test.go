@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"respect/internal/heur"
 	"respect/internal/models"
 	"respect/internal/sched"
 )
@@ -81,7 +80,7 @@ func TestQuickQuantizeBound(t *testing.T) {
 
 func TestPartitionStructure(t *testing.T) {
 	g := models.MustLoad("Xception")
-	s := sched.PostProcess(g, heur.GreedyBalanced(g, 4))
+	s := sched.PostProcess(g, sched.GreedyBalanced(g, 4))
 	subs, err := Partition(g, s)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +130,7 @@ func TestPartitionRejectsInvalid(t *testing.T) {
 
 func TestSerializationRoundTrip(t *testing.T) {
 	g := models.MustLoad("ResNet50")
-	s := sched.PostProcess(g, heur.GreedyBalanced(g, 3))
+	s := sched.PostProcess(g, sched.GreedyBalanced(g, 3))
 	subs, err := Partition(g, s)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +166,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 
 func TestReadDetectsCorruption(t *testing.T) {
 	g := models.MustLoad("Xception")
-	s := sched.PostProcess(g, heur.GreedyBalanced(g, 2))
+	s := sched.PostProcess(g, sched.GreedyBalanced(g, 2))
 	subs, _ := Partition(g, s)
 	var buf bytes.Buffer
 	if err := subs[0].Write(&buf); err != nil {

@@ -37,7 +37,6 @@ import (
 
 	"respect/internal/bitset"
 	"respect/internal/graph"
-	"respect/internal/heur"
 	"respect/internal/sched"
 )
 
@@ -232,7 +231,7 @@ func SolveCtx(ctx context.Context, g *graph.Graph, numStages int, opts Options) 
 	// Incumbent: exact DP over the instance's deterministic topological
 	// order, priced on the caller's graph. For single-stage problems this
 	// is already optimal.
-	s.best = heur.DPBudget(s.g, numStages)
+	s.best = sched.DPBudget(s.g, numStages)
 	seedCost := expand(s.best).Evaluate(g)
 	s.bestPeak, s.bestCross = seedCost.PeakParamBytes, seedCost.CrossBytes
 	switch {

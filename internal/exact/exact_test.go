@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"respect/internal/graph"
-	"respect/internal/heur"
 	"respect/internal/models"
 	"respect/internal/sched"
 )
@@ -103,10 +102,10 @@ func TestSolveNeverWorseThanHeuristics(t *testing.T) {
 			if !ex.Optimal {
 				return false
 			}
-			if ex.Cost.PeakParamBytes > heur.GreedyBalanced(g, ns).Evaluate(g).PeakParamBytes {
+			if ex.Cost.PeakParamBytes > sched.GreedyBalanced(g, ns).Evaluate(g).PeakParamBytes {
 				return false
 			}
-			if ex.Cost.PeakParamBytes > heur.DPBudget(g, ns).Evaluate(g).PeakParamBytes {
+			if ex.Cost.PeakParamBytes > sched.DPBudget(g, ns).Evaluate(g).PeakParamBytes {
 				return false
 			}
 		}
@@ -170,7 +169,7 @@ func TestSolveTimeoutTruncates(t *testing.T) {
 	// With a 1ms budget on a 177-node graph the search cannot finish...
 	// unless pruning is extraordinarily effective; either way the result
 	// must be at least as good as the DP seed.
-	seed := heur.DPBudget(g, 6).Evaluate(g)
+	seed := sched.DPBudget(g, 6).Evaluate(g)
 	if seed.PeakParamBytes < r.Cost.PeakParamBytes {
 		t.Fatalf("result worse than its own seed: %v vs %v", r.Cost, seed)
 	}
@@ -198,7 +197,7 @@ func TestSolveOnRealModels(t *testing.T) {
 			if err := r.Schedule.Validate(g); err != nil {
 				t.Errorf("%s/%d: %v", name, ns, err)
 			}
-			dp := heur.DPBudget(g, ns).Evaluate(g)
+			dp := sched.DPBudget(g, ns).Evaluate(g)
 			if r.Cost.PeakParamBytes > dp.PeakParamBytes {
 				t.Errorf("%s/%d: exact %v worse than DP %v", name, ns, r.Cost, dp)
 			}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"respect/internal/graph"
-	"respect/internal/heur"
 	"respect/internal/models"
 	"respect/internal/sched"
 	"respect/internal/tpu"
@@ -21,7 +20,7 @@ func quietHW() tpu.HW {
 func testSetup(t testing.TB, name string, stages int) (*graph.Graph, sched.Schedule) {
 	t.Helper()
 	g := models.MustLoad(name)
-	return g, sched.PostProcess(g, heur.GreedyBalanced(g, stages))
+	return g, sched.PostProcess(g, sched.GreedyBalanced(g, stages))
 }
 
 func TestRunMatchesAnalyticSteadyState(t *testing.T) {
@@ -168,7 +167,7 @@ func TestBetterScheduleBetterThroughput(t *testing.T) {
 	// memory-balanced schedule and a skewed one on a big model.
 	g := models.MustLoad("ResNet152")
 	hw := quietHW()
-	good := sched.PostProcess(g, heur.DPBudget(g, 6))
+	good := sched.PostProcess(g, sched.DPBudget(g, 6))
 	bad := sched.PostProcess(g, equalCountSchedule(g, 6))
 	rg, err := Run(g, good, hw, Config{Inferences: 200, QueueDepth: 2})
 	if err != nil {

@@ -186,7 +186,7 @@ func SequenceToSchedule(g *graph.Graph, seq []int, numStages int) (Schedule, err
 // paper leaves ρ abstract ("the scheduling algorithm w.r.t. the specific
 // Edge TPU"); the DP keeps ρ deterministic and polynomial while letting
 // the learned node order express schedule quality fully. The greedy
-// budget walk (SequenceToSchedule) is the compiler's ρ: heur.GreedyBalanced
+// budget walk (SequenceToSchedule) is the compiler's ρ: GreedyBalanced
 // runs it over a topological order.
 func SequenceToScheduleDP(g *graph.Graph, seq []int, numStages int) (Schedule, error) {
 	// Validate via the shared path, then resegment optimally.
@@ -194,6 +194,33 @@ func SequenceToScheduleDP(g *graph.Graph, seq []int, numStages int) (Schedule, e
 		return Schedule{}, err
 	}
 	return dpSegment(g, seq, numStages), nil
+}
+
+// GreedyBalanced emulates the Edge TPU compiler's pipeline partitioner
+// (coral's --num_segments splitter, the paper's "heuristic method"): the
+// greedy budget walk over g's deterministic topological order. Like every
+// ρ it is monotone, not deployable, until PostProcess repairs it. It
+// panics when numStages is below 1.
+func GreedyBalanced(g *graph.Graph, numStages int) Schedule {
+	s, err := SequenceToSchedule(g, g.TopoView(), numStages)
+	if err != nil {
+		// Topo order over the graph's own nodes cannot fail validation.
+		panic("sched: GreedyBalanced: " + err.Error())
+	}
+	return s
+}
+
+// DPBudget is the minimum-peak-memory segmentation of g's deterministic
+// topological order (memory-aware adaptive budgeting): exact over that one
+// order, it is the strongest classic heuristic and the exact solver's
+// incumbent seed. Like GreedyBalanced, it needs PostProcess and panics
+// when numStages is below 1.
+func DPBudget(g *graph.Graph, numStages int) Schedule {
+	s, err := SequenceToScheduleDP(g, g.TopoView(), numStages)
+	if err != nil {
+		panic("sched: DPBudget: " + err.Error())
+	}
+	return s
 }
 
 // validateSequence checks that seq is a permutation of g's nodes and that
@@ -229,7 +256,7 @@ func validateSequence(g *graph.Graph, seq []int, numStages int) error {
 // dpScratch is the pooled working storage of dpSegment and
 // validateSequence; one solve's tables are reused by the next instead of
 // re-allocated, which matters because the DP runs on every ρ application —
-// each RL decode, each heur/dp backend call, every serving request that
+// each RL decode, each heur backend call, every serving request that
 // misses the cache.
 type dpScratch struct {
 	prefix []int64

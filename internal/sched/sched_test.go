@@ -463,3 +463,80 @@ func TestRepairSequenceErrors(t *testing.T) {
 		t.Error("out of range accepted")
 	}
 }
+
+// heuristics are the topological-order baselines, as the solver registry
+// serves them before its post-processing.
+var heuristics = []struct {
+	name string
+	fn   func(*graph.Graph, int) Schedule
+}{
+	{"GreedyBalanced", GreedyBalanced},
+	{"DPBudget", DPBudget},
+}
+
+func TestAllHeuristicsValidOnRandomDAGs(t *testing.T) {
+	for _, h := range heuristics {
+		t.Run(h.name, func(t *testing.T) {
+			f := func(seed int64) bool {
+				g := randomDAG(seed, 40)
+				for _, ns := range []int{1, 2, 4, 6} {
+					s := h.fn(g, ns)
+					if err := s.Validate(g); err != nil {
+						t.Logf("seed %d stages %d: %v", seed, ns, err)
+						return false
+					}
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+func TestAllHeuristicsValidOnModels(t *testing.T) {
+	for _, name := range []string{"Xception", "ResNet50", "DenseNet121"} {
+		g := models.MustLoad(name)
+		for _, h := range heuristics {
+			s := h.fn(g, 4)
+			if err := s.Validate(g); err != nil {
+				t.Errorf("%s on %s: %v", h.name, name, err)
+			}
+		}
+	}
+}
+
+func TestDPBudgetExactOnUniformChain(t *testing.T) {
+	g := chain(t, 12)
+	if c := DPBudget(g, 4).Evaluate(g); c.PeakParamBytes != 300 {
+		t.Errorf("peak = %d, want 300", c.PeakParamBytes)
+	}
+}
+
+func TestDPBudgetSingleStage(t *testing.T) {
+	g := randomDAG(3, 20)
+	if DPBudget(g, 1).Evaluate(g).PeakParamBytes != g.TotalParamBytes() {
+		t.Error("single stage peak must equal total")
+	}
+}
+
+func TestGreedyBalancedDeterministic(t *testing.T) {
+	g := models.MustLoad("Xception")
+	if Agreement(GreedyBalanced(g, 5), GreedyBalanced(g, 5)) != 1 {
+		t.Error("GreedyBalanced not deterministic")
+	}
+}
+
+func TestPostProcessKeepsHeuristicsDeployable(t *testing.T) {
+	g := models.MustLoad("ResNet50")
+	for _, h := range heuristics {
+		s := PostProcess(g, h.fn(g, 4))
+		if err := s.Validate(g); err != nil {
+			t.Errorf("%s post-processed invalid: %v", h.name, err)
+		}
+		if !s.SameStageChildrenOK(g) {
+			t.Errorf("%s post-processed violates children rule", h.name)
+		}
+	}
+}

@@ -82,7 +82,7 @@ const (
 	// ClassBatch is throughput traffic: a portfolio including the exact
 	// solvers under a budget of seconds.
 	ClassBatch Class = "batch"
-	// ClassBestEffort is background work: the strongest solvers, few
+	// ClassBestEffort is background work: the strongest solver, few
 	// concurrent slots, a generous budget.
 	ClassBestEffort Class = "best-effort"
 )
@@ -113,7 +113,8 @@ type ClassPolicy struct {
 
 // DefaultClasses returns the built-in class table: interactive (50 ms,
 // fast heuristics, warmed), batch (5 s, portfolio including exact) and
-// best-effort (30 s, strongest solvers, two slots).
+// best-effort (30 s, two slots, exact-ilp-grade alone: its proof, the
+// (peak, cross) optimum, cannot be beaten).
 func DefaultClasses() map[Class]ClassPolicy {
 	return map[Class]ClassPolicy{
 		ClassInteractive: {
@@ -132,8 +133,7 @@ func DefaultClasses() map[Class]ClassPolicy {
 		},
 		ClassBestEffort: {
 			Budget:        30 * time.Second,
-			Patience:      10 * time.Second,
-			Backends:      []string{"exact-ilp-grade", "anneal"},
+			Backends:      []string{"exact-ilp-grade"},
 			MaxConcurrent: 2,
 			MaxQueue:      8,
 		},

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"respect/internal/embed"
+	"respect/internal/exact"
 	"respect/internal/graph"
 	"respect/internal/models"
 	"respect/internal/ptrnet"
@@ -118,6 +119,26 @@ func TestScheduleByZooNameRoundTrip(t *testing.T) {
 	}
 	if got := s.Evaluate(g); got.PeakParamBytes != out.Cost.PeakParamBytes || got.CrossBytes != out.Cost.CrossBytes {
 		t.Fatalf("reported cost %+v does not match re-evaluated %v", out.Cost, got)
+	}
+}
+
+// TestBestEffortServesTheProof: the default best-effort class races
+// exact-ilp-grade alone and serves its proven (peak, cross) optimum.
+func TestBestEffortServesTheProof(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{WarmModels: []string{}})
+	resp, data := postJSON(t, ts.URL+"/v1/schedule",
+		serve.ScheduleRequest{Model: "ResNet50", Stages: 4, Class: "best-effort"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	}
+	var out serve.ScheduleResponse
+	decodeInto(t, data, &out)
+	if out.Backend != "exact-ilp-grade" || out.Truncated || len(out.Outcomes) != 1 || !out.Outcomes[0].Optimal {
+		t.Fatalf("best-effort served %+v, want exact-ilp-grade's proof alone", out)
+	}
+	want := exact.Solve(models.MustLoad("ResNet50"), 4, exact.Options{ChildrenRule: true, TieBreakCross: true}).Cost
+	if out.Cost.PeakParamBytes != want.PeakParamBytes || out.Cost.CrossBytes != want.CrossBytes {
+		t.Fatalf("best-effort cost %+v, want the joint optimum %v", out.Cost, want)
 	}
 }
 

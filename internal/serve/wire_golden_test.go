@@ -23,8 +23,10 @@ import (
 // admission/solve copies into admit/run, by running this test there with
 // -update-golden; that commit's only difference was the
 // respect_portfolio_wins_total{engine="batch/heur"} series (a batch solve
-// became a race of one). A difference is a finding to explain, not a
-// reason to regenerate.
+// became a race of one). It was rewritten once since, when the anneal
+// backend was deleted; the only difference was anneal leaving the two
+// backend lists. A difference is a finding to explain, not a reason to
+// regenerate.
 var updateWireGolden = flag.Bool("update-golden", false, "rewrite "+wireGoldenPath+" from this tree's server")
 
 const wireGoldenPath = "testdata/wire_golden.json"
@@ -50,7 +52,7 @@ var wireTimeKeys = map[string]bool{
 // wireBuiltins are the model-free backends every process registers; other
 // tests of this package add their own to the shared registry, so backend
 // lists are cut down to these.
-var wireBuiltins = []string{"anneal", "compiler", "exact", "exact-ilp-grade", "heur"}
+var wireBuiltins = []string{"compiler", "exact", "exact-ilp-grade", "heur"}
 
 var wireHaveList = regexp.MustCompile(`\(have \[([^\]]*)\]\)`)
 

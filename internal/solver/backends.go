@@ -5,7 +5,6 @@ import (
 
 	"respect/internal/exact"
 	"respect/internal/graph"
-	"respect/internal/heur"
 	"respect/internal/sched"
 )
 
@@ -13,21 +12,15 @@ import (
 // wall-clock budget comes from the caller's context.
 const exactMaxStates = 200_000_000
 
-// deployed applies the paper's deterministic deployment repair so every
-// backend's output is directly comparable and hardware-ready.
-func deployed(g *graph.Graph, s sched.Schedule) sched.Schedule {
-	return sched.PostProcess(g, s)
-}
-
-// heuristic adapts a context-free heuristic to a Scheduler, post-processing
-// its schedule; heuristics run in microseconds so only a pre-flight
-// cancellation check is needed.
+// heuristic adapts a context-free heuristic to a Scheduler, applying the
+// paper's deployment repair (sched.PostProcess) to its schedule; heuristics
+// run in microseconds so only a pre-flight cancellation check is needed.
 func heuristic(name string, fn func(g *graph.Graph, numStages int) sched.Schedule) Scheduler {
 	return NewFunc(name, func(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, error) {
 		if err := ctx.Err(); err != nil {
 			return sched.Schedule{}, err
 		}
-		return deployed(g, fn(g, numStages)), nil
+		return sched.PostProcess(g, fn(g, numStages)), nil
 	})
 }
 
@@ -73,14 +66,14 @@ func ExactILPGrade() Scheduler {
 // the quantization/tiling/serialization passes; the full flow, whose
 // solve time is the paper's Figure 3 baseline, is compiler.Compile.
 func Compiler() Scheduler {
-	return heuristic("compiler", heur.GreedyBalanced)
+	return heuristic("compiler", sched.GreedyBalanced)
 }
 
 // Heur returns the strongest classic heuristic (exact DP segmentation of
 // the deterministic topological order) — the portfolio's fast reliable
 // member.
 func Heur() Scheduler {
-	return heuristic("heur", heur.DPBudget)
+	return heuristic("heur", sched.DPBudget)
 }
 
 func init() {
@@ -89,14 +82,6 @@ func init() {
 		ExactILPGrade(),
 		Compiler(),
 		Heur(),
-		// anneal checks ctx as it goes and returns its best schedule so
-		// far, which ScheduleInfo reports as truncated.
-		NewFunc("anneal", func(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, error) {
-			if err := ctx.Err(); err != nil {
-				return sched.Schedule{}, err
-			}
-			return deployed(g, heur.Annealed(ctx, g, numStages, 5000, 1)), nil
-		}),
 	} {
 		if err := Register(s); err != nil {
 			panic(err)

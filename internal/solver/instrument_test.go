@@ -156,7 +156,7 @@ func TestCacheSetZeroCapacityRegression(t *testing.T) {
 // relative to elapsed solve time bookkeeping (they measure goroutine
 // spawn delay, not solve time).
 func TestOutcomeStartedOffsets(t *testing.T) {
-	backends, err := Resolve("heur", "compiler", "anneal")
+	backends, err := Resolve("heur", "compiler", "exact")
 	if err != nil {
 		t.Fatal(err)
 	}

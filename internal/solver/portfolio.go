@@ -69,11 +69,12 @@ type PortfolioOptions struct {
 // cost (ties break toward the earlier backend in the argument order).
 // The backends run under a shared derived context, one after another on
 // the caller's goroutine; a backend that has not started within
-// escalateAfter (1 ms) of the race's start gets a goroutine of its own
-// (see race). When the race is decided the derived context is cancelled,
-// so no goroutine outlives the call. Backends that error or return invalid
-// schedules are excluded; the call fails only when no backend produced a
-// valid schedule or the caller's context was cancelled outright.
+// escalateAfter (1 ms) of the race's start gets a goroutine of its own,
+// and a lone backend is simply called (see race). When the race is
+// decided the derived context is cancelled, so no goroutine outlives the
+// call. Backends that error or return invalid schedules are excluded; the
+// call fails only when no backend produced a valid schedule or the
+// caller's context was cancelled outright.
 func Portfolio(ctx context.Context, backends []Scheduler, g *graph.Graph, numStages int) (PortfolioResult, error) {
 	return PortfolioOpt(ctx, backends, g, numStages, PortfolioOptions{})
 }
@@ -134,11 +135,9 @@ func checkStages(numStages int) error {
 	return nil
 }
 
-// PortfolioOpt is Portfolio with explicit options. A race of one is no
-// special case: its only member runs on the caller's goroutine, as the
-// first member of every race does. A stage count below 1 is refused
-// before any backend starts, so every race, engine solve and batch item
-// refuses it alike.
+// PortfolioOpt is Portfolio with explicit options. A stage count below 1
+// is refused before any backend starts, so every race, engine solve and
+// batch item refuses it alike.
 func PortfolioOpt(ctx context.Context, backends []Scheduler, g *graph.Graph, numStages int, opts PortfolioOptions) (PortfolioResult, error) {
 	if len(backends) == 0 {
 		return PortfolioResult{}, errors.New("solver: portfolio needs at least one backend")
@@ -198,24 +197,28 @@ const escalateAfter = 1 * time.Millisecond
 // arms opts.Patience: when it elapses the derived context is cancelled,
 // and anytime members hand back their incumbents while the others return
 // the context's error.
+//
+// A race of one is a plain call of its member under ctx: with nothing to
+// escalate or cancel, it needs no derived context, racer or timer.
 func race(ctx context.Context, backends []Scheduler, g *graph.Graph, numStages int, opts PortfolioOptions, outs []Outcome) {
+	if len(backends) == 1 {
+		outs[0] = solve(ctx, backends[0], g, numStages, time.Now())
+		return
+	}
 	raceCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	r := &racer{ctx: raceCtx, cancel: cancel, backends: backends, g: g, numStages: numStages, patience: opts.Patience, outs: outs}
 	r.start = time.Now()
-	var escalation *time.Timer
-	if len(backends) > 1 {
-		// The timer's callback is counted as a member would be, so the
-		// caller waits for it unless it is stopped before it fires.
-		r.wg.Add(1)
-		escalation = time.AfterFunc(escalateAfter, r.escalate)
-	}
+	// The timer's callback is counted as a member would be, so the caller
+	// waits for it unless it is stopped before it fires.
+	r.wg.Add(1)
+	escalation := time.AfterFunc(escalateAfter, r.escalate)
 	start := r.start
 	for i := r.claim(); i >= 0; i = r.claim() {
 		r.run(i, start)
 		start = time.Now()
 	}
-	if escalation != nil && escalation.Stop() {
+	if escalation.Stop() {
 		r.wg.Done()
 	}
 	r.wg.Wait()

@@ -23,6 +23,30 @@ func raceGraph() (*graph.Graph, sched.Schedule) {
 	return chain(50, 50), sched.Schedule{NumStages: 2, Stage: []int{0, 1}}
 }
 
+// TestRaceOfOneAllocs: a race of one is a plain call of its member. It
+// may allocate only the Outcomes slice and the caller's backend slice on
+// top of what solve allocates for the same member and graph: no derived
+// context, racer or escalation timer. The member returns a fixed
+// schedule: a backend that borrows pooled scratch (heur, through the
+// stage DP and PostProcess) allocates a varying amount under the race
+// detector, which drops pooled items at random.
+func TestRaceOfOneAllocs(t *testing.T) {
+	g, good := raceGraph()
+	member := fixed("one", good)
+	ctx := context.Background()
+	alone := testing.AllocsPerRun(200, func() {
+		solve(ctx, member, g, 2, time.Now())
+	})
+	race := testing.AllocsPerRun(200, func() {
+		if _, err := PortfolioOpt(ctx, []Scheduler{member}, g, 2, PortfolioOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if race > alone+2 {
+		t.Fatalf("a race of one allocates %v times, its member's solve %v: want at most 2 more", race, alone)
+	}
+}
+
 // TestRaceRunsFastMembersInOrder: members that finish well inside
 // escalateAfter run one after another on the caller's goroutine, in input
 // order. A member that started before escalateAfter ran inline, and so

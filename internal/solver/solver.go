@@ -17,7 +17,7 @@
 // be deployed without further processing. The race checks this promise on
 // every member and fails the one that breaks it. Backends honor context
 // cancellation: when the deadline expires mid-search, anytime backends
-// (exact, exact-ilp-grade, anneal) return their incumbent rather than
+// (exact, exact-ilp-grade) return their incumbent rather than
 // blocking. The paper's timing baselines, the full compiler flow and the
 // generic MILP, are not backends: they are called where they are timed.
 package solver

@@ -80,7 +80,7 @@ func (b *blocker) Schedule(ctx context.Context, g *graph.Graph, numStages int) (
 // compiler flow, the generic MILP) are called directly where they are
 // timed.
 func TestRegistryBuiltins(t *testing.T) {
-	want := []string{"anneal", "compiler", "exact", "exact-ilp-grade", "heur"}
+	want := []string{"compiler", "exact", "exact-ilp-grade", "heur"}
 	if names := Names(); !slices.Equal(names, want) {
 		t.Fatalf("Names() = %v, want %v", names, want)
 	}

@@ -19,7 +19,7 @@ import (
 // three from many goroutines and holds the memo's statistics to what the
 // callers saw. Run in CI with -race -count=5.
 func TestCachedConcurrentStress(t *testing.T) {
-	for _, names := range [][]string{{"heur"}, {"heur", "compiler", "anneal"}} {
+	for _, names := range [][]string{{"heur"}, {"heur", "compiler", "exact"}} {
 		t.Run(names[len(names)-1], func(t *testing.T) {
 			backends, err := Resolve(names...)
 			if err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"respect/internal/exact"
 	"respect/internal/graph"
-	"respect/internal/heur"
 	"respect/internal/models"
 	"respect/internal/sched"
 )
@@ -148,7 +147,7 @@ func TestEnergyPositiveAndOrdered(t *testing.T) {
 
 func TestNoiseDeterministic(t *testing.T) {
 	g := models.MustLoad("ResNet50")
-	s := sched.PostProcess(g, heur.GreedyBalanced(g, 4))
+	s := sched.PostProcess(g, sched.GreedyBalanced(g, 4))
 	hw := Coral()
 	a, err := Simulate(g, s, hw)
 	if err != nil {

@@ -251,7 +251,7 @@ func NewBackend(name string, fn func(ctx context.Context, g *Graph, numStages in
 }
 
 // Backends lists every registered scheduler backend, sorted. The built-in
-// set (anneal, compiler, exact, exact-ilp-grade, heur) is always present;
+// set (compiler, exact, exact-ilp-grade, heur) is always present;
 // rl and rl-sampled appear once an Agent registers them. The paper's
 // timing baselines are not backends: see CompileFull for the compiler's.
 func Backends() []string { return solver.Names() }
@@ -278,11 +278,12 @@ func (a *Agent) RegisterBackends() error {
 
 // SchedulePortfolio races the named backends on one graph under ctx and
 // returns the cheapest deployable schedule with per-backend telemetry.
-// Anytime backends (exact, exact-ilp-grade, anneal) return their incumbents when the context
-// deadline fires, so the call completes within the caller's budget. The
-// backends run in order on the caller's goroutine; any not started 1 ms
-// into the race get goroutines of their own. Losing backends are
-// cancelled, and no goroutine outlives the call.
+// Anytime backends (exact, exact-ilp-grade) return their incumbents when
+// the context deadline fires, so the call completes within the caller's
+// budget. The backends run in order on the caller's goroutine; any not
+// started 1 ms into the race get goroutines of their own, and a lone
+// backend is simply called. Losing backends are cancelled, and no
+// goroutine outlives the call.
 func SchedulePortfolio(ctx context.Context, g *Graph, numStages int, backendNames ...string) (PortfolioResult, error) {
 	backends, err := solver.Resolve(backendNames...)
 	if err != nil {
