@@ -83,8 +83,7 @@ func main() {
 	names := models.TableINames()
 	fig5names := models.Figure5Names()
 	if *quickSet {
-		names = []string{"Xception", "ResNet50", "DenseNet121"}
-		fig5names = names
+		names, fig5names = bench.QuickModels, bench.QuickModels
 	}
 
 	run := func(name string, f func() error) {
@@ -160,10 +159,8 @@ func main() {
 					strconv.FormatBool(r.ILPOptimal),
 					strconv.FormatBool(r.OneOrder)})
 			}
-			if err := writeCSV(*csvDir, "fig3.csv",
-				[]string{"model", "V", "stages", "rl_us", "compiler_us", "exact_bb_us", "exact_ilp_us", "ilp_optimal", "one_order"}, c); err != nil {
-				return err
-			}
+			return writeCSV(*csvDir, "fig3.csv", bench.RenderCSV(
+				[]string{"model", "V", "stages", "rl_us", "compiler_us", "exact_bb_us", "exact_ilp_us", "ilp_optimal", "one_order"}, c))
 		}
 		return nil
 	})
@@ -188,16 +185,7 @@ func main() {
 			fmt.Print(bench.Fig4Chart(rows, ns))
 		}
 		if *csvDir != "" {
-			var c [][]string
-			for _, r := range rows {
-				c = append(c, []string{r.Model, strconv.Itoa(r.Stages),
-					strconv.FormatInt(r.CompilerLatency.Microseconds(), 10),
-					fmt.Sprintf("%.5f", r.RelExact), fmt.Sprintf("%.5f", r.RelRL)})
-			}
-			if err := writeCSV(*csvDir, "fig4.csv",
-				[]string{"model", "stages", "compiler_latency_us", "rel_exact", "rel_respect"}, c); err != nil {
-				return err
-			}
+			return writeCSV(*csvDir, "fig4.csv", bench.Fig4CSV(rows))
 		}
 		return nil
 	})
@@ -226,27 +214,19 @@ func main() {
 			fmt.Print(bench.Fig5Chart(rows, ns))
 		}
 		if *csvDir != "" {
-			var c [][]string
-			for _, r := range rows {
-				c = append(c, []string{r.Model, strconv.Itoa(r.Stages),
-					fmt.Sprintf("%.5f", r.OptimalMiB), fmt.Sprintf("%.5f", r.RespectMiB),
-					fmt.Sprintf("%.3f", r.GapPct)})
-			}
-			if err := writeCSV(*csvDir, "fig5.csv",
-				[]string{"model", "stages", "optimal_mib", "respect_mib", "gap_pct"}, c); err != nil {
-				return err
-			}
+			return writeCSV(*csvDir, "fig5.csv", bench.Fig5CSV(rows))
 		}
 		return nil
 	})
 }
 
-func writeCSV(dir, name string, header []string, rows [][]string) error {
+// writeCSV writes csv, rendered by bench.RenderCSV, to dir/name.
+func writeCSV(dir, name, csv string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, []byte(bench.RenderCSV(header, rows)), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s\n", path)

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -27,6 +28,10 @@ import (
 
 // Stages evaluated throughout the paper.
 var Stages = []int{4, 5, 6}
+
+// QuickModels are the three small models respect-bench -quick restricts
+// Figures 3-5 to.
+var QuickModels = []string{"Xception", "ResNet50", "DenseNet121"}
 
 // TrainQuick trains a RESPECT model with a CPU-friendly scaled-down
 // configuration (every knob of the paper's setup is available through
@@ -246,6 +251,17 @@ func Fig4(model *ptrnet.Model, ecfg embed.Config, names []string, stages []int, 
 	return rows, nil
 }
 
+// Fig4CSV renders rows as respect-bench -csv writes fig4.csv.
+func Fig4CSV(rows []Fig4Row) string {
+	var c [][]string
+	for _, r := range rows {
+		c = append(c, []string{r.Model, strconv.Itoa(r.Stages),
+			strconv.FormatInt(r.CompilerLatency.Microseconds(), 10),
+			fmt.Sprintf("%.5f", r.RelExact), fmt.Sprintf("%.5f", r.RelRL)})
+	}
+	return RenderCSV([]string{"model", "stages", "compiler_latency_us", "rel_exact", "rel_respect"}, c)
+}
+
 // compilerSchedule is the partition the compiler emulation would produce,
 // without paying for its quantization and serialization passes.
 func compilerSchedule(g *graph.Graph, ns int) sched.Schedule {
@@ -306,6 +322,17 @@ func Fig5(model *ptrnet.Model, ecfg embed.Config, names []string, stages []int) 
 		}
 	}
 	return rows, nil
+}
+
+// Fig5CSV renders rows as respect-bench -csv writes fig5.csv.
+func Fig5CSV(rows []Fig5Row) string {
+	var c [][]string
+	for _, r := range rows {
+		c = append(c, []string{r.Model, strconv.Itoa(r.Stages),
+			fmt.Sprintf("%.5f", r.OptimalMiB), fmt.Sprintf("%.5f", r.RespectMiB),
+			fmt.Sprintf("%.3f", r.GapPct)})
+	}
+	return RenderCSV([]string{"model", "stages", "optimal_mib", "respect_mib", "gap_pct"}, c)
 }
 
 // Fig5Averages returns the mean gap per stage count (the paper reports
