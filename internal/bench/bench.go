@@ -79,13 +79,15 @@ type Fig3Row struct {
 	Model  string
 	V      int
 	Stages int
-	// RL is the RESPECT inference wall time (condense + embed + pointer
-	// decode + ρ + expand; the schedule is deployable as decoded), the
-	// best of fig3Reps calls after an untimed one.
+	// RL is the RESPECT inference wall time (embed + pointer decode + ρ +
+	// expand; the schedule is deployable as decoded), the best of
+	// fig3Reps calls after an untimed one. The sibling-class quotient is
+	// the graph's memo, computed once before any call is timed, as a
+	// served graph's is by the first backend that solves it.
 	RL time.Duration
 	// OneOrder reports that the model's sibling-class quotient has one
 	// order, so RL deploys it without the embed and the pointer network
-	// and its time is condense + ρ + expand only.
+	// and its time is ρ + expand only.
 	OneOrder bool
 	// Compiler is the full Edge TPU compiler-emulation wall time.
 	Compiler time.Duration

@@ -27,7 +27,10 @@
 // (sched.Condense): a deployable schedule is constant on sibling classes,
 // and monotonicity forces equality around class-level cycles, so nothing is
 // lost and nothing is added by solving the quotient, a much smaller graph,
-// as an ordinary instance and expanding its stages back.
+// as an ordinary instance and expanding its stages back. The quotient and
+// its DAG are the graph's own, computed once on first use, so a solve
+// reads them instead of condensing; only the tie-break's edge prices are
+// computed per solve.
 package exact
 
 import (
@@ -224,8 +227,10 @@ func SolveCtx(ctx context.Context, g *graph.Graph, numStages int, opts Options) 
 	expand := func(sch sched.Schedule) sched.Schedule { return sch }
 	if opts.ChildrenRule {
 		q := sched.Condense(g)
-		s.g, s.edgeOut = quotientInstance(g, q, s.tieBreak)
-		expand = q.Expand
+		s.g, expand = q.Graph(), q.Expand
+		if s.tieBreak {
+			s.edgeOut = priceEdges(g, q)
+		}
 	}
 
 	// Incumbent: exact DP over the instance's deterministic topological
@@ -254,20 +259,15 @@ func SolveCtx(ctx context.Context, g *graph.Graph, numStages int, opts Options) 
 	}
 }
 
-// quotientInstance materialises q, the sibling-class quotient of g, as a
-// graph the search can range over: node c weighs class c's parameters and
-// the edges are the quotient's. With cross set it also prices those edges
-// for the tie-break. In a deployable schedule all children of v sit in one
-// class, so v's tensor crosses iff that class runs in a later stage than
-// v's own: edge (A, B) carries Σ OutBytes over the members of A whose
+// priceEdges prices the edges of q, the sibling-class quotient of g, for
+// the tie-break: edgeOut[a][j] is what crosses when q.Succ(a)[j] runs in a
+// later stage than a. In a deployable schedule all children of v sit in
+// one class, so v's tensor crosses iff that class runs in a later stage
+// than v's own: edge (A, B) carries Σ OutBytes over the members of A whose
 // children lie in B.
-func quotientInstance(g *graph.Graph, q sched.Quotient, cross bool) (*graph.Graph, [][]int64) {
+func priceEdges(g *graph.Graph, q sched.Quotient) [][]int64 {
 	nc := q.NumClasses()
-	qg := q.Graph(g.Name)
-	if !cross {
-		return qg, nil
-	}
-	flat := make([]int64, qg.NumEdges())
+	flat := make([]int64, q.Graph().NumEdges())
 	edgeOut := make([][]int64, nc)
 	for a := 0; a < nc; a++ {
 		deg := len(q.Succ(a))
@@ -284,7 +284,7 @@ func quotientInstance(g *graph.Graph, q sched.Quotient, cross bool) (*graph.Grap
 			}
 		}
 	}
-	return qg, edgeOut
+	return edgeOut
 }
 
 // search runs the branch and bound over s.g from the empty ideal.

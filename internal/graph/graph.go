@@ -1,12 +1,13 @@
 // Package graph provides the directed-acyclic-graph representation of DNN
 // computational graphs used throughout RESPECT, together with the
-// topological machinery (ASAP levels, depth, order ideals) that the
-// scheduler, the exact solver and the graph embedding build on.
+// topological machinery (ASAP levels, depth, the sibling-class quotient)
+// that the scheduler, the exact solver and the graph embedding build on.
 package graph
 
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // OpKind identifies the operator class of a computation node. The scheduler
@@ -93,6 +94,9 @@ type Graph struct {
 	depth    int   // longest path length in edges
 	maxInDeg int
 	fp       uint64 // structural fingerprint, memoized at Build
+
+	quotOnce sync.Once
+	quot     *Quotient // the sibling-class quotient, memoized on first use
 }
 
 // New returns an empty graph with the given name.
@@ -421,7 +425,8 @@ func (g *Graph) Stats() Stats {
 // successors are succ[start[v]:start[v+1]], in that order: the same graph
 // AddNode over nodes and AddEdge over those lists, source by source, would
 // build, without either. It is the constructor for a graph derived from
-// another (sched.Quotient.Graph). The successor lists are windows of succ
+// another (the sibling-class quotient's DAG, which Quotient computes once
+// per graph). The successor lists are windows of succ
 // and the predecessors are laid out in one flat array, as ParseJSON lays
 // them out. The graph takes nodes, assigning IDs by position, and keeps
 // references into succ; the caller modifies neither afterwards. The

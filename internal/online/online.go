@@ -325,8 +325,8 @@ func (m *Manager) roundClass(ctx context.Context, l *learner) RoundResult {
 }
 
 // toExamples converts buffer samples to rl imitation examples over their
-// sibling-class quotients, the graphs the agent decodes, down-weighting
-// deadline-missed teachers. A portfolio winner is deployable, so its
+// sibling-class quotients, the graphs the agent decodes (each sample
+// graph's memoized quotient DAG), down-weighting deadline-missed teachers. A portfolio winner is deployable, so its
 // schedule is constant on every class.
 func toExamples(batch []Sample) []rl.Example {
 	exs := make([]rl.Example, len(batch))
@@ -336,7 +336,7 @@ func toExamples(batch []Sample) []rl.Example {
 			w = deadlineMissWeight
 		}
 		q := sched.Condense(s.Graph)
-		exs[i] = rl.Example{G: q.Graph(s.Graph.Name), Truth: q.Restrict(s.Schedule), Weight: w}
+		exs[i] = rl.Example{G: q.Graph(), Truth: q.Restrict(s.Schedule), Weight: w}
 	}
 	return exs
 }

@@ -263,67 +263,53 @@ func (tr *Trainer) EvalGreedy(m *ptrnet.Model) float64 {
 	return tr.EvalExamples(m, tr.heldOutSet())
 }
 
-// Schedule runs RESPECT inference end to end on any graph: condense g to
-// its sibling-class quotient, embed the quotient graph, greedy pointer
-// decode over the classes, ρ, expand. The schedule is deployable by
+// Schedule runs RESPECT inference end to end on any graph: read g's
+// sibling-class quotient, embed the quotient graph, greedy pointer decode
+// over the classes, ρ, expand. The schedule is deployable by
 // construction. This is the deployment path used by all experiments.
 func Schedule(m *ptrnet.Model, ecfg embed.Config, g *graph.Graph, numStages int) (sched.Schedule, error) {
 	return ScheduleCtx(context.Background(), m, ecfg, g, numStages)
 }
 
-// ScheduleCtx is Schedule under a context: decoding is quadratic in the
-// class count, so the decoder checks ctx at every step and a cancelled
-// call returns ctx's error. A quotient with only one order skips the
-// network: every decode would be repaired to that order (see
-// sched.Quotient.OneOrder), so it goes to deploy as it is.
+// ScheduleCtx is Schedule under a context: a context already done is
+// refused before any work, and decoding is quadratic in the class count,
+// so the decoder checks ctx at every step and a cancelled call returns
+// ctx's error. The quotient is the graph's memo (sched.Condense), computed
+// on the graph's first solve by any backend and read on every later one.
+// A quotient with only one order skips the network: every decode would be
+// repaired to that order (see sched.Quotient.OneOrder), so it goes to
+// deploy as it is.
 func ScheduleCtx(ctx context.Context, m *ptrnet.Model, ecfg embed.Config, g *graph.Graph, numStages int) (sched.Schedule, error) {
-	c, err := condense(ctx, g)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return sched.Schedule{}, err
 	}
-	if c.q.OneOrder() {
-		return c.deployOnly(numStages)
-	}
-	return c.greedy(ctx, m, ecfg, numStages)
-}
-
-// classes is a graph made ready to decode: its sibling-class quotient and
-// the quotient as a graph.
-type classes struct {
-	q  sched.Quotient
-	qg *graph.Graph
-}
-
-// condense computes g's sibling-class quotient, unless ctx is already
-// done.
-func condense(ctx context.Context, g *graph.Graph) (*classes, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	q := sched.Condense(g)
-	return &classes{q: q, qg: q.Graph(g.Name)}, nil
+	if q.OneOrder() {
+		return deployOnly(q, numStages)
+	}
+	return greedy(ctx, m, ecfg, q, numStages)
 }
 
 // greedy embeds the quotient graph, encodes it and deploys its greedy
 // decode.
-func (c *classes) greedy(ctx context.Context, m *ptrnet.Model, ecfg embed.Config, numStages int) (sched.Schedule, error) {
-	enc := m.Encode(embed.Graph(c.qg, ecfg))
+func greedy(ctx context.Context, m *ptrnet.Model, ecfg embed.Config, q sched.Quotient, numStages int) (sched.Schedule, error) {
+	enc := m.Encode(embed.Graph(q.Graph(), ecfg))
 	defer enc.Release()
 	seq, err := enc.Greedy(ctx)
 	if err != nil {
 		return sched.Schedule{}, err
 	}
-	return c.deploy(seq, numStages)
+	return deploy(q, seq, numStages)
 }
 
 // deployOnly deploys the class order 0..n−1, which is the only order of a
 // quotient for which OneOrder holds and so what deploy makes of any decode.
-func (c *classes) deployOnly(numStages int) (sched.Schedule, error) {
-	seq := make([]int, c.q.NumClasses())
+func deployOnly(q sched.Quotient, numStages int) (sched.Schedule, error) {
+	seq := make([]int, q.NumClasses())
 	for i := range seq {
 		seq[i] = i
 	}
-	return c.deploy(seq, numStages)
+	return deploy(q, seq, numStages)
 }
 
 // deploy maps a decoded class order to a schedule of the graph: the order
@@ -332,16 +318,16 @@ func (c *classes) deployOnly(numStages int) (sched.Schedule, error) {
 // every node takes its class's stage. Contiguous segments of a linear
 // extension are a monotone assignment of the quotient, which expands to a
 // deployable schedule (see sched.Quotient), so nothing is left to repair.
-func (c *classes) deploy(seq []int, numStages int) (sched.Schedule, error) {
-	repaired, err := sched.RepairSequence(c.qg, seq)
+func deploy(q sched.Quotient, seq []int, numStages int) (sched.Schedule, error) {
+	repaired, err := sched.RepairSequence(q.Graph(), seq)
 	if err != nil {
 		return sched.Schedule{}, fmt.Errorf("rl: inference produced invalid sequence: %w", err)
 	}
-	s, err := sched.SequenceToScheduleDP(c.qg, repaired, numStages)
+	s, err := sched.SequenceToScheduleDP(q.Graph(), repaired, numStages)
 	if err != nil {
 		return sched.Schedule{}, err
 	}
-	return c.q.Expand(s), nil
+	return q.Expand(s), nil
 }
 
 // ScheduleSampled is sampling-based inference (Bello et al.'s "sampling"
@@ -357,27 +343,27 @@ func ScheduleSampled(m *ptrnet.Model, ecfg embed.Config, g *graph.Graph, numStag
 // step of every decode. A quotient with only one order skips the network
 // as ScheduleCtx does: every decode would deploy to the same schedule.
 func ScheduleSampledCtx(ctx context.Context, m *ptrnet.Model, ecfg embed.Config, g *graph.Graph, numStages, samples int, seed int64) (sched.Schedule, error) {
-	c, err := condense(ctx, g)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return sched.Schedule{}, err
 	}
-	if c.q.OneOrder() {
-		return c.deployOnly(numStages)
+	q := sched.Condense(g)
+	if q.OneOrder() {
+		return deployOnly(q, numStages)
 	}
-	return c.sampled(ctx, m, ecfg, g, numStages, samples, seed)
+	return sampled(ctx, m, ecfg, q, g, numStages, samples, seed)
 }
 
 // sampled embeds the quotient graph and encodes it once, then deploys
 // its greedy decode and samples stochastic ones and keeps the schedule
 // that is cheapest on g.
-func (c *classes) sampled(ctx context.Context, m *ptrnet.Model, ecfg embed.Config, g *graph.Graph, numStages, samples int, seed int64) (sched.Schedule, error) {
-	enc := m.Encode(embed.Graph(c.qg, ecfg))
+func sampled(ctx context.Context, m *ptrnet.Model, ecfg embed.Config, q sched.Quotient, g *graph.Graph, numStages, samples int, seed int64) (sched.Schedule, error) {
+	enc := m.Encode(embed.Graph(q.Graph(), ecfg))
 	defer enc.Release()
 	seq, err := enc.Greedy(ctx)
 	if err != nil {
 		return sched.Schedule{}, err
 	}
-	best, err := c.deploy(seq, numStages)
+	best, err := deploy(q, seq, numStages)
 	if err != nil {
 		return sched.Schedule{}, err
 	}
@@ -388,7 +374,7 @@ func (c *classes) sampled(ctx context.Context, m *ptrnet.Model, ecfg embed.Confi
 		if err != nil {
 			return sched.Schedule{}, err
 		}
-		s, err := c.deploy(seq, numStages)
+		s, err := deploy(q, seq, numStages)
 		if err != nil {
 			return sched.Schedule{}, fmt.Errorf("rl: sampled sequence invalid: %w", err)
 		}

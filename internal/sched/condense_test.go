@@ -106,7 +106,7 @@ func checkQuotient(t *testing.T, g *graph.Graph, q Quotient) {
 // predecessor lists, topological order and fingerprint.
 func checkQuotientGraph(t *testing.T, q Quotient) {
 	t.Helper()
-	got := q.Graph("q")
+	got := q.Graph()
 	want := graph.New("q")
 	for c := 0; c < q.NumClasses(); c++ {
 		want.AddNode(graph.Node{ParamBytes: q.ParamBytes[c]})
@@ -299,8 +299,8 @@ func TestCondenseShapes(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		g.AddNode(graph.Node{ParamBytes: int64(i)})
 	}
-	if q := Condense(g.MustBuild()); q.NumClasses() != 4 || len(q.succ) != 0 {
-		t.Fatalf("edgeless: %d classes, %d edges", q.NumClasses(), len(q.succ))
+	if q := Condense(g.MustBuild()); q.NumClasses() != 4 || q.Graph().NumEdges() != 0 {
+		t.Fatalf("edgeless: %d classes, %d edges", q.NumClasses(), q.Graph().NumEdges())
 	}
 	// In a diamond the two middle nodes are siblings: three classes.
 	if q := Condense(diamond(t)); q.NumClasses() != 3 || q.ClassOf[1] != q.ClassOf[2] {
