@@ -506,9 +506,9 @@ func Condense(g *graph.Graph) Quotient {
 // Both rules live in the graph's sibling-class quotient, which it reads
 // from the graph's memo (see Condense): each class takes max(its earliest
 // predicted stage, stages of all predecessor classes), in the quotient's
-// topological order. The output
-// always satisfies Validate and SameStageChildrenOK, and a schedule that
-// already does is returned unchanged.
+// topological order. The output always satisfies Validate and
+// SameStageChildrenOK, and a schedule that already does is returned
+// unchanged.
 func PostProcess(g *graph.Graph, s Schedule) Schedule {
 	q := Condense(g)
 

@@ -27,7 +27,6 @@ import (
 
 	"respect/internal/compiler"
 	"respect/internal/embed"
-	"respect/internal/exact"
 	"respect/internal/graph"
 	"respect/internal/models"
 	"respect/internal/pipeline"
@@ -163,14 +162,16 @@ func ScheduleExact(g *Graph, numStages int, timeout time.Duration) (s Schedule, 
 	return ScheduleExactCtx(ctx, g, numStages)
 }
 
-// ScheduleExactCtx is the exact solver under a context: cancellation or an
-// expired deadline truncates the search and returns the best incumbent
-// (optimal false), so the caller always gets a valid deployable schedule.
-// With optimal true, cost.PeakParamBytes is proven minimal over the
-// deployable schedules of g. A numStages below 1 is solved as 1.
+// ScheduleExactCtx is the registry's "exact" backend under a context:
+// cancellation or an expired deadline truncates the search and returns the
+// best incumbent (optimal false), so the caller always gets a valid
+// deployable schedule. With optimal true, cost.PeakParamBytes is proven
+// minimal over the deployable schedules of g. A numStages below 1 is
+// solved as 1.
 func ScheduleExactCtx(ctx context.Context, g *Graph, numStages int) (s Schedule, cost Cost, optimal bool) {
-	res := exact.SolveCtx(ctx, g, numStages, exact.Options{MaxStates: 200_000_000, ChildrenRule: true})
-	return res.Schedule, res.Cost, res.Optimal
+	// The exact family never returns an error: it hands back its incumbent.
+	s, info, _ := solver.ScheduleInfo(ctx, solver.Exact(), g, numStages)
+	return s, s.Evaluate(g), info.OptimalityProven
 }
 
 // ScheduleCompiler returns the Edge TPU compiler baseline's partition
