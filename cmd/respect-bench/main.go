@@ -220,7 +220,6 @@ func main() {
 	})
 }
 
-// writeCSV writes csv, rendered by bench.RenderCSV, to dir/name.
 func writeCSV(dir, name, csv string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err

@@ -226,7 +226,8 @@ func Fig4(model *ptrnet.Model, ecfg embed.Config, names []string, stages []int, 
 			return nil, err
 		}
 		for _, ns := range stages {
-			comp := sched.PostProcess(g, compilerSchedule(g, ns))
+			// The compiler emulation's partition, without its other passes.
+			comp := sched.PostProcess(g, sched.GreedyBalanced(g, ns))
 			ex := sched.PostProcess(g, exact.Solve(g, ns, exact.Options{
 				TieBreakCross: true, MaxStates: 200_000_000,
 			}).Schedule)
@@ -262,12 +263,6 @@ func Fig4CSV(rows []Fig4Row) string {
 			fmt.Sprintf("%.5f", r.RelExact), fmt.Sprintf("%.5f", r.RelRL)})
 	}
 	return RenderCSV([]string{"model", "stages", "compiler_latency_us", "rel_exact", "rel_respect"}, c)
-}
-
-// compilerSchedule is the partition the compiler emulation would produce,
-// without paying for its quantization and serialization passes.
-func compilerSchedule(g *graph.Graph, ns int) sched.Schedule {
-	return sched.GreedyBalanced(g, ns)
 }
 
 // Fig5Row is one (model, stages) gap-to-optimal data point. Two optima
@@ -340,33 +335,27 @@ func Fig5CSV(rows []Fig5Row) string {
 // Fig5Averages returns the mean gap per stage count (the paper reports
 // 2.26 % / 2.74 % / 6.31 % for 4/5/6 stages).
 func Fig5Averages(rows []Fig5Row) map[int]float64 {
-	sum := map[int]float64{}
-	n := map[int]int{}
-	for _, r := range rows {
-		sum[r.Stages] += r.GapPct
-		n[r.Stages]++
-	}
-	out := map[int]float64{}
-	for k, s := range sum {
-		out[k] = s / float64(n[k])
-	}
-	return out
+	return meanPerStages(rows, func(r Fig5Row) float64 { return r.GapPct })
 }
 
 // Fig5DeployAverages returns the mean gap to the deployable optimum per
 // stage count.
 func Fig5DeployAverages(rows []Fig5Row) map[int]float64 {
+	return meanPerStages(rows, func(r Fig5Row) float64 { return r.DeployGapPct })
+}
+
+// meanPerStages returns the mean of gap over the rows of each stage count.
+func meanPerStages(rows []Fig5Row, gap func(Fig5Row) float64) map[int]float64 {
 	sum := map[int]float64{}
 	n := map[int]int{}
 	for _, r := range rows {
-		sum[r.Stages] += r.DeployGapPct
+		sum[r.Stages] += gap(r)
 		n[r.Stages]++
 	}
-	out := map[int]float64{}
-	for k, s := range sum {
-		out[k] = s / float64(n[k])
+	for k := range sum {
+		sum[k] /= float64(n[k])
 	}
-	return out
+	return sum
 }
 
 func ratio(a, b time.Duration) float64 {

@@ -193,7 +193,6 @@ type solver struct {
 	sc    *scratch
 	total int64
 
-	tieBreak bool
 	// edgeOut, set when g is a quotient, prices its edges for the tie-break:
 	// edgeOut[a][j] is the activation bytes that cross when g.Succ(a)[j]
 	// runs in a later stage than a.
@@ -201,7 +200,7 @@ type solver struct {
 
 	best      sched.Schedule
 	bestPeak  int64
-	bestCross int64 // maintained under tieBreak only
+	bestCross int64 // maintained under opts.TieBreakCross only
 	states    int64
 	truncated bool
 }
@@ -222,13 +221,13 @@ func SolveCtx(ctx context.Context, g *graph.Graph, numStages int, opts Options) 
 	if numStages < 1 {
 		numStages = 1
 	}
-	s := &solver{g: g, numStages: numStages, opts: opts, ctx: ctx, tieBreak: opts.TieBreakCross}
+	s := &solver{g: g, numStages: numStages, opts: opts, ctx: ctx}
 	// expand maps a schedule of the instance to one of the caller's graph.
 	expand := func(sch sched.Schedule) sched.Schedule { return sch }
 	if opts.ChildrenRule {
 		q := sched.Condense(g)
 		s.g, expand = q.Graph(), q.Expand
-		if s.tieBreak {
+		if s.opts.TieBreakCross {
 			s.edgeOut = priceEdges(g, q)
 		}
 	}
@@ -359,7 +358,7 @@ func (s *solver) extend(k int, peak, segMem, placed int64, segStart int, cross i
 		}
 		segNew := segMem + sc.param[v]
 		prunedByPeak := segNew > s.bestPeak
-		if !s.tieBreak && segNew == s.bestPeak {
+		if !s.opts.TieBreakCross && segNew == s.bestPeak {
 			prunedByPeak = true
 		}
 		if prunedByPeak {
@@ -421,7 +420,7 @@ func (s *solver) closeStage(k int, peak, segMem, placed int64, segStart int, cro
 	stagesLeft := int64(s.numStages - k - 1)
 
 	newCross := cross
-	if s.tieBreak {
+	if s.opts.TieBreakCross {
 		// Producers in this segment whose consumers lie beyond the ideal
 		// ship their output tensor over USB: once per producer on a plain
 		// graph, once per outgoing edge on a quotient, whose edges each stand
@@ -447,7 +446,7 @@ func (s *solver) closeStage(k int, peak, segMem, placed int64, segStart int, cro
 			lb = spread
 		}
 	}
-	if s.tieBreak {
+	if s.opts.TieBreakCross {
 		if lb > s.bestPeak || (lb == s.bestPeak && newCross >= s.bestCross) {
 			return
 		}
@@ -465,7 +464,7 @@ func (s *solver) closeStage(k int, peak, segMem, placed int64, segStart int, cro
 		if remaining > finalPeak {
 			finalPeak = remaining
 		}
-		if s.tieBreak {
+		if s.opts.TieBreakCross {
 			if finalPeak > s.bestPeak || (finalPeak == s.bestPeak && newCross >= s.bestCross) {
 				return
 			}
@@ -489,7 +488,7 @@ func (s *solver) closeStage(k int, peak, segMem, placed int64, segStart int, cro
 	// materialized into a string on insert.
 	sc.keyBuf = sc.ideal.AppendKey(sc.keyBuf[:0])
 	sc.keyBuf = append(sc.keyBuf, byte(k), byte(k>>8))
-	if s.tieBreak {
+	if s.opts.TieBreakCross {
 		// Pareto memo: a previous visit dominating on both peak and cross
 		// has already explored every completion at least as well.
 		front := sc.pareto[string(sc.keyBuf)]

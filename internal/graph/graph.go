@@ -94,7 +94,6 @@ type Graph struct {
 	depth    int   // longest path length in edges
 	maxInDeg int
 	fp       uint64 // structural fingerprint, memoized at Build
-
 	quotOnce sync.Once
 	quot     *Quotient // the sibling-class quotient, memoized on first use
 }
@@ -425,13 +424,12 @@ func (g *Graph) Stats() Stats {
 // successors are succ[start[v]:start[v+1]], in that order: the same graph
 // AddNode over nodes and AddEdge over those lists, source by source, would
 // build, without either. It is the constructor for a graph derived from
-// another (the sibling-class quotient's DAG, which Quotient computes once
-// per graph). The successor lists are windows of succ
-// and the predecessors are laid out in one flat array, as ParseJSON lays
-// them out. The graph takes nodes, assigning IDs by position, and keeps
-// references into succ; the caller modifies neither afterwards. The
-// errors are Build's, and those of a start or succ that does not describe
-// edges between distinct nodes.
+// another (the quotient DAG Graph.Quotient computes). The successor lists
+// are windows of succ and the predecessors are laid out in one flat array,
+// as ParseJSON lays them out. The graph takes nodes, assigning IDs by
+// position, and keeps references into succ; the caller modifies neither
+// afterwards. The errors are Build's, and those of a start or succ that
+// does not describe edges between distinct nodes.
 func FromCSR(name string, nodes []Node, start, succ []int) (*Graph, error) {
 	n := len(nodes)
 	if len(start) != n+1 || start[0] != 0 || start[n] != len(succ) {

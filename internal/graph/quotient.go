@@ -6,7 +6,7 @@ package graph
 // nodes (children of a common parent, closed transitively); monotonicity
 // between classes may then force further equalities, which appear as
 // cycles in the class-level constraint graph and are merged too. What is
-// left is acyclic. sched.Quotient gives it its scheduling meaning.
+// left is acyclic; sched.Quotient gives it its scheduling meaning.
 type Quotient struct {
 	// ClassOf maps each node to its class. Classes are numbered in a
 	// topological order of the quotient: every edge runs from a lower class

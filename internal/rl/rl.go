@@ -271,14 +271,12 @@ func Schedule(m *ptrnet.Model, ecfg embed.Config, g *graph.Graph, numStages int)
 	return ScheduleCtx(context.Background(), m, ecfg, g, numStages)
 }
 
-// ScheduleCtx is Schedule under a context: a context already done is
-// refused before any work, and decoding is quadratic in the class count,
-// so the decoder checks ctx at every step and a cancelled call returns
-// ctx's error. The quotient is the graph's memo (sched.Condense), computed
-// on the graph's first solve by any backend and read on every later one.
-// A quotient with only one order skips the network: every decode would be
-// repaired to that order (see sched.Quotient.OneOrder), so it goes to
-// deploy as it is.
+// ScheduleCtx is Schedule under a context: a done context is refused
+// before any work, and decoding is quadratic in the class count, so the
+// decoder checks ctx at every step and a cancelled call returns ctx's
+// error. The quotient is the graph's memo (sched.Condense). One with only
+// one order skips the network: every decode would be repaired to that
+// order (see sched.Quotient.OneOrder), so it goes to deploy as it is.
 func ScheduleCtx(ctx context.Context, m *ptrnet.Model, ecfg embed.Config, g *graph.Graph, numStages int) (sched.Schedule, error) {
 	if err := ctx.Err(); err != nil {
 		return sched.Schedule{}, err

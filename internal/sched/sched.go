@@ -412,33 +412,21 @@ func ScheduleToSequence(g *graph.Graph, s Schedule) []int {
 	return seq
 }
 
-// Quotient is a graph's sibling-class quotient (graph.Quotient): the DAG
-// over the node classes that the Edge TPU's children-same-stage rule
-// forces to share a pipeline stage.
-//
+// Quotient is a graph's sibling-class quotient (see graph.Quotient).
 // A schedule is deployable (Validate and SameStageChildrenOK) exactly when
 // it is constant on classes and monotone along the quotient's edges, so the
 // monotone stage assignments of the quotient, expanded, ARE the deployable
 // schedules of the graph. PostProcess repairs into that space, the exact
 // family searches it and the RL decoders decode it, all reading the one
 // quotient the graph computes on first use.
-type Quotient struct {
-	// ClassOf maps each node to its class. Classes are numbered in a
-	// topological order of the quotient: every edge runs from a lower class
-	// to a higher one.
-	ClassOf []int
-	// ParamBytes is the summed parameter footprint of each class.
-	ParamBytes []int64
-
-	dag *graph.Graph
-}
+type Quotient struct{ *graph.Quotient }
 
 // NumClasses returns the number of classes.
 func (q Quotient) NumClasses() int { return len(q.ParamBytes) }
 
 // Succ returns the successor classes of c, each listed once. The returned
 // slice must not be modified.
-func (q Quotient) Succ(c int) []int { return q.dag.Succ(c) }
+func (q Quotient) Succ(c int) []int { return q.DAG.Succ(c) }
 
 // OneOrder reports whether the quotient has exactly one linear extension,
 // which is then 0, 1, …, n−1: every class c < n−1 has c+1 among Succ(c).
@@ -480,19 +468,13 @@ func (q Quotient) Restrict(s Schedule) Schedule {
 	return out
 }
 
-// Graph returns the quotient as a graph with the underlying graph's name:
-// node c weighs class c's parameters and the edges are the quotient's, in
-// the order Succ lists them. It is the graph's memoized quotient DAG, the
-// same *graph.Graph on every call.
-func (q Quotient) Graph() *graph.Graph { return q.dag }
+// Graph returns the quotient DAG (graph.Quotient.DAG), the same
+// *graph.Graph on every call.
+func (q Quotient) Graph() *graph.Graph { return q.DAG }
 
-// Condense returns the sibling-class quotient of g. The graph computes it
-// on first use, once (graph.Graph.Quotient); every later call reads it and
-// allocates nothing.
-func Condense(g *graph.Graph) Quotient {
-	c := g.Quotient()
-	return Quotient{ClassOf: c.ClassOf, ParamBytes: c.ParamBytes, dag: c.DAG}
-}
+// Condense returns g's sibling-class quotient, which g computes once, on
+// first use (graph.Graph.Quotient); later calls allocate nothing.
+func Condense(g *graph.Graph) Quotient { return Quotient{g.Quotient()} }
 
 // PostProcess is the paper's deterministic post-inference repair, made
 // provably terminating. Two hardware rules are enforced with minimal
