@@ -135,6 +135,26 @@ func TestSelfEdgePanics(t *testing.T) {
 	g.AddEdge(a, a)
 }
 
+// TestQuotientMemo: a built graph computes its quotient once, the
+// diamond's middle pair as one class, and hands back the same one on
+// every call; a built Clone computes its own.
+func TestQuotientMemo(t *testing.T) {
+	g := diamond(t)
+	q := g.Quotient()
+	if !slices.Equal(q.ClassOf, []int{0, 1, 1, 2}) || !slices.Equal(q.ParamBytes, []int64{0, 300, 0}) {
+		t.Fatalf("diamond quotient: ClassOf %v, ParamBytes %v", q.ClassOf, q.ParamBytes)
+	}
+	if qg := q.Graph(); qg.NumNodes() != 3 || qg.NumEdges() != 2 || qg.Name != g.Name {
+		t.Fatalf("diamond quotient graph %q: %d nodes, %d edges", qg.Name, qg.NumNodes(), qg.NumEdges())
+	}
+	if g.Quotient() != q {
+		t.Fatal("second call computed a second quotient")
+	}
+	if c := g.Clone().MustBuild().Quotient(); c == q || c.Graph() == q.Graph() {
+		t.Fatal("a clone shares its original's quotient")
+	}
+}
+
 func TestMutationAfterBuildPanics(t *testing.T) {
 	g := diamond(t)
 	defer func() {

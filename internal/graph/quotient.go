@@ -14,11 +14,14 @@ type Quotient struct {
 	ClassOf []int
 	// ParamBytes is the summed parameter footprint of each class.
 	ParamBytes []int64
-	// DAG is the quotient as a graph with g's name: node c weighs class
-	// c's parameters, and its successors are the classes some edge out of
-	// class c reaches, each listed once.
-	DAG *Graph
+
+	dag *Graph
 }
+
+// Graph returns the quotient as a graph with the name of the graph it
+// came from: node c weighs class c's parameters, and its successors are
+// the classes some edge out of class c reaches, each listed once.
+func (q *Quotient) Graph() *Graph { return q.dag }
 
 // Quotient returns g's sibling-class quotient. It is computed on the
 // first call, once, and every later call returns the same value, which
@@ -145,7 +148,7 @@ func condense(g *Graph) *Quotient {
 		// because g is built.
 		panic("graph: quotient: " + err.Error())
 	}
-	return &Quotient{ClassOf: classOf, ParamBytes: param, DAG: dag}
+	return &Quotient{ClassOf: classOf, ParamBytes: param, dag: dag}
 }
 
 // tarjanSCC returns the strongly-connected-component index of each vertex

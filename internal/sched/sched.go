@@ -426,7 +426,7 @@ func (q Quotient) NumClasses() int { return len(q.ParamBytes) }
 
 // Succ returns the successor classes of c, each listed once. The returned
 // slice must not be modified.
-func (q Quotient) Succ(c int) []int { return q.DAG.Succ(c) }
+func (q Quotient) Succ(c int) []int { return q.Graph().Succ(c) }
 
 // OneOrder reports whether the quotient has exactly one linear extension,
 // which is then 0, 1, …, n−1: every class c < n−1 has c+1 among Succ(c).
@@ -467,10 +467,6 @@ func (q Quotient) Restrict(s Schedule) Schedule {
 	}
 	return out
 }
-
-// Graph returns the quotient DAG (graph.Quotient.DAG), the same
-// *graph.Graph on every call.
-func (q Quotient) Graph() *graph.Graph { return q.DAG }
 
 // Condense returns g's sibling-class quotient, which g computes once, on
 // first use (graph.Graph.Quotient); later calls allocate nothing.
